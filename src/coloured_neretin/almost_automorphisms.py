@@ -174,84 +174,43 @@ class TreePairElement:
         leaf = tuple(leaf)
         if leaf not in self.domain:
             raise ValueError("leaf %r not in the domain tree" % (leaf,))
-        image = self._map[leaf]
-        new_domain = self.domain.expand(leaf)
-        new_range = self.range.expand(image)
-        pairs = {v: w for v, w in self._map.items() if v != leaf}
-        for child, image_child in zip(self.plane.children(leaf), self.plane.children(image)):
-            pairs[child] = image_child
-        kappa = [new_range.leaf_index(pairs[v]) for v in new_domain.leaves]
-        return TreePairElement(self.group, new_domain, new_range, kappa)
+        pairs = dict(self._map)
+        image = pairs.pop(leaf)
+        pairs.update(zip(self.plane.children(leaf), self.plane.children(image)))
+        return _from_pairs(self.group, pairs)
 
-    def _find_cherry(self):
-        """Lex-least contractible cherry (u, u') or None.
+    def reduce(self):
+        """The canonical minimal representative (exhaustive cherry contraction).
 
         A cherry is an internal nonroot vertex u of the domain all of whose
         children are leaves mapped, in plane order, exactly onto the
-        plane-ordered children of a single vertex u' of the range.
+        plane-ordered children of a single vertex u' of the range;
+        contracting it makes u a leaf mapped to u'.  Distinct cherries never
+        share a leaf, so contractions commute and the result does not depend
+        on their order.  Only the parent of a contracted vertex can become a
+        new cherry, so candidates are kept on a worklist and the leaf map is
+        contracted in place; both trees are built once, at the end.  Returns
+        self when there is nothing to contract.
         """
-        by_parent = {}
-        for leaf in self.domain.leaves:
-            if len(leaf) >= 2:
-                by_parent.setdefault(leaf[:-1], []).append(leaf)
-        candidates = [u for u, chl in by_parent.items() if len(chl) == self.group.d]
-        for u in self.plane.lex_sorted(candidates):
+        pairs = dict(self._map)
+        work = {v[:-1] for v in pairs if len(v) >= 2}
+        contracted = False
+        while work:
+            u = work.pop()
             children = self.plane.children(u)
-            if any(c not in self._map for c in children):
+            images = [pairs.get(c) for c in children]
+            if None in images or images != self.plane.children(images[0][:-1]):
                 continue
-            images = [self._map[c] for c in children]
-            parent = images[0][:-1]
-            if any(len(img) < len(parent) + 1 or img[:-1] != parent for img in images):
-                continue
-            if images == self.plane.children(parent):
-                return u, parent
-        return None
-
-    def _contract(self, u, u_image):
-        children = set(self.plane.children(u))
-        new_domain = self.domain.contract(u)
-        new_range = self.range.contract(u_image)
-        pairs = {v: w for v, w in self._map.items() if v not in children}
-        pairs[u] = u_image
-        kappa = [new_range.leaf_index(pairs[v]) for v in new_domain.leaves]
-        return TreePairElement(self.group, new_domain, new_range, kappa)
-
-    def reduce(self):
-        """The canonical minimal representative (exhaustive cherry contraction)."""
-        current = self
-        while True:
-            cherry = current._find_cherry()
-            if cherry is None:
-                return current
-            current = current._contract(*cherry)
+            for child in children:
+                del pairs[child]
+            pairs[u] = images[0][:-1]
+            contracted = True
+            if len(u) >= 2:
+                work.add(u[:-1])
+        return _from_pairs(self.group, pairs) if contracted else self
 
     def is_reduced(self):
-        return self._find_cherry() is None
-
-    def refine_domain_to(self, leaves):
-        """Expand until every address in ``leaves`` is a domain leaf (the
-        given set must refine the current domain)."""
-        current = self
-        target = set(tuple(w) for w in leaves)
-        while True:
-            for v in current.domain.leaves:
-                if v not in target and any(is_prefix(v, w) for w in target):
-                    current = current.expand_at(v)
-                    break
-            else:
-                return current
-
-    def refine_range_to(self, leaves):
-        current = self
-        target = set(tuple(w) for w in leaves)
-        while True:
-            for w in current.range.leaves:
-                if w not in target and any(is_prefix(w, t) for t in target):
-                    i = current.kappa.index(current.range.leaf_index(w))
-                    current = current.expand_at(current.domain.leaves[i])
-                    break
-            else:
-                return current
+        return self.reduce() is self
 
     # -- group operations ----------------------------------------------------
 
@@ -306,6 +265,9 @@ def make_element(domain_leaves, range_leaves, bijection, group):
         pair_map = {tuple(v): tuple(w) for v, w in bijection.items()}
     else:
         bijection = list(bijection)
+        for i, k in enumerate(bijection):
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise ValueError("kappa[%d] is not an integer: %r" % (i, k))
         if sorted(bijection) != list(range(len(range_leaves))):
             dup = next(k for k in bijection if bijection.count(k) > 1)
             raise ValueError("kappa is not a bijection: duplicate index %d" % dup)
@@ -321,25 +283,40 @@ def identity_element(group):
     return TreePairElement(group, ball, ball, range(len(ball)))
 
 
+def _from_pairs(group, pairs):
+    """The element sending each key of ``pairs`` (domain leaf) to its value
+    (range leaf); both leaf sets go through the CompleteSubtree checks."""
+    domain = CompleteSubtree(group.d, pairs)
+    range_ = CompleteSubtree(group.d, pairs.values())
+    kappa = [range_.leaf_index(pairs[v]) for v in domain.leaves]
+    return TreePairElement(group, domain, range_, kappa)
+
+
 def compose(a, b):
-    """The element acting as a after b on the boundary."""
+    """The element acting as a after b on the boundary, reduced.
+
+    One pass over the common refinement of b's range and a's domain.  Its
+    leaves (the middle leaves) are the longer of each comparable pair of a
+    range leaf t of b and a domain leaf s of a; each is found by looking up
+    the prefixes of one leaf in the other tree's index.  A middle leaf m
+    below t comes from b^{-1}(t) followed by the tail of m below t,
+    transported, and goes to a(m).  Both composite trees are built once,
+    then the composite is reduced.
+    """
     if not _same_group(a.group, b.group):
         raise ValueError("parameter mismatch: elements live over different colour groups")
-    middle = set()
-    for t in b.range.leaves:
-        for s in a.domain.leaves:
-            if is_prefix(t, s):
-                middle.add(s)
-            elif is_prefix(s, t):
-                middle.add(t)
-    bb = b.refine_range_to(middle)
-    aa = a.refine_domain_to(middle)
-    assert bb.range.leaves == aa.domain.leaves
-    kappa = []
-    for i in range(len(bb.domain)):
-        mid = bb.range.leaves[bb.kappa[i]]
-        kappa.append(aa.kappa[aa.domain.leaf_index(mid)])
-    return TreePairElement(a.group, bb.domain, aa.range, kappa).reduce()
+    middle = {t: t for t in b.range.leaves if a.domain.leaf_containing(t) is not None}
+    for s in a.domain.leaves:
+        t = b.range.leaf_containing(s)
+        if t is not None:
+            middle[s] = t
+    b_inverse = {w: v for v, w in b._map.items()}
+    pairs = {}
+    for m, t in middle.items():
+        u = b_inverse[t]
+        tail = a.plane.transport_tail(t[-1], u[-1], m[len(t):])
+        pairs[u + tail] = a.apply_to_prefix(m)
+    return _from_pairs(a.group, pairs).reduce()
 
 
 def inverse(e):

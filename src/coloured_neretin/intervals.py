@@ -31,11 +31,11 @@ def decide_sign(expression, start_bits=None, max_bits=MAX_BITS):
     ``expression`` is called with no arguments and must build its value from
     the ``mpmath.iv`` context.  Returns (sign, interval, bits) where sign is
     +1, -1 or None (undecided at max_bits) and bits is the precision that
-    settled the question.
+    settled the question, or the last one tried when none did.  A start
+    above max_bits is lowered to max_bits.
     """
-    bits = start_bits if start_bits is not None else default_precision()
-    value = None
-    while bits <= max_bits:
+    bits = min(start_bits if start_bits is not None else default_precision(), max_bits)
+    while True:
         saved = iv.prec
         try:
             iv.prec = bits
@@ -46,8 +46,9 @@ def decide_sign(expression, start_bits=None, max_bits=MAX_BITS):
             return 1, value, bits
         if value.b < 0:
             return -1, value, bits
+        if 2 * bits > max_bits:
+            return None, value, bits
         bits *= 2
-    return None, value, bits
 
 
 def interval_width(value):

@@ -19,12 +19,14 @@ tree-pair elements.  This module realises that dictionary concretely:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .abelianization import SftGraph, build_sft_graph, sft_graph_for_group
 from .almost_automorphisms import make_element, random_element
-from .permutations import ColourGroup, closure_enumerate, from_cycles
+from .permutations import closure_enumerate, from_cycles
 from .tree import plane_for
 
 
@@ -38,10 +40,13 @@ class InvalidBisection(ValueError):
         self.report = report
 
 
-def _orbit_lookup(graph):
+@lru_cache(maxsize=None)
+def _orbit_lookup(orbit_colours):
+    """(colour -> orbit index, colour -> orbit representative), computed once
+    per orbit partition of a graph; callers only read the two dicts."""
     orbit_of = {}
     rep_of = {}
-    for i, block in enumerate(graph.orbit_colours):
+    for i, block in enumerate(orbit_colours):
         rep = min(block)
         for colour in block:
             orbit_of[colour] = i
@@ -78,7 +83,7 @@ def check_path(path, graph):
     labels = path.labels
     if not labels:
         raise PathError("empty label word does not name a path")
-    orbit_of, rep_of = _orbit_lookup(graph)
+    orbit_of, rep_of = _orbit_lookup(graph.orbit_colours)
     for k, c in enumerate(labels):
         if c not in orbit_of:
             raise PathError("label %r is not a colour of the graph" % (c,))
@@ -104,7 +109,7 @@ def edge_length(path, graph):
     The zero-length root child contributes 0, a delta start edge 1, a
     direct hop 1 and an interrupted loop 2.
     """
-    orbit_of, rep_of = _orbit_lookup(graph)
+    orbit_of, rep_of = _orbit_lookup(graph.orbit_colours)
     labels = path.labels
     total = 0
     for k, c in enumerate(labels):
@@ -118,7 +123,7 @@ def edge_length(path, graph):
 
 
 def terminal_orbit(path, graph):
-    orbit_of, _ = _orbit_lookup(graph)
+    orbit_of, _ = _orbit_lookup(graph.orbit_colours)
     return orbit_of[path.labels[-1]]
 
 
@@ -128,7 +133,7 @@ def cylinder_mass(path, graph):
 
 
 def path_children(path, graph):
-    orbit_of, rep_of = _orbit_lookup(graph)
+    orbit_of, rep_of = _orbit_lookup(graph.orbit_colours)
     rep = rep_of[path.labels[-1]]
     return [
         EdgePath(path.labels + (c,)) for c in range(d_plus_one(graph)) if c != rep
@@ -152,8 +157,6 @@ def _default_group(graph):
             generators.append(from_cycles([tuple(block[:2])], degree))
         if len(block) >= 3:
             generators.append(from_cycles([tuple(block)], degree))
-    if not generators:
-        return ColourGroup([from_cycles([], degree)])
     return closure_enumerate(generators, degree)
 
 
@@ -180,30 +183,16 @@ class Omega:
         self.graph = graph
         self.group = group
         self.plane = plane_for(group)
-        self._orbit_of, self._rep_of = _orbit_lookup(graph)
+        self._orbit_of, self._rep_of = _orbit_lookup(graph.orbit_colours)
 
     def to_address(self, path):
         check_path(path, self.graph)
-        word = []
-        for k, label in enumerate(path.labels):
-            if k == 0:
-                word.append(label)
-            else:
-                f = self.plane.canonical_maps[word[-1]]
-                word.append(f.inverse()(label))
-        address = tuple(word)
+        address = self.plane.address_of(path.labels)
         assert self._orbit_of[address[-1]] == self._orbit_of[path.labels[-1]]
         return address
 
     def to_labels(self, address):
-        labels = []
-        for k, letter in enumerate(address):
-            if k == 0:
-                labels.append(letter)
-            else:
-                f = self.plane.canonical_maps[address[k - 1]]
-                labels.append(f(letter))
-        path = EdgePath(tuple(labels))
+        path = EdgePath(self.plane.label_word(tuple(address)))
         check_path(path, self.graph)
         return path
 
@@ -230,13 +219,7 @@ class Omega:
             for _, pairs in parents.items():
                 pairs.sort(key=lambda item: item[0].labels)
                 got = [address for _, address in pairs]
-                prefix = got[0][:-1]
-                if prefix == ():
-                    want = [(c,) for c in range(self.graph.d + 1)]
-                else:
-                    parent = prefix
-                    want = self.plane.children(parent)
-                assert got == [tuple(w) for w in want]
+                assert got == self.plane.children(got[0][:-1])
             level = [
                 child for path in level for child in path_children(path, self.graph)
             ]
@@ -282,15 +265,25 @@ class ValidationReport:
 
 
 def _partition_problems(paths, graph, side):
-    problems = []
-    for i, p in enumerate(paths):
-        for j in range(i + 1, len(paths)):
-            q = paths[j]
-            if p.is_prefix_of(q) or q.is_prefix_of(p):
-                problems.append(
-                    "%s paths %r and %r overlap (one is a prefix of the other)"
-                    % (side, p.labels, q.labels)
-                )
+    """Overlaps, reported for each pair i < j in that order, then the mass.
+
+    In label order the extensions of a path directly follow it, so a
+    forward scan from each path that stops at the first non-extension
+    finds every overlapping pair once.
+    """
+    order = sorted(range(len(paths)), key=lambda i: paths[i].labels)
+    overlaps = []
+    for k, i in enumerate(order):
+        p = paths[i].labels
+        for j in order[k + 1 :]:
+            if paths[j].labels[: len(p)] != p:
+                break
+            overlaps.append((min(i, j), max(i, j)))
+    problems = [
+        "%s paths %r and %r overlap (one is a prefix of the other)"
+        % (side, paths[i].labels, paths[j].labels)
+        for i, j in sorted(overlaps)
+    ]
     mass = sum((cylinder_mass(p, graph) for p in paths), Fraction(0))
     if mass != 1:
         problems.append(
@@ -372,19 +365,21 @@ def compose_bisections(first, second, graph):
     keeping the remaining labels; the terminal-vertex condition is exactly
     what makes the remaining labels legal after either prefix.
     """
+    by_source = {}
+    for s1, _, t1 in first.pairs:
+        by_source.setdefault(s1.labels, []).append(t1)
+    sources = [s1.labels for s1, _, _ in first.pairs]  # sorted, as pairs are
     pairs = []
     for s2, _, t2 in second.pairs:
-        for s1, _, t1 in first.pairs:
-            if s1.is_prefix_of(t2):
-                extra = t2.labels[len(s1.labels):]
-                pairs.append(
-                    _make_pair(s2, EdgePath(t1.labels + extra), graph)
-                )
-            elif t2.is_prefix_of(s1) and s1 != t2:
-                extra = s1.labels[len(t2.labels):]
-                pairs.append(
-                    _make_pair(EdgePath(s2.labels + extra), t1, graph)
-                )
+        labels = t2.labels
+        for k in range(1, len(labels) + 1):
+            for t1 in by_source.get(labels[:k], ()):
+                pairs.append(_make_pair(s2, EdgePath(t1.labels + labels[k:]), graph))
+        for n in range(bisect_right(sources, labels), len(sources)):
+            if sources[n][: len(labels)] != labels:
+                break
+            extra = sources[n][len(labels) :]
+            pairs.append(_make_pair(EdgePath(s2.labels + extra), first.pairs[n][2], graph))
     result = Bisection(tuple(pairs))
     report = validate_bisection(result, graph)
     assert report.ok, report.problems

@@ -15,7 +15,6 @@ canonical form in the library hangs off.
 from __future__ import annotations
 
 import weakref
-from functools import cmp_to_key
 
 
 class IncompleteTree(ValueError):
@@ -74,7 +73,8 @@ class PlaneOrder:
     orbit representatives: minimal colour of each orbit.
     canonical maps: f_chi = the first element of F (in image-tuple order)
     with f_chi(chi) = representative; the identity is first in that order,
-    so f_chi = id whenever chi is itself a representative.
+    so f_chi = id whenever chi is itself a representative.  The maps'
+    inverses, the child orders and the transports are computed once, here.
     """
 
     def __init__(self, group):
@@ -90,13 +90,24 @@ class PlaneOrder:
                     break
             else:  # pragma: no cover - orbits guarantee a match
                 raise AssertionError("no canonical map for colour %d" % chi)
+        inverses = {chi: f.inverse() for chi, f in self.canonical_maps.items()}
+        self._inverse_images = {chi: f.images for chi, f in inverses.items()}
+        self._child_orders = {
+            chi: tuple(sorted(admissible_child_colours((chi,), self.d), key=f))
+            for chi, f in self.canonical_maps.items()
+        }
+        self._transports = {
+            (a, b): inverses[b] * self.canonical_maps[a]
+            for a in range(group.degree)
+            for b in range(group.degree)
+            if group.orbit_of[a] == group.orbit_of[b]
+        }
 
     def child_colour_order(self, v):
         """Colours of the children of v, in plane order."""
         if not v:
             return list(range(self.d + 1))
-        f = self.canonical_maps[v[-1]]
-        return sorted(admissible_child_colours(v, self.d), key=f)
+        return list(self._child_orders[v[-1]])
 
     def children(self, v):
         v = tuple(v)
@@ -110,12 +121,12 @@ class PlaneOrder:
         (so both canonical maps land on the same representative).  Sends
         src_colour to dst_colour, hence admissible colours to admissible ones.
         """
-        group = self.group
-        if group.orbit_of[src_colour] != group.orbit_of[dst_colour]:
+        try:
+            return self._transports[src_colour, dst_colour]
+        except KeyError:
             raise ValueError(
                 "colours %d and %d lie in different orbits" % (src_colour, dst_colour)
-            )
-        return self.canonical_maps[dst_colour].inverse() * self.canonical_maps[src_colour]
+            ) from None
 
     def transport_tail(self, src_colour, dst_colour, tail):
         """Image of the relative address ``tail`` under the canonical
@@ -124,33 +135,42 @@ class PlaneOrder:
         out = []
         a, b = src_colour, dst_colour
         for c in tail:
-            c2 = self.transport(a, b)(c)
+            c2 = self.transport(a, b).images[c]
             out.append(c2)
             a, b = c, c2
         return tuple(out)
 
+    def label_word(self, v):
+        """Plane positions along v: the first letter, then f_{v[i-1]}(v[i]).
+
+        Each label ranks a letter among its siblings, so comparing label
+        words compares branches in plane order.
+        """
+        if not v:
+            return ()
+        maps = self.canonical_maps
+        return (v[0],) + tuple(maps[p].images[c] for p, c in zip(v, v[1:]))
+
+    def address_of(self, labels):
+        """Inverse of ``label_word``."""
+        word = []
+        for k, label in enumerate(labels):
+            word.append(self._inverse_images[word[-1]][label] if k else label)
+        return tuple(word)
+
+    def lex_key(self, v):
+        """Sort key of the plane order: the label word of v followed by the
+        sentinel d+1, so that strict descendants come first."""
+        return self.label_word(tuple(v)) + (self.d + 1,)
+
     def lex_compare(self, v, w):
         """-1 / 0 / +1: strict descendants come first; incomparable addresses
         branch by the plane order of the children of their common prefix."""
-        v, w = tuple(v), tuple(w)
-        if v == w:
-            return 0
-        if is_prefix(w, v):
-            return -1
-        if is_prefix(v, w):
-            return 1
-        k = 0
-        while v[k] == w[k]:
-            k += 1
-        u = v[:k]
-        a, b = v[k], w[k]
-        if not u:
-            return -1 if a < b else 1
-        f = self.canonical_maps[u[-1]]
-        return -1 if f(a) < f(b) else 1
+        v, w = self.lex_key(v), self.lex_key(w)
+        return (v > w) - (v < w)
 
     def lex_sorted(self, addresses):
-        return sorted((tuple(v) for v in addresses), key=cmp_to_key(self.lex_compare))
+        return sorted((tuple(v) for v in addresses), key=self.lex_key)
 
 
 class CompleteSubtree:

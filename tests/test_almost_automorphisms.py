@@ -32,7 +32,7 @@ from coloured_neretin import (
     translation_element,
     trivial_group,
 )
-from conftest import four_orbit_group, group_from, rotation_group, switch_group
+from conftest import four_orbit_group, group_from, random_word, rotation_group, switch_group
 
 
 # -- oracles ------------------------------------------------------------------
@@ -48,13 +48,6 @@ def free_reduce(*words):
             else:
                 stack.append(c)
     return tuple(stack)
-
-
-def random_word(rng, d, length):
-    word = []
-    for _ in range(length):
-        word.append(rng.choice([c for c in range(d + 1) if not word or c != word[-1]]))
-    return tuple(word)
 
 
 def leafset_parity(mapping):
@@ -494,6 +487,14 @@ def test_element_from_dict_validates():
     data = element_to_dict(identity_element(switch_group()))
     data["kappa"] = [0, 0, 1, 2]
     with pytest.raises(ValueError):
+        element_from_dict(data)
+
+
+@pytest.mark.parametrize("entry", [2.0, "1", True])
+def test_element_from_dict_names_bad_kappa_entries(entry):
+    data = element_to_dict(identity_element(switch_group()))
+    data["kappa"][1] = entry
+    with pytest.raises(ValueError, match=r"kappa\[1\] is not an integer"):
         element_from_dict(data)
 
 

@@ -137,6 +137,19 @@ def test_element_validation_reports_filename(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [2.0, "1", True])
+def test_compose_names_bad_kappa_entries(tmp_path, capsys, entry):
+    data = element_to_dict(identity_element(rotation_group()))
+    data["kappa"][1] = entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    good = write_element(tmp_path, "good.json", identity_element(rotation_group()))
+    assert run_command(["compose", good, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "bad.json: kappa[1] is not an integer" in err
+    assert "Traceback" not in err
+
+
 # -- reports ----------------------------------------------------------------
 
 

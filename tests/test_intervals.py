@@ -35,7 +35,12 @@ def test_decide_sign_exact_zero_is_undecided():
                                     start_bits=32, max_bits=128)
     assert sign is None
     assert value.a <= 0 <= value.b
-    assert bits > 128  # the loop ran past the cap without settling
+    assert bits == 128  # the last precision tried, the cap
+
+
+def test_undecided_reports_the_last_precision_tried():
+    sign, value, bits = decide_sign(lambda: iv.mpf(0), max_bits=256)
+    assert (sign, value, bits) == (None, iv.mpf(0), 256)
 
 
 def test_decide_sign_restores_global_precision():

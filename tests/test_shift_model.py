@@ -29,6 +29,7 @@ from coloured_neretin import (
     terminal_orbit,
     validate_bisection,
 )
+from coloured_neretin.shift_model import _make_pair
 from conftest import group_from, rotation_group
 
 
@@ -139,6 +140,12 @@ def test_omega_to_labels_round_trip():
             assert omega.to_labels(address) == p
 
 
+def test_omega_default_group_over_singleton_orbits():
+    omega = Omega(build_sft_graph((1, 1, 1)))
+    assert len(omega.group) == 1
+    assert omega.check_depth(3)
+
+
 def test_omega_rejects_mismatched_group():
     graph = build_sft_graph((1, 3))
     with pytest.raises(ValueError):
@@ -240,6 +247,39 @@ def test_validate_bisection_diagnostics():
 
     with pytest.raises(InvalidBisection):
         bisection_to_element(bad, build_omega(graph))
+
+
+def test_validate_bisection_reports_overlaps_in_pair_order():
+    graph = build_sft_graph((2, 2))
+
+    def bisection(pairs):
+        return Bisection(
+            tuple(_make_pair(EdgePath(s), EdgePath(t), graph) for s, t in pairs)
+        )
+
+    nested = [(1,), (1, 2), (1, 2, 3)]
+    report = validate_bisection(bisection([(p, p) for p in nested]), graph)
+    assert report.problems == [
+        "%s %s" % (side, text)
+        for side in ("source", "target")
+        for text in (
+            "paths (1,) and (1, 2) overlap (one is a prefix of the other)",
+            "paths (1,) and (1, 2, 3) overlap (one is a prefix of the other)",
+            "paths (1, 2) and (1, 2, 3) overlap (one is a prefix of the other)",
+            "cylinders cover mass 13/36 instead of 1",
+        )
+    ]
+    # targets out of label order: messages still follow the pair order
+    swapped = [((1,), (1,)), ((1, 2), (1, 3)), ((1, 3), (1, 2))]
+    report = validate_bisection(bisection(swapped), graph)
+    assert report.problems == [
+        "source paths (1,) and (1, 2) overlap (one is a prefix of the other)",
+        "source paths (1,) and (1, 3) overlap (one is a prefix of the other)",
+        "source cylinders cover mass 5/12 instead of 1",
+        "target paths (1,) and (1, 3) overlap (one is a prefix of the other)",
+        "target paths (1,) and (1, 2) overlap (one is a prefix of the other)",
+        "target cylinders cover mass 5/12 instead of 1",
+    ]
 
 
 def test_bisection_jsonable_round_trip():
