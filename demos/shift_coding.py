@@ -13,8 +13,8 @@ Run:  python3 demos/shift_coding.py
 import random
 
 from coloured_neretin import (
+    Omega,
     bisection_to_element,
-    build_omega,
     build_sft_graph,
     compose,
     compose_bisections,
@@ -36,7 +36,7 @@ def main():
     print()
     print("DOT export starts with:", dot_export(graph).splitlines()[0])
 
-    omega = build_omega(graph)
+    omega = Omega(graph)
     group = omega.group
     print()
     print("boundary model over the orbit-preserving group of order %d"

@@ -22,7 +22,6 @@ from .permutations import (
     from_cycles,
     identity,
     is_single_switch,
-    orbit_partition,
     parse_cycles,
     stabilizer_restriction_in_alt,
     structure_report,
@@ -40,7 +39,6 @@ from .tree import (
     is_valid_address,
     plane_for,
     random_complete_tree,
-    simple_expansion,
     sphere,
 )
 from .almost_automorphisms import (
@@ -50,20 +48,16 @@ from .almost_automorphisms import (
     SignValue,
     SizeMismatch,
     TreePairElement,
-    apply_to_prefix,
     compose,
     element_from_dict,
     element_from_local_data,
     element_to_dict,
-    expand_at,
     find_sign_violation,
     identity_element,
-    inverse,
     is_sign_well_defined,
     make_element,
     purely_infinite_witness,
     random_element,
-    reduce,
     sign,
     translation_element,
 )
@@ -88,7 +82,6 @@ from .shift_model import (
     bisection_from_jsonable,
     bisection_to_element,
     bisection_to_jsonable,
-    build_omega,
     check_path,
     compose_bisections,
     cylinder_mass,
@@ -96,7 +89,6 @@ from .shift_model import (
     element_to_bisection,
     identity_bisection,
     path_children,
-    path_is_valid,
     random_bisection,
     root_paths,
     terminal_orbit,

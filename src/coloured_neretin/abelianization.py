@@ -64,9 +64,6 @@ class IntMatrix:
             ])
         return IntMatrix(rows)
 
-    def __mul__(self, other):
-        return self.mul(other)
-
     def sub(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
@@ -358,7 +355,6 @@ class Abelianization:
     orbit_sizes: tuple
     invariant_factors: tuple
     two_torsion_rank: int
-    kernel_rank: int
     determinant: int
     snf_matrix: IntMatrix = field(compare=False)
 
@@ -395,7 +391,6 @@ def vf_abelianization(orbit_sizes):
             eps for eps in invariants.invariant_factors if eps != 1
         ),
         two_torsion_rank=two_rank,
-        kernel_rank=0,
         determinant=det,
         snf_matrix=system,
     )

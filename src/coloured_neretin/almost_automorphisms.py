@@ -1,11 +1,14 @@
 """Exact arithmetic in V_F: tree-pair elements and their group operations.
 
 An element is a pair of finite complete subtrees (domain, range) together
-with a leaf bijection kappa matching colours orbit by orbit; below the
-leaves it acts as the unique order-preserving extension determined by the
-plane order.  Elements form a group under composition of the boundary
-actions; each equivalence class has a unique reduced representative
-(no contractible cherry), which is the canonical form used throughout.
+with its leaf map: a bijection from the domain leaves onto the range leaves
+that sends each leaf to a leaf whose colour lies in the same orbit of F.
+Below the leaves it acts as the unique order-preserving extension
+determined by the plane order.  Elements form a group under composition of
+the boundary actions; each equivalence class has a unique reduced
+representative (no contractible cherry), which is the canonical form used
+throughout.  Element files index the leaf map as ``kappa``; that list is
+validated once, in :func:`make_element`, and read back from the map.
 
 The module also houses the sign homomorphisms: the parity of the leaf
 permutation restricted to the leaves coloured in an invariant subset D',
@@ -21,39 +24,20 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .permutations import NotInvariant, cycle_string, parse_cycles
+from .permutations import (
+    NotInvariant,
+    closure_enumerate,
+    cycle_string,
+    parse_cycles,
+    stabilizer_restriction_in_alt,
+)
 from .tree import (
     CompleteSubtree,
-    IncompleteTree,
     admissible_child_colours,
     check_address,
     is_prefix,
     plane_for,
 )
-
-__all__ = [
-    "SizeMismatch",
-    "OrbitViolation",
-    "NotWellDefined",
-    "PrefixTooShort",
-    "IncompleteTree",
-    "NotInvariant",
-    "SignValue",
-    "TreePairElement",
-    "make_element",
-    "identity_element",
-    "compose",
-    "inverse",
-    "sign",
-    "is_sign_well_defined",
-    "find_sign_violation",
-    "element_from_local_data",
-    "translation_element",
-    "purely_infinite_witness",
-    "random_element",
-    "element_to_dict",
-    "element_from_dict",
-]
 
 
 class SizeMismatch(ValueError):
@@ -61,7 +45,7 @@ class SizeMismatch(ValueError):
 
 
 class OrbitViolation(ValueError):
-    """kappa maps some leaf to a leaf whose colour lies in a different orbit."""
+    """The leaf map sends some leaf to a leaf whose colour lies in a different orbit."""
 
 
 class NotWellDefined(ValueError):
@@ -89,43 +73,33 @@ class SignValue:
         assert self.value in (1, -1)
 
 
-def _same_group(g1, g2):
-    return g1 is g2 or (g1.degree == g2.degree and g1._element_set == g2._element_set)
-
-
 class TreePairElement:
-    """(domain tree, range tree, leaf bijection), not necessarily reduced.
+    """(domain tree, range tree, leaf map), not necessarily reduced.
 
-    ``kappa[i]`` is the index (into ``range_tree.leaves``) of the image of
-    ``domain.leaves[i]``.  Construction validates sizes, bijectivity and the
-    orbit condition; use :func:`make_element` to also reduce.
+    ``pairs`` maps each leaf of ``domain`` to its image, a leaf of
+    ``range_``; the element keeps it as its leaf map.  Construction checks
+    the tree arity, that the map is a bijection of the two leaf sets and the
+    orbit condition; use :func:`make_element` to build from file data and
+    reduce.
     """
 
-    __slots__ = ("group", "plane", "domain", "range", "kappa", "_map")
+    __slots__ = ("group", "plane", "domain", "range", "_map")
 
-    def __init__(self, group, domain, range_, kappa):
+    def __init__(self, group, domain, range_, pairs):
         if domain.d != group.d or range_.d != group.d:
             raise ValueError("tree arity does not match the colour group degree")
         if len(domain) != len(range_):
             raise SizeMismatch(
                 "domain has %d leaves, range has %d" % (len(domain), len(range_))
             )
-        kappa = tuple(kappa)
-        if len(kappa) != len(domain):
-            raise ValueError("kappa has %d entries, expected %d" % (len(kappa), len(domain)))
-        seen = {}
-        for i, k in enumerate(kappa):
-            if not 0 <= k < len(range_.leaves):
-                raise ValueError("kappa index %d out of range" % k)
-            if k in seen:
-                raise ValueError(
-                    "kappa is not a bijection: index %d hit by leaves %d and %d"
-                    % (k, seen[k], i)
-                )
-            seen[k] = i
-        for i, leaf in enumerate(domain.leaves):
-            image = range_.leaves[kappa[i]]
-            if group.orbit_of[leaf[-1]] != group.orbit_of[image[-1]]:
+        if (
+            pairs.keys() != domain._index.keys()
+            or set(pairs.values()) != range_._index.keys()
+        ):
+            raise ValueError("the leaf map is not a bijection of the leaf sets")
+        orbit_of = group.orbit_of
+        for leaf, image in pairs.items():
+            if orbit_of[leaf[-1]] != orbit_of[image[-1]]:
                 raise OrbitViolation(
                     "leaf %r (colour %d) maps to %r (colour %d) across orbits"
                     % (leaf, leaf[-1], image, image[-1])
@@ -134,12 +108,16 @@ class TreePairElement:
         self.plane = plane_for(group)
         self.domain = domain
         self.range = range_
-        self.kappa = kappa
-        self._map = {
-            leaf: range_.leaves[kappa[i]] for i, leaf in enumerate(domain.leaves)
-        }
+        self._map = pairs
 
     # -- basic protocol ----------------------------------------------------
+
+    @property
+    def kappa(self):
+        """``kappa[i]`` is the index in ``range.leaves`` of the image of
+        ``domain.leaves[i]``."""
+        index = self.range.leaf_index
+        return tuple(index(self._map[v]) for v in self.domain.leaves)
 
     def leaf_image(self, leaf):
         return self._map[tuple(leaf)]
@@ -147,24 +125,20 @@ class TreePairElement:
     def __eq__(self, other):
         return (
             isinstance(other, TreePairElement)
-            and _same_group(self.group, other.group)
-            and self.domain == other.domain
-            and self.range == other.range
-            and self.kappa == other.kappa
+            and self.group == other.group
+            and self._map == other._map
         )
 
     def __hash__(self):
-        return hash((self.domain, self.range, self.kappa))
+        return hash((self.domain, self.range))
 
     def __repr__(self):
         return "TreePairElement(%d leaves, d=%d)" % (len(self.domain), self.group.d)
 
     def is_identity(self):
-        reduced = self.reduce()
-        return len(reduced.domain) == self.group.d + 1 and all(
-            reduced.domain.leaves[i] == reduced.range.leaves[reduced.kappa[i]]
-            for i in range(len(reduced.domain))
-        )
+        """Whether every leaf maps to itself: a leaf's cylinder is fixed
+        exactly when the leaf is, and then so is each word below it."""
+        return all(v == w for v, w in self._map.items())
 
     # -- expansion and reduction -------------------------------------------
 
@@ -215,16 +189,11 @@ class TreePairElement:
     # -- group operations ----------------------------------------------------
 
     def inverse(self):
-        inv = [0] * len(self.kappa)
-        for i, k in enumerate(self.kappa):
-            inv[k] = i
-        return TreePairElement(self.group, self.range, self.domain, inv).reduce()
-
-    def compose(self, other):
-        """self after other (``(self*other)(x) = self(other(x))``)."""
-        return compose(self, other)
+        inverse_map = {w: v for v, w in self._map.items()}
+        return TreePairElement(self.group, self.range, self.domain, inverse_map).reduce()
 
     def __mul__(self, other):
+        """self after other (``(self*other)(x) = self(other(x))``)."""
         return compose(self, other)
 
     # -- boundary action -----------------------------------------------------
@@ -250,37 +219,36 @@ def make_element(domain_leaves, range_leaves, bijection, group):
     """Validated, reduced element from leaf lists and a bijection.
 
     ``bijection`` is either a dict mapping domain addresses to range
-    addresses, or a list of integers sending the i-th given domain leaf to
-    the bijection[i]-th given range leaf.
+    addresses, or a list of integers (``kappa``) sending the i-th given
+    domain leaf to the bijection[i]-th given range leaf.
     """
     domain_leaves = [tuple(w) for w in domain_leaves]
     range_leaves = [tuple(w) for w in range_leaves]
     domain = CompleteSubtree(group.d, domain_leaves)
     range_ = CompleteSubtree(group.d, range_leaves)
-    if len(domain) != len(range_):
-        raise SizeMismatch(
-            "domain has %d leaves, range has %d" % (len(domain), len(range_))
-        )
     if isinstance(bijection, dict):
-        pair_map = {tuple(v): tuple(w) for v, w in bijection.items()}
+        pairs = {tuple(v): tuple(w) for v, w in bijection.items()}
     else:
-        bijection = list(bijection)
-        for i, k in enumerate(bijection):
+        kappa = list(bijection)
+        for i, k in enumerate(kappa):
             if not isinstance(k, int) or isinstance(k, bool):
                 raise ValueError("kappa[%d] is not an integer: %r" % (i, k))
-        if sorted(bijection) != list(range(len(range_leaves))):
-            dup = next(k for k in bijection if bijection.count(k) > 1)
-            raise ValueError("kappa is not a bijection: duplicate index %d" % dup)
-        pair_map = {v: range_leaves[k] for v, k in zip(domain_leaves, bijection)}
-    if set(pair_map) != set(domain.leaves):
-        raise ValueError("bijection does not cover the domain leaves exactly")
-    kappa = [range_.leaf_index(pair_map[v]) for v in domain.leaves]
-    return TreePairElement(group, domain, range_, kappa).reduce()
+        n = len(range_leaves)
+        if sorted(kappa) != list(range(n)):
+            if len(kappa) != n:
+                raise ValueError("kappa has %d entries, expected %d" % (len(kappa), n))
+            for i, k in enumerate(kappa):
+                if not 0 <= k < n:
+                    raise ValueError("kappa[%d] = %d is out of range" % (i, k))
+            duplicate = next(k for k in kappa if kappa.count(k) > 1)
+            raise ValueError("kappa is not a bijection: duplicate index %d" % duplicate)
+        pairs = dict(zip(domain_leaves, [range_leaves[k] for k in kappa]))
+    return TreePairElement(group, domain, range_, pairs).reduce()
 
 
 def identity_element(group):
     ball = CompleteSubtree.ball(group.d, 1)
-    return TreePairElement(group, ball, ball, range(len(ball)))
+    return TreePairElement(group, ball, ball, {v: v for v in ball.leaves})
 
 
 def _from_pairs(group, pairs):
@@ -288,8 +256,7 @@ def _from_pairs(group, pairs):
     (range leaf); both leaf sets go through the CompleteSubtree checks."""
     domain = CompleteSubtree(group.d, pairs)
     range_ = CompleteSubtree(group.d, pairs.values())
-    kappa = [range_.leaf_index(pairs[v]) for v in domain.leaves]
-    return TreePairElement(group, domain, range_, kappa)
+    return TreePairElement(group, domain, range_, pairs)
 
 
 def compose(a, b):
@@ -303,7 +270,7 @@ def compose(a, b):
     transported, and goes to a(m).  Both composite trees are built once,
     then the composite is reduced.
     """
-    if not _same_group(a.group, b.group):
+    if a.group != b.group:
         raise ValueError("parameter mismatch: elements live over different colour groups")
     middle = {t: t for t in b.range.leaves if a.domain.leaf_containing(t) is not None}
     for s in a.domain.leaves:
@@ -319,22 +286,6 @@ def compose(a, b):
     return _from_pairs(a.group, pairs).reduce()
 
 
-def inverse(e):
-    return e.inverse()
-
-
-def apply_to_prefix(e, word):
-    return e.apply_to_prefix(word)
-
-
-def expand_at(e, leaf):
-    return e.expand_at(leaf)
-
-
-def reduce(e):
-    return e.reduce()
-
-
 # -- signs -------------------------------------------------------------------
 
 
@@ -347,6 +298,7 @@ def _check_invariant_subset(group, subset):
         raise NotInvariant("subset %s is not invariant under the colour group" % (list(subset),))
     return subset
 
+
 def is_sign_well_defined(group, subset, target="vf"):
     """Whether the parity of the leaf permutation on subset-coloured leaves
     is representative-independent.
@@ -356,7 +308,6 @@ def is_sign_well_defined(group, subset, target="vf"):
     must restrict to even permutations of the subset (this is what extends
     the homomorphism past the locally order-preserving elements).
     """
-    target = target.lower().replace("_", "")
     if target not in ("vf", "nf"):
         raise ValueError("target must be 'vf' or 'nf'")
     subset = tuple(sorted(set(subset)))
@@ -367,8 +318,6 @@ def is_sign_well_defined(group, subset, target="vf"):
     if len(subset) % 2:
         return False
     if target == "nf":
-        from .permutations import stabilizer_restriction_in_alt
-
         return all(
             stabilizer_restriction_in_alt(group, chi, subset)
             for chi in range(group.degree)
@@ -424,10 +373,9 @@ def find_sign_violation(group, subset):
     v1 = (others[0], chi)
     v2 = (others[1], chi)
     ball = CompleteSubtree.ball(group.d, 2)
-    kappa = list(range(len(ball)))
-    i1, i2 = ball.leaf_index(v1), ball.leaf_index(v2)
-    kappa[i1], kappa[i2] = kappa[i2], kappa[i1]
-    element = TreePairElement(group, ball, ball, kappa)
+    pairs = {v: v for v in ball.leaves}
+    pairs[v1], pairs[v2] = v2, v1
+    element = TreePairElement(group, ball, ball, pairs)
     expanded = element.expand_at(v1).expand_at(v2)
     assert sign(element, subset, mode="honest").value != sign(
         expanded, subset, mode="honest"
@@ -643,12 +591,8 @@ def element_from_dict(data, group=None):
     if not isinstance(d, int) or d < 2:
         raise ValueError("d must be an integer >= 2")
     if group is None:
-        from .permutations import closure_enumerate
-
         generators = [
             parse_cycles(text, d + 1) for text in data.get("F_generators", [])
         ]
         group = closure_enumerate(generators, d + 1)
-    domain = [tuple(v) for v in data["domain"]]
-    range_ = [tuple(w) for w in data["range"]]
-    return make_element(domain, range_, list(data["kappa"]), group)
+    return make_element(data["domain"], data["range"], list(data["kappa"]), group)

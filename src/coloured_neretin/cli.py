@@ -46,7 +46,6 @@ from .almost_automorphisms import (
     purely_infinite_witness,
     random_element,
     sign,
-    _same_group,
 )
 from .covolume import (
     appendix_counts,
@@ -79,7 +78,6 @@ from .shift_model import (
     identity_bisection,
     random_bisection,
 )
-from .tree import plane_for
 
 
 class CliError(Exception):
@@ -173,7 +171,7 @@ def _show_fraction(value, limit=48):
 def cmd_compose(args):
     outer = parse_element_file(args.first)
     inner = parse_element_file(args.second)
-    if not _same_group(outer.group, inner.group):
+    if outer.group != inner.group:
         raise CliError("the two elements use different colour groups")
     _print_element(compose(outer, inner))
     return 0
@@ -669,11 +667,6 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-
-
-def run_command(argv):
-    """Programmatic entry point used by the tests; returns the exit status."""
-    return main(list(argv))
 
 
 if __name__ == "__main__":

@@ -135,10 +135,6 @@ class CovolumeChain:
     counts: BallCounts
     index_bound: Fraction
 
-    @property
-    def c_n(self):
-        return self.index_bound
-
 
 def covolume_chain(orbit_sizes, n, gamma_order):
     """Lower bound [prod Sym(sphere orbits) : Gamma_n] / |Aut(B_n)|.
@@ -562,7 +558,7 @@ def appendix_counts(d, k, n):
     )
 
 
-def covolume_table_rows(orbit_sizes, max_n, gamma_order=1):
+def covolume_table_rows(orbit_sizes, max_n):
     """Rows for the covolume table: one per radius 1..max_n."""
     sizes, d = check_orbit_sizes(orbit_sizes)
     verdict = verify_smallest_inequality(sizes).verdict

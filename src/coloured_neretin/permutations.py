@@ -226,6 +226,15 @@ class ColourGroup:
     def __contains__(self, perm):
         return isinstance(perm, Permutation) and perm.images in self._element_set
 
+    def __eq__(self, other):
+        """Groups are equal when they have the same elements, however generated."""
+        return self is other or (
+            isinstance(other, ColourGroup) and self._element_set == other._element_set
+        )
+
+    def __hash__(self):
+        return hash(self._element_set)
+
     def identity(self):
         return self.elements[0]
 
@@ -280,11 +289,6 @@ def closure_enumerate(generators, degree=None):
 
 def trivial_group(degree):
     return closure_enumerate([], degree)
-
-
-def orbit_partition(group):
-    """The orbit partition of D, sorted by minimal element of each orbit."""
-    return list(group.orbits)
 
 
 def acts_freely(group):
@@ -358,16 +362,7 @@ def structure_report(group, support=None):
         raise ValueError("empty support")
 
     base = support[0]
-    orbit = {base}
-    frontier = [base]
-    while frontier:
-        x = frontier.pop()
-        for g in group.generators:
-            y = g(x)
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    transitive = orbit == set(support)
+    transitive = group.orbits[group.orbit_of[base]] == support
 
     doubly = False
     if transitive and n == 1:

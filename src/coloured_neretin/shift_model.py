@@ -75,9 +75,6 @@ class EdgePath:
     def __len__(self):
         return len(self.labels)
 
-    def is_prefix_of(self, other):
-        return self.labels == other.labels[: len(self.labels)]
-
 
 def check_path(path, graph):
     labels = path.labels
@@ -93,14 +90,6 @@ def check_path(path, graph):
                 "representative %d" % (c, labels[k - 1], c)
             )
     return path
-
-
-def path_is_valid(path, graph):
-    try:
-        check_path(path, graph)
-    except PathError:
-        return False
-    return True
 
 
 def edge_length(path, graph):
@@ -133,20 +122,14 @@ def cylinder_mass(path, graph):
 
 
 def path_children(path, graph):
-    orbit_of, rep_of = _orbit_lookup(graph.orbit_colours)
+    _, rep_of = _orbit_lookup(graph.orbit_colours)
     rep = rep_of[path.labels[-1]]
-    return [
-        EdgePath(path.labels + (c,)) for c in range(d_plus_one(graph)) if c != rep
-    ]
-
-
-def d_plus_one(graph):
-    return graph.d + 1
+    return [EdgePath(path.labels + (c,)) for c in range(graph.d + 1) if c != rep]
 
 
 def root_paths(graph):
     """The d+1 minimal paths, i.e. the children of the path-tree root."""
-    return [EdgePath((c,)) for c in range(d_plus_one(graph))]
+    return [EdgePath((c,)) for c in range(graph.d + 1)]
 
 
 def _default_group(graph):
@@ -226,10 +209,6 @@ class Omega:
         return True
 
 
-def build_omega(graph, group=None):
-    return Omega(graph, group)
-
-
 @dataclass(frozen=True)
 class Bisection:
     """Shift-side normal form: (source path, offset, target path) triples.
@@ -284,7 +263,10 @@ def _partition_problems(paths, graph, side):
         % (side, paths[i].labels, paths[j].labels)
         for i, j in sorted(overlaps)
     ]
-    mass = sum((cylinder_mass(p, graph) for p in paths), Fraction(0))
+    # each cylinder's mass over the common denominator (d+1) d^(D-1)
+    d = graph.d
+    D = max((len(p) for p in paths), default=1)
+    mass = Fraction(sum(d ** (D - len(p)) for p in paths), (d + 1) * d ** (D - 1))
     if mass != 1:
         problems.append(
             "%s cylinders cover mass %s instead of 1" % (side, mass)

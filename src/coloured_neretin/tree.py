@@ -78,9 +78,7 @@ class PlaneOrder:
     """
 
     def __init__(self, group):
-        self.group = group
         self.d = group.d
-        self.orbit_reps = group.orbit_reps
         self.canonical_maps = {}
         for chi in range(group.degree):
             rep = group.orbit_reps[group.orbit_of[chi]]
@@ -261,6 +259,15 @@ class CompleteSubtree:
 
 
 def _check_complete(leaves, d):
+    """Raise IncompleteTree unless the sorted ``leaves`` are the leaf set of
+    a finite complete subtree.
+
+    The internal vertices are the strict prefixes of leaves, collected by
+    climbing from each leaf until a prefix is already known.  A complete
+    subtree with i internal vertices has (d-1)i + 2 leaves, none of them
+    internal; otherwise the first defective internal vertex in preorder
+    (plain tuple order) is reported.
+    """
     if not leaves:
         raise IncompleteTree("empty leaf set")
     if leaves == [()]:
@@ -268,30 +275,29 @@ def _check_complete(leaves, d):
     for w in leaves:
         if not is_valid_address(w, d):
             raise IncompleteTree("invalid address %r for d=%d" % (w, d))
-    if len(set(leaves)) != len(leaves):
+    leaf_set = set(leaves)
+    if len(leaf_set) != len(leaves):
         raise IncompleteTree("repeated leaf")
-    _check_covering(None, leaves, d, ())
-
-
-def _check_covering(parent_colour, suffixes, d, at):
-    """suffixes: sorted relative addresses below a vertex of colour parent_colour."""
-    if () in suffixes:
-        if len(suffixes) != 1:
-            raise IncompleteTree("leaf %r has descendants in the leaf set" % (at,))
+    internal = set()
+    for w in leaves:
+        for k in range(len(w) - 1, -1, -1):
+            if w[:k] in internal:
+                break
+            internal.add(w[:k])
+    if internal.isdisjoint(leaf_set) and len(leaves) == (d - 1) * len(internal) + 2:
         return
-    by_first = {}
-    for w in suffixes:
-        by_first.setdefault(w[0], []).append(w[1:])
-    admissible = set(range(d + 1)) if parent_colour is None else (
-        set(range(d + 1)) - {parent_colour}
-    )
-    if set(by_first) != admissible:
-        missing = sorted(admissible - set(by_first))
-        raise IncompleteTree(
-            "vertex %r is internal but covers no leaf through colours %s" % (at, missing)
-        )
-    for c, rest in by_first.items():
-        _check_covering(c, rest, d, at + (c,))
+    for v in sorted(internal):
+        if v in leaf_set:
+            raise IncompleteTree("leaf %r has descendants in the leaf set" % (v,))
+        missing = [
+            c
+            for c in admissible_child_colours(v, d)
+            if v + (c,) not in internal and v + (c,) not in leaf_set
+        ]
+        if missing:
+            raise IncompleteTree(
+                "vertex %r is internal but covers no leaf through colours %s" % (v, missing)
+            )
 
 
 def is_complete_leafset(leaves, d):
@@ -301,10 +307,6 @@ def is_complete_leafset(leaves, d):
     except IncompleteTree:
         return False
     return True
-
-
-def simple_expansion(tree, leaf):
-    return tree.expand(leaf)
 
 
 def random_complete_tree(d, rng, expansions):

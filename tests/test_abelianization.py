@@ -169,7 +169,6 @@ def test_four_orbit_example_frozen_values():
     assert ab.determinant == 2 ** 3 * (1 - 6)  # -40
     assert ab.invariant_factors == (2, 2, 10)
     assert ab.two_torsion_rank == 3
-    assert ab.kernel_rank == 0
     assert ab.describe() == "(Z/2)^3"
     # derived-subgroup index 2^3 = 8
     assert 2 ** ab.two_torsion_rank == 8

@@ -12,11 +12,11 @@ import random
 import time
 
 from coloured_neretin import (
+    Omega,
     Permutation,
     appendix_counts,
     ball_counts,
     bisection_to_element,
-    build_omega,
     build_sft_graph,
     closure_enumerate,
     compose,
@@ -225,7 +225,7 @@ def test_criterion_06_reduction_confluence():
 def test_criterion_07_sft_bridge_round_trip_and_composition():
     rng = random.Random(20260407)
     for sizes in ((1, 3, 2), (2, 2), (4,)):
-        omega = build_omega(build_sft_graph(sizes))
+        omega = Omega(build_sft_graph(sizes))
         for _ in range(200):
             b1 = random_bisection(omega, rng, 3)
             b2 = random_bisection(omega, rng, 3)

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -12,7 +14,6 @@ from coloured_neretin import (
     SizeMismatch,
     TreePairElement,
     admissible_child_colours,
-    apply_to_prefix,
     compose,
     element_from_dict,
     element_from_local_data,
@@ -32,6 +33,7 @@ from coloured_neretin import (
     translation_element,
     trivial_group,
 )
+from coloured_neretin.cli import main
 from conftest import four_orbit_group, group_from, random_word, rotation_group, switch_group
 
 
@@ -142,7 +144,7 @@ def test_mul_is_compose():
     group = switch_group()
     a = random_element(group, rng, 3)
     b = random_element(group, rng, 3)
-    assert a * b == compose(a, b) == a.compose(b)
+    assert a * b == compose(a, b)
 
 
 # -- reduction ---------------------------------------------------------------------
@@ -167,8 +169,7 @@ def test_reduce_confluence_under_random_expansion():
 def test_identity_reduces_to_first_ball():
     group = rotation_group()
     ball = CompleteSubtree.ball(group.d, 2)
-    kappa = list(range(len(ball)))
-    e = TreePairElement(group, ball, ball, kappa).reduce()
+    e = TreePairElement(group, ball, ball, {w: w for w in ball.leaves}).reduce()
     assert len(e.domain) == group.d + 1
     assert e.is_identity()
 
@@ -198,11 +199,36 @@ def test_make_element_orbit_violation():
         make_element(leaves, leaves, mapping, group)
 
 
-def test_make_element_rejects_non_bijections():
+def test_make_element_rejects_non_bijections(tmp_path, capsys):
     group = switch_group()
     leaves = sphere(3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate index 0"):
         make_element(leaves, leaves, [0, 0, 1, 2], group)
+    ball = CompleteSubtree.ball(group.d, 1)
+    with pytest.raises(ValueError, match="not a bijection"):
+        TreePairElement(group, ball, ball, {(0,): (0,), (1,): (1,), (2,): (2,), (3,): (2,)})
+    # element files over trivial F at d = 2 whose kappa is no permutation of 0..2
+    for kappa, message in (
+        ([0, 1, 5], "kappa[2] = 5 is out of range"),
+        ([0, 1, -1], "kappa[2] = -1 is out of range"),
+        ([0, 1], "kappa has 2 entries, expected 3"),
+    ):
+        data = {
+            "d": 2,
+            "F_generators": [],
+            "domain": [[0], [1], [2]],
+            "range": [[0], [1], [2]],
+            "kappa": kappa,
+        }
+        with pytest.raises(ValueError) as info:
+            element_from_dict(data)
+        assert str(info.value) == message
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["reduce", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "bad.json: %s" % message in err
+        assert "Traceback" not in err
 
 
 def test_prefix_too_short_reports_needed_depth():
@@ -291,8 +317,7 @@ def letterwise_twist_element(group, p, depth):
     """The ball restriction of the letterwise colour relabelling by p."""
     ball = CompleteSubtree.ball(group.d, depth)
     mapping = {w: tuple(p(c) for c in w) for w in ball.leaves}
-    kappa = [ball.leaf_index(mapping[w]) for w in ball.leaves]
-    return TreePairElement(group, ball, ball, kappa)
+    return TreePairElement(group, ball, ball, mapping)
 
 
 def test_letterwise_twist_ball_signs():
@@ -488,6 +513,17 @@ def test_element_from_dict_validates():
     data["kappa"] = [0, 0, 1, 2]
     with pytest.raises(ValueError):
         element_from_dict(data)
+
+
+def test_loaded_element_frees_its_colour_group():
+    # the cached plane order of a group must not keep that group alive
+    data = element_to_dict(random_element(four_orbit_group(), random.Random(40), 6))
+    e = element_from_dict(data)
+    assert e.inverse() * e == identity_element(e.group)
+    group = weakref.ref(e.group)
+    del e
+    gc.collect()
+    assert group() is None
 
 
 @pytest.mark.parametrize("entry", [2.0, "1", True])

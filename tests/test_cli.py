@@ -1,6 +1,6 @@
 """End-to-end exercises of the command line interface.
 
-Everything goes through ``run_command`` so the tests see the same parsing,
+Everything goes through ``main`` so the tests see the same parsing,
 exit codes and output the shell would.
 """
 
@@ -17,7 +17,7 @@ from coloured_neretin import (
     identity_element,
     random_element,
 )
-from coloured_neretin.cli import run_command
+from coloured_neretin.cli import main
 
 from conftest import four_orbit_group, rotation_group, switch_group
 
@@ -40,7 +40,7 @@ def test_compose_round_trip(tmp_path, capsys):
     group = rotation_group()
     a = random_element(group, rng, 5)
     b = random_element(group, rng, 5)
-    code = run_command(
+    code = main(
         ["compose", write_element(tmp_path, "a.json", a),
          write_element(tmp_path, "b.json", b)]
     )
@@ -52,7 +52,7 @@ def test_compose_rejects_mixed_groups(tmp_path, capsys):
     rng = random.Random(42)
     a = random_element(rotation_group(), rng, 4)
     b = random_element(switch_group(), rng, 4)
-    code = run_command(
+    code = main(
         ["compose", write_element(tmp_path, "a.json", a),
          write_element(tmp_path, "b.json", b)]
     )
@@ -63,7 +63,7 @@ def test_compose_rejects_mixed_groups(tmp_path, capsys):
 def test_invert_round_trip(tmp_path, capsys):
     rng = random.Random(43)
     a = random_element(four_orbit_group(), rng, 4)
-    assert run_command(["invert", write_element(tmp_path, "a.json", a)]) == 0
+    assert main(["invert", write_element(tmp_path, "a.json", a)]) == 0
     assert read_element(capsys) == a.inverse()
 
 
@@ -73,7 +73,7 @@ def test_reduce_normalizes(tmp_path, capsys):
     a = random_element(group, rng, 5)
     unreduced = a.expand_at(a.domain.leaves[0])
     path = write_element(tmp_path, "a.json", unreduced)
-    assert run_command(["reduce", path]) == 0
+    assert main(["reduce", path]) == 0
     out = read_element(capsys)
     assert out == a.reduce()
     assert len(out.domain.leaves) <= len(unreduced.domain.leaves)
@@ -83,7 +83,7 @@ def test_sign_on_invariant_even_subset(tmp_path, capsys):
     path = write_element(
         tmp_path, "id.json", identity_element(four_orbit_group())
     )
-    code = run_command(
+    code = main(
         ["sign", path, "--subset", "1,2,3,4", "--mode", "class",
          "--target", "nf"]
     )
@@ -97,7 +97,7 @@ def test_sign_rejects_unstable_subset(tmp_path, capsys):
     path = write_element(
         tmp_path, "id.json", identity_element(four_orbit_group())
     )
-    code = run_command(["sign", path, "--subset", "5,6", "--target", "nf"])
+    code = main(["sign", path, "--subset", "5,6", "--target", "nf"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
 
@@ -106,7 +106,7 @@ def test_sign_rejects_non_invariant_subset(tmp_path, capsys):
     path = write_element(
         tmp_path, "id.json", identity_element(four_orbit_group())
     )
-    code = run_command(["sign", path, "--subset", "1,3"])
+    code = main(["sign", path, "--subset", "1,3"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
 
@@ -115,14 +115,14 @@ def test_sign_rejects_non_invariant_subset(tmp_path, capsys):
 
 
 def test_missing_file(capsys):
-    assert run_command(["invert", "/no/such/file.json"]) == 1
+    assert main(["invert", "/no/such/file.json"]) == 1
     assert "cannot read" in capsys.readouterr().err
 
 
 def test_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"d": 3, "F_generators": [')
-    assert run_command(["reduce", str(path)]) == 1
+    assert main(["reduce", str(path)]) == 1
     err = capsys.readouterr().err
     assert "invalid JSON at line" in err
     assert "broken.json" in err
@@ -133,7 +133,7 @@ def test_element_validation_reports_filename(tmp_path, capsys):
     data = element_to_dict(identity_element(rotation_group()))
     del data["kappa"]
     path.write_text(json.dumps(data))
-    assert run_command(["invert", str(path)]) == 1
+    assert main(["invert", str(path)]) == 1
     assert "bad.json" in capsys.readouterr().err
 
 
@@ -144,7 +144,7 @@ def test_compose_names_bad_kappa_entries(tmp_path, capsys, entry):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     good = write_element(tmp_path, "good.json", identity_element(rotation_group()))
-    assert run_command(["compose", good, str(bad)]) == 1
+    assert main(["compose", good, str(bad)]) == 1
     err = capsys.readouterr().err
     assert "bad.json: kappa[1] is not an integer" in err
     assert "Traceback" not in err
@@ -154,7 +154,7 @@ def test_compose_names_bad_kappa_entries(tmp_path, capsys, entry):
 
 
 def test_abelianization_output(capsys):
-    assert run_command(["abelianization", "--orbits", "1,2,2,2"]) == 0
+    assert main(["abelianization", "--orbits", "1,2,2,2"]) == 0
     out = capsys.readouterr().out
     assert "relation matrix determinant: -40" in out
     assert "invariant factors: 2, 2, 10" in out
@@ -164,7 +164,7 @@ def test_abelianization_output(capsys):
 
 def test_graph_dot_export(tmp_path, capsys):
     dot = tmp_path / "graph.dot"
-    assert run_command(["graph", "--orbits", "1,3,2", "--dot", str(dot)]) == 0
+    assert main(["graph", "--orbits", "1,3,2", "--dot", str(dot)]) == 0
     out = capsys.readouterr().out
     assert "orbit graph for sizes 1,3,2: 6 vertices, 18 edges" in out
     text = dot.read_text()
@@ -174,7 +174,7 @@ def test_graph_dot_export(tmp_path, capsys):
 
 def test_covolume_table_csv(tmp_path, capsys):
     target = tmp_path / "table.csv"
-    code = run_command(
+    code = main(
         ["covolume-table", "--orbits", "3", "--max-n", "3",
          "--csv", str(target)]
     )
@@ -193,7 +193,7 @@ def test_covolume_table_csv(tmp_path, capsys):
 
 
 def test_covolume_table_gamma_bound(capsys):
-    code = run_command(
+    code = main(
         ["covolume-table", "--orbits", "1,2", "--max-n", "2",
          "--gamma-order", "2"]
     )
@@ -204,7 +204,7 @@ def test_covolume_table_gamma_bound(capsys):
 
 
 def test_covolume_table_gamma_must_act(capsys):
-    code = run_command(
+    code = main(
         ["covolume-table", "--orbits", "1,2", "--max-n", "2",
          "--gamma-order", "7"]
     )
@@ -213,7 +213,7 @@ def test_covolume_table_gamma_must_act(capsys):
 
 
 def test_verify_smallest(capsys):
-    assert run_command(["verify-smallest", "--max-d", "5"]) == 0
+    assert main(["verify-smallest", "--max-d", "5"]) == 0
     out = capsys.readouterr().out
     for d in range(2, 6):
         assert ("d=%2d:" % d) in out
@@ -221,7 +221,7 @@ def test_verify_smallest(capsys):
 
 
 def test_primes_window(capsys):
-    assert run_command(["primes-window", "--max-m", "20"]) == 0
+    assert main(["primes-window", "--max-m", "20"]) == 0
     out = capsys.readouterr().out
     assert "window (m/2, m] for m = 20: {11, 13, 17, 19}" in out
     assert "least count over 17 <= m <= 20: 3 (at m = 17)" in out
@@ -229,7 +229,7 @@ def test_primes_window(capsys):
 
 
 def test_appendix_counts(capsys):
-    assert run_command(["appendix-counts", "--d", "2", "--k", "2", "--n", "2"]) == 0
+    assert main(["appendix-counts", "--d", "2", "--k", "2", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert "sphere size k*d^(n-1) = 4" in out
     assert "level recursion value: 8" in out
@@ -244,12 +244,12 @@ def test_appendix_counts(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert run_command([]) == 2
-    assert run_command(["no-such-command"]) == 2
-    assert run_command(["abelianization", "--orbits", "0,2"]) == 2
-    assert run_command(["abelianization", "--orbits", "nope"]) == 2
-    assert run_command(["covolume-table", "--orbits", "3", "--max-n", "0"]) == 2
-    assert run_command(["primes-window", "--max-m", "11"]) == 2
+    assert main([]) == 2
+    assert main(["no-such-command"]) == 2
+    assert main(["abelianization", "--orbits", "0,2"]) == 2
+    assert main(["abelianization", "--orbits", "nope"]) == 2
+    assert main(["covolume-table", "--orbits", "3", "--max-n", "0"]) == 2
+    assert main(["primes-window", "--max-m", "11"]) == 2
     capsys.readouterr()  # swallow argparse usage chatter
 
 
@@ -258,10 +258,10 @@ def test_subset_argument_forms(tmp_path, capsys):
         tmp_path, "id.json", identity_element(four_orbit_group())
     )
     # spaces and duplicates are tolerated, order is normalized
-    code = run_command(["sign", path, "--subset", "4,3,2,1,1"])
+    code = main(["sign", path, "--subset", "4,3,2,1,1"])
     assert code == 0
     assert "{1,2,3,4}" in capsys.readouterr().out
-    assert run_command(["sign", path, "--subset", "x,y"]) == 2
+    assert main(["sign", path, "--subset", "x,y"]) == 2
     capsys.readouterr()
 
 
@@ -269,7 +269,7 @@ def test_subset_argument_forms(tmp_path, capsys):
 
 
 def test_selftest_passes(capsys):
-    assert run_command(["selftest"]) == 0
+    assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "selftest: all 8 sections passed" in out
     assert "FAIL" not in out

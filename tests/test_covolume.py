@@ -187,7 +187,7 @@ def test_ball_counts_rejects_bad_input():
 def test_covolume_chain_exact_value():
     chain = covolume_chain((1, 2), 2, 1)
     # sphere orbits of sizes 2 and 4: index bound 2! * 4! / (4 * 1)
-    assert chain.c_n == Fraction(
+    assert chain.index_bound == Fraction(
         math.factorial(2) * math.factorial(4), 4
     )
     assert chain.counts.aut_ball_order == 4
@@ -199,11 +199,11 @@ def test_single_switch_closed_form_matches_chain():
         for n in (1, 2, 3):
             for gamma in (1, 2):
                 chain = covolume_chain(sizes, n, gamma)
-                assert chain.c_n == single_switch_covolume(d, n, gamma)
+                assert chain.index_bound == single_switch_covolume(d, n, gamma)
 
 
 def test_covolume_chain_is_monotone():
-    values = [covolume_chain((1, 2), n, 1).c_n for n in range(1, 6)]
+    values = [covolume_chain((1, 2), n, 1).index_bound for n in range(1, 6)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 

@@ -15,7 +15,6 @@ from coloured_neretin import (
     cycle_string,
     from_cycles,
     is_single_switch,
-    orbit_partition,
     parse_cycles,
     stabilizer_restriction_in_alt,
     structure_report,
@@ -164,11 +163,19 @@ def test_orbits_match_sympy():
             tuple(sorted(orbit)) for orbit in sym_group(gens, degree).orbits()
         )
         assert sorted(group.orbits) == expected
-        assert orbit_partition(group) == list(group.orbits)
         assert group.orbit_sizes == tuple(len(orb) for orb in group.orbits)
         for index, orbit in enumerate(group.orbits):
             assert group.orbit_reps[index] == min(orbit)
             assert all(group.orbit_of[c] == index for c in orbit)
+
+
+def test_groups_compare_by_their_elements():
+    rotation = group_from(["(1 2 3)"], 4)
+    same = group_from(["(1 3 2)"], 4)
+    assert rotation == same and hash(rotation) == hash(same)
+    assert rotation != switch_group()
+    assert trivial_group(3) != trivial_group(4)
+    assert rotation != rotation.elements
 
 
 def test_trivial_group():

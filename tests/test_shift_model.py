@@ -13,7 +13,6 @@ from coloured_neretin import (
     bisection_from_jsonable,
     bisection_to_element,
     bisection_to_jsonable,
-    build_omega,
     build_sft_graph,
     compose,
     compose_bisections,
@@ -46,7 +45,7 @@ def omegas():
     for sizes, group in BRIDGE_CASES:
         graph = build_sft_graph(sizes)
         if group is None:
-            yield build_omega(graph)
+            yield Omega(graph)
         else:
             yield Omega(graph, group)
 
@@ -246,7 +245,7 @@ def test_validate_bisection_diagnostics():
     assert not report.ok
 
     with pytest.raises(InvalidBisection):
-        bisection_to_element(bad, build_omega(graph))
+        bisection_to_element(bad, Omega(graph))
 
 
 def test_validate_bisection_reports_overlaps_in_pair_order():

@@ -16,7 +16,6 @@ from coloured_neretin import (
     is_valid_address,
     plane_for,
     random_complete_tree,
-    simple_expansion,
     sphere,
     trivial_group,
 )
@@ -170,6 +169,13 @@ def test_plane_for_caches():
     assert plane_for(group) is plane_for(group)
 
 
+def test_equal_groups_share_a_plane():
+    # the plane order depends only on the element set of F
+    first, second = rotation_group(), rotation_group()
+    assert first is not second and first == second
+    assert plane_for(first) is plane_for(second)
+
+
 # -- complete subtrees -----------------------------------------------------------
 
 
@@ -210,17 +216,60 @@ def test_incomplete_leafsets_rejected():
     assert is_complete_leafset([(0,), (1,), (2,)], 2)
 
 
+@pytest.mark.parametrize(
+    "leaves, message",
+    [
+        pytest.param([], "empty leaf set", id="empty"),
+        pytest.param([()], "the bare root is not a complete subtree", id="bare-root"),
+        pytest.param(
+            [(0, 0), (1,), (2,)], "invalid address (0, 0) for d=2", id="invalid-address"
+        ),
+        pytest.param([(0,), (0,), (1,), (2,)], "repeated leaf", id="repeated"),
+        pytest.param(
+            [(0,), (1,), (2,), (1, 0)],
+            "leaf (1,) has descendants in the leaf set",
+            id="leaf-with-descendants",
+        ),
+        pytest.param(
+            [(0,), (1,), (2,), ()],
+            "leaf () has descendants in the leaf set",
+            id="root-as-leaf",
+        ),
+        pytest.param(
+            [(0,), (1,)],
+            "vertex () is internal but covers no leaf through colours [2]",
+            id="missing-colour",
+        ),
+        # two defects each: the first internal vertex in preorder is reported
+        pytest.param(
+            [(0,), (1,), (1, 0), (2, 0)],
+            "leaf (1,) has descendants in the leaf set",
+            id="leaf-before-missing",
+        ),
+        pytest.param(
+            [(0, 1), (1,), (1, 2), (2,)],
+            "vertex (0,) is internal but covers no leaf through colours [2]",
+            id="missing-before-leaf",
+        ),
+        pytest.param(
+            [(0,), (1,), (1, 0)],
+            "vertex () is internal but covers no leaf through colours [2]",
+            id="ancestor-first",
+        ),
+    ],
+)
+def test_incomplete_leafset_messages(leaves, message):
+    with pytest.raises(IncompleteTree) as info:
+        CompleteSubtree(2, leaves)
+    assert str(info.value) == message
+
+
 def test_internal_vertices():
     tree = CompleteSubtree.ball(2, 2)
     internal = tree.internal_vertices()
     assert () in internal
     assert all(len(v) < 2 for v in internal)
     assert len(internal) == 1 + 3  # root plus first sphere
-
-
-def test_simple_expansion():
-    tree = CompleteSubtree.ball(3, 1)
-    assert simple_expansion(tree, (2,)) == tree.expand((2,))
 
 
 # -- randomized complete-subtree invariants --------------------------------------
