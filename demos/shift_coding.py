@@ -54,7 +54,7 @@ def main():
           % (len(e.domain.leaves), len(b.pairs)))
     for source, offset, target in b.pairs[:6]:
         print("  %-18s -> %-18s (offset %+d, mass %s)"
-              % (source.labels, target.labels, offset,
+              % (source, target, offset,
                  cylinder_mass(source, graph)))
     if len(b.pairs) > 6:
         print("  ... (%d more)" % (len(b.pairs) - 6))

@@ -33,7 +33,6 @@ from .tree import (
     PlaneOrder,
     admissible_child_colours,
     check_address,
-    colour_of,
     is_complete_leafset,
     is_prefix,
     is_valid_address,
@@ -75,7 +74,6 @@ from .abelianization import (
 )
 from .shift_model import (
     Bisection,
-    EdgePath,
     InvalidBisection,
     Omega,
     PathError,

@@ -12,6 +12,7 @@ with Z/2, computed by exact Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class IntMatrix:
@@ -241,6 +242,16 @@ class SftGraph:
     def l(self):
         return len(self.orbit_sizes) - 1
 
+    @cached_property
+    def orbit_of(self):
+        """Colour -> index of its orbit."""
+        return {c: i for i, block in enumerate(self.orbit_colours) for c in block}
+
+    @cached_property
+    def rep_of(self):
+        """Colour -> least colour of its orbit."""
+        return {c: min(block) for block in self.orbit_colours for c in block}
+
     def vertex_index(self, label):
         return self.vertices.index(label)
 
@@ -249,13 +260,12 @@ class SftGraph:
         letter carried by the edge (None on the forced return edges out of
         delta vertices)."""
         out = []
-        reps = [min(colours) for colours in self.orbit_colours]
         for i, src_colours in enumerate(self.orbit_colours):
             for j, dst_colours in enumerate(self.orbit_colours):
                 if i != j:
                     for c in sorted(dst_colours):
                         out.append((("D", i), ("D", j), c))
-            loop_colours = sorted(set(src_colours) - {reps[i]})
+            loop_colours = sorted(src_colours)[1:]  # all but the representative
             for j, c in enumerate(loop_colours, start=1):
                 out.append((("D", i), ("delta", i, j), c))
                 out.append((("delta", i, j), ("D", i), None))
@@ -289,18 +299,25 @@ def _strongly_connected(matrix):
     return reachable(False) and reachable(True)
 
 
+def check_orbit_sizes(orbit_sizes):
+    """(sizes, d) for orbit sizes that are positive ints (not bools) naming
+    at least d + 1 = 3 colours; raises ValueError otherwise."""
+    sizes = tuple(orbit_sizes)
+    if not sizes or not all(type(x) is int and x > 0 for x in sizes):
+        raise ValueError("orbit sizes must be positive integers")
+    d = sum(sizes) - 1
+    if d < 2:
+        raise ValueError("orbit sizes must add up to at least 3 colours")
+    return sizes, d
+
+
 def build_sft_graph(orbit_sizes, orbit_colours=None):
     """The orbit graph for the given orbit sizes.
 
     ``orbit_colours`` defaults to consecutive blocks of {0..d}; pass a
     group's actual orbit partition when the colour labels matter.
     """
-    orbit_sizes = tuple(int(x) for x in orbit_sizes)
-    if not orbit_sizes or any(x < 1 for x in orbit_sizes):
-        raise ValueError("orbit sizes must be positive integers")
-    d = sum(orbit_sizes) - 1
-    if d < 2:
-        raise ValueError("degenerate input: need d >= 2, got d=%d" % d)
+    orbit_sizes, d = check_orbit_sizes(orbit_sizes)
     if orbit_colours is None:
         orbit_colours = _default_colours(orbit_sizes)
     else:

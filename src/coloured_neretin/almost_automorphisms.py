@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .permutations import (
     NotInvariant,
@@ -581,18 +582,53 @@ def element_to_dict(e):
     }
 
 
-def element_from_dict(data, group=None):
-    """Inverse of element_to_dict; a pre-built group overrides the generator
-    field (callers must then ensure it matches)."""
+def _check_element_shape(data):
+    """Raise a ValueError naming the first field of an element file whose
+    JSON shape is wrong; the values themselves are checked later."""
+    if not isinstance(data, dict):
+        raise ValueError("element file must hold a JSON object")
     for field in ("d", "domain", "range", "kappa"):
         if field not in data:
             raise ValueError("element file is missing the %r field" % field)
-    d = data["d"]
-    if not isinstance(d, int) or d < 2:
+    if not isinstance(data["d"], int) or data["d"] < 2:
         raise ValueError("d must be an integer >= 2")
+    generators = data.get("F_generators", [])
+    if not isinstance(generators, (list, tuple)):
+        raise ValueError("F_generators is not a list of strings")
+    for i, text in enumerate(generators):
+        if not isinstance(text, str):
+            raise ValueError("F_generators[%d] is not a string: %r" % (i, text))
+    for field in ("domain", "range"):
+        leaves = data[field]
+        if not isinstance(leaves, (list, tuple)):
+            raise ValueError("%s is not a list of addresses" % field)
+        # the types in one pass at C speed; the loop below only names a failure
+        if set(map(type, leaves)) <= {list, tuple}:
+            if set(map(type, chain.from_iterable(leaves))) <= {int}:
+                continue
+        for i, leaf in enumerate(leaves):
+            if not isinstance(leaf, (list, tuple)):
+                raise ValueError("%s[%d] is not a list of colours" % (field, i))
+            for j, c in enumerate(leaf):
+                if type(c) is not int:
+                    raise ValueError(
+                        "%s[%d][%d] is not an integer: %r" % (field, i, j, c)
+                    )
+    if not isinstance(data["kappa"], (list, tuple)):
+        raise ValueError("kappa is not a list")
+
+
+def element_from_dict(data, group=None):
+    """Inverse of element_to_dict; a pre-built group overrides the generator
+    field (callers must then ensure it matches)."""
+    _check_element_shape(data)
+    d = data["d"]
     if group is None:
-        generators = [
-            parse_cycles(text, d + 1) for text in data.get("F_generators", [])
-        ]
+        generators = []
+        for i, text in enumerate(data.get("F_generators", [])):
+            try:
+                generators.append(parse_cycles(text, d + 1))
+            except ValueError as exc:
+                raise ValueError("F_generators[%d]: %s" % (i, exc)) from None
         group = closure_enumerate(generators, d + 1)
-    return make_element(data["domain"], data["range"], list(data["kappa"]), group)
+    return make_element(data["domain"], data["range"], data["kappa"], group)

@@ -29,6 +29,7 @@ import time
 
 from .abelianization import (
     build_sft_graph,
+    check_orbit_sizes,
     dot_export,
     sft_graph_for_group,
     smith_normal_form,
@@ -50,7 +51,6 @@ from .almost_automorphisms import (
 from .covolume import (
     appendix_counts,
     ball_counts,
-    check_orbit_sizes,
     covolume_chain,
     covolume_table_rows,
     dominant_coefficient_compare,

@@ -20,6 +20,7 @@ from math import factorial
 
 from mpmath import iv
 
+from .abelianization import check_orbit_sizes
 from .intervals import decide_sign, interval_width
 
 
@@ -49,16 +50,6 @@ def compositions(total):
     for head in range(1, total + 1):
         for rest in compositions(total - head):
             yield (head,) + rest
-
-
-def check_orbit_sizes(orbit_sizes):
-    sizes = tuple(int(x) for x in orbit_sizes)
-    if not sizes or any(x < 1 for x in sizes):
-        raise ValueError("orbit sizes must be positive integers")
-    d = sum(sizes) - 1
-    if d < 2:
-        raise ValueError("orbit sizes must add up to at least 3 colours")
-    return sizes, d
 
 
 def is_single_switch_sizes(orbit_sizes):

@@ -6,9 +6,12 @@ bijectively to vertices of the coloured tree, and the topological full
 group of the shift groupoid corresponds to the dense subgroup generated by
 tree-pair elements.  This module realises that dictionary concretely:
 
-* paths are encoded as colour-label words (one label per orbit-vertex
-  visit, so an interrupted loop through a delta vertex is a single label
-  but two graph edges),
+* a path is its word of colour labels, a plain tuple with one label per
+  hop between orbit vertices.  A label in the orbit of its predecessor is
+  an interrupted loop through a delta vertex (one label, two graph edges),
+  any other label a direct edge.  The first label picks a child of the
+  path-tree root: an orbit representative is the zero-length path at its
+  orbit vertex, any other colour the edge leaving a delta vertex,
 * ``Omega`` translates label words to tree addresses and back, letter by
   letter, using the canonical colour transports,
 * ``Bisection`` is the shift-side normal form of an element: a finite list
@@ -20,11 +23,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .abelianization import SftGraph, build_sft_graph, sft_graph_for_group
+from .abelianization import sft_graph_for_group
 from .almost_automorphisms import make_element, random_element
 from .permutations import closure_enumerate, from_cycles
 from .tree import plane_for
@@ -35,59 +37,22 @@ class PathError(ValueError):
 
 
 class InvalidBisection(ValueError):
-    def __init__(self, report):
-        super().__init__("; ".join(report.problems) or "invalid bisection")
-        self.report = report
-
-
-@lru_cache(maxsize=None)
-def _orbit_lookup(orbit_colours):
-    """(colour -> orbit index, colour -> orbit representative), computed once
-    per orbit partition of a graph; callers only read the two dicts."""
-    orbit_of = {}
-    rep_of = {}
-    for i, block in enumerate(orbit_colours):
-        rep = min(block)
-        for colour in block:
-            orbit_of[colour] = i
-            rep_of[colour] = rep
-    return orbit_of, rep_of
-
-
-@dataclass(frozen=True, order=True)
-class EdgePath:
-    """A finite oriented path ending at an orbit vertex, as a label word.
-
-    The k-th label is the colour attached (via the child identifications)
-    to the k-th hop between orbit vertices.  A label in the same orbit as
-    its predecessor stands for an interrupted loop (two graph edges); a
-    label in a different orbit stands for a direct edge.  The first label
-    selects the child of the path-tree root: the orbit representative
-    stands for the zero-length path based at that orbit vertex, any other
-    colour for the single edge leaving a delta vertex.
-    """
-
-    labels: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    def __len__(self):
-        return len(self.labels)
+    def __init__(self, problems):
+        super().__init__("; ".join(problems) or "invalid bisection")
+        self.problems = problems
 
 
 def check_path(path, graph):
-    labels = path.labels
-    if not labels:
+    if not path:
         raise PathError("empty label word does not name a path")
-    orbit_of, rep_of = _orbit_lookup(graph.orbit_colours)
-    for k, c in enumerate(labels):
+    orbit_of, rep_of = graph.orbit_of, graph.rep_of
+    for k, c in enumerate(path):
         if c not in orbit_of:
             raise PathError("label %r is not a colour of the graph" % (c,))
-        if k > 0 and c == rep_of[labels[k - 1]]:
+        if k > 0 and c == rep_of[path[k - 1]]:
             raise PathError(
                 "label %d after a label in the orbit of %d must avoid the "
-                "representative %d" % (c, labels[k - 1], c)
+                "representative %d" % (c, path[k - 1], c)
             )
     return path
 
@@ -98,13 +63,12 @@ def edge_length(path, graph):
     The zero-length root child contributes 0, a delta start edge 1, a
     direct hop 1 and an interrupted loop 2.
     """
-    orbit_of, rep_of = _orbit_lookup(graph.orbit_colours)
-    labels = path.labels
+    orbit_of, rep_of = graph.orbit_of, graph.rep_of
     total = 0
-    for k, c in enumerate(labels):
+    for k, c in enumerate(path):
         if k == 0:
             total += 0 if c == rep_of[c] else 1
-        elif orbit_of[c] == orbit_of[labels[k - 1]]:
+        elif orbit_of[c] == orbit_of[path[k - 1]]:
             total += 2
         else:
             total += 1
@@ -112,8 +76,7 @@ def edge_length(path, graph):
 
 
 def terminal_orbit(path, graph):
-    orbit_of, _ = _orbit_lookup(graph.orbit_colours)
-    return orbit_of[path.labels[-1]]
+    return graph.orbit_of[path[-1]]
 
 
 def cylinder_mass(path, graph):
@@ -122,14 +85,13 @@ def cylinder_mass(path, graph):
 
 
 def path_children(path, graph):
-    _, rep_of = _orbit_lookup(graph.orbit_colours)
-    rep = rep_of[path.labels[-1]]
-    return [EdgePath(path.labels + (c,)) for c in range(graph.d + 1) if c != rep]
+    rep = graph.rep_of[path[-1]]
+    return [path + (c,) for c in range(graph.d + 1) if c != rep]
 
 
 def root_paths(graph):
     """The d+1 minimal paths, i.e. the children of the path-tree root."""
-    return [EdgePath((c,)) for c in range(graph.d + 1)]
+    return [(c,) for c in range(graph.d + 1)]
 
 
 def _default_group(graph):
@@ -166,25 +128,23 @@ class Omega:
         self.graph = graph
         self.group = group
         self.plane = plane_for(group)
-        self._orbit_of, self._rep_of = _orbit_lookup(graph.orbit_colours)
 
     def to_address(self, path):
         check_path(path, self.graph)
-        address = self.plane.address_of(path.labels)
-        assert self._orbit_of[address[-1]] == self._orbit_of[path.labels[-1]]
+        address = self.plane.address_of(path)
+        orbit_of = self.graph.orbit_of
+        assert orbit_of[address[-1]] == orbit_of[path[-1]]
         return address
 
     def to_labels(self, address):
-        path = EdgePath(self.plane.label_word(tuple(address)))
-        check_path(path, self.graph)
-        return path
+        return check_path(self.plane.label_word(tuple(address)), self.graph)
 
     def check_depth(self, depth):
         """Exhaustively verify the isomorphism on all paths of <= depth labels.
 
         Checks bijectivity level by level, the orbit-membership property
-        col(omega(path)) in t(path), and that ascending label order maps to
-        the plane order on children.
+        col(omega(path)) in t(path) (asserted by ``to_address``), and that
+        ascending label order maps to the plane order on children.
         """
         level = root_paths(self.graph)
         for _ in range(depth):
@@ -192,20 +152,14 @@ class Omega:
             assert len(set(addresses)) == len(addresses)
             for path, address in zip(level, addresses):
                 assert self.to_labels(address) == path
-                assert (
-                    self._orbit_of[address[-1]]
-                    == self._orbit_of[path.labels[-1]]
-                )
             parents = {}
             for path, address in zip(level, addresses):
-                parents.setdefault(path.labels[:-1], []).append((path, address))
+                parents.setdefault(path[:-1], []).append((path, address))
             for _, pairs in parents.items():
-                pairs.sort(key=lambda item: item[0].labels)
+                pairs.sort()
                 got = [address for _, address in pairs]
                 assert got == self.plane.children(got[0][:-1])
-            level = [
-                child for path in level for child in path_children(path, self.graph)
-            ]
+            level = [c for path in level for c in path_children(path, self.graph)]
         return True
 
 
@@ -213,20 +167,19 @@ class Omega:
 class Bisection:
     """Shift-side normal form: (source path, offset, target path) triples.
 
-    The source paths and the target paths each give a clopen partition of
-    the path space, the offset of a pair is the difference of the edge
-    lengths of its paths, and source and target of a pair end at the same
-    orbit vertex.  Pairs are kept sorted by source label word.
+    Both paths of a triple are label-word tuples.  The source paths and the
+    target paths each give a clopen partition of the path space, the offset
+    of a pair is the difference of the edge lengths of its paths, and
+    source and target of a pair end at the same orbit vertex;
+    ``validate_bisection`` checks all of this.  Pairs are kept sorted by
+    source label word.
     """
 
     pairs: tuple
 
     def __post_init__(self):
         canonical = tuple(
-            sorted(
-                (EdgePath(s.labels), int(offset), EdgePath(t.labels))
-                for s, offset, t in self.pairs
-            )
+            sorted((tuple(s), int(offset), tuple(t)) for s, offset, t in self.pairs)
         )
         object.__setattr__(self, "pairs", canonical)
 
@@ -237,12 +190,6 @@ class Bisection:
         return [t for _, _, t in self.pairs]
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    problems: list = field(default_factory=list)
-
-
 def _partition_problems(paths, graph, side):
     """Overlaps, reported for each pair i < j in that order, then the mass.
 
@@ -250,17 +197,17 @@ def _partition_problems(paths, graph, side):
     forward scan from each path that stops at the first non-extension
     finds every overlapping pair once.
     """
-    order = sorted(range(len(paths)), key=lambda i: paths[i].labels)
+    order = sorted(range(len(paths)), key=paths.__getitem__)
     overlaps = []
     for k, i in enumerate(order):
-        p = paths[i].labels
+        p = paths[i]
         for j in order[k + 1 :]:
-            if paths[j].labels[: len(p)] != p:
+            if paths[j][: len(p)] != p:
                 break
             overlaps.append((min(i, j), max(i, j)))
     problems = [
         "%s paths %r and %r overlap (one is a prefix of the other)"
-        % (side, paths[i].labels, paths[j].labels)
+        % (side, paths[i], paths[j])
         for i, j in sorted(overlaps)
     ]
     # each cylinder's mass over the common denominator (d+1) d^(D-1)
@@ -268,14 +215,17 @@ def _partition_problems(paths, graph, side):
     D = max((len(p) for p in paths), default=1)
     mass = Fraction(sum(d ** (D - len(p)) for p in paths), (d + 1) * d ** (D - 1))
     if mass != 1:
-        problems.append(
-            "%s cylinders cover mass %s instead of 1" % (side, mass)
-        )
+        problems.append("%s cylinders cover mass %s instead of 1" % (side, mass))
     return problems
 
 
 def validate_bisection(bisection, graph):
-    """Structured diagnostics; never raises on mathematically bad data."""
+    """The list of problems of the bisection, empty when it is valid.
+
+    Never raises on mathematically bad data: bad labels, offsets and
+    terminal orbits are reported per pair, and only when every pair is
+    sound are the overlaps and masses of both sides checked.
+    """
     problems = []
     for index, (source, offset, target) in enumerate(bisection.pairs):
         for path in (source, target):
@@ -285,14 +235,11 @@ def validate_bisection(bisection, graph):
                 problems.append("pair %d: %s" % (index, exc))
         if problems:
             continue
-        if terminal_orbit(source, graph) != terminal_orbit(target, graph):
+        ends = terminal_orbit(source, graph), terminal_orbit(target, graph)
+        if ends[0] != ends[1]:
             problems.append(
                 "pair %d: source ends at orbit vertex %d but target at %d"
-                % (
-                    index,
-                    terminal_orbit(source, graph),
-                    terminal_orbit(target, graph),
-                )
+                % ((index,) + ends)
             )
         want = edge_length(source, graph) - edge_length(target, graph)
         if offset != want:
@@ -303,15 +250,11 @@ def validate_bisection(bisection, graph):
     if not problems:
         problems.extend(_partition_problems(bisection.sources(), graph, "source"))
         problems.extend(_partition_problems(bisection.targets(), graph, "target"))
-    return ValidationReport(ok=not problems, problems=problems)
+    return problems
 
 
 def _make_pair(source, target, graph):
-    return (
-        source,
-        edge_length(source, graph) - edge_length(target, graph),
-        target,
-    )
+    return source, edge_length(source, graph) - edge_length(target, graph), target
 
 
 def identity_bisection(graph):
@@ -319,11 +262,11 @@ def identity_bisection(graph):
 
 
 def bisection_to_element(bisection, omega):
-    report = validate_bisection(bisection, omega.graph)
-    if not report.ok:
-        raise InvalidBisection(report)
+    problems = validate_bisection(bisection, omega.graph)
+    if problems:
+        raise InvalidBisection(problems)
     domain = [omega.to_address(s) for s in bisection.sources()]
-    range_ = [omega.to_address(t) for _, _, t in bisection.pairs]
+    range_ = [omega.to_address(t) for t in bisection.targets()]
     mapping = dict(zip(domain, range_))
     return make_element(domain, range_, mapping, omega.group)
 
@@ -349,22 +292,21 @@ def compose_bisections(first, second, graph):
     """
     by_source = {}
     for s1, _, t1 in first.pairs:
-        by_source.setdefault(s1.labels, []).append(t1)
-    sources = [s1.labels for s1, _, _ in first.pairs]  # sorted, as pairs are
+        by_source.setdefault(s1, []).append(t1)
+    sources = first.sources()  # sorted, as pairs are
     pairs = []
     for s2, _, t2 in second.pairs:
-        labels = t2.labels
-        for k in range(1, len(labels) + 1):
-            for t1 in by_source.get(labels[:k], ()):
-                pairs.append(_make_pair(s2, EdgePath(t1.labels + labels[k:]), graph))
-        for n in range(bisect_right(sources, labels), len(sources)):
-            if sources[n][: len(labels)] != labels:
+        for k in range(1, len(t2) + 1):
+            for t1 in by_source.get(t2[:k], ()):
+                pairs.append(_make_pair(s2, t1 + t2[k:], graph))
+        for n in range(bisect_right(sources, t2), len(sources)):
+            if sources[n][: len(t2)] != t2:
                 break
-            extra = sources[n][len(labels) :]
-            pairs.append(_make_pair(EdgePath(s2.labels + extra), first.pairs[n][2], graph))
+            extra = sources[n][len(t2) :]
+            pairs.append(_make_pair(s2 + extra, first.pairs[n][2], graph))
     result = Bisection(tuple(pairs))
-    report = validate_bisection(result, graph)
-    assert report.ok, report.problems
+    problems = validate_bisection(result, graph)
+    assert not problems, problems
     return result
 
 
@@ -374,17 +316,11 @@ def random_bisection(omega, rng=None, expansions=6):
 
 
 def bisection_to_jsonable(bisection):
-    return [
-        [list(s.labels), offset, list(t.labels)]
-        for s, offset, t in bisection.pairs
-    ]
+    return [[list(s), offset, list(t)] for s, offset, t in bisection.pairs]
 
 
 def bisection_from_jsonable(data):
-    pairs = []
     for item in data:
         if not (isinstance(item, (list, tuple)) and len(item) == 3):
             raise ValueError("bisection entries must be [source, offset, target]")
-        source, offset, target = item
-        pairs.append((EdgePath(tuple(source)), int(offset), EdgePath(tuple(target))))
-    return Bisection(tuple(pairs))
+    return Bisection(tuple(data))

@@ -39,13 +39,6 @@ def check_address(word, d):
     return word
 
 
-def colour_of(v):
-    """Colour of a nonroot vertex (the root has no colour)."""
-    if not v:
-        raise ValueError("the root carries no colour")
-    return v[-1]
-
-
 def admissible_child_colours(v, d):
     """Colours available on edges below v: everything except col(v)."""
     if not v:

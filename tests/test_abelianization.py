@@ -14,7 +14,7 @@ from coloured_neretin import (
     smith_normal_form as snf,
     vf_abelianization,
 )
-from coloured_neretin.covolume import compositions
+from coloured_neretin.covolume import ball_counts, compositions
 from conftest import four_orbit_group, rotation_group, switch_group
 
 
@@ -159,6 +159,24 @@ def test_build_sft_graph_validates():
         build_sft_graph((1, 1))  # d+1 = 2 is below the minimum
     with pytest.raises(ValueError):
         build_sft_graph((0, 3))
+
+
+@pytest.mark.parametrize("sizes", [(1.9, 2), (2.5, 1), (2, 2.0), (True, 2), ("2", 2)])
+@pytest.mark.parametrize(
+    "build",
+    [lambda sizes: ball_counts(sizes, 2), vf_abelianization, build_sft_graph],
+    ids=["ball_counts", "vf_abelianization", "build_sft_graph"],
+)
+def test_orbit_sizes_must_be_integers(build, sizes):
+    with pytest.raises(ValueError, match="orbit sizes must be positive integers"):
+        build(sizes)
+
+
+def test_graph_orbit_lookups():
+    graph = build_sft_graph((1, 3, 2))
+    assert graph.orbit_of == {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2}
+    assert graph.rep_of == {0: 0, 1: 1, 2: 1, 3: 1, 4: 4, 5: 4}
+    assert graph.orbit_of is graph.orbit_of  # computed once per graph
 
 
 # -- abelianization invariants ------------------------------------------------------

@@ -150,6 +150,35 @@ def test_compose_names_bad_kappa_entries(tmp_path, capsys, entry):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("F_generators", [5], "F_generators[0] is not a string"),
+        ("F_generators", [None], "F_generators[0] is not a string"),
+        ("F_generators", ["(1 a)"], "F_generators[0]: invalid literal"),
+        ("F_generators", 7, "F_generators is not a list"),
+        ("domain", 5, "domain is not a list"),
+        ("domain", [0, 1, 2], "domain[0] is not a list"),
+        ("domain", [[0], [1, "a"]], "domain[1][1] is not an integer"),
+        ("range", [[0], [True]], "range[1][0] is not an integer"),
+        ("kappa", 5, "kappa is not a list"),
+        (None, 5, "element file must hold a JSON object"),
+    ],
+)
+def test_reduce_names_the_bad_field(tmp_path, capsys, field, value, named):
+    data = element_to_dict(identity_element(rotation_group()))
+    if field is None:
+        data = value
+    else:
+        data[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["reduce", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: %s" % (bad, named))
+    assert err.count("\n") == 1
+
+
 # -- reports ----------------------------------------------------------------
 
 

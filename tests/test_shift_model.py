@@ -6,7 +6,6 @@ import pytest
 
 from coloured_neretin import (
     Bisection,
-    EdgePath,
     InvalidBisection,
     Omega,
     PathError,
@@ -75,8 +74,8 @@ def test_path_children_count_and_validity():
             children = path_children(p, graph)
             assert len(children) == graph.d
             for child in children:
-                assert child.labels[: len(p.labels)] == p.labels
-                assert len(child.labels) == len(p.labels) + 1
+                assert child[: len(p)] == p
+                assert len(child) == len(p) + 1
             new.extend(children)
         frontier = new
 
@@ -86,30 +85,30 @@ def test_check_path_rejections():
 
     graph = build_sft_graph((1, 3, 2))  # orbit representatives 0, 1, 4
     with pytest.raises(PathError):
-        check_path(EdgePath((9,)), graph)  # not a colour
+        check_path((9,), graph)  # not a colour
     with pytest.raises(PathError):
-        check_path(EdgePath((2, 1)), graph)  # 1 is the representative of its orbit
-    check_path(EdgePath((2, 3)), graph)  # same orbit via its relay, fine
-    check_path(EdgePath((2, 0)), graph)
+        check_path((2, 1), graph)  # 1 is the representative of its orbit
+    check_path((2, 3), graph)  # same orbit via its relay, fine
+    check_path((2, 0), graph)
 
 
 def test_edge_length_convention():
     graph = build_sft_graph((1, 3, 2))
     # representatives (0, 1, 4) enter at length 0, other colours at length 1;
     # staying in the orbit costs 2 (through the relay), switching costs 1
-    assert edge_length(EdgePath((0,)), graph) == 0
-    assert edge_length(EdgePath((2,)), graph) == 1
-    assert edge_length(EdgePath((1, 2)), graph) == 2 + 0
-    assert edge_length(EdgePath((2, 3)), graph) == 1 + 2
-    assert edge_length(EdgePath((2, 0)), graph) == 1 + 1
-    assert edge_length(EdgePath((0, 1, 4, 5)), graph) == 0 + 1 + 1 + 2
+    assert edge_length((0,), graph) == 0
+    assert edge_length((2,), graph) == 1
+    assert edge_length((1, 2), graph) == 2 + 0
+    assert edge_length((2, 3), graph) == 1 + 2
+    assert edge_length((2, 0), graph) == 1 + 1
+    assert edge_length((0, 1, 4, 5), graph) == 0 + 1 + 1 + 2
 
 
 def test_cylinder_mass_halving():
     graph = build_sft_graph((2, 2))
     d = graph.d
-    assert cylinder_mass(EdgePath((0,)), graph) == Fraction(1, d + 1)
-    assert cylinder_mass(EdgePath((0, 1)), graph) == Fraction(1, (d + 1) * d)
+    assert cylinder_mass((0,), graph) == Fraction(1, d + 1)
+    assert cylinder_mass((0, 1), graph) == Fraction(1, (d + 1) * d)
     total = sum(
         (cylinder_mass(p, graph) for p in root_paths(graph)), Fraction(0)
     )
@@ -157,8 +156,8 @@ def test_omega_rejects_mismatched_group():
 def test_identity_bisection_round_trip():
     for omega in omegas():
         bis = identity_bisection(omega.graph)
-        report = validate_bisection(bis, omega.graph)
-        assert report.ok, report.problems
+        problems = validate_bisection(bis, omega.graph)
+        assert not problems, problems
         assert all(offset == 0 for _, offset, _ in bis.pairs)
         element = bisection_to_element(bis, omega)
         assert element.is_identity()
@@ -171,8 +170,8 @@ def test_bisection_round_trip_random_elements():
         for _ in range(15):
             e = random_element(omega.group, rng, 5)
             bis = element_to_bisection(e, omega)
-            report = validate_bisection(bis, omega.graph)
-            assert report.ok, report.problems
+            problems = validate_bisection(bis, omega.graph)
+            assert not problems, problems
             assert bisection_to_element(bis, omega) == e
 
 
@@ -218,31 +217,29 @@ def test_validate_bisection_diagnostics():
     # wrong offset
     s, _, t = good.pairs[0]
     bad = Bisection(((s, 3, t),) + good.pairs[1:])
-    report = validate_bisection(bad, graph)
-    assert not report.ok
-    assert any("offset" in p for p in report.problems)
+    problems = validate_bisection(bad, graph)
+    assert problems
+    assert any("offset" in p for p in problems)
 
     # mismatched terminal orbits: colour 0 ends at orbit 0, colour 2 at orbit 1
     pairs = list(good.pairs)
-    zero = next(p for p in pairs if p[0].labels == (0,))
-    two = next(p for p in pairs if p[0].labels == (2,))
+    zero = next(p for p in pairs if p[0] == (0,))
+    two = next(p for p in pairs if p[0] == (2,))
     swapped = [
         p for p in pairs if p not in (zero, two)
     ] + [(zero[0], 0, two[2]), (two[0], 0, zero[2])]
-    report = validate_bisection(Bisection(tuple(swapped)), graph)
-    assert not report.ok
-    assert any("orbit" in p for p in report.problems)
+    problems = validate_bisection(Bisection(tuple(swapped)), graph)
+    assert problems
+    assert any("orbit" in p for p in problems)
 
     # overlapping sources / missing mass
-    report = validate_bisection(Bisection(good.pairs[:-1]), graph)
-    assert not report.ok
-    assert any("mass" in p for p in report.problems)
+    problems = validate_bisection(Bisection(good.pairs[:-1]), graph)
+    assert problems
+    assert any("mass" in p for p in problems)
 
     # invalid labels
-    report = validate_bisection(
-        Bisection(((EdgePath((7,)), 0, EdgePath((7,))),)), graph
-    )
-    assert not report.ok
+    problems = validate_bisection(Bisection((((7,), 0, (7,)),)), graph)
+    assert problems
 
     with pytest.raises(InvalidBisection):
         bisection_to_element(bad, Omega(graph))
@@ -252,13 +249,11 @@ def test_validate_bisection_reports_overlaps_in_pair_order():
     graph = build_sft_graph((2, 2))
 
     def bisection(pairs):
-        return Bisection(
-            tuple(_make_pair(EdgePath(s), EdgePath(t), graph) for s, t in pairs)
-        )
+        return Bisection(tuple(_make_pair(s, t, graph) for s, t in pairs))
 
     nested = [(1,), (1, 2), (1, 2, 3)]
-    report = validate_bisection(bisection([(p, p) for p in nested]), graph)
-    assert report.problems == [
+    problems = validate_bisection(bisection([(p, p) for p in nested]), graph)
+    assert problems == [
         "%s %s" % (side, text)
         for side in ("source", "target")
         for text in (
@@ -270,8 +265,8 @@ def test_validate_bisection_reports_overlaps_in_pair_order():
     ]
     # targets out of label order: messages still follow the pair order
     swapped = [((1,), (1,)), ((1, 2), (1, 3)), ((1, 3), (1, 2))]
-    report = validate_bisection(bisection(swapped), graph)
-    assert report.problems == [
+    problems = validate_bisection(bisection(swapped), graph)
+    assert problems == [
         "source paths (1,) and (1, 2) overlap (one is a prefix of the other)",
         "source paths (1,) and (1, 3) overlap (one is a prefix of the other)",
         "source cylinders cover mass 5/12 instead of 1",
@@ -296,5 +291,5 @@ def test_bisection_pairs_sorted_by_source():
     rng = random.Random(57)
     omega = next(iter(omegas()))
     bis = random_bisection(omega, rng, 6)
-    sources = [s.labels for s, _, _ in bis.pairs]
+    sources = [s for s, _, _ in bis.pairs]
     assert sources == sorted(sources)
