@@ -216,6 +216,18 @@ class TreePairElement:
         return image + self.plane.transport_tail(leaf[-1], image[-1], tail)
 
 
+def _addresses(leaves, field):
+    """The leaves as tuples, each letter checked to be an int (not a bool)."""
+    words = [tuple(w) for w in leaves]
+    # the types in one pass at C speed; the loop below only names a failure
+    if not set(map(type, chain.from_iterable(words))) <= {int}:
+        for i, word in enumerate(words):
+            for j, c in enumerate(word):
+                if type(c) is not int:
+                    raise ValueError("%s[%d][%d] is not an integer: %r" % (field, i, j, c))
+    return words
+
+
 def make_element(domain_leaves, range_leaves, bijection, group):
     """Validated, reduced element from leaf lists and a bijection.
 
@@ -223,8 +235,8 @@ def make_element(domain_leaves, range_leaves, bijection, group):
     addresses, or a list of integers (``kappa``) sending the i-th given
     domain leaf to the bijection[i]-th given range leaf.
     """
-    domain_leaves = [tuple(w) for w in domain_leaves]
-    range_leaves = [tuple(w) for w in range_leaves]
+    domain_leaves = _addresses(domain_leaves, "domain")
+    range_leaves = _addresses(range_leaves, "range")
     domain = CompleteSubtree(group.d, domain_leaves)
     range_ = CompleteSubtree(group.d, range_leaves)
     if isinstance(bijection, dict):
@@ -584,7 +596,7 @@ def element_to_dict(e):
 
 def _check_element_shape(data):
     """Raise a ValueError naming the first field of an element file whose
-    JSON shape is wrong; the values themselves are checked later."""
+    JSON shape is wrong; the letters and values are checked by make_element."""
     if not isinstance(data, dict):
         raise ValueError("element file must hold a JSON object")
     for field in ("d", "domain", "range", "kappa"):
@@ -604,16 +616,10 @@ def _check_element_shape(data):
             raise ValueError("%s is not a list of addresses" % field)
         # the types in one pass at C speed; the loop below only names a failure
         if set(map(type, leaves)) <= {list, tuple}:
-            if set(map(type, chain.from_iterable(leaves))) <= {int}:
-                continue
+            continue
         for i, leaf in enumerate(leaves):
             if not isinstance(leaf, (list, tuple)):
                 raise ValueError("%s[%d] is not a list of colours" % (field, i))
-            for j, c in enumerate(leaf):
-                if type(c) is not int:
-                    raise ValueError(
-                        "%s[%d][%d] is not an integer: %r" % (field, i, j, c)
-                    )
     if not isinstance(data["kappa"], (list, tuple)):
         raise ValueError("kappa is not a list")
 

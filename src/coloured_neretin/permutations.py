@@ -1,16 +1,21 @@
 """Finite permutation groups on the colour set D = {0, ..., d}.
 
-Everything works by full enumeration: the colour sets of interest have at
-most a dozen points, so breadth-first closure over the generators is simpler
-and easier to trust than a stabilizer-chain stack.  The element list of a
-group is kept sorted by image tuple; all "first element such that ..."
-choices made elsewhere in the library are pinned down by that order.
+A group is held as a stabilizer chain on the base 0, 1, ..., d (Sims 1970;
+Seress, *Permutation Group Algorithms*, 2003, ch. 4): level i is the
+subgroup G_i fixing 0, ..., i-1 pointwise, with a transversal of the orbit
+of i under G_i.  Order, membership and the "least element such that ..."
+choices made elsewhere in the library come from the chain, so no group is
+ever enumerated; the least element in image-tuple order is found by a
+greedy descent of the chain (Seress ch. 9).  Group arithmetic runs on raw
+image tuples, and ``Permutation`` validates only values that cross the
+module boundary.
 """
 
 from __future__ import annotations
 
 import re
-from math import factorial
+from functools import cached_property
+from math import factorial, prod
 
 
 class DegreeMismatch(ValueError):
@@ -173,44 +178,130 @@ def cycle_string(perm):
     return "".join("(" + " ".join(str(x) for x in cyc) + ")" for cyc in cycles)
 
 
-class ColourGroup:
-    """A fully enumerated subgroup of Sym({0..d}), with its orbit data.
+def _mul(a, b):
+    """Image tuple of a * b (b acts first)."""
+    return tuple(map(a.__getitem__, b))
 
-    Immutable after construction.  ``elements`` is sorted by image tuple, so
-    element 0 is always the identity.  ``orbits`` is sorted by minimal colour;
-    ``orbit_of[c]`` gives the orbit index of colour c.
+
+def _inverse(a):
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+def _orbit_labels(generators, degree):
+    """``labels[x]`` = least point of the orbit of x under ``generators``."""
+    labels = [None] * degree
+    for start in range(degree):
+        if labels[start] is not None:
+            continue
+        labels[start] = start
+        frontier = [start]
+        for x in frontier:
+            for g in generators:
+                y = g[x]
+                if labels[y] is None:
+                    labels[y] = start
+                    frontier.append(y)
+    return labels
+
+
+def _sift(transversals, g, start=0):
+    """Strip g (an image tuple fixing 0..start-1) down the chain.
+
+    Returns the residue and the level where it left the chain; the level is
+    the degree exactly when g lies in the group the chain describes.
+    """
+    for i in range(start, len(g)):
+        if g[i] != i:
+            entry = transversals[i].get(g[i])
+            if entry is None:
+                return g, i
+            g = _mul(entry[1], g)
+    return g, len(g)
+
+
+def _stabilizer_chain(generators, degree):
+    """Strong generators and transversals of <generators> on base 0..degree-1.
+
+    Incremental Schreier-Sims: levels are completed from d back to 0.
+    Level i is complete once every Schreier generator u_{s(p)}^-1 s u_p
+    (p in the orbit of i, s a strong generator fixing 0..i-1) sifts through
+    levels i+1..d; one that does not becomes a new strong generator at
+    the level where it left the chain, and the work resumes there.
+    Transversal entries are never replaced, so a pair that sifted once stays
+    settled and is not tested again.
+    """
+    ident = tuple(range(degree))
+    strong = [[] for _ in range(degree)]  # strong[i]: generators fixing 0..i-1
+    transversals = [{i: (ident, ident)} for i in range(degree)]
+    tested = [set() for _ in range(degree)]
+
+    def add(g, level):
+        for i in range(level + 1):
+            strong[i].append(g)
+
+    def unsettled(level):
+        """Close level's orbit, then return the first Schreier generator of
+        the level that leaves the chain, as (residue, level left), or None."""
+        gens, table = strong[level], transversals[level]
+        frontier = list(table)
+        for p in frontier:
+            for s in gens:
+                if s[p] not in table:
+                    v = _mul(s, table[p][0])
+                    table[s[p]] = (v, _inverse(v))
+                    frontier.append(s[p])
+        for p, (u, _) in table.items():
+            for k, s in enumerate(gens):
+                if (p, k) not in tested[level]:
+                    tested[level].add((p, k))
+                    h = _mul(table[s[p]][1], _mul(s, u))
+                    h, leave = _sift(transversals, h, level + 1)
+                    if leave < degree:
+                        return h, leave
+        return None
+
+    for g in generators:
+        g, level = _sift(transversals, g)
+        if level < degree:
+            add(g, level)
+    level = degree - 1
+    while level >= 0:
+        found = unsettled(level)
+        if found is None:
+            level -= 1
+        else:
+            add(*found)
+            level = found[1]
+    return strong, transversals
+
+
+class ColourGroup:
+    """A subgroup F of Sym({0..d}) as a stabilizer chain, with its orbit data.
+
+    Immutable after construction.  ``order`` is the product of the
+    transversal sizes; membership sifts through the chain.  ``orbits`` is
+    sorted by minimal colour; ``orbit_of[c]`` gives the orbit index of
+    colour c.  ``elements`` enumerates F in image-tuple order, which no
+    library code needs.
     """
 
-    def __init__(self, generators, elements, degree):
+    def __init__(self, generators, degree):
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
         self.degree = degree
-        self._element_set = frozenset(p.images for p in self.elements)
-        assert self.elements[0].is_identity()
+        self._identity = identity(degree)
+        self._strong, self._transversals = _stabilizer_chain(
+            [g.images for g in self.generators], degree
+        )
+        self.order = prod(len(table) for table in self._transversals)
 
-        orbits = []
-        remaining = set(range(degree))
-        while remaining:
-            start = min(remaining)
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                x = frontier.pop()
-                for g in self.generators:
-                    y = g(x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
-            orbits.append(tuple(sorted(orbit)))
-            remaining -= orbit
-        orbits.sort(key=lambda orb: orb[0])
-        self.orbits = tuple(orbits)
-        self.orbit_sizes = tuple(len(orb) for orb in orbits)
-        self.orbit_reps = tuple(orb[0] for orb in orbits)
-        self.orbit_of = {}
-        for i, orb in enumerate(orbits):
-            for c in orb:
-                self.orbit_of[c] = i
+        labels = _orbit_labels([g.images for g in self.generators], degree)
+        self.orbit_reps = tuple(c for c, label in enumerate(labels) if c == label)
+        self.orbit_of = {c: self.orbit_reps.index(label) for c, label in enumerate(labels)}
+        self.orbits = tuple(
+            tuple(c for c, label in enumerate(labels) if label == rep) for rep in self.orbit_reps
+        )
+        self.orbit_sizes = tuple(len(orb) for orb in self.orbits)
+        self._hash = hash((degree, self.order, self.orbits))
 
     @property
     def d(self):
@@ -218,46 +309,103 @@ class ColourGroup:
         return self.degree - 1
 
     def __len__(self):
-        return len(self.elements)
+        return self.order
+
+    @property
+    def elements(self):
+        """Every element, sorted by image tuple (the identity first)."""
+        return tuple(self)
 
     def __iter__(self):
-        return iter(self.elements)
+        """Walk the chain, taking each level's points by the image they get."""
+        transversals = [t for t in self._transversals if len(t) > 1]
+
+        def walk(i, g):
+            if i == len(transversals):
+                yield Permutation(g)
+                return
+            table = transversals[i]
+            for p in sorted(table, key=g.__getitem__):
+                yield from walk(i + 1, _mul(g, table[p][0]))
+
+        return walk(0, self._identity.images)
 
     def __contains__(self, perm):
-        return isinstance(perm, Permutation) and perm.images in self._element_set
+        return (
+            isinstance(perm, Permutation)
+            and perm.degree == self.degree
+            and _sift(self._transversals, perm.images)[1] == self.degree
+        )
 
     def __eq__(self, other):
         """Groups are equal when they have the same elements, however generated."""
         return self is other or (
-            isinstance(other, ColourGroup) and self._element_set == other._element_set
+            isinstance(other, ColourGroup)
+            and self.degree == other.degree
+            and self.order == other.order
+            and all(g in self for g in other.generators)
         )
 
     def __hash__(self):
-        return hash(self._element_set)
+        return self._hash
 
     def identity(self):
-        return self.elements[0]
+        return self._identity
 
     def is_invariant(self, subset):
         subset = set(subset)
         return all(g(x) in subset for g in self.generators for x in subset)
 
-    def stabilizer_elements(self, point):
-        return [g for g in self.elements if g(point) == point]
+    @cached_property
+    def _level_labels(self):
+        """Orbit labels of levels 1..d of the chain."""
+        return [_orbit_labels(gens, self.degree) for gens in self._strong[1:]]
+
+    def least_element_mapping(self, point, image):
+        """The first element in image-tuple order that sends point to image.
+
+        Greedy descent of the chain: an element is u_0 u_1 ... u_d with u_i
+        from level i's transversal, and with g = u_0 ... u_(i-1) and
+        p = u_i(i) it sends i to g(p).  So each level takes the p with the
+        least g(p) among those that can still send ``point`` to ``image``:
+        above ``point``, p qualifies when u_p^-1 g^-1 (image) lies in the
+        orbit of ``point`` under the next level; at ``point``, p is forced
+        to be g^-1 (image); below it any p will do.
+        """
+        if self.orbit_of[point] != self.orbit_of[image]:
+            raise ValueError("no element maps %d to %d" % (point, image))
+        g, target = self._identity.images, image  # target = g^-1(image)
+        for i, table in enumerate(self._transversals):
+            if i == point:
+                p = target
+            elif len(table) == 1:
+                continue
+            elif i < point:
+                labels = self._level_labels[i]
+                p = min(
+                    (q for q, (_, u_inv) in table.items()
+                     if labels[u_inv[target]] == labels[point]),
+                    key=g.__getitem__,
+                )
+            else:
+                p = min(table, key=g.__getitem__)
+            u, u_inv = table[p]
+            g, target = _mul(g, u), u_inv[target]
+        return Permutation(g)
 
     def __repr__(self):
         return "ColourGroup(<%s>, order %d, orbits %s)" % (
             ", ".join(str(g) for g in self.generators) or "id",
-            len(self.elements),
+            self.order,
             list(self.orbits),
         )
 
 
 def closure_enumerate(generators, degree=None):
-    """Enumerate the subgroup generated by ``generators`` inside Sym({0..degree-1}).
+    """The subgroup generated by ``generators`` inside Sym({0..degree-1}).
 
-    Breadth-first closure; fine for degree <= 12 or so.  ``degree`` may be
-    omitted when there is at least one generator.
+    Builds its stabilizer chain; ``degree`` may be omitted when there is at
+    least one generator.
     """
     generators = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
     if degree is None:
@@ -269,22 +417,7 @@ def closure_enumerate(generators, degree=None):
             raise DegreeMismatch(
                 "generator %s has degree %d, expected %d" % (g, g.degree, degree)
             )
-    generators = [g for g in generators if not g.is_identity()]
-
-    cap = factorial(degree)
-    elements = {identity(degree)}
-    frontier = list(elements)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                y = g * x
-                if y not in elements:
-                    elements.add(y)
-                    new.append(y)
-        frontier = new
-        assert len(elements) <= cap, "closure exceeded |Sym(D)| -- broken generator?"
-    return ColourGroup(generators, elements, degree)
+    return ColourGroup([g for g in generators if not g.is_identity()], degree)
 
 
 def trivial_group(degree):
@@ -292,29 +425,41 @@ def trivial_group(degree):
 
 
 def acts_freely(group):
-    """True iff no nonidentity element fixes a colour."""
-    return all(g.is_identity() or not g.fixed_points() for g in group.elements)
+    """True iff no nonidentity element fixes a colour: by orbit-stabilizer,
+    iff every orbit has |F| points."""
+    return all(size == group.order for size in group.orbit_sizes)
 
 
 def is_single_switch(group):
     """True iff the group is {id, t} for a single transposition t."""
-    if len(group.elements) != 2:
-        return False
-    nontrivial = group.elements[1]
-    return len(nontrivial.moved_points()) == 2
+    return group.order == 2 and len(group.generators[0].moved_points()) == 2
 
 
 def stabilizer_restriction_in_alt(group, chi, subset):
     """Whether every group element fixing ``chi`` restricts evenly to ``subset``.
 
-    ``subset`` must be invariant under the whole group.
+    ``subset`` must be invariant under the whole group, so restriction
+    parity e is a homomorphism on F.  Schreier's lemma gives the stabilizer
+    of chi as generated by u_{s(p)}^-1 s u_p (p in the orbit of chi, s a
+    generator, u_p the tree word sending chi to p); e of such a generator is
+    e(u_{s(p)}) e(s) e(u_p), so it suffices that e(u_p) is the same along
+    every generator edge of the orbit.
     """
     subset = tuple(sorted(set(subset)))
     if not group.is_invariant(subset):
         raise NotInvariant("subset %s is not invariant under the group" % (list(subset),))
-    return all(
-        g.restriction_parity(subset) == 1 for g in group.stabilizer_elements(chi)
-    )
+    parities = [(g.images, g.restriction_parity(subset)) for g in group.generators]
+    signs = {chi: 1}
+    frontier = [chi]
+    for p in frontier:
+        for g, parity in parities:
+            q, sign = g[p], parity * signs[p]
+            if q not in signs:
+                signs[q] = sign
+                frontier.append(q)
+            elif signs[q] != sign:
+                return False
+    return True
 
 
 def _minimal_block_partition(group, support, a, b):
@@ -405,7 +550,7 @@ def contains_alternating(group, support):
     group embeds in Sym(support) and order comparison decides the question.
     """
     support = tuple(sorted(set(support)))
-    for g in group.elements:
+    for g in group.generators:
         for x in g.moved_points():
             assert x in support, "element moves a point outside the support"
-    return 2 * len(group.elements) >= factorial(len(support))
+    return 2 * group.order >= factorial(len(support))

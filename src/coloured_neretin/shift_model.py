@@ -320,7 +320,17 @@ def bisection_to_jsonable(bisection):
 
 
 def bisection_from_jsonable(data):
-    for item in data:
+    """Inverse of bisection_to_jsonable; each entry must be [list of int,
+    int, list of int], else the ValueError names the entry and field."""
+    if not isinstance(data, (list, tuple)):
+        raise ValueError("bisection is not a list of [source, offset, target] entries")
+    for i, item in enumerate(data):
         if not (isinstance(item, (list, tuple)) and len(item) == 3):
-            raise ValueError("bisection entries must be [source, offset, target]")
+            raise ValueError("bisection[%d] is not a [source, offset, target] entry" % i)
+        source, offset, target = item
+        for field, path in (("source", source), ("target", target)):
+            if not isinstance(path, (list, tuple)) or any(type(c) is not int for c in path):
+                raise ValueError("bisection[%d] %s is not a list of colours" % (i, field))
+        if type(offset) is not int:
+            raise ValueError("bisection[%d] offset is not an integer" % i)
     return Bisection(tuple(data))

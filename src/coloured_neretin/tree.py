@@ -65,22 +65,19 @@ class PlaneOrder:
 
     orbit representatives: minimal colour of each orbit.
     canonical maps: f_chi = the first element of F (in image-tuple order)
-    with f_chi(chi) = representative; the identity is first in that order,
-    so f_chi = id whenever chi is itself a representative.  The maps'
-    inverses, the child orders and the transports are computed once, here.
+    with f_chi(chi) = representative, found by a descent of F's stabilizer
+    chain (``ColourGroup.least_element_mapping``) without listing F; the
+    identity is first in that order, so f_chi = id whenever chi is itself a
+    representative.  The maps' inverses, the child orders and the
+    transports are computed once, here.
     """
 
     def __init__(self, group):
         self.d = group.d
-        self.canonical_maps = {}
-        for chi in range(group.degree):
-            rep = group.orbit_reps[group.orbit_of[chi]]
-            for f in group.elements:
-                if f(chi) == rep:
-                    self.canonical_maps[chi] = f
-                    break
-            else:  # pragma: no cover - orbits guarantee a match
-                raise AssertionError("no canonical map for colour %d" % chi)
+        self.canonical_maps = {
+            chi: group.least_element_mapping(chi, group.orbit_reps[group.orbit_of[chi]])
+            for chi in range(group.degree)
+        }
         inverses = {chi: f.inverse() for chi, f in self.canonical_maps.items()}
         self._inverse_images = {chi: f.images for chi, f in inverses.items()}
         self._child_orders = {

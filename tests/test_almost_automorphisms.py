@@ -534,6 +534,18 @@ def test_element_from_dict_names_bad_kappa_entries(entry):
         element_from_dict(data)
 
 
+@pytest.mark.parametrize("letter", [3.0, "a", True])
+def test_make_element_names_bad_letters(letter):
+    words = [[0], [1], [2], [3]]
+    bad = [[0], [1], [2], [letter]]
+    with pytest.raises(ValueError) as info:
+        make_element(bad, words, [0, 1, 2, 3], rotation_group())
+    assert str(info.value) == "domain[3][0] is not an integer: %r" % (letter,)
+    with pytest.raises(ValueError) as info:
+        make_element(words, bad, [0, 1, 2, 3], rotation_group())
+    assert str(info.value) == "range[3][0] is not an integer: %r" % (letter,)
+
+
 def test_random_element_is_deterministic():
     group = rotation_group()
     a = random_element(group, random.Random(77), 6)

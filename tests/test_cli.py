@@ -19,7 +19,13 @@ from coloured_neretin import (
 )
 from coloured_neretin.cli import main
 
-from conftest import four_orbit_group, rotation_group, switch_group
+from conftest import (
+    depth_changing_element,
+    four_orbit_group,
+    rotation_group,
+    switch_group,
+    sym_group,
+)
 
 
 def write_element(tmp_path, name, element):
@@ -40,6 +46,20 @@ def test_compose_round_trip(tmp_path, capsys):
     group = rotation_group()
     a = random_element(group, rng, 5)
     b = random_element(group, rng, 5)
+    code = main(
+        ["compose", write_element(tmp_path, "a.json", a),
+         write_element(tmp_path, "b.json", b)]
+    )
+    assert code == 0
+    assert read_element(capsys) == compose(a, b)
+
+
+def test_compose_over_sym16(tmp_path, capsys):
+    # Neretin's own case at d = 15: |F| = 16! is never listed
+    rng = random.Random(44)
+    group = sym_group(16)
+    a = depth_changing_element(group, rng, 4)
+    b = depth_changing_element(group, rng, 4)
     code = main(
         ["compose", write_element(tmp_path, "a.json", a),
          write_element(tmp_path, "b.json", b)]

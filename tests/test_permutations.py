@@ -1,5 +1,6 @@
 import random
 from itertools import permutations as all_permutations
+from math import factorial
 
 import pytest
 from sympy.combinatorics import Permutation as SymPerm
@@ -9,6 +10,7 @@ from coloured_neretin import (
     DegreeMismatch,
     NotInvariant,
     Permutation,
+    PlaneOrder,
     acts_freely,
     closure_enumerate,
     contains_alternating,
@@ -190,7 +192,7 @@ def test_group_membership_and_stabilizer():
     group = four_orbit_group()
     assert parse_cycles("(1 2)(3 4)", 7) in group
     assert parse_cycles("(1 2)", 7) not in group
-    stab = group.stabilizer_elements(5)
+    stab = [g for g in group.elements if g(5) == 5]
     assert all(g(5) == 5 for g in stab)
     assert len(stab) == 2  # id and (1 2)(3 4)
 
@@ -201,6 +203,115 @@ def test_invariant_subsets():
     assert group.is_invariant((1, 2, 3, 4))
     assert not group.is_invariant((1, 3))
     assert group.is_invariant(())
+
+
+# -- the stabilizer chain against a brute-force closure --------------------------
+
+
+def closure_oracle(generators, degree):
+    """Every element of <generators> as an image tuple, sorted, by
+    breadth-first closure: the enumeration the chain replaces."""
+    identity = tuple(range(degree))
+    seen = {identity}
+    frontier = [identity]
+    for x in frontier:
+        for g in generators:
+            y = tuple(map(g.images.__getitem__, x))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return sorted(seen)
+
+
+def random_generators(rng, degree):
+    """0-3 generators, each a random transposition or a full shuffle."""
+    gens = []
+    for _ in range(rng.randrange(4)):
+        images = list(range(degree))
+        if rng.random() < 0.5:
+            a, b = rng.sample(range(degree), 2)
+            images[a], images[b] = images[b], images[a]
+        else:
+            rng.shuffle(images)
+        gens.append(Permutation(images))
+    return gens
+
+
+def test_chain_matches_brute_force_closure():
+    rng = random.Random(108)
+    for _ in range(500):
+        degree = rng.randrange(3, 8)
+        gens = random_generators(rng, degree)
+        group = closure_enumerate(gens, degree)
+        oracle = closure_oracle(gens, degree)
+        oracle_set = set(oracle)
+        assert len(group) == group.order == len(oracle)
+        assert group.order == sym_group(gens or [Permutation(range(degree))], degree).order()
+        assert [g.images for g in group.elements] == oracle
+        orbits = sorted({tuple(sorted({g[c] for g in oracle})) for c in range(degree)})
+        assert list(group.orbits) == orbits
+
+        maps = PlaneOrder(group).canonical_maps
+        for chi in range(degree):
+            rep = group.orbit_reps[group.orbit_of[chi]]
+            assert maps[chi].images == min(g for g in oracle if g[chi] == rep)
+
+        for _ in range(5):
+            inside = Permutation(rng.choice(oracle))
+            outside = random_permutation(rng, degree)
+            assert inside in group
+            assert (outside in group) == (outside.images in oracle_set)
+
+        other = [g.inverse() for g in reversed(gens)] + [Permutation(rng.choice(oracle))]
+        same = closure_enumerate(other, degree)
+        assert same == group and hash(same) == hash(group)
+        smaller = closure_enumerate(gens[:-1], degree)
+        smaller_order = sym_group(gens[:-1] or [Permutation(range(degree))], degree).order()
+        assert (smaller == group) == (group == smaller) == (smaller_order == len(oracle))
+        # a conjugate has the same order, so it is the group iff it lies inside
+        h = random_permutation(rng, degree)
+        conjugate_gens = [h * g * h.inverse() for g in gens]
+        conjugate = closure_enumerate(conjugate_gens, degree)
+        assert (conjugate == group) == all(g.images in oracle_set for g in conjugate_gens)
+
+        assert acts_freely(group) == all(
+            g == oracle[0] or all(g[c] != c for c in range(degree)) for g in oracle
+        )
+        assert is_single_switch(group) == (
+            len(oracle) == 2 and sum(x != y for x, y in zip(*oracle)) == 2
+        )
+        # Alt(support) is generated by the 3-cycles on support
+        moved = tuple(c for orbit in group.orbits if len(orbit) > 1 for c in orbit)
+        for support in {tuple(range(degree)), moved}:
+            three_cycles = (
+                from_cycles([cycle], degree).images for cycle in all_permutations(support, 3)
+            )
+            assert contains_alternating(group, support) == all(
+                cycle in oracle_set for cycle in three_cycles
+            )
+
+        for mask in range(1 << len(group.orbits)):
+            subset = [c for k, orb in enumerate(group.orbits) if mask >> k & 1 for c in orb]
+            if len(subset) % 2:
+                continue
+            even_there = {g: Permutation(g).restriction_parity(subset) == 1 for g in oracle}
+            for chi in range(degree):
+                assert stabilizer_restriction_in_alt(group, chi, subset) == all(
+                    even_there[g] for g in oracle if g[chi] == chi
+                )
+
+
+def test_chain_handles_large_symmetric_groups():
+    for degree in (8, 12, 16):
+        gens = [from_cycles([(0, 1)], degree), from_cycles([tuple(range(degree))], degree)]
+        group = closure_enumerate(gens, degree)
+        assert group.order == factorial(degree)
+        assert from_cycles([tuple(range(1, degree))], degree) in group
+        assert contains_alternating(group, range(degree))
+        maps = PlaneOrder(group).canonical_maps
+        # the least element sending chi to 0 is the cycle (0 1 ... chi)
+        for chi in range(1, degree):
+            assert maps[chi] == from_cycles([tuple(range(chi + 1))], degree)
 
 
 # -- structural predicates --------------------------------------------------------

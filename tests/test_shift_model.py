@@ -287,6 +287,19 @@ def test_bisection_jsonable_round_trip():
         bisection_from_jsonable([[1, 2]])
 
 
+def test_bisection_from_jsonable_names_the_bad_field():
+    for data, message in (
+        ([[5, 0, [1]]], "bisection[0] source is not a list of colours"),
+        ([["ab", 0, "ab"]], "bisection[0] source is not a list of colours"),
+        ([[[1], 0, [1, True]]], "bisection[0] target is not a list of colours"),
+        ([[[1], 0.0, [1]]], "bisection[0] offset is not an integer"),
+        ([[[1], 0, [1]], [1, 2]], "bisection[1] is not a [source, offset, target] entry"),
+    ):
+        with pytest.raises(ValueError) as info:
+            bisection_from_jsonable(data)
+        assert str(info.value) == message
+
+
 def test_bisection_pairs_sorted_by_source():
     rng = random.Random(57)
     omega = next(iter(omegas()))
