@@ -11,6 +11,7 @@ with Z/2, computed by exact Smith normal form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -57,13 +58,11 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch: %dx%d times %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        rows = []
-        for i in range(self.rows):
-            rows.append([
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ])
-        return IntMatrix(rows)
+        columns = list(zip(*other.entries))
+        return IntMatrix([
+            [sum(map(operator.mul, row, column)) for column in columns]
+            for row in self.entries
+        ])
 
     def sub(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):

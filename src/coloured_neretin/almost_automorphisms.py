@@ -233,14 +233,18 @@ def make_element(domain_leaves, range_leaves, bijection, group):
 
     ``bijection`` is either a dict mapping domain addresses to range
     addresses, or a list of integers (``kappa``) sending the i-th given
-    domain leaf to the bijection[i]-th given range leaf.
+    domain leaf to the bijection[i]-th given range leaf.  Every letter of a
+    leaf, a key or a value must be an int (not a bool).
     """
     domain_leaves = _addresses(domain_leaves, "domain")
     range_leaves = _addresses(range_leaves, "range")
     domain = CompleteSubtree(group.d, domain_leaves)
     range_ = CompleteSubtree(group.d, range_leaves)
     if isinstance(bijection, dict):
-        pairs = {tuple(v): tuple(w) for v, w in bijection.items()}
+        pairs = dict(zip(
+            _addresses(bijection, "bijection keys"),
+            _addresses(bijection.values(), "bijection values"),
+        ))
     else:
         kappa = list(bijection)
         for i, k in enumerate(kappa):

@@ -63,7 +63,6 @@ from .covolume import (
     verify_xi_claims,
     window_primes,
 )
-from .intervals import default_precision
 from .permutations import (
     closure_enumerate,
     contains_alternating,
@@ -290,6 +289,7 @@ def cmd_covolume_table(args):
 
 def cmd_verify_smallest(args):
     total_holds = total_equality = total_reversed = 0
+    max_bits = 0  # the largest precision that settled an interval sign
     for d in range(2, args.max_d + 1):
         holds = equality = reversed_ = 0
         for parts in integer_partitions(d + 1):
@@ -301,7 +301,8 @@ def cmd_verify_smallest(args):
                     % (parts,)
                 )
             if not verdict.equality:
-                interval_sign, _, _ = smallest_log_sign(parts)
+                interval_sign, _, bits = smallest_log_sign(parts)
+                max_bits = max(max_bits, bits)
                 if interval_sign != (1 if verdict.holds else -1):
                     raise CliError(
                         "interval evaluation disagrees with the exact verdict "
@@ -321,7 +322,7 @@ def cmd_verify_smallest(args):
         "strict inequality verified exactly for all partitions with "
         "l < d-1 and d > 2 (interval cross-check at %d bits); totals: "
         "holds %d, equality %d, reversed %d"
-        % (default_precision(), total_holds, total_equality, total_reversed)
+        % (max_bits, total_holds, total_equality, total_reversed)
     )
     return 0
 

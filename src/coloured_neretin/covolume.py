@@ -21,7 +21,7 @@ from math import factorial
 from mpmath import iv
 
 from .abelianization import check_orbit_sizes
-from .intervals import decide_sign, interval_width
+from .intervals import decide_sign, interval_width, memoised_log
 
 
 def exact_div(a, b):
@@ -213,17 +213,23 @@ def verify_smallest_inequality(orbit_sizes):
 
 
 def smallest_log_sign(orbit_sizes, start_bits=None):
-    """Interval sign of the logarithmic form (rhs - lhs); independent check."""
+    """Interval sign of the logarithmic form (rhs - lhs); independent check.
+
+    Each logarithm is evaluated once per precision within the call (see
+    ``memoised_log``); the expression and its order of operations are those
+    of the form itself, so the interval is the one the plain form gives.
+    """
     sizes, d = check_orbit_sizes(orbit_sizes)
+    log = memoised_log()
 
     def expression():
         rhs = iv.mpf(0)
         for x in sizes:
-            rhs += x * iv.log(iv.mpf(x))
+            rhs += x * log(x)
         rhs *= iv.mpf(d) / (d + 1)
         for x in sizes:
-            rhs -= iv.log(iv.mpf(factorial(x)))
-        lhs = (d - 1) * (iv.log(iv.mpf(d + 1)) - iv.log(iv.mpf(d)))
+            rhs -= log(factorial(x))
+        lhs = (d - 1) * (log(d + 1) - log(d))
         return rhs - lhs
 
     return decide_sign(expression, start_bits=start_bits)
@@ -315,18 +321,19 @@ def ratio_slope(orbit_sizes, n_low, n_high):
     return (log_ratio(sizes, n_high) - log_ratio(sizes, n_low)) / run
 
 
-def _xi_capital_iv(parts):
-    """The comparison functional on an orbit-size vector, in intervals."""
+def _xi_capital_iv(parts, log):
+    """The comparison functional on an orbit-size vector, in intervals;
+    ``log`` is a ``memoised_log``."""
     x = sum(parts) - 1
     weighted = iv.mpf(0)
     for p in parts:
         if p > 1:
-            weighted += p * iv.log(iv.mpf(p))
+            weighted += p * log(p)
     log_facts = iv.mpf(0)
     for p in parts:
-        log_facts += iv.log(iv.mpf(factorial(p)))
+        log_facts += log(factorial(p))
     ratio = iv.mpf(x) / (x + 1)
-    return ratio * weighted - log_facts + (x - 1) * iv.log(ratio)
+    return ratio * weighted - log_facts + (x - 1) * log(Fraction(x, x + 1))
 
 
 def _xi_small_iv(x):
@@ -366,9 +373,27 @@ def verify_xi_claims(max_x, start_bits=None):
     strictly increases the functional, checked whenever some other part
     exists.  Tail: the explicit one-variable lower bound function is
     strictly positive for 2 <= x <= max_x.
+
+    Within one call each logarithm and each value of the functional is
+    evaluated once per precision: a partition met again at the same
+    precision, say as the larger side of one step and the smaller side of
+    another, reuses its interval, which is the one the literal expression
+    gives.
     """
     if max_x < 3:
         raise ValueError("max_x must be at least 3")
+    log = memoised_log()
+    capital = {}
+
+    def xi(parts):
+        # keyed on the tuple as given: a merged tuple need not be sorted,
+        # and its order is the order of the sums
+        key = (parts, iv.prec)
+        value = capital.get(key)
+        if value is None:
+            value = capital[key] = _xi_capital_iv(parts, log)
+        return value
+
     failures = []
     undecided = []
     append_checked = 0
@@ -389,8 +414,7 @@ def verify_xi_claims(max_x, start_bits=None):
             if len(parts) <= total - 2:
                 bigger = parts + (1,)
                 sign, value, bits = decide_sign(
-                    lambda a=bigger, b=parts: _xi_capital_iv(a)
-                    - _xi_capital_iv(b),
+                    lambda a=bigger, b=parts: xi(a) - xi(b),
                     start_bits=start_bits,
                 )
                 append_checked += 1
@@ -398,8 +422,7 @@ def verify_xi_claims(max_x, start_bits=None):
             if len(parts) >= 2 and parts[-1] == 1 and len(parts) <= total - 1:
                 merged = parts[:-2] + (parts[-2] + 1,)
                 sign, value, bits = decide_sign(
-                    lambda a=merged, b=parts: _xi_capital_iv(a)
-                    - _xi_capital_iv(b),
+                    lambda a=merged, b=parts: xi(a) - xi(b),
                     start_bits=start_bits,
                 )
                 merge_checked += 1

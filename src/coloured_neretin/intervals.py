@@ -11,6 +11,7 @@ as undecided, never as true or false.
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 
 from mpmath import iv
 
@@ -49,6 +50,33 @@ def decide_sign(expression, start_bits=None, max_bits=MAX_BITS):
         if 2 * bits > max_bits:
             return None, value, bits
         bits *= 2
+
+
+def memoised_log():
+    """A fresh interval logarithm that evaluates each argument once per
+    precision.
+
+    The returned ``log(x)`` takes an int or a Fraction and returns
+    ``iv.log(iv.mpf(x))`` (for a Fraction n/m, ``iv.log(iv.mpf(n) / m)``)
+    at the current ``iv.prec``, kept under the key (x, iv.prec); a later
+    call with the same key returns the same interval.  The table lives as
+    long as the returned function, so make one per public call: no
+    interval outlives the call that decides with it.
+    """
+    values = {}
+
+    def log(x):
+        key = (x, iv.prec)
+        value = values.get(key)
+        if value is None:
+            if type(x) is Fraction:
+                value = iv.log(iv.mpf(x.numerator) / x.denominator)
+            else:
+                value = iv.log(iv.mpf(x))
+            values[key] = value
+        return value
+
+    return log
 
 
 def interval_width(value):

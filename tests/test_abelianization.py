@@ -35,7 +35,37 @@ def sympy_invariants(matrix):
     return [x for x in diagonal if x != 0]
 
 
-# -- determinant and SNF against sympy ----------------------------------------
+def naive_product(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            for k in range(inner):
+                out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+# -- product, determinant and SNF against sympy -------------------------------
+
+
+def test_mul_matches_naive_loop_and_sympy():
+    rng = random.Random(40)
+    shapes = [(1, 1, 1), (1, 5, 1), (5, 1, 5), (1, 4, 6), (6, 4, 1), (7, 1, 1)]
+    shapes += [tuple(rng.randrange(1, 8) for _ in range(3)) for _ in range(40)]
+    for rows, inner, cols in shapes:
+        for bound in (9, 10 ** 30):
+            a = [[rng.randrange(-bound, bound + 1) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.randrange(-bound, bound + 1) for _ in range(cols)] for _ in range(inner)]
+            product = IntMatrix(a).mul(IntMatrix(b))
+            assert (product.rows, product.cols) == (rows, cols)
+            assert [list(row) for row in product.entries] == naive_product(a, b)
+            assert Matrix(product.entries) == Matrix(a) * Matrix(b)
+
+
+def test_mul_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError) as info:
+        IntMatrix([[1, 2, 3]]).mul(IntMatrix([[1, 2]]))
+    assert str(info.value) == "dimension mismatch: 1x3 times 1x2"
 
 
 def test_bareiss_determinant_matches_sympy():

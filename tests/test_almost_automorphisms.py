@@ -546,6 +546,24 @@ def test_make_element_names_bad_letters(letter):
     assert str(info.value) == "range[3][0] is not an integer: %r" % (letter,)
 
 
+@pytest.mark.parametrize("letter, at", [(3.0, 3), ("a", 3), (True, 1)])
+def test_make_element_names_bad_bijection_letters(letter, at):
+    # the bad letter replaces the leaf it compares equal to, if any, so the
+    # dict keeps four entries
+    words = [[0], [1], [2], [3]]
+    good = {(0,): (0,), (1,): (2,), (2,): (3,), (3,): (1,)}
+    assert make_element(words, words, good, rotation_group()).leaf_image((1,)) == (2,)
+    bad_key = {((letter,) if v == (at,) else v): w for v, w in good.items()}
+    with pytest.raises(ValueError) as info:
+        make_element(words, words, bad_key, rotation_group())
+    assert str(info.value) == "bijection keys[%d][0] is not an integer: %r" % (at, letter)
+    bad_value = {v: ((letter,) if w == (at,) else w) for v, w in good.items()}
+    with pytest.raises(ValueError) as info:
+        make_element(words, words, bad_value, rotation_group())
+    index = list(good.values()).index((at,))
+    assert str(info.value) == "bijection values[%d][0] is not an integer: %r" % (index, letter)
+
+
 def test_random_element_is_deterministic():
     group = rotation_group()
     a = random_element(group, random.Random(77), 6)

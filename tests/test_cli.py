@@ -17,6 +17,7 @@ from coloured_neretin import (
     identity_element,
     random_element,
 )
+from coloured_neretin import cli
 from coloured_neretin.cli import main
 
 from conftest import (
@@ -267,6 +268,23 @@ def test_verify_smallest(capsys):
     for d in range(2, 6):
         assert ("d=%2d:" % d) in out
     assert "strict inequality verified exactly" in out
+
+
+def test_verify_smallest_reports_the_settling_precision(capsys, monkeypatch):
+    monkeypatch.delenv("COLOURED_NERETIN_PRECISION", raising=False)
+    assert main(["verify-smallest", "--max-d", "5"]) == 0
+    # every sign settles at the starting precision
+    assert "(interval cross-check at 128 bits)" in capsys.readouterr().out
+    real = cli.smallest_log_sign
+
+    def escalated(parts):
+        sign, value, bits = real(parts)
+        return sign, value, 256 if parts == (2, 2, 1) else bits
+
+    monkeypatch.setattr(cli, "smallest_log_sign", escalated)
+    assert main(["verify-smallest", "--max-d", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "(interval cross-check at 256 bits)" in out
 
 
 def test_primes_window(capsys):

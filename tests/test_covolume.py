@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import iv
 from sympy import primerange
 
 from coloured_neretin import (
@@ -27,7 +28,9 @@ from coloured_neretin import (
     window_prime_count,
     window_primes,
 )
-from coloured_neretin.covolume import _xi_capital_iv, exact_div
+from coloured_neretin import covolume
+from coloured_neretin.covolume import _xi_capital_iv, _xi_small_iv, exact_div
+from coloured_neretin.intervals import memoised_log
 
 
 # -- oracles ------------------------------------------------------------------
@@ -293,6 +296,7 @@ def test_xi_claims_hold_through_twelve():
 
 
 def test_xi_interval_signs_match_float_oracle():
+    log = memoised_log()
     for total in range(3, 10):
         for parts in integer_partitions(total):
             if len(parts) > total - 2:
@@ -300,7 +304,7 @@ def test_xi_interval_signs_match_float_oracle():
             bigger = parts + (1,)
             expected = xi_float(bigger) - xi_float(parts)
             sign, _, _ = decide_sign(
-                lambda a=bigger, b=parts: _xi_capital_iv(a) - _xi_capital_iv(b)
+                lambda a=bigger, b=parts: _xi_capital_iv(a, log) - _xi_capital_iv(b, log)
             )
             assert sign == (1 if expected > 0 else -1)
             assert abs(expected) > 1e-9  # floats are safely away from zero
@@ -310,8 +314,9 @@ def test_xi_append_fails_at_the_boundary():
     # appending a singleton to (2, 1) decreases the functional: the append
     # step is only valid with at most total-2 parts
     assert xi_float((2, 1, 1)) < xi_float((2, 1))
+    log = memoised_log()
     sign, _, _ = decide_sign(
-        lambda: _xi_capital_iv((2, 1, 1)) - _xi_capital_iv((2, 1))
+        lambda: _xi_capital_iv((2, 1, 1), log) - _xi_capital_iv((2, 1), log)
     )
     assert sign == -1
     report = verify_xi_claims(12)
@@ -327,6 +332,115 @@ def test_merge_step_special_value_is_exact():
 def test_xi_claims_rejects_tiny_bound():
     with pytest.raises(ValueError):
         verify_xi_claims(2)
+
+
+# -- memoised intervals against the literal expressions ---------------------------------
+
+
+def literal_xi_capital(parts):
+    """The functional as written, with a fresh iv.log for every logarithm."""
+    x = sum(parts) - 1
+    weighted = iv.mpf(0)
+    for p in parts:
+        if p > 1:
+            weighted += p * iv.log(iv.mpf(p))
+    log_facts = iv.mpf(0)
+    for p in parts:
+        log_facts += iv.log(iv.mpf(math.factorial(p)))
+    ratio = iv.mpf(x) / (x + 1)
+    return ratio * weighted - log_facts + (x - 1) * iv.log(ratio)
+
+
+def literal_smallest_log(sizes):
+    """The logarithmic form of the smallest inequality as written."""
+    d = sum(sizes) - 1
+    rhs = iv.mpf(0)
+    for x in sizes:
+        rhs += x * iv.log(iv.mpf(x))
+    rhs *= iv.mpf(d) / (d + 1)
+    for x in sizes:
+        rhs -= iv.log(iv.mpf(math.factorial(x)))
+    lhs = (d - 1) * (iv.log(iv.mpf(d + 1)) - iv.log(iv.mpf(d)))
+    return rhs - lhs
+
+
+def literal_xi_decisions(max_x, evaluated):
+    """The expressions verify_xi_claims decides, in its order; every value
+    of the functional they compute is added to ``evaluated`` as
+    (partition, precision)."""
+
+    def capital(parts):
+        evaluated.add((parts, iv.prec))
+        return literal_xi_capital(parts)
+
+    expressions = []
+    for total in range(3, max_x + 1):
+        for parts in integer_partitions(total):
+            if len(parts) <= total - 2:
+                expressions.append(lambda a=parts + (1,), b=parts: capital(a) - capital(b))
+            if len(parts) >= 2 and parts[-1] == 1 and len(parts) <= total - 1:
+                merged = parts[:-2] + (parts[-2] + 1,)
+                expressions.append(lambda a=merged, b=parts: capital(a) - capital(b))
+    expressions.extend(lambda x=x: _xi_small_iv(x) for x in range(2, max_x + 1))
+    return expressions
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """Every (start_bits, sign, a, b, bits) that covolume's decide_sign returns."""
+    seen = []
+
+    def recording(expression, start_bits=None):
+        sign, value, bits = decide_sign(expression, start_bits=start_bits)
+        seen.append((start_bits, sign, value.a, value.b, bits))
+        return sign, value, bits
+
+    monkeypatch.delenv("COLOURED_NERETIN_PRECISION", raising=False)
+    monkeypatch.setattr(covolume, "decide_sign", recording)
+    return seen
+
+
+def literal_decision(expression, start_bits):
+    sign, value, bits = decide_sign(expression, start_bits=start_bits)
+    return (start_bits, sign, value.a, value.b, bits)
+
+
+@pytest.mark.parametrize("max_x, start_bits", [(12, None), (14, 4)])
+def test_xi_claims_match_the_literal_expressions(decisions, monkeypatch, max_x, start_bits):
+    calls = []
+
+    def counted(parts, log):
+        calls.append((parts, iv.prec))
+        return _xi_capital_iv(parts, log)
+
+    monkeypatch.setattr(covolume, "_xi_capital_iv", counted)
+    report = verify_xi_claims(max_x, start_bits=start_bits)
+    assert report.ok
+    evaluated = set()
+    expected = [
+        literal_decision(expression, start_bits)
+        for expression in literal_xi_decisions(max_x, evaluated)
+    ]
+    assert decisions == expected
+    assert report.max_bits == max(bits for *_, bits in expected)
+    # each value of the functional is computed once per precision
+    assert sorted(calls) == sorted(evaluated)
+    if start_bits is None:
+        assert len(calls) == 441 and report.max_bits == 128
+    else:
+        assert report.max_bits > start_bits  # the decisions escalate
+
+
+@pytest.mark.parametrize("start_bits", [None, 3])
+def test_smallest_log_sign_matches_the_literal_expression(decisions, start_bits):
+    expected = []
+    for d in range(2, 10):
+        for sizes in integer_partitions(d + 1):
+            smallest_log_sign(sizes, start_bits=start_bits)
+            expected.append(literal_decision(lambda: literal_smallest_log(sizes), start_bits))
+    assert decisions == expected
+    if start_bits is not None:
+        assert any(bits > start_bits for *_, bits in decisions)
 
 
 # -- prime windows -------------------------------------------------------------------
