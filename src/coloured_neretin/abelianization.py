@@ -14,24 +14,45 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 
 class IntMatrix:
-    """Immutable rectangular matrix of arbitrary-precision integers."""
+    """Immutable rectangular matrix of arbitrary-precision integers.
+
+    ``IntMatrix(entries)`` checks its input; the matrices this module
+    derives from checked ones are built by ``_trusted`` without a second
+    pass over their entries."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(tuple(row) for row in entries)
         if not entries or not entries[0]:
             raise ValueError("empty matrix")
         if any(len(row) != len(entries[0]) for row in entries):
             raise ValueError("ragged rows")
+        if not set(map(type, chain.from_iterable(entries))) <= {int}:
+            for i, row in enumerate(entries):
+                for j, x in enumerate(row):
+                    if type(x) is not int:
+                        raise ValueError(
+                            "entries[%d][%d] is not an integer: %r" % (i, j, x)
+                        )
         self.entries = entries
 
     @classmethod
+    def _trusted(cls, rows):
+        """A matrix from nonempty rows of ints of equal length, unchecked."""
+        matrix = object.__new__(cls)
+        matrix.entries = tuple(map(tuple, rows))
+        return matrix
+
+    @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("empty matrix")
+        return cls._trusted([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def rows(self):
@@ -52,25 +73,25 @@ class IntMatrix:
         return hash(self.entries)
 
     def transpose(self):
-        return IntMatrix(list(zip(*self.entries)))
+        return IntMatrix._trusted(zip(*self.entries))
 
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch: %dx%d times %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         columns = list(zip(*other.entries))
-        return IntMatrix([
+        return IntMatrix._trusted(
             [sum(map(operator.mul, row, column)) for column in columns]
             for row in self.entries
-        ])
+        )
 
     def sub(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
-        return IntMatrix([
-            [a - b for a, b in zip(ra, rb)]
+        return IntMatrix._trusted(
+            map(operator.sub, ra, rb)
             for ra, rb in zip(self.entries, other.entries)
-        ])
+        )
 
     def __repr__(self):
         return "IntMatrix(%dx%d)" % (self.rows, self.cols)
@@ -206,8 +227,8 @@ def smith_normal_form(matrix):
     nonzero = [x for x in diagonal if x]
     assert len(nonzero) + diagonal.count(0) == len(diagonal)
 
-    s_matrix = IntMatrix(s)
-    t_matrix = IntMatrix(t)
+    s_matrix = IntMatrix._trusted(s)
+    t_matrix = IntMatrix._trusted(t)
     product = s_matrix.mul(matrix).mul(t_matrix)
     for i in range(m):
         for j in range(n):
@@ -341,7 +362,7 @@ def build_sft_graph(orbit_sizes, orbit_colours=None):
         for j in range(1, si):
             entries[index[("D", i)]][index[("delta", i, j)]] = 1
             entries[index[("delta", i, j)]][index[("D", i)]] = 1
-    matrix = IntMatrix(entries)
+    matrix = IntMatrix._trusted(entries)
 
     for i in range(len(orbit_sizes)):
         row = matrix.entries[index[("D", i)]]

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from mpmath import iv
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub, mpi_zero
 
 from .abelianization import check_orbit_sizes
-from .intervals import decide_sign, interval_width, memoised_log
+from .intervals import _int_interval, decide_sign, interval_width, memoised_log
 
 
 def exact_div(a, b):
@@ -222,15 +222,17 @@ def smallest_log_sign(orbit_sizes, start_bits=None):
     sizes, d = check_orbit_sizes(orbit_sizes)
     log = memoised_log()
 
-    def expression():
-        rhs = iv.mpf(0)
+    def expression(prec):
+        rhs = mpi_zero
         for x in sizes:
-            rhs += x * log(x)
-        rhs *= iv.mpf(d) / (d + 1)
+            rhs = mpi_add(rhs, mpi_mul(_int_interval(x, prec), log(x, prec), prec), prec)
+        ratio = mpi_div(_int_interval(d, prec), _int_interval(d + 1, prec), prec)
+        rhs = mpi_mul(rhs, ratio, prec)
         for x in sizes:
-            rhs -= log(factorial(x))
-        lhs = (d - 1) * (log(d + 1) - log(d))
-        return rhs - lhs
+            rhs = mpi_sub(rhs, log(factorial(x), prec), prec)
+        gap = mpi_sub(log(d + 1, prec), log(d, prec), prec)
+        lhs = mpi_mul(_int_interval(d - 1, prec), gap, prec)
+        return mpi_sub(rhs, lhs, prec)
 
     return decide_sign(expression, start_bits=start_bits)
 
@@ -321,29 +323,36 @@ def ratio_slope(orbit_sizes, n_low, n_high):
     return (log_ratio(sizes, n_high) - log_ratio(sizes, n_low)) / run
 
 
-def _xi_capital_iv(parts, log):
-    """The comparison functional on an orbit-size vector, in intervals;
-    ``log`` is a ``memoised_log``."""
+def _xi_capital_iv(parts, log, prec):
+    """The comparison functional on an orbit-size vector, as an endpoint
+    pair at prec bits; ``log`` is a ``memoised_log``."""
     x = sum(parts) - 1
-    weighted = iv.mpf(0)
+    weighted = mpi_zero
     for p in parts:
         if p > 1:
-            weighted += p * log(p)
-    log_facts = iv.mpf(0)
+            weighted = mpi_add(
+                weighted, mpi_mul(_int_interval(p, prec), log(p, prec), prec), prec
+            )
+    log_facts = mpi_zero
     for p in parts:
-        log_facts += log(factorial(p))
-    ratio = iv.mpf(x) / (x + 1)
-    return ratio * weighted - log_facts + (x - 1) * log(Fraction(x, x + 1))
+        log_facts = mpi_add(log_facts, log(factorial(p), prec), prec)
+    ratio = mpi_div(_int_interval(x, prec), _int_interval(x + 1, prec), prec)
+    tail = mpi_mul(_int_interval(x - 1, prec), log(Fraction(x, x + 1), prec), prec)
+    return mpi_add(mpi_sub(mpi_mul(ratio, weighted, prec), log_facts, prec), tail, prec)
 
 
-def _xi_small_iv(x):
-    """The single-variable tail function of the append-a-fixed-point step."""
-    x = iv.mpf(x)
-    return (
-        iv.log((x + 1) / (x - 1)) / (x + 2)
-        - x * iv.log((x + 2) / (x + 1))
-        + (x - 1) * iv.log((x + 1) / x)
-    )
+def _xi_small_iv(x, prec):
+    """The single-variable tail function of the append-a-fixed-point step,
+    as an endpoint pair at prec bits."""
+    one = _int_interval(1, prec)
+    x = _int_interval(x, prec)
+    up = mpi_add(x, one, prec)
+    down = mpi_sub(x, one, prec)
+    up2 = mpi_add(x, _int_interval(2, prec), prec)
+    first = mpi_div(mpi_log(mpi_div(up, down, prec), prec), up2, prec)
+    second = mpi_mul(x, mpi_log(mpi_div(up2, up, prec), prec), prec)
+    third = mpi_mul(down, mpi_log(mpi_div(up, x, prec), prec), prec)
+    return mpi_add(mpi_sub(first, second, prec), third, prec)
 
 
 @dataclass
@@ -385,13 +394,13 @@ def verify_xi_claims(max_x, start_bits=None):
     log = memoised_log()
     capital = {}
 
-    def xi(parts):
+    def xi(parts, prec):
         # keyed on the tuple as given: a merged tuple need not be sorted,
         # and its order is the order of the sums
-        key = (parts, iv.prec)
+        key = (parts, prec)
         value = capital.get(key)
         if value is None:
-            value = capital[key] = _xi_capital_iv(parts, log)
+            value = capital[key] = _xi_capital_iv(parts, log, prec)
         return value
 
     failures = []
@@ -414,7 +423,7 @@ def verify_xi_claims(max_x, start_bits=None):
             if len(parts) <= total - 2:
                 bigger = parts + (1,)
                 sign, value, bits = decide_sign(
-                    lambda a=bigger, b=parts: xi(a) - xi(b),
+                    lambda prec, a=bigger, b=parts: mpi_sub(xi(a, prec), xi(b, prec), prec),
                     start_bits=start_bits,
                 )
                 append_checked += 1
@@ -422,14 +431,14 @@ def verify_xi_claims(max_x, start_bits=None):
             if len(parts) >= 2 and parts[-1] == 1 and len(parts) <= total - 1:
                 merged = parts[:-2] + (parts[-2] + 1,)
                 sign, value, bits = decide_sign(
-                    lambda a=merged, b=parts: xi(a) - xi(b),
+                    lambda prec, a=merged, b=parts: mpi_sub(xi(a, prec), xi(b, prec), prec),
                     start_bits=start_bits,
                 )
                 merge_checked += 1
                 record(("merge", parts), sign, bits, value)
     for x in range(2, max_x + 1):
         sign, value, bits = decide_sign(
-            lambda x=x: _xi_small_iv(x), start_bits=start_bits
+            lambda prec, x=x: _xi_small_iv(x, prec), start_bits=start_bits
         )
         tail_checked += 1
         record(("tail", x), sign, bits, value)

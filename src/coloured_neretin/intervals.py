@@ -1,11 +1,17 @@
 """Adaptive-precision interval sign decisions.
 
-Inequalities that mix incommensurable logarithms are decided by evaluating
-the difference in mpmath interval arithmetic, doubling the working
-precision until the interval excludes zero.  The starting precision comes
-from the COLOURED_NERETIN_PRECISION environment variable (bits, default
-128); an inequality that stays undecided at the precision cap is reported
-as undecided, never as true or false.
+Inequalities that mix incommensurable logarithms are decided in interval
+arithmetic on mpmath's endpoint pairs (``mpmath.libmp.libmpi``): an
+expression takes the working precision in bits and returns a pair (a, b)
+of mpf endpoints built with ``mpi_add``, ``mpi_sub``, ``mpi_mul``,
+``mpi_div`` and ``mpi_log`` at that precision, an int n entering as
+``_int_interval(n, bits)``.  The precision doubles until the interval
+excludes zero.  Precision is always passed explicitly: no decision reads
+or writes the global ``iv.prec`` of mpmath's interval context, so
+decisions may nest.  The starting precision comes from the
+COLOURED_NERETIN_PRECISION environment variable (bits, default 128); an
+inequality that stays undecided at the precision cap is reported as
+undecided, never as true or false.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import os
 from fractions import Fraction
 
 from mpmath import iv
+from mpmath.libmp import from_int, mpf_sign, round_ceiling, round_floor
+from mpmath.libmp.libmpi import mpi_div, mpi_log
 
 MAX_BITS = 1 << 14
 
@@ -26,29 +34,29 @@ def default_precision():
     return max(16, bits)
 
 
-def decide_sign(expression, start_bits=None, max_bits=MAX_BITS):
-    """Sign of expression() evaluated in interval arithmetic.
+def _int_interval(n, prec):
+    """The int n as an endpoint pair at prec bits, rounded outwards; the
+    pair mpmath's interval context makes of an int at that precision."""
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
-    ``expression`` is called with no arguments and must build its value from
-    the ``mpmath.iv`` context.  Returns (sign, interval, bits) where sign is
-    +1, -1 or None (undecided at max_bits) and bits is the precision that
+
+def decide_sign(expression, start_bits=None, max_bits=MAX_BITS):
+    """Sign of the interval expression(bits).
+
+    ``expression`` is called with the working precision in bits and returns
+    an endpoint pair (a, b) computed at that precision (see the module
+    docstring); ``iv.prec`` is never read or written.  Returns (sign, value,
+    bits) where sign is +1, -1 or None (undecided at max_bits), value is the
+    last pair as an ``mpmath.iv`` interval and bits is the precision that
     settled the question, or the last one tried when none did.  A start
     above max_bits is lowered to max_bits.
     """
     bits = min(start_bits if start_bits is not None else default_precision(), max_bits)
     while True:
-        saved = iv.prec
-        try:
-            iv.prec = bits
-            value = expression()
-        finally:
-            iv.prec = saved
-        if value.a > 0:
-            return 1, value, bits
-        if value.b < 0:
-            return -1, value, bits
-        if 2 * bits > max_bits:
-            return None, value, bits
+        a, b = expression(bits)
+        sign = 1 if mpf_sign(a) > 0 else -1 if mpf_sign(b) < 0 else None
+        if sign is not None or 2 * bits > max_bits:
+            return sign, iv.make_mpf((a, b)), bits
         bits *= 2
 
 
@@ -56,24 +64,28 @@ def memoised_log():
     """A fresh interval logarithm that evaluates each argument once per
     precision.
 
-    The returned ``log(x)`` takes an int or a Fraction and returns
-    ``iv.log(iv.mpf(x))`` (for a Fraction n/m, ``iv.log(iv.mpf(n) / m)``)
-    at the current ``iv.prec``, kept under the key (x, iv.prec); a later
-    call with the same key returns the same interval.  The table lives as
-    long as the returned function, so make one per public call: no
+    The returned ``log(x, prec)`` takes an int or a Fraction and returns
+    the endpoint pair ``mpi_log`` gives at prec bits for the int x (for a
+    Fraction n/m, for ``mpi_div`` of n by m), kept under the key (x, prec);
+    a later call with the same key returns the same pair.  The table lives
+    as long as the returned function, so make one per public call: no
     interval outlives the call that decides with it.
     """
     values = {}
 
-    def log(x):
-        key = (x, iv.prec)
+    def log(x, prec):
+        key = (x, prec)
         value = values.get(key)
         if value is None:
             if type(x) is Fraction:
-                value = iv.log(iv.mpf(x.numerator) / x.denominator)
+                value = mpi_div(
+                    _int_interval(x.numerator, prec),
+                    _int_interval(x.denominator, prec),
+                    prec,
+                )
             else:
-                value = iv.log(iv.mpf(x))
-            values[key] = value
+                value = _int_interval(x, prec)
+            value = values[key] = mpi_log(value, prec)
         return value
 
     return log

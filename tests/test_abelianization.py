@@ -68,6 +68,24 @@ def test_mul_rejects_mismatched_dimensions():
     assert str(info.value) == "dimension mismatch: 1x3 times 1x2"
 
 
+@pytest.mark.parametrize("bad", [2.5, 4.0, "7", True, False])
+def test_int_matrix_rejects_non_integer_entries(bad):
+    # int() used to truncate these: [[2.5, 0], [0, 4.2]] had factors (2, 4)
+    for entries, where in (
+        ([[bad, 0], [0, 4]], "entries[0][0]"),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, bad]], "entries[2][2]"),
+        ([[1, 2], [bad, 3]], "entries[1][0]"),
+    ):
+        with pytest.raises(ValueError) as info:
+            IntMatrix(entries)
+        assert str(info.value) == "%s is not an integer: %r" % (where, bad)
+    for entries, message in (([], "empty matrix"), ([[]], "empty matrix"),
+                             ([[1], [1, 2]], "ragged rows")):
+        with pytest.raises(ValueError) as info:
+            IntMatrix(entries)
+        assert str(info.value) == message
+
+
 def test_bareiss_determinant_matches_sympy():
     rng = random.Random(41)
     for _ in range(60):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv
+from mpmath.libmp.libmpi import mpi_sub
 from sympy import primerange
 
 from coloured_neretin import (
@@ -29,8 +30,8 @@ from coloured_neretin import (
     window_primes,
 )
 from coloured_neretin import covolume
-from coloured_neretin.covolume import _xi_capital_iv, _xi_small_iv, exact_div
-from coloured_neretin.intervals import memoised_log
+from coloured_neretin.covolume import _xi_capital_iv, exact_div
+from coloured_neretin.intervals import MAX_BITS, default_precision, memoised_log
 
 
 # -- oracles ------------------------------------------------------------------
@@ -304,7 +305,9 @@ def test_xi_interval_signs_match_float_oracle():
             bigger = parts + (1,)
             expected = xi_float(bigger) - xi_float(parts)
             sign, _, _ = decide_sign(
-                lambda a=bigger, b=parts: _xi_capital_iv(a, log) - _xi_capital_iv(b, log)
+                lambda prec, a=bigger, b=parts: mpi_sub(
+                    _xi_capital_iv(a, log, prec), _xi_capital_iv(b, log, prec), prec
+                )
             )
             assert sign == (1 if expected > 0 else -1)
             assert abs(expected) > 1e-9  # floats are safely away from zero
@@ -316,7 +319,9 @@ def test_xi_append_fails_at_the_boundary():
     assert xi_float((2, 1, 1)) < xi_float((2, 1))
     log = memoised_log()
     sign, _, _ = decide_sign(
-        lambda: _xi_capital_iv((2, 1, 1), log) - _xi_capital_iv((2, 1), log)
+        lambda prec: mpi_sub(
+            _xi_capital_iv((2, 1, 1), log, prec), _xi_capital_iv((2, 1), log, prec), prec
+        )
     )
     assert sign == -1
     report = verify_xi_claims(12)
@@ -334,7 +339,27 @@ def test_xi_claims_rejects_tiny_bound():
         verify_xi_claims(2)
 
 
-# -- memoised intervals against the literal expressions ---------------------------------
+# -- endpoint-pair intervals against the literal expressions -----------------------------
+
+
+def literal_decide_sign(expression, start_bits=None, max_bits=MAX_BITS):
+    """The escalation loop on mpmath's interval context: sets the global
+    iv.prec and evaluates a zero-argument iv expression."""
+    bits = min(start_bits if start_bits is not None else default_precision(), max_bits)
+    while True:
+        saved = iv.prec
+        try:
+            iv.prec = bits
+            value = expression()
+        finally:
+            iv.prec = saved
+        if value.a > 0:
+            return 1, value, bits
+        if value.b < 0:
+            return -1, value, bits
+        if 2 * bits > max_bits:
+            return None, value, bits
+        bits *= 2
 
 
 def literal_xi_capital(parts):
@@ -349,6 +374,16 @@ def literal_xi_capital(parts):
         log_facts += iv.log(iv.mpf(math.factorial(p)))
     ratio = iv.mpf(x) / (x + 1)
     return ratio * weighted - log_facts + (x - 1) * iv.log(ratio)
+
+
+def literal_xi_small(x):
+    """The tail function of the append step as written."""
+    x = iv.mpf(x)
+    return (
+        iv.log((x + 1) / (x - 1)) / (x + 2)
+        - x * iv.log((x + 2) / (x + 1))
+        + (x - 1) * iv.log((x + 1) / x)
+    )
 
 
 def literal_smallest_log(sizes):
@@ -381,7 +416,7 @@ def literal_xi_decisions(max_x, evaluated):
             if len(parts) >= 2 and parts[-1] == 1 and len(parts) <= total - 1:
                 merged = parts[:-2] + (parts[-2] + 1,)
                 expressions.append(lambda a=merged, b=parts: capital(a) - capital(b))
-    expressions.extend(lambda x=x: _xi_small_iv(x) for x in range(2, max_x + 1))
+    expressions.extend(lambda x=x: literal_xi_small(x) for x in range(2, max_x + 1))
     return expressions
 
 
@@ -401,17 +436,17 @@ def decisions(monkeypatch):
 
 
 def literal_decision(expression, start_bits):
-    sign, value, bits = decide_sign(expression, start_bits=start_bits)
+    sign, value, bits = literal_decide_sign(expression, start_bits=start_bits)
     return (start_bits, sign, value.a, value.b, bits)
 
 
-@pytest.mark.parametrize("max_x, start_bits", [(12, None), (14, 4)])
+@pytest.mark.parametrize("max_x, start_bits", [(12, None), (14, 4), (12, 3), (9, 5)])
 def test_xi_claims_match_the_literal_expressions(decisions, monkeypatch, max_x, start_bits):
     calls = []
 
-    def counted(parts, log):
-        calls.append((parts, iv.prec))
-        return _xi_capital_iv(parts, log)
+    def counted(parts, log, prec):
+        calls.append((parts, prec))
+        return _xi_capital_iv(parts, log, prec)
 
     monkeypatch.setattr(covolume, "_xi_capital_iv", counted)
     report = verify_xi_claims(max_x, start_bits=start_bits)
@@ -431,7 +466,7 @@ def test_xi_claims_match_the_literal_expressions(decisions, monkeypatch, max_x, 
         assert report.max_bits > start_bits  # the decisions escalate
 
 
-@pytest.mark.parametrize("start_bits", [None, 3])
+@pytest.mark.parametrize("start_bits", [None, 3, 5])
 def test_smallest_log_sign_matches_the_literal_expression(decisions, start_bits):
     expected = []
     for d in range(2, 10):

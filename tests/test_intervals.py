@@ -1,19 +1,44 @@
 """Adaptive-precision sign decisions: escalation, caps, environment knob."""
 
 from mpmath import iv
+from mpmath.libmp import from_int, mpf_pi, round_ceiling, round_floor
+from mpmath.libmp.libmpi import (
+    mpi_add,
+    mpi_exp,
+    mpi_log,
+    mpi_mul,
+    mpi_neg,
+    mpi_pow_int,
+    mpi_sub,
+    mpi_zero,
+)
 
-from coloured_neretin import decide_sign, default_precision, interval_width
+from coloured_neretin import (
+    decide_sign,
+    default_precision,
+    interval_width,
+    smallest_log_sign,
+    verify_xi_claims,
+)
+
+
+def exact(n):
+    """The int n as a one-point endpoint pair, unrounded."""
+    value = from_int(n)
+    return value, value
 
 
 def test_decide_sign_clearly_positive():
-    sign, value, bits = decide_sign(lambda: iv.log(2), start_bits=64)
+    sign, value, bits = decide_sign(lambda bits: mpi_log(exact(2), bits), start_bits=64)
     assert sign == 1
     assert value.a > 0
     assert bits == 64  # no escalation needed
 
 
 def test_decide_sign_clearly_negative():
-    sign, value, bits = decide_sign(lambda: -iv.exp(1), start_bits=64)
+    sign, value, bits = decide_sign(
+        lambda bits: mpi_neg(mpi_exp(exact(1), bits), bits), start_bits=64
+    )
     assert sign == -1
     assert value.b < 0
     assert bits == 64
@@ -21,8 +46,10 @@ def test_decide_sign_clearly_negative():
 
 def test_decide_sign_escalates_precision_for_tiny_differences():
     # log(10^50 + 1) - 50*log(10) is about 1e-50; 16 bits cannot resolve it.
-    def expr():
-        return iv.log(iv.mpf(10) ** 50 + 1) - 50 * iv.log(10)
+    def expr(bits):
+        big = mpi_add(mpi_pow_int(exact(10), 50, bits), exact(1), bits)
+        tens = mpi_mul(exact(50), mpi_log(exact(10), bits), bits)
+        return mpi_sub(mpi_log(big, bits), tens, bits)
 
     sign, value, bits = decide_sign(expr, start_bits=16)
     assert sign == 1
@@ -31,7 +58,7 @@ def test_decide_sign_escalates_precision_for_tiny_differences():
 
 
 def test_decide_sign_exact_zero_is_undecided():
-    sign, value, bits = decide_sign(lambda: iv.mpf(1) - iv.mpf(1),
+    sign, value, bits = decide_sign(lambda bits: mpi_sub(exact(1), exact(1), bits),
                                     start_bits=32, max_bits=128)
     assert sign is None
     assert value.a <= 0 <= value.b
@@ -39,23 +66,35 @@ def test_decide_sign_exact_zero_is_undecided():
 
 
 def test_undecided_reports_the_last_precision_tried():
-    sign, value, bits = decide_sign(lambda: iv.mpf(0), max_bits=256)
+    sign, value, bits = decide_sign(lambda bits: mpi_zero, max_bits=256)
     assert (sign, value, bits) == (None, iv.mpf(0), 256)
 
 
-def test_decide_sign_restores_global_precision():
-    before = iv.prec
-    decide_sign(lambda: iv.log(2), start_bits=333)
-    assert iv.prec == before
+def test_no_interval_call_sets_the_global_precision(monkeypatch):
+    context = type(iv)
+    prec = context.prec
+    writes = []
+
+    def spy(ctx, value):
+        writes.append(value)
+        prec.fset(ctx, value)
+
+    monkeypatch.setattr(context, "prec", property(prec.fget, spy))
+    verify_xi_claims(12)
+    verify_xi_claims(9, start_bits=4)
+    smallest_log_sign((2, 2, 3))
+    assert writes == []
+    decide_sign(lambda bits: mpi_log(exact(2), bits), start_bits=333)
+    assert writes == []
 
 
 def test_decide_sign_reads_default_precision(monkeypatch):
     monkeypatch.setenv("COLOURED_NERETIN_PRECISION", "512")
     seen = []
 
-    def expr():
-        seen.append(iv.prec)
-        return iv.mpf(1)
+    def expr(bits):
+        seen.append(bits)
+        return exact(1)
 
     sign, _, bits = decide_sign(expr)
     assert sign == 1
@@ -82,6 +121,10 @@ def test_interval_width():
 
 
 def test_decide_sign_reports_the_settling_interval():
-    sign, value, bits = decide_sign(lambda: iv.pi - 3, start_bits=53)
+    def expr(bits):
+        pi = mpf_pi(bits, round_floor), mpf_pi(bits, round_ceiling)
+        return mpi_sub(pi, exact(3), bits)
+
+    sign, value, bits = decide_sign(expr, start_bits=53)
     assert sign == 1
     assert 0.1415 < float(value.a) <= float(value.b) < 0.1416
