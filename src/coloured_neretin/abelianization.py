@@ -14,7 +14,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 
 class IntMatrix:
@@ -32,13 +31,10 @@ class IntMatrix:
             raise ValueError("empty matrix")
         if any(len(row) != len(entries[0]) for row in entries):
             raise ValueError("ragged rows")
-        if not set(map(type, chain.from_iterable(entries))) <= {int}:
-            for i, row in enumerate(entries):
-                for j, x in enumerate(row):
-                    if type(x) is not int:
-                        raise ValueError(
-                            "entries[%d][%d] is not an integer: %r" % (i, j, x)
-                        )
+        for i, row in enumerate(entries):
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    raise ValueError("entries[%d][%d] is not an integer: %r" % (i, j, x))
         self.entries = entries
 
     @classmethod
