@@ -26,6 +26,7 @@ import json
 import random
 import sys
 import time
+from functools import cache
 
 from .abelianization import (
     build_sft_graph,
@@ -554,7 +555,11 @@ def cmd_selftest(args):
 # -- parser ----------------------------------------------------------------------
 
 
+@cache
 def build_parser():
+    """The command line parser, built on first use and kept for the process:
+    it holds no per-request state, since ``parse_args`` returns a fresh
+    namespace and looks up ``sys.stdout`` and ``sys.stderr`` when it writes."""
     parser = argparse.ArgumentParser(
         prog="coloured-neretin",
         description=__doc__,

@@ -21,7 +21,13 @@ from math import factorial
 from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub, mpi_zero
 
 from .abelianization import check_orbit_sizes
-from .intervals import _int_interval, decide_sign, interval_width, memoised_log
+from .intervals import (
+    _int_interval,
+    decide_sign,
+    default_precision,
+    interval_width,
+    memoised_log,
+)
 
 
 def exact_div(a, b):
@@ -220,6 +226,8 @@ def smallest_log_sign(orbit_sizes, start_bits=None):
     of the form itself, so the interval is the one the plain form gives.
     """
     sizes, d = check_orbit_sizes(orbit_sizes)
+    if start_bits is None:
+        start_bits = default_precision()
     log = memoised_log()
 
     def expression(prec):
@@ -391,6 +399,8 @@ def verify_xi_claims(max_x, start_bits=None):
     """
     if max_x < 3:
         raise ValueError("max_x must be at least 3")
+    if start_bits is None:
+        start_bits = default_precision()
     log = memoised_log()
     capital = {}
 

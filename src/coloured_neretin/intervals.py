@@ -20,7 +20,7 @@ import os
 from fractions import Fraction
 
 from mpmath import iv
-from mpmath.libmp import from_int, mpf_sign, round_ceiling, round_floor
+from mpmath.libmp import from_int, mpf_sign, mpf_sub, round_ceiling, round_floor, to_float
 from mpmath.libmp.libmpi import mpi_div, mpi_log
 
 MAX_BITS = 1 << 14
@@ -92,4 +92,7 @@ def memoised_log():
 
 
 def interval_width(value):
-    return float(value.b - value.a)
+    """Width b - a of an ``mpmath.iv`` interval as a float, rounded up:
+    the endpoints are subtracted at 53 bits, not at ``iv.prec``."""
+    a, b = value._mpi_
+    return to_float(mpf_sub(b, a, 53, round_ceiling), rnd=round_ceiling)

@@ -219,7 +219,7 @@ def _sift(transversals, g, start=0):
     return g, len(g)
 
 
-def _stabilizer_chain(generators, degree):
+def _stabilizer_chain(generators, degree, bound):
     """Strong generators and transversals of <generators> on base 0..degree-1.
 
     Incremental Schreier-Sims: levels are completed from d back to 0.
@@ -229,6 +229,16 @@ def _stabilizer_chain(generators, degree):
     the level where it left the chain, and the work resumes there.
     Transversal entries are never replaced, so a pair that sifted once stays
     settled and is not tested again.
+
+    ``bound`` is a known upper bound on the group order, and the chain stops
+    as soon as the product of the transversal sizes reaches it, checked
+    after each level's orbit is closed (Seress, 2003, sec. 4.5).  That is
+    sound because every transversal T_i lies in the true basic orbit
+    Delta_i, so prod |T_i| <= prod |Delta_i| = |G| <= bound: equality
+    forces T_i = Delta_i at every level.  Each entry of T_j is a word in
+    the strong generators of level j, so strong[i] then generates the
+    stabilizer G_i = T_i T_(i+1) ... T_d, and sifting, the order and the
+    level orbits are exact.  Other groups test every Schreier generator.
     """
     ident = tuple(range(degree))
     strong = [[] for _ in range(degree)]  # strong[i]: generators fixing 0..i-1
@@ -239,9 +249,8 @@ def _stabilizer_chain(generators, degree):
         for i in range(level + 1):
             strong[i].append(g)
 
-    def unsettled(level):
-        """Close level's orbit, then return the first Schreier generator of
-        the level that leaves the chain, as (residue, level left), or None."""
+    def close(level):
+        """Extend level's transversal to the orbit of its strong generators."""
         gens, table = strong[level], transversals[level]
         frontier = list(table)
         for p in frontier:
@@ -250,6 +259,11 @@ def _stabilizer_chain(generators, degree):
                     v = _mul(s, table[p][0])
                     table[s[p]] = (v, _inverse(v))
                     frontier.append(s[p])
+
+    def unsettled(level):
+        """The first Schreier generator of the closed level that leaves the
+        chain, as (residue, level left), or None."""
+        gens, table = strong[level], transversals[level]
         for p, (u, _) in table.items():
             for k, s in enumerate(gens):
                 if (p, k) not in tested[level]:
@@ -266,6 +280,9 @@ def _stabilizer_chain(generators, degree):
             add(g, level)
     level = degree - 1
     while level >= 0:
+        close(level)
+        if prod(map(len, transversals)) == bound:
+            break
         found = unsettled(level)
         if found is None:
             level -= 1
@@ -279,28 +296,32 @@ class ColourGroup:
     """A subgroup F of Sym({0..d}) as a stabilizer chain, with its orbit data.
 
     Immutable after construction.  ``order`` is the product of the
-    transversal sizes; membership sifts through the chain.  ``orbits`` is
-    sorted by minimal colour; ``orbit_of[c]`` gives the orbit index of
-    colour c.  ``elements`` enumerates F in image-tuple order, which no
-    library code needs.
+    transversal sizes; membership sifts through the chain.  The chain
+    stops testing Schreier generators once that product reaches
+    prod |O_i|! over the orbits O_i, the largest order F can have (see
+    ``_stabilizer_chain``); other groups have all of theirs tested.
+    ``orbits`` is sorted by minimal colour; ``orbit_of[c]`` gives the orbit
+    index of colour c.  ``elements`` enumerates F in image-tuple order,
+    which no library code needs.
     """
 
     def __init__(self, generators, degree):
         self.generators = tuple(generators)
         self.degree = degree
         self._identity = identity(degree)
-        self._strong, self._transversals = _stabilizer_chain(
-            [g.images for g in self.generators], degree
-        )
-        self.order = prod(len(table) for table in self._transversals)
-
-        labels = _orbit_labels([g.images for g in self.generators], degree)
+        images = [g.images for g in self.generators]
+        labels = _orbit_labels(images, degree)
         self.orbit_reps = tuple(c for c, label in enumerate(labels) if c == label)
         self.orbit_of = {c: self.orbit_reps.index(label) for c, label in enumerate(labels)}
         self.orbits = tuple(
             tuple(c for c, label in enumerate(labels) if label == rep) for rep in self.orbit_reps
         )
         self.orbit_sizes = tuple(len(orb) for orb in self.orbits)
+        # F lies in the product of the symmetric groups of its orbits
+        self._strong, self._transversals = _stabilizer_chain(
+            images, degree, prod(map(factorial, self.orbit_sizes))
+        )
+        self.order = prod(len(table) for table in self._transversals)
         self._hash = hash((degree, self.order, self.orbits))
 
     @property

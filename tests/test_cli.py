@@ -320,6 +320,27 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()  # swallow argparse usage chatter
 
 
+def test_one_parser_serves_every_request(tmp_path, capsys):
+    # the parser is built once per process, so no request may leak into the next
+    assert cli.build_parser() is cli.build_parser()
+    identity = identity_element(four_orbit_group())
+    path = write_element(tmp_path, "id.json", identity)
+    assert main(["sign", path, "--subset", "1,2,3,4", "--mode", "honest"]) == 0
+    assert "(mode=honest, target=vf): +1" in capsys.readouterr().out
+    assert main(["sign", path, "--subset", "1,2,3,4"]) == 0
+    assert "(mode=class, target=vf): +1" in capsys.readouterr().out
+    assert main(["compose", path]) == 2
+    assert "required: second" in capsys.readouterr().err
+    assert main(["compose", path, path]) == 0
+    assert read_element(capsys) == identity
+    helps = []
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1]
+    assert helps[0].out.startswith("usage: coloured-neretin") and helps[0].err == ""
+
+
 def test_subset_argument_forms(tmp_path, capsys):
     path = write_element(
         tmp_path, "id.json", identity_element(four_orbit_group())

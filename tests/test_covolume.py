@@ -436,6 +436,10 @@ def decisions(monkeypatch):
 
 
 def literal_decision(expression, start_bits):
+    """The literal decision, with the start precision that covolume's public
+    calls resolve once and pass to every decision."""
+    if start_bits is None:
+        start_bits = default_precision()
     sign, value, bits = literal_decide_sign(expression, start_bits=start_bits)
     return (start_bits, sign, value.a, value.b, bits)
 

@@ -1,7 +1,9 @@
 """Adaptive-precision sign decisions: escalation, caps, environment knob."""
 
+import math
+
 from mpmath import iv
-from mpmath.libmp import from_int, mpf_pi, round_ceiling, round_floor
+from mpmath.libmp import from_int, from_man_exp, mpf_pi, round_ceiling, round_floor
 from mpmath.libmp.libmpi import (
     mpi_add,
     mpi_exp,
@@ -20,6 +22,7 @@ from coloured_neretin import (
     smallest_log_sign,
     verify_xi_claims,
 )
+from coloured_neretin import covolume, intervals
 
 
 def exact(n):
@@ -118,6 +121,33 @@ def test_interval_width():
     assert interval_width(iv.mpf(3)) == 0.0
     # a decimal that is not a binary fraction has a genuine, tiny width
     assert 0 < interval_width(iv.mpf("0.1")) < 1e-15
+
+
+def test_interval_width_of_an_undecided_result():
+    # a wide interval whose endpoints need more than 53 bits: the width is
+    # taken from the endpoints, rounded up, whatever iv.prec is
+    sign, value, bits = decide_sign(
+        lambda bits: (from_int(-1), from_man_exp(2**100 + 1, -100)), start_bits=16, max_bits=64
+    )
+    assert sign is None and bits == 64
+    width = interval_width(value)
+    assert type(width) is float and math.isfinite(width)
+    assert 2 < width < 2 + 1e-15
+
+
+def test_public_calls_read_the_default_precision_once(monkeypatch):
+    reads = []
+
+    def counted():
+        reads.append(None)
+        return 128
+
+    monkeypatch.setattr(intervals, "default_precision", counted)
+    monkeypatch.setattr(covolume, "default_precision", counted)
+    verify_xi_claims(12)
+    assert len(reads) == 1
+    smallest_log_sign((2, 2, 3))
+    assert len(reads) == 2
 
 
 def test_decide_sign_reports_the_settling_interval():

@@ -1,6 +1,6 @@
 import random
 from itertools import permutations as all_permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from sympy.combinatorics import Permutation as SymPerm
@@ -312,6 +312,90 @@ def test_chain_handles_large_symmetric_groups():
         # the least element sending chi to 0 is the cycle (0 1 ... chi)
         for chi in range(1, degree):
             assert maps[chi] == from_cycles([tuple(range(chi + 1))], degree)
+
+
+# -- the chain's stop at the orbit-product bound ---------------------------------
+
+
+def cycles_on(degree, *cycle_texts):
+    return [parse_cycles(text, degree) for text in cycle_texts]
+
+
+def full_symmetric(degree):
+    return [from_cycles([(0, 1)], degree), from_cycles([tuple(range(degree))], degree)]
+
+
+def criterion_12_groups():
+    """The groups criterion 12's random part builds, in its order: a prime
+    cycle, then random shuffles added one at a time."""
+    rng = random.Random(20260412)
+    for _ in range(30):
+        k = rng.choice((5, 6, 7, 8))
+        p = rng.choice([q for q in (2, 3, 5) if q <= k - 3])
+        generators = [from_cycles([tuple(rng.sample(range(k), p))], k)]
+        for _ in range(3):
+            yield list(generators), k
+            generators.append(random_permutation(rng, k))
+
+
+# (generators, degree): F is the full product of the symmetric groups on its
+# orbits, so the chain stops once its order reaches prod |O_i|!
+REACH_THE_BOUND = (
+    [pytest.param(full_symmetric(n), n, id="Sym(%d)" % n) for n in range(3, 9)]
+    + [
+        pytest.param(cycles_on(n, "(0 1)", "(2 3)", "(2 3 4)"), n, id="S2xS3-on-%d" % n)
+        for n in (5, 6)
+    ]
+    + [pytest.param([], n, id="trivial-%d" % n) for n in (1, 4)]
+)
+# F is a proper subgroup of that product, so every Schreier generator is tested
+BELOW_THE_BOUND = [
+    pytest.param(cycles_on(5, "(0 1 2)", "(0 1 2 3 4)"), 5, id="Alt(5)"),
+    pytest.param(cycles_on(6, "(0 1 2 3 4 5)"), 6, id="C6"),
+    pytest.param(list(four_orbit_group().generators), 7, id="four-orbit"),
+]
+
+
+def check_chain(gens, degree, rng):
+    """Order and membership against sympy; for degree <= 6, every least
+    element mapping against the brute-force closure."""
+    group = closure_enumerate(gens, degree)
+    oracle_group = sym_group(gens or [Permutation(range(degree))], degree)
+    assert group.order == oracle_group.order()
+    for _ in range(10):
+        outside = random_permutation(rng, degree)
+        inside = Permutation(range(degree))
+        for g in rng.choices(gens, k=6) if gens else ():
+            inside = inside * g
+        assert inside in group
+        assert (outside in group) == oracle_group.contains(
+            SymPerm(list(outside.images), size=degree)
+        )
+    if degree <= 6:
+        oracle = closure_oracle(gens, degree)
+        for chi in range(degree):
+            for image in group.orbits[group.orbit_of[chi]]:
+                least = min(g for g in oracle if g[chi] == image)
+                assert group.least_element_mapping(chi, image).images == least
+    return group
+
+
+@pytest.mark.parametrize("gens, degree", REACH_THE_BOUND)
+def test_chain_stops_at_the_orbit_product_bound(gens, degree):
+    group = check_chain(gens, degree, random.Random(109))
+    assert group.order == prod(factorial(size) for size in group.orbit_sizes)
+
+
+@pytest.mark.parametrize("gens, degree", BELOW_THE_BOUND)
+def test_chain_below_the_orbit_product_bound(gens, degree):
+    group = check_chain(gens, degree, random.Random(110))
+    assert group.order < prod(factorial(size) for size in group.orbit_sizes)
+
+
+def test_chain_on_criterion_12_groups():
+    rng = random.Random(111)
+    for gens, degree in criterion_12_groups():
+        check_chain(gens, degree, rng)
 
 
 # -- structural predicates --------------------------------------------------------
