@@ -21,13 +21,7 @@ from math import factorial
 from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub, mpi_zero
 
 from .abelianization import check_orbit_sizes
-from .intervals import (
-    _int_interval,
-    decide_sign,
-    default_precision,
-    interval_width,
-    memoised_log,
-)
+from .intervals import _int_interval, decide_sign, default_precision, interval_width, memoised_log
 
 
 def exact_div(a, b):
