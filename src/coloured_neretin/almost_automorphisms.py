@@ -84,7 +84,7 @@ class TreePairElement:
     reduce.
     """
 
-    __slots__ = ("group", "plane", "domain", "range", "_map")
+    __slots__ = ("group", "plane", "domain", "range", "_map", "_reduced")
 
     def __init__(self, group, domain, range_, pairs):
         if domain.d != group.d or range_.d != group.d:
@@ -110,6 +110,7 @@ class TreePairElement:
         self.domain = domain
         self.range = range_
         self._map = pairs
+        self._reduced = False
 
     # -- basic protocol ----------------------------------------------------
 
@@ -165,8 +166,10 @@ class TreePairElement:
         on their order.  Only the parent of a contracted vertex can become a
         new cherry, so candidates are kept on a worklist and the leaf map is
         contracted in place; both trees are built once, at the end.  Returns
-        self when there is nothing to contract.
+        self when there is nothing to contract; the result is marked reduced.
         """
+        if self._reduced:
+            return self
         pairs = dict(self._map)
         work = {v[:-1] for v in pairs if len(v) >= 2}
         contracted = False
@@ -182,7 +185,9 @@ class TreePairElement:
             contracted = True
             if len(u) >= 2:
                 work.add(u[:-1])
-        return _from_pairs(self.group, pairs) if contracted else self
+        reduced = _from_pairs(self.group, pairs) if contracted else self
+        reduced._reduced = True
+        return reduced
 
     def is_reduced(self):
         return self.reduce() is self
@@ -264,15 +269,15 @@ def make_element(domain_leaves, range_leaves, bijection, group):
 
 
 def identity_element(group):
-    ball = CompleteSubtree.ball(group.d, 1)
-    return TreePairElement(group, ball, ball, {v: v for v in ball.leaves})
+    return _from_pairs(group, {(c,): (c,) for c in range(group.d + 1)})
 
 
 def _from_pairs(group, pairs):
     """The element sending each key of ``pairs`` (domain leaf) to its value
-    (range leaf); both leaf sets go through the CompleteSubtree checks."""
-    domain = CompleteSubtree(group.d, pairs)
-    range_ = CompleteSubtree(group.d, pairs.values())
+    (range leaf), trusting both leaf sets to be complete, as trees derived
+    from validated ones are; the element still checks the leaf map."""
+    domain = CompleteSubtree._trusted(group.d, pairs)
+    range_ = CompleteSubtree._trusted(group.d, pairs.values())
     return TreePairElement(group, domain, range_, pairs)
 
 
@@ -283,9 +288,9 @@ def compose(a, b):
     leaves (the middle leaves) are the longer of each comparable pair of a
     range leaf t of b and a domain leaf s of a; each is found by looking up
     the prefixes of one leaf in the other tree's index.  A middle leaf m
-    below t comes from b^{-1}(t) followed by the tail of m below t,
-    transported, and goes to a(m).  Both composite trees are built once,
-    then the composite is reduced.
+    below t and s comes from b^{-1}(t) followed by the tail of m below t,
+    transported, and goes to a(s) followed by the tail of m below s,
+    transported.  Both composite trees are built once, then reduced.
     """
     if a.group != b.group:
         raise ValueError("parameter mismatch: elements live over different colour groups")
@@ -297,9 +302,10 @@ def compose(a, b):
     b_inverse = {w: v for v, w in b._map.items()}
     pairs = {}
     for m, t in middle.items():
-        u = b_inverse[t]
-        tail = a.plane.transport_tail(t[-1], u[-1], m[len(t):])
-        pairs[u + tail] = a.apply_to_prefix(m)
+        u, s = b_inverse[t], a.domain.leaf_containing(m)
+        image = a._map[s]
+        source = u + a.plane.transport_tail(t[-1], u[-1], m[len(t):])
+        pairs[source] = image + a.plane.transport_tail(s[-1], image[-1], m[len(s):])
     return _from_pairs(a.group, pairs).reduce()
 
 
@@ -389,10 +395,9 @@ def find_sign_violation(group, subset):
     others = [a for a in range(group.d + 1) if a != chi]
     v1 = (others[0], chi)
     v2 = (others[1], chi)
-    ball = CompleteSubtree.ball(group.d, 2)
-    pairs = {v: v for v in ball.leaves}
+    pairs = {v: v for v in CompleteSubtree.ball(group.d, 2).leaves}
     pairs[v1], pairs[v2] = v2, v1
-    element = TreePairElement(group, ball, ball, pairs)
+    element = _from_pairs(group, pairs)
     expanded = element.expand_at(v1).expand_at(v2)
     assert sign(element, subset, mode="honest").value != sign(
         expanded, subset, mode="honest"
@@ -552,35 +557,26 @@ def purely_infinite_witness(group, cylinders):
 
 
 def random_element(group, rng, expansions=6):
-    """Random reduced element: domain and range grow by lockstep expansions
-    at same-orbit leaves, so an orbit-respecting leaf bijection always
-    exists; within each orbit class the matching is shuffled."""
-    plane = plane_for(group)
-    d = group.d
-
-    def orbit_matching(src_colours, dst_colours):
-        match = {}
-        for orbit in group.orbits:
-            src = [c for c in src_colours if c in orbit]
-            dst = [c for c in dst_colours if c in orbit]
-            assert len(src) == len(dst)
-            rng.shuffle(dst)
-            match.update(zip(src, dst))
-        return match
-
-    base = orbit_matching(list(range(d + 1)), list(range(d + 1)))
-    pairs = [((c,), (base[c],)) for c in range(d + 1)]
+    """Random reduced element: each step expands a random domain leaf and a
+    random range leaf of the same colour orbit (so the trees may differ in
+    depth), then a shuffled orbit-respecting matching pairs the leaves."""
+    d, orbit_of = group.d, group.orbit_of
+    sides = [[(c,) for c in range(d + 1)], [(c,) for c in range(d + 1)]]
     for _ in range(expansions):
-        v, w = pairs.pop(rng.randrange(len(pairs)))
-        match = orbit_matching(
-            admissible_child_colours(v, d), admissible_child_colours(w, d)
-        )
-        pairs.extend((v + (a,), w + (b,)) for a, b in match.items())
-    rng.shuffle(pairs)
-    domain_leaves = [v for v, _ in pairs]
-    return make_element(
-        domain_leaves, sorted(w for _, w in pairs), dict(pairs), group
-    )
+        v = rng.choice(sides[0])
+        w = rng.choice([u for u in sides[1] if orbit_of[u[-1]] == orbit_of[v[-1]]])
+        for leaves, leaf in zip(sides, (v, w)):
+            leaves.remove(leaf)
+            leaves.extend(leaf + (c,) for c in admissible_child_colours(leaf, d))
+    by_orbit = [([], []) for _ in group.orbits]
+    for side, leaves in enumerate(sides):
+        for leaf in leaves:
+            by_orbit[orbit_of[leaf[-1]]][side].append(leaf)
+    pairs = {}
+    for sources, targets in by_orbit:
+        rng.shuffle(targets)
+        pairs.update(zip(sources, targets))
+    return _from_pairs(group, pairs).reduce()
 
 
 # -- serialization ---------------------------------------------------------------

@@ -25,6 +25,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 
 from .abelianization import sft_graph_for_group
 from .almost_automorphisms import make_element, random_element
@@ -63,16 +64,11 @@ def edge_length(path, graph):
     The zero-length root child contributes 0, a delta start edge 1, a
     direct hop 1 and an interrupted loop 2.
     """
-    orbit_of, rep_of = graph.orbit_of, graph.rep_of
-    total = 0
-    for k, c in enumerate(path):
-        if k == 0:
-            total += 0 if c == rep_of[c] else 1
-        elif orbit_of[c] == orbit_of[path[k - 1]]:
-            total += 2
-        else:
-            total += 1
-    return total
+    if not path:
+        return 0
+    orbits = [graph.orbit_of[c] for c in path]
+    loops = sum(map(eq, orbits, orbits[1:]))
+    return len(path) - 1 + loops + (path[0] != graph.rep_of[path[0]])
 
 
 def terminal_orbit(path, graph):
@@ -262,25 +258,25 @@ def identity_bisection(graph):
 
 
 def bisection_to_element(bisection, omega):
+    """The reduced element of a bisection, which is validated here, where a
+    caller's bisection enters; its paths are then translated unchecked."""
     problems = validate_bisection(bisection, omega.graph)
     if problems:
         raise InvalidBisection(problems)
-    domain = [omega.to_address(s) for s in bisection.sources()]
-    range_ = [omega.to_address(t) for t in bisection.targets()]
-    mapping = dict(zip(domain, range_))
-    return make_element(domain, range_, mapping, omega.group)
+    address = omega.plane.address_of
+    pairs = {address(s): address(t) for s, _, t in bisection.pairs}
+    return make_element(pairs, pairs.values(), pairs, omega.group)
 
 
 def element_to_bisection(element, omega=None):
+    """The bisection of the reduced element, its label words unchecked."""
     if omega is None:
         omega = Omega(sft_graph_for_group(element.group), element.group)
     element = element.reduce()
-    pairs = []
-    for leaf in element.domain.leaves:
-        source = omega.to_labels(leaf)
-        target = omega.to_labels(element.leaf_image(leaf))
-        pairs.append(_make_pair(source, target, omega.graph))
-    return Bisection(tuple(pairs))
+    labels, graph = omega.plane.label_word, omega.graph
+    return Bisection(tuple(
+        _make_pair(labels(v), labels(w), graph) for v, w in element._map.items()
+    ))
 
 
 def compose_bisections(first, second, graph):
@@ -288,22 +284,23 @@ def compose_bisections(first, second, graph):
 
     A pair (s, t) acts on cylinders by replacing the prefix s with t and
     keeping the remaining labels; the terminal-vertex condition is exactly
-    what makes the remaining labels legal after either prefix.
+    what makes the remaining labels legal after either prefix.  The labels
+    kept cost the same edges after either prefix, so offsets add.
     """
     by_source = {}
-    for s1, _, t1 in first.pairs:
-        by_source.setdefault(s1, []).append(t1)
+    for s1, o1, t1 in first.pairs:
+        by_source.setdefault(s1, []).append((o1, t1))
     sources = first.sources()  # sorted, as pairs are
     pairs = []
-    for s2, _, t2 in second.pairs:
+    for s2, o2, t2 in second.pairs:
         for k in range(1, len(t2) + 1):
-            for t1 in by_source.get(t2[:k], ()):
-                pairs.append(_make_pair(s2, t1 + t2[k:], graph))
+            for o1, t1 in by_source.get(t2[:k], ()):
+                pairs.append((s2, o1 + o2, t1 + t2[k:]))
         for n in range(bisect_right(sources, t2), len(sources)):
             if sources[n][: len(t2)] != t2:
                 break
-            extra = sources[n][len(t2) :]
-            pairs.append(_make_pair(s2 + extra, first.pairs[n][2], graph))
+            _, o1, t1 = first.pairs[n]
+            pairs.append((s2 + sources[n][len(t2) :], o1 + o2, t1))
     result = Bisection(tuple(pairs))
     problems = validate_bisection(result, graph)
     assert not problems, problems

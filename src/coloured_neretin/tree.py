@@ -91,15 +91,10 @@ class PlaneOrder:
             if group.orbit_of[a] == group.orbit_of[b]
         }
 
-    def child_colour_order(self, v):
-        """Colours of the children of v, in plane order."""
-        if not v:
-            return list(range(self.d + 1))
-        return list(self._child_orders[v[-1]])
-
     def children(self, v):
+        """The children of v, in plane order."""
         v = tuple(v)
-        return [v + (c,) for c in self.child_colour_order(v)]
+        return [v + (c,) for c in (self._child_orders[v[-1]] if v else range(self.d + 1))]
 
     def transport(self, src_colour, dst_colour):
         """The colour map matching children of a src-coloured vertex with
@@ -166,7 +161,8 @@ class CompleteSubtree:
 
     Leaves are stored sorted in plain tuple order (deterministic and
     independent of any colour group); use PlaneOrder.lex_sorted for the
-    planar order when it matters.
+    planar order when it matters.  The constructor validates the leaf set;
+    ``_trusted`` builds, unchecked, the trees derived from validated ones.
     """
 
     __slots__ = ("d", "leaves", "_index")
@@ -179,11 +175,19 @@ class CompleteSubtree:
         self._index = {w: i for i, w in enumerate(self.leaves)}
 
     @classmethod
+    def _trusted(cls, d, leaves):
+        """The subtree on ``leaves``, tuples known to form a complete leaf set."""
+        tree = cls.__new__(cls)
+        tree.d, tree.leaves = d, tuple(sorted(leaves))
+        tree._index = {w: i for i, w in enumerate(tree.leaves)}
+        return tree
+
+    @classmethod
     def ball(cls, d, n):
         """B_n: all addresses of length exactly n as leaves (n >= 1)."""
         if n < 1:
             raise ValueError("a complete subtree has depth at least 1")
-        return cls(d, sphere(d, n))
+        return cls._trusted(d, sphere(d, n))
 
     def __len__(self):
         return len(self.leaves)
@@ -224,7 +228,7 @@ class CompleteSubtree:
         assert leaf, "the root is never a leaf of a complete subtree"
         new = [w for w in self.leaves if w != leaf]
         new.extend(leaf + (c,) for c in admissible_child_colours(leaf, self.d))
-        return CompleteSubtree(self.d, new)
+        return CompleteSubtree._trusted(self.d, new)
 
     def contract(self, parent):
         """Inverse of expand: all children of ``parent`` must be leaves."""
@@ -232,9 +236,11 @@ class CompleteSubtree:
         children = [parent + (c,) for c in admissible_child_colours(parent, self.d)]
         if not all(c in self._index for c in children):
             raise ValueError("not all children of %r are leaves" % (parent,))
+        if not parent:
+            raise IncompleteTree("the bare root is not a complete subtree")
         new = [w for w in self.leaves if w not in set(children)]
         new.append(parent)
-        return CompleteSubtree(self.d, new)
+        return CompleteSubtree._trusted(self.d, new)
 
     def internal_vertices(self):
         """All strict prefixes of leaves (the non-leaf vertices), sorted."""

@@ -1,6 +1,6 @@
 """Shared constructors for the test suite."""
 
-from coloured_neretin import closure_enumerate, make_element, parse_cycles, trivial_group
+from coloured_neretin import closure_enumerate, is_complete_leafset, parse_cycles, trivial_group
 
 
 def group_from(cycle_texts, degree):
@@ -44,29 +44,9 @@ def random_word(rng, d, length):
     return tuple(word)
 
 
-def depth_changing_element(group, rng, expansions):
-    """Random element whose domain and range grow independently.
-
-    Each step expands a random domain leaf and a random range leaf whose
-    colour lies in the same orbit; both sides gain one child of every other
-    colour, so the per-orbit colour counts stay equal, and a shuffled
-    orbit-respecting matching pairs the leaves.  Unlike ``random_element``
-    (lockstep expansions), this reaches elements that change depth, which
-    over a trivial colour group are the only non-identity elements.
-    """
-    d, orbit_of = group.d, group.orbit_of
-    sides = [[(c,) for c in range(d + 1)], [(c,) for c in range(d + 1)]]
-    for _ in range(expansions):
-        v = rng.choice(sides[0])
-        w = rng.choice([u for u in sides[1] if orbit_of[u[-1]] == orbit_of[v[-1]]])
-        for leaves, leaf in zip(sides, (v, w)):
-            leaves.remove(leaf)
-            leaves.extend(leaf + (c,) for c in range(d + 1) if c != leaf[-1])
-    domain, range_ = sides
-    pairs = {}
-    for orbit in range(len(group.orbits)):
-        targets = [w for w in range_ if orbit_of[w[-1]] == orbit]
-        rng.shuffle(targets)
-        sources = [v for v in domain if orbit_of[v[-1]] == orbit]
-        pairs.update(zip(sources, targets))
-    return make_element(domain, range_, pairs, group)
+def assert_complete(*elements):
+    """The domain and range of each element are complete leaf sets (the
+    element algebra builds its trees without checking them)."""
+    for e in elements:
+        assert is_complete_leafset(e.domain.leaves, e.group.d)
+        assert is_complete_leafset(e.range.leaves, e.group.d)

@@ -37,6 +37,7 @@ from coloured_neretin import (
     sign,
     smallest_log_sign,
     structure_report,
+    validate_bisection,
     verify_prime_windows,
     verify_smallest_inequality,
     verify_xi_claims,
@@ -234,6 +235,7 @@ def test_criterion_07_sft_bridge_round_trip_and_composition():
             assert bisection_to_element(element_to_bisection(e1, omega), omega) == e1
             assert bisection_to_element(element_to_bisection(e2, omega), omega) == e2
             composed = compose_bisections(b1, b2, omega.graph)
+            assert validate_bisection(composed, omega.graph) == []
             assert bisection_to_element(composed, omega) == compose(e1, e2)
 
 

@@ -34,7 +34,14 @@ from coloured_neretin import (
     trivial_group,
 )
 from coloured_neretin.cli import main
-from conftest import four_orbit_group, group_from, random_word, rotation_group, switch_group
+from conftest import (
+    four_orbit_group,
+    group_from,
+    random_word,
+    rotation_group,
+    small_trivial,
+    switch_group,
+)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -569,3 +576,14 @@ def test_random_element_is_deterministic():
     a = random_element(group, random.Random(77), 6)
     b = random_element(group, random.Random(77), 6)
     assert a == b
+
+
+def test_random_element_changes_depth():
+    # over a trivial colour group only a change of depth is not the identity
+    rng = random.Random(78)
+    trivial = small_trivial(2)
+    identity = identity_element(trivial)
+    moved = sum(random_element(trivial, rng, 3) != identity for _ in range(50))
+    assert moved >= 45
+    samples = [random_element(four_orbit_group(), rng, 3) for _ in range(50)]
+    assert any(e.domain.depth() != e.range.depth() for e in samples)

@@ -21,7 +21,6 @@ from coloured_neretin import cli
 from coloured_neretin.cli import main
 
 from conftest import (
-    depth_changing_element,
     four_orbit_group,
     rotation_group,
     switch_group,
@@ -59,8 +58,8 @@ def test_compose_over_sym16(tmp_path, capsys):
     # Neretin's own case at d = 15: |F| = 16! is never listed
     rng = random.Random(44)
     group = sym_group(16)
-    a = depth_changing_element(group, rng, 4)
-    b = depth_changing_element(group, rng, 4)
+    a = random_element(group, rng, 4)
+    b = random_element(group, rng, 4)
     code = main(
         ["compose", write_element(tmp_path, "a.json", a),
          write_element(tmp_path, "b.json", b)]

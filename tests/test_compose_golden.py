@@ -12,10 +12,10 @@ import json
 import os
 import random
 
-from coloured_neretin import compose, element_to_dict
+from coloured_neretin import compose, element_to_dict, random_element
 
 from conftest import (
-    depth_changing_element,
+    assert_complete,
     four_orbit_group,
     rotation_group,
     small_trivial,
@@ -38,12 +38,14 @@ def golden_cases():
     for name, group in GROUPS.items():
         for seed, expansions in enumerate(EXPANSIONS):
             rng = random.Random("golden:%s:%d" % (name, seed))
-            a = depth_changing_element(group, rng, expansions)
-            b = depth_changing_element(group, rng, expansions)
+            a = random_element(group, rng, expansions)
+            b = random_element(group, rng, expansions)
             composite = compose(a, b)
+            inverse = composite.inverse()
+            assert_complete(a, b, composite, inverse)
             cases["%s/%d" % (name, seed)] = {
                 "compose": element_to_dict(composite),
-                "inverse": element_to_dict(composite.inverse()),
+                "inverse": element_to_dict(inverse),
             }
     return cases
 

@@ -11,11 +11,13 @@ from coloured_neretin import (
     compose_bisections,
     element_to_bisection,
     identity_element,
+    random_element,
     sft_graph_for_group,
+    validate_bisection,
 )
 
 from conftest import (
-    depth_changing_element,
+    assert_complete,
     four_orbit_group,
     random_word,
     rotation_group,
@@ -41,15 +43,16 @@ def factors(name, count):
     group = GROUPS[name]
     rng = random.Random("compose-properties:%s" % name)
     for _ in range(ROUNDS):
-        yield rng, [
-            depth_changing_element(group, rng, rng.randrange(2, 13)) for _ in range(count)
-        ]
+        elements = [random_element(group, rng, rng.randrange(2, 13)) for _ in range(count)]
+        assert_complete(*elements)
+        yield rng, elements
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_compose_acts_as_a_after_b(name):
     for rng, (a, b) in factors(name, 2):
         c = compose(a, b)
+        assert_complete(c)
         length = depth(a) + depth(b) + depth(c) + 1
         for _ in range(10):
             word = random_word(rng, a.group.d, length)
@@ -62,12 +65,16 @@ def test_compose_is_associative_and_reduced(name):
         ab = compose(a, b)
         assert ab.is_reduced()
         assert compose(ab, c) == compose(a, compose(b, c))
+        expanded = ab.expand_at(ab.domain.leaves[-1])
+        assert_complete(ab, expanded, expanded.reduce())
+        assert expanded.reduce() == ab
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_compose_with_inverse_is_identity(name):
     identity = identity_element(GROUPS[name])
     for _, (a,) in factors(name, 1):
+        assert_complete(a.inverse())
         assert (a * a.inverse()).is_identity()
         assert a * a.inverse() == identity == a.inverse() * a
 
@@ -80,11 +87,11 @@ def test_bridge_route_equals_tree_pair_route(name):
         bridged = compose_bisections(
             element_to_bisection(a, omega), element_to_bisection(b, omega), omega.graph
         )
+        assert validate_bisection(bridged, omega.graph) == []
         assert bisection_to_element(bridged, omega) == compose(a, b)
 
 
 def test_generator_changes_depth_over_the_trivial_group():
-    # random_element expands in lockstep and only returns the identity here
     group = GROUPS["trivial_d2"]
     identity = identity_element(group)
     elements = [e for _, (e,) in factors("trivial_d2", 1)]

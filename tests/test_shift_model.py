@@ -194,6 +194,7 @@ def test_compose_bisections_matches_element_composition():
             left = element_to_bisection(a, omega)
             right = element_to_bisection(b, omega)
             composed = compose_bisections(left, right, omega.graph)
+            assert validate_bisection(composed, omega.graph) == []
             assert bisection_to_element(composed, omega) == compose(a, b)
 
 
@@ -243,6 +244,52 @@ def test_validate_bisection_diagnostics():
 
     with pytest.raises(InvalidBisection):
         bisection_to_element(bad, Omega(graph))
+
+
+ROOTS = [((c,), (c,)) for c in range(4)]
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        pytest.param(
+            ROOTS + [((0, 1), (0, 1))],
+            "source paths (0,) and (0, 1) overlap (one is a prefix of the other); "
+            "source cylinders cover mass 13/12 instead of 1; "
+            "target paths (0,) and (0, 1) overlap (one is a prefix of the other); "
+            "target cylinders cover mass 13/12 instead of 1",
+            id="overlap",
+        ),
+        pytest.param(
+            ROOTS + [((3,), (3,))],
+            "source paths (3,) and (3,) overlap (one is a prefix of the other); "
+            "source cylinders cover mass 5/4 instead of 1; "
+            "target paths (3,) and (3,) overlap (one is a prefix of the other); "
+            "target cylinders cover mass 5/4 instead of 1",
+            id="repeated",
+        ),
+        pytest.param(
+            ROOTS[:3],
+            "source cylinders cover mass 3/4 instead of 1; "
+            "target cylinders cover mass 3/4 instead of 1",
+            id="mass",
+        ),
+        pytest.param(
+            [((0,), (0,)), ((1, 0), (1, 0))],
+            "pair 1: label 0 after a label in the orbit of 1 must avoid the "
+            "representative 0; pair 1: label 0 after a label in the orbit of 1 "
+            "must avoid the representative 0",
+            id="bad-label",
+        ),
+    ],
+)
+def test_bisection_to_element_messages(pairs, message):
+    # the boundary where a caller's bisection enters keeps every check
+    graph = build_sft_graph((2, 2))
+    bisection = Bisection(tuple((s, 0, t) for s, t in pairs))
+    with pytest.raises(InvalidBisection) as info:
+        bisection_to_element(bisection, Omega(graph))
+    assert str(info.value) == message
 
 
 def test_validate_bisection_reports_overlaps_in_pair_order():

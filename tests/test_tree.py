@@ -11,9 +11,11 @@ from coloured_neretin import (
     PlaneOrder,
     admissible_child_colours,
     check_address,
+    element_from_dict,
     is_complete_leafset,
     is_prefix,
     is_valid_address,
+    make_element,
     plane_for,
     random_complete_tree,
     sphere,
@@ -75,11 +77,14 @@ def test_rotation_group_child_orders():
     # F = <(1 2 3)> on colours {0,1,2,3}: canonical maps are
     # f_0 = f_1 = id, f_2 = (1 3 2), f_3 = (1 2 3), giving these child orders
     plane = PlaneOrder(rotation_group())
-    assert plane.child_colour_order(()) == [0, 1, 2, 3]
-    assert plane.child_colour_order((0,)) == [1, 2, 3]
-    assert plane.child_colour_order((1,)) == [0, 2, 3]
-    assert plane.child_colour_order((2,)) == [0, 3, 1]
-    assert plane.child_colour_order((3,)) == [0, 1, 2]
+    orders = {v: [c[-1] for c in plane.children(v)] for v in [(), (0,), (1,), (2,), (3,)]}
+    assert orders == {
+        (): [0, 1, 2, 3],
+        (0,): [1, 2, 3],
+        (1,): [0, 2, 3],
+        (2,): [0, 3, 1],
+        (3,): [0, 1, 2],
+    }
     assert plane.children((2,)) == [(2, 0), (2, 3), (2, 1)]
 
 
@@ -259,9 +264,16 @@ def test_incomplete_leafsets_rejected():
     ],
 )
 def test_incomplete_leafset_messages(leaves, message):
-    with pytest.raises(IncompleteTree) as info:
-        CompleteSubtree(2, leaves)
-    assert str(info.value) == message
+    # every boundary where a leaf set enters keeps the constructor's check
+    data = {"d": 2, "domain": leaves, "range": leaves, "kappa": list(range(len(leaves)))}
+    for build in (
+        lambda: CompleteSubtree(2, leaves),
+        lambda: make_element(leaves, leaves, data["kappa"], trivial_group(3)),
+        lambda: element_from_dict(data),
+    ):
+        with pytest.raises(IncompleteTree) as info:
+            build()
+        assert str(info.value) == message
 
 
 def test_internal_vertices():
