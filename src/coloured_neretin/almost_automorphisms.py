@@ -172,7 +172,6 @@ class TreePairElement:
             return self
         pairs = dict(self._map)
         work = {v[:-1] for v in pairs if len(v) >= 2}
-        contracted = False
         while work:
             u = work.pop()
             children = self.plane.children(u)
@@ -182,10 +181,9 @@ class TreePairElement:
             for child in children:
                 del pairs[child]
             pairs[u] = images[0][:-1]
-            contracted = True
             if len(u) >= 2:
                 work.add(u[:-1])
-        reduced = _from_pairs(self.group, pairs) if contracted else self
+        reduced = _from_pairs(self.group, pairs) if len(pairs) < len(self._map) else self
         reduced._reduced = True
         return reduced
 
@@ -568,13 +566,12 @@ def random_element(group, rng, expansions=6):
         for leaves, leaf in zip(sides, (v, w)):
             leaves.remove(leaf)
             leaves.extend(leaf + (c,) for c in admissible_child_colours(leaf, d))
-    by_orbit = [([], []) for _ in group.orbits]
-    for side, leaves in enumerate(sides):
-        for leaf in leaves:
-            by_orbit[orbit_of[leaf[-1]]][side].append(leaf)
+    domain, range_ = sides
     pairs = {}
-    for sources, targets in by_orbit:
+    for orbit in range(len(group.orbits)):
+        targets = [w for w in range_ if orbit_of[w[-1]] == orbit]
         rng.shuffle(targets)
+        sources = [v for v in domain if orbit_of[v[-1]] == orbit]
         pairs.update(zip(sources, targets))
     return _from_pairs(group, pairs).reduce()
 

@@ -25,7 +25,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq
 
 from .abelianization import sft_graph_for_group
 from .almost_automorphisms import make_element, random_element
@@ -64,11 +63,16 @@ def edge_length(path, graph):
     The zero-length root child contributes 0, a delta start edge 1, a
     direct hop 1 and an interrupted loop 2.
     """
-    if not path:
-        return 0
-    orbits = [graph.orbit_of[c] for c in path]
-    loops = sum(map(eq, orbits, orbits[1:]))
-    return len(path) - 1 + loops + (path[0] != graph.rep_of[path[0]])
+    orbit_of, rep_of = graph.orbit_of, graph.rep_of
+    total = 0
+    for k, c in enumerate(path):
+        if k == 0:
+            total += 0 if c == rep_of[c] else 1
+        elif orbit_of[c] == orbit_of[path[k - 1]]:
+            total += 2
+        else:
+            total += 1
+    return total
 
 
 def terminal_orbit(path, graph):

@@ -170,13 +170,11 @@ class CompleteSubtree:
     def __init__(self, d, leaves):
         leaves = sorted(tuple(w) for w in leaves)
         _check_complete(leaves, d)
-        self.d = d
-        self.leaves = tuple(leaves)
+        self.d, self.leaves = d, tuple(leaves)
         self._index = {w: i for i, w in enumerate(self.leaves)}
 
     @classmethod
     def _trusted(cls, d, leaves):
-        """The subtree on ``leaves``, tuples known to form a complete leaf set."""
         tree = cls.__new__(cls)
         tree.d, tree.leaves = d, tuple(sorted(leaves))
         tree._index = {w: i for i, w in enumerate(tree.leaves)}
