@@ -46,14 +46,16 @@ def check_path(path, graph):
     if not path:
         raise PathError("empty label word does not name a path")
     orbit_of, rep_of = graph.orbit_of, graph.rep_of
-    for k, c in enumerate(path):
+    prev = None
+    for c in path:
         if c not in orbit_of:
             raise PathError("label %r is not a colour of the graph" % (c,))
-        if k > 0 and c == rep_of[path[k - 1]]:
+        if prev is not None and c == rep_of[prev]:
             raise PathError(
                 "label %d after a label in the orbit of %d must avoid the "
-                "representative %d" % (c, path[k - 1], c)
+                "representative %d" % (c, prev, c)
             )
+        prev = c
     return path
 
 
@@ -64,14 +66,13 @@ def edge_length(path, graph):
     direct hop 1 and an interrupted loop 2.
     """
     orbit_of, rep_of = graph.orbit_of, graph.rep_of
-    total = 0
-    for k, c in enumerate(path):
-        if k == 0:
+    total, prev = 0, None
+    for c in path:
+        if prev is None:
             total += 0 if c == rep_of[c] else 1
-        elif orbit_of[c] == orbit_of[path[k - 1]]:
-            total += 2
         else:
-            total += 1
+            total += 2 if orbit_of[c] == orbit_of[prev] else 1
+        prev = c
     return total
 
 
@@ -262,8 +263,8 @@ def identity_bisection(graph):
 
 
 def bisection_to_element(bisection, omega):
-    """The reduced element of a bisection, which is validated here, where a
-    caller's bisection enters; its paths are then translated unchecked."""
+    """The reduced element of a bisection.  A caller's bisection enters
+    here and is validated once; its valid paths are translated unchecked."""
     problems = validate_bisection(bisection, omega.graph)
     if problems:
         raise InvalidBisection(problems)
