@@ -1,0 +1,67 @@
+"""The summary of tools/bench_pairs.py on synthetic paired runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+SPEC = {
+    "op_p50_ref": {"better": "lower", "bound": 0.15},
+    "setup_s": {"better": "lower", "bound": 0.25},
+    "peak_rss_mb": {"better": "lower", "bound": 0.1},
+}
+
+
+def runs(values):
+    """Run records of one workload and seed: ``values`` maps a metric to
+    its (parent, change) value lists, one entry per pair."""
+    out = []
+    pairs = len(next(iter(values.values()))[0])
+    for pair in range(pairs):
+        for side, index in (("parent", 0), ("change", 1)):
+            metrics = {name: {"value": v[index][pair], "unit": "x"} for name, v in values.items()}
+            out.append({
+                "workload": "deep", "seed": 23, "side": side, "pair": pair,
+                "result": {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics},
+            })
+    return out
+
+
+def test_summary_verdicts():
+    parent_ref = [2.20, 2.25, 2.22, 2.18, 2.30, 2.21, 2.24, 2.19, 2.23, 2.26]
+    rows = bench_pairs.summarise(runs({
+        # clearly lower in every pair: a gain
+        "op_p50_ref": (parent_ref, [1.60, 1.62, 2.40, 1.58, 1.65, 1.61, 1.63, 1.59, 1.64, 1.60]),
+        # a third slower: beyond the 0.25 bound
+        "setup_s": ([0.05] * 10, [0.066] * 10),
+        # parent spread 0.4 of the median, wider than the 0.1 bound
+        "peak_rss_mb": ([20, 28, 22, 30, 21, 29, 20, 31, 22, 28], [25] * 10),
+        # a per-layer count, no bound
+        "tree.subtrees_built_per_op": ([9.0] * 10, [2.0] * 10),
+    }), SPEC)
+    by_metric = {row["metric"]: row for row in rows}
+    ref = by_metric["op_p50_ref"]
+    assert ref["wins"] == 9 and ref["pairs"] == 10
+    assert ref["verdict"] == "gain"
+    assert ref["parent"][1] == pytest.approx(2.225)
+    assert ref["change"][1] == pytest.approx(1.615)
+    assert by_metric["setup_s"]["verdict"] == "worse"
+    assert round(by_metric["setup_s"]["change_vs_parent"], 2) == 0.32
+    assert by_metric["peak_rss_mb"]["verdict"] == "unresolved"
+    assert by_metric["tree.subtrees_built_per_op"]["verdict"] == "gain"
+    assert "wins 9/10" in bench_pairs.format_row(ref)
+
+
+def test_summary_ties_and_higher_is_better():
+    rows = bench_pairs.summarise(
+        runs({"score": ([1.0, 1.0, 1.0], [1.0, 2.0, 2.0])}),
+        {"score": {"better": "higher", "bound": 0.1}},
+    )
+    (row,) = rows
+    assert row["wins"] == 2 and row["verdict"] == "same"
+    assert row["change_vs_parent"] == 1.0

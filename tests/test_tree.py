@@ -201,6 +201,8 @@ def test_expand_contract_inverse():
         tree.expand((0, 1))  # not a leaf
     with pytest.raises(ValueError):
         bigger.contract((0,))  # children not all leaves
+    with pytest.raises(IncompleteTree, match="bare root"):
+        tree.contract(())  # the root's children are all leaves of B_1
 
 
 def test_leaf_containing_and_index():
