@@ -66,8 +66,9 @@ def test_compose_is_associative_and_reduced(name):
         assert ab.is_reduced()
         assert compose(ab, c) == compose(a, compose(b, c))
         expanded = ab.expand_at(ab.domain.leaves[-1])
-        assert_complete(ab, expanded, expanded.reduce())
-        assert expanded.reduce() == ab
+        reduced = expanded.reduce()
+        assert_complete(ab, expanded, reduced)
+        assert reduced == ab
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))

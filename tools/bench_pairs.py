@@ -154,7 +154,7 @@ def main(argv=None):
     seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
     spec = {m["name"]: m for m in benchmark["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
-    seconds_text = ("%g" % seconds)
+    seconds_text = "%g" % seconds
     record = {
         "change": args.note,
         "parent": revision(args.parent),
