@@ -32,7 +32,7 @@ def main():
     # {0} and {1,2,3}
     group = closure_enumerate([from_cycles([(1, 2, 3)], 4)])
     print("colour group of order %d with orbits %s" % (
-        len(group), [tuple(o) for o in group.orbits]))
+        group.order, [tuple(o) for o in group.orbits]))
 
     banner("an element from local data")
     # rotate the colours below the root: the subtree hanging at colour 1

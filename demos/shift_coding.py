@@ -40,7 +40,7 @@ def main():
     group = omega.group
     print()
     print("boundary model over the orbit-preserving group of order %d"
-          % len(group))
+          % group.order)
     omega.check_depth(3)
     print("depth-3 consistency check passed "
           "(colour words <-> graph paths bijectively)")

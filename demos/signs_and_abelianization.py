@@ -28,7 +28,7 @@ def main():
     )
     orbits = [tuple(o) for o in group.orbits]
     sizes = tuple(len(o) for o in orbits)
-    print("colour group of order %d, orbits %s" % (len(group), orbits))
+    print("colour group of order %d, orbits %s" % (group.order, orbits))
 
     print()
     print("== abelianization from the orbit sizes ==")

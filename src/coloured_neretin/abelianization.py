@@ -116,11 +116,14 @@ def bareiss_determinant(matrix):
                     break
             else:
                 return 0
+        akk = a[k][k]
         for i in range(k + 1, n):
+            if a[i][k] == 0 and akk == prev:
+                continue  # the step would leave the row as it is
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+                a[i][j] = (a[i][j] * akk - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
-        prev = a[k][k]
+        prev = akk
     return sign * a[n - 1][n - 1]
 
 
@@ -141,9 +144,11 @@ class AbelianInvariants:
 def smith_normal_form(matrix):
     """(S, invariants, T) with S*matrix*T diagonal, S and T unimodular.
 
-    Pivoting picks the nonzero entry of least absolute value; invariant
-    factors are normalized nonnegative.  The factorization is re-multiplied
-    and checked before returning.
+    Pivoting picks the first nonzero entry of least absolute value in
+    row-major order; the scan stops at a unit, and a unit pivot skips the
+    search for an entry it does not divide.  Invariant factors are
+    normalized nonnegative.  The factorization is re-multiplied and
+    checked before returning.
     """
     m, n = matrix.rows, matrix.cols
     a = [list(row) for row in matrix.entries]
@@ -174,12 +179,20 @@ def smith_normal_form(matrix):
         a[i] = [-x for x in a[i]]
         s[i] = [-x for x in s[i]]
 
-    for k in range(min(m, n)):
-        pivot = None
+    def find_pivot(k):
+        pivot, least = None, 0
         for i in range(k, m):
+            row = a[i]
             for j in range(k, n):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                x = row[j]
+                if x and (pivot is None or abs(x) < least):
+                    pivot, least = (i, j), abs(x)
+                    if least == 1:
+                        return pivot
+        return pivot
+
+    for k in range(min(m, n)):
+        pivot = find_pivot(k)
         if pivot is None:
             break
         row_swap(k, pivot[0])
@@ -206,6 +219,8 @@ def smith_normal_form(matrix):
                             col_swap(k, j)
                             dirty = True
             # enforce that the pivot divides everything that remains
+            if a[k][k] == 1:
+                break
             offender = None
             for i in range(k + 1, m):
                 for j in range(k + 1, n):
@@ -226,10 +241,9 @@ def smith_normal_form(matrix):
     s_matrix = IntMatrix._trusted(s)
     t_matrix = IntMatrix._trusted(t)
     product = s_matrix.mul(matrix).mul(t_matrix)
-    for i in range(m):
-        for j in range(n):
-            expected = diagonal[i] if i == j and i < len(diagonal) else 0
-            assert product[i, j] == expected, "S*M*T is not the computed diagonal"
+    for i, row in enumerate(product.entries):
+        expected = tuple(diagonal[i] if j == i else 0 for j in range(n))
+        assert row == expected, "S*M*T is not the computed diagonal"
     assert abs(bareiss_determinant(s_matrix)) == 1
     assert abs(bareiss_determinant(t_matrix)) == 1
 
@@ -298,21 +312,19 @@ def _default_colours(orbit_sizes):
 
 
 def _strongly_connected(matrix):
-    n = matrix.rows
+    rows = matrix.entries
 
-    def reachable(transpose):
+    def reachable(lines):
         seen = {0}
         frontier = [0]
         while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                entry = matrix[j, i] if transpose else matrix[i, j]
+            for j, entry in enumerate(lines[frontier.pop()]):
                 if entry and j not in seen:
                     seen.add(j)
                     frontier.append(j)
-        return len(seen) == n
+        return len(seen) == len(lines)
 
-    return reachable(False) and reachable(True)
+    return reachable(rows) and reachable(tuple(zip(*rows)))
 
 
 def check_orbit_sizes(orbit_sizes):

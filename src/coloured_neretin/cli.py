@@ -145,8 +145,26 @@ def parse_element_file(path):
         raise CliError("%s: %s" % (path, exc))
 
 
-def _print_element(element):
-    print(json.dumps(element_to_dict(element), indent=2))
+def _element_json(element):
+    """``json.dumps(element_to_dict(element), indent=2)`` laid out from the C
+    encoder's compact text (an indent selects the slow pure-Python encoder);
+    the compact text of a leaf list holds only digits, brackets and commas."""
+    data = element_to_dict(element)
+    fields = ['"d": %d' % data["d"]]
+    for key in ("F_generators", "domain", "range", "kappa"):
+        value = data[key]
+        if key in ("domain", "range"):
+            body = (
+                json.dumps(value, separators=(",", ":"))[1:-1]
+                .replace("[", "[\n      ")
+                .replace("]", "\n    ]")
+                .replace(",", ",\n      ")
+                .replace("],\n      ", "],\n    ")
+            )
+        else:
+            body = json.dumps(value, separators=(",\n    ", ": "))[1:-1]
+        fields.append('"%s": %s' % (key, "[\n    %s\n  ]" % body if value else "[]"))
+    return "{\n  %s\n}" % ",\n  ".join(fields)
 
 
 def _show_int(value, limit=48):
@@ -173,17 +191,17 @@ def cmd_compose(args):
     inner = parse_element_file(args.second)
     if outer.group != inner.group:
         raise CliError("the two elements use different colour groups")
-    _print_element(compose(outer, inner))
+    print(_element_json(compose(outer, inner)))
     return 0
 
 
 def cmd_invert(args):
-    _print_element(parse_element_file(args.element).inverse())
+    print(_element_json(parse_element_file(args.element).inverse()))
     return 0
 
 
 def cmd_reduce(args):
-    _print_element(parse_element_file(args.element).reduce())
+    print(_element_json(parse_element_file(args.element).reduce()))
     return 0
 
 
@@ -394,7 +412,7 @@ def _selftest_permutations():
     group = closure_enumerate(
         [from_cycles([(0, 1)], 4), from_cycles([(1, 2, 3)], 4)]
     )
-    assert len(group) == 24
+    assert group.order == 24
     report = structure_report(group)
     assert report["transitive"] and report["doubly_transitive"]
     assert contains_alternating(group, (0, 1, 2, 3))

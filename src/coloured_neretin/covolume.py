@@ -325,22 +325,39 @@ def ratio_slope(orbit_sizes, n_low, n_high):
     return (log_ratio(sizes, n_high) - log_ratio(sizes, n_low)) / run
 
 
-def _xi_capital_iv(parts, log, prec):
-    """The comparison functional on an orbit-size vector, as an endpoint
-    pair at prec bits; ``log`` is a ``memoised_log``."""
-    x = sum(parts) - 1
-    weighted = mpi_zero
-    for p in parts:
-        if p > 1:
-            weighted = mpi_add(
-                weighted, mpi_mul(_int_interval(p, prec), log(p, prec), prec), prec
+def _xi_capital(log):
+    """The comparison functional as ``xi(parts, prec)``, an endpoint pair at
+    prec bits; ``log`` is a ``memoised_log``.  While ``xi`` lives it keeps
+    the running sums of p log p (p > 1) and of log p! by (prefix, prec), and
+    x/(x+1) and (x-1) log(x/(x+1)) by (x, prec).  A new prefix extends its
+    longest known one by the rounded steps of the literal sum, in its order,
+    so every endpoint is the literal one, for unsorted tuples too."""
+    sums = {}
+    ends = {}
+
+    def xi(parts, prec):
+        k = len(parts)
+        while k and (parts[:k], prec) not in sums:
+            k -= 1
+        weighted, log_facts = sums.get((parts[:k], prec), (mpi_zero, mpi_zero))
+        for k in range(k, len(parts)):
+            p = parts[k]
+            if p > 1:
+                weighted = mpi_add(
+                    weighted, mpi_mul(_int_interval(p, prec), log(p, prec), prec), prec
+                )
+            log_facts = mpi_add(log_facts, log(factorial(p), prec), prec)
+            sums[(parts[: k + 1], prec)] = weighted, log_facts
+        x = sum(parts) - 1
+        if (x, prec) not in ends:
+            ends[x, prec] = (
+                mpi_div(_int_interval(x, prec), _int_interval(x + 1, prec), prec),
+                mpi_mul(_int_interval(x - 1, prec), log(Fraction(x, x + 1), prec), prec),
             )
-    log_facts = mpi_zero
-    for p in parts:
-        log_facts = mpi_add(log_facts, log(factorial(p), prec), prec)
-    ratio = mpi_div(_int_interval(x, prec), _int_interval(x + 1, prec), prec)
-    tail = mpi_mul(_int_interval(x - 1, prec), log(Fraction(x, x + 1), prec), prec)
-    return mpi_add(mpi_sub(mpi_mul(ratio, weighted, prec), log_facts, prec), tail, prec)
+        ratio, tail = ends[x, prec]
+        return mpi_add(mpi_sub(mpi_mul(ratio, weighted, prec), log_facts, prec), tail, prec)
+
+    return xi
 
 
 def _xi_small_iv(x, prec):
@@ -389,22 +406,25 @@ def verify_xi_claims(max_x, start_bits=None):
     evaluated once per precision: a partition met again at the same
     precision, say as the larger side of one step and the smaller side of
     another, reuses its interval, which is the one the literal expression
-    gives.
+    gives.  The functional's running sums are shared by prefix and its
+    ratio and tail terms by total (see ``_xi_capital``); like the
+    logarithms, these tables are made afresh for each call and dropped
+    when it returns.
     """
     if max_x < 3:
         raise ValueError("max_x must be at least 3")
     if start_bits is None:
         start_bits = default_precision()
-    log = memoised_log()
-    capital = {}
+    capital = _xi_capital(memoised_log())
+    values = {}
 
     def xi(parts, prec):
         # keyed on the tuple as given: a merged tuple need not be sorted,
         # and its order is the order of the sums
         key = (parts, prec)
-        value = capital.get(key)
+        value = values.get(key)
         if value is None:
-            value = capital[key] = _xi_capital_iv(parts, log, prec)
+            value = values[key] = capital(parts, prec)
         return value
 
     failures = []

@@ -16,6 +16,7 @@ from coloured_neretin import (
 )
 from coloured_neretin.covolume import ball_counts, compositions
 from conftest import four_orbit_group, rotation_group, switch_group
+from smith_oracle import seed_bareiss_determinant, seed_smith_normal_form
 
 
 # -- oracles ------------------------------------------------------------------
@@ -102,6 +103,64 @@ def test_smith_normal_form_matches_sympy():
         _, invariants, _ = snf(m)
         nonzero = [x for x in invariants.invariant_factors if x != 0]
         assert nonzero == sympy_invariants(m)
+
+
+def oracle_matrices(rng):
+    """Random matrices of every kind the elimination meets: square and not,
+    singular, entries up to 10**30, and none with a unit entry.  Shapes
+    and entries stay small enough for the elimination, whose entries grow
+    quickly (a dense 7x7 matrix with entries in [-9, 9] can take seconds)."""
+    for k in range(320):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        if k % 4 == 0:
+            rows = cols
+        kind = k % 5
+        if kind == 1:  # up to two entries of size up to 10**30
+            rows, cols = min(rows, 3), min(cols, 3)
+            entries = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
+            for _ in range(rng.randrange(1, 3)):
+                entries[rng.randrange(rows)][rng.randrange(cols)] = rng.randrange(
+                    -(10 ** 30), 10 ** 30 + 1
+                )
+        elif kind == 2:  # no entry of absolute value 1
+            rows, cols = min(rows, 4), min(cols, 4)
+            entries = [
+                [rng.choice((0, 2, -2, 3, -3, 4, 6, -9)) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        else:
+            entries = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+            if kind >= 3 and rows > 1:  # singular: one row a multiple of another
+                factor = rng.randrange(-3, 4)
+                entries[-1] = [factor * x for x in entries[0]]
+        yield IntMatrix(entries)
+    for n in range(1, 5):  # dense 10**30 entries where the elimination stays small
+        for shape in ((1, n), (n, 1), (2, 2)):
+            yield IntMatrix(
+                [[rng.randrange(-(10 ** 30), 10 ** 30 + 1) for _ in range(shape[1])]
+                 for _ in range(shape[0])]
+            )
+
+
+def orbit_systems():
+    """id - M^t of the orbit graph of every orbit-size vector, 2 <= d <= 8."""
+    for d in range(2, 9):
+        for sizes in compositions(d + 1):
+            matrix = build_sft_graph(sizes).matrix
+            yield IntMatrix.identity(matrix.rows).sub(matrix.transpose())
+
+
+def test_smith_normal_form_matches_the_seed_elimination():
+    matrices = list(oracle_matrices(random.Random(47)))
+    assert any(not any(abs(x) == 1 for row in m.entries for x in row) for m in matrices)
+    assert any(m.rows != m.cols for m in matrices)
+    assert any(m.rows == m.cols and seed_bareiss_determinant(m) == 0 for m in matrices)
+    matrices += orbit_systems()
+    assert len(matrices) > 800
+    for m in matrices:
+        assert snf(m) == seed_smith_normal_form(m), m.entries
+        if m.rows == m.cols:
+            assert bareiss_determinant(m) == seed_bareiss_determinant(m), m.entries
 
 
 def test_smith_normal_form_divisibility_chain():

@@ -6,6 +6,7 @@ exit codes and output the shell would.
 
 import csv
 import json
+import os
 import random
 
 import pytest
@@ -23,9 +24,12 @@ from coloured_neretin.cli import main
 from conftest import (
     four_orbit_group,
     rotation_group,
+    small_trivial,
     switch_group,
     sym_group,
 )
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "compose_golden.json")
 
 
 def write_element(tmp_path, name, element):
@@ -66,6 +70,54 @@ def test_compose_over_sym16(tmp_path, capsys):
     )
     assert code == 0
     assert read_element(capsys) == compose(a, b)
+
+
+def test_element_commands_over_sym24(tmp_path, capsys):
+    # |F| = 24! does not fit a machine index, so nothing may take len(F)
+    rng = random.Random(45)
+    group = sym_group(24)
+    a = write_element(tmp_path, "a.json", random_element(group, rng, 3))
+    b = write_element(tmp_path, "b.json", random_element(group, rng, 3))
+    everything = ",".join(str(c) for c in range(24))
+    for argv in (["compose", a, b], ["invert", a], ["reduce", b],
+                 ["sign", a, "--subset", everything]):
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().err == ""
+
+
+def indented(element):
+    """What the element commands print: the json module's own indent=2."""
+    return json.dumps(element_to_dict(element), indent=2) + "\n"
+
+
+def test_element_json_is_the_indented_dump():
+    with open(GOLDEN) as handle:
+        golden = json.load(handle)
+    elements = [
+        element_from_dict(case[kind])
+        for case in golden.values()
+        for kind in ("compose", "inverse")
+    ]
+    trivial = identity_element(small_trivial(2))
+    assert element_to_dict(trivial)["F_generators"] == []
+    for element in elements + [trivial]:
+        assert cli._element_json(element) + "\n" == indented(element)
+
+
+def test_element_commands_print_the_indented_dump(tmp_path, capsys):
+    rng = random.Random(46)
+    for group in (small_trivial(2), rotation_group(), four_orbit_group(), sym_group(7)):
+        a = random_element(group, rng, 6)
+        b = random_element(group, rng, 6)
+        first = write_element(tmp_path, "a.json", a)
+        runs = (
+            (["compose", first, write_element(tmp_path, "b.json", b)], compose(a, b)),
+            (["invert", first], a.inverse()),
+            (["reduce", first], a.reduce()),
+        )
+        for argv, expected in runs:
+            assert main(argv) == 0
+            assert capsys.readouterr().out == indented(expected)
 
 
 def test_compose_rejects_mixed_groups(tmp_path, capsys):

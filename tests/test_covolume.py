@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv
-from mpmath.libmp.libmpi import mpi_sub
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_sub, mpi_zero
 from sympy import primerange
 
 from coloured_neretin import (
@@ -30,8 +30,8 @@ from coloured_neretin import (
     window_primes,
 )
 from coloured_neretin import covolume
-from coloured_neretin.covolume import _xi_capital_iv, exact_div
-from coloured_neretin.intervals import MAX_BITS, default_precision, memoised_log
+from coloured_neretin.covolume import _xi_capital, exact_div
+from coloured_neretin.intervals import MAX_BITS, _int_interval, default_precision, memoised_log
 
 
 # -- oracles ------------------------------------------------------------------
@@ -297,7 +297,7 @@ def test_xi_claims_hold_through_twelve():
 
 
 def test_xi_interval_signs_match_float_oracle():
-    log = memoised_log()
+    xi = _xi_capital(memoised_log())
     for total in range(3, 10):
         for parts in integer_partitions(total):
             if len(parts) > total - 2:
@@ -305,9 +305,7 @@ def test_xi_interval_signs_match_float_oracle():
             bigger = parts + (1,)
             expected = xi_float(bigger) - xi_float(parts)
             sign, _, _ = decide_sign(
-                lambda prec, a=bigger, b=parts: mpi_sub(
-                    _xi_capital_iv(a, log, prec), _xi_capital_iv(b, log, prec), prec
-                )
+                lambda prec, a=bigger, b=parts: mpi_sub(xi(a, prec), xi(b, prec), prec)
             )
             assert sign == (1 if expected > 0 else -1)
             assert abs(expected) > 1e-9  # floats are safely away from zero
@@ -317,12 +315,8 @@ def test_xi_append_fails_at_the_boundary():
     # appending a singleton to (2, 1) decreases the functional: the append
     # step is only valid with at most total-2 parts
     assert xi_float((2, 1, 1)) < xi_float((2, 1))
-    log = memoised_log()
-    sign, _, _ = decide_sign(
-        lambda prec: mpi_sub(
-            _xi_capital_iv((2, 1, 1), log, prec), _xi_capital_iv((2, 1), log, prec), prec
-        )
-    )
+    xi = _xi_capital(memoised_log())
+    sign, _, _ = decide_sign(lambda prec: mpi_sub(xi((2, 1, 1), prec), xi((2, 1), prec), prec))
     assert sign == -1
     report = verify_xi_claims(12)
     assert ("append", (2, 1)) not in [tag for tag in report.failures]
@@ -444,15 +438,26 @@ def literal_decision(expression, start_bits):
     return (start_bits, sign, value.a, value.b, bits)
 
 
+def counting_xi(monkeypatch, calls):
+    """Make every functional that ``covolume`` builds append each
+    (partition, precision) it evaluates to ``calls``."""
+
+    def counting(log):
+        xi = _xi_capital(log)
+
+        def counted(parts, prec):
+            calls.append((parts, prec))
+            return xi(parts, prec)
+
+        return counted
+
+    monkeypatch.setattr(covolume, "_xi_capital", counting)
+
+
 @pytest.mark.parametrize("max_x, start_bits", [(12, None), (14, 4), (12, 3), (9, 5)])
 def test_xi_claims_match_the_literal_expressions(decisions, monkeypatch, max_x, start_bits):
     calls = []
-
-    def counted(parts, log, prec):
-        calls.append((parts, prec))
-        return _xi_capital_iv(parts, log, prec)
-
-    monkeypatch.setattr(covolume, "_xi_capital_iv", counted)
+    counting_xi(monkeypatch, calls)
     report = verify_xi_claims(max_x, start_bits=start_bits)
     assert report.ok
     evaluated = set()
@@ -565,3 +570,33 @@ def test_covolume_table_rows_columns():
     counts = ball_counts((1, 3), 2)
     assert rows[1]["aut_ball_order"] == counts.aut_ball_order
     assert rows[1]["bound_ratio"] == "%.6f" % log_ratio((1, 3), 2)
+
+
+def direct_xi_capital(parts, log, prec):
+    """The functional summed over the whole tuple, with no shared sums."""
+    x = sum(parts) - 1
+    weighted = mpi_zero
+    for p in parts:
+        if p > 1:
+            weighted = mpi_add(weighted, mpi_mul(_int_interval(p, prec), log(p, prec), prec), prec)
+    log_facts = mpi_zero
+    for p in parts:
+        log_facts = mpi_add(log_facts, log(math.factorial(p), prec), prec)
+    ratio = mpi_div(_int_interval(x, prec), _int_interval(x + 1, prec), prec)
+    tail = mpi_mul(_int_interval(x - 1, prec), log(Fraction(x, x + 1), prec), prec)
+    return mpi_add(mpi_sub(mpi_mul(ratio, weighted, prec), log_facts, prec), tail, prec)
+
+
+def test_shared_xi_tables_give_the_fresh_endpoints(monkeypatch):
+    calls = []
+    counting_xi(monkeypatch, calls)
+    verify_xi_claims(12)
+    tuples = list(dict.fromkeys(parts for parts, _ in calls))
+    assert len(tuples) == 441
+    assert (3, 1, 2) in tuples  # merged tuples need not be sorted
+    for prec in (3, 128, 256):
+        shared = _xi_capital(memoised_log())
+        for parts in tuples:
+            got = shared(parts, prec)
+            assert got == _xi_capital(memoised_log())(parts, prec), (parts, prec)
+            assert got == direct_xi_capital(parts, memoised_log(), prec), (parts, prec)
