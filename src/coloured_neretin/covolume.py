@@ -336,11 +336,11 @@ def _xi_capital(log):
     ends = {}
 
     def xi(parts, prec):
-        k = len(parts)
-        while k and (parts[:k], prec) not in sums:
-            k -= 1
-        weighted, log_facts = sums.get((parts[:k], prec), (mpi_zero, mpi_zero))
-        for k in range(k, len(parts)):
+        known = len(parts)
+        while known and (parts[:known], prec) not in sums:
+            known -= 1
+        weighted, log_facts = sums.get((parts[:known], prec), (mpi_zero, mpi_zero))
+        for k in range(known, len(parts)):
             p = parts[k]
             if p > 1:
                 weighted = mpi_add(
