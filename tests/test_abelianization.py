@@ -155,6 +155,7 @@ def test_smith_normal_form_matches_the_seed_elimination():
     assert any(not any(abs(x) == 1 for row in m.entries for x in row) for m in matrices)
     assert any(m.rows != m.cols for m in matrices)
     assert any(m.rows == m.cols and seed_bareiss_determinant(m) == 0 for m in matrices)
+    assert any(abs(x) > 10 ** 29 for m in matrices for row in m.entries for x in row)
     matrices += orbit_systems()
     assert len(matrices) > 800
     for m in matrices:
