@@ -15,13 +15,11 @@ from .permutations import (
     DegreeMismatch,
     NotInvariant,
     Permutation,
-    acts_freely,
     closure_enumerate,
     contains_alternating,
     cycle_string,
     from_cycles,
     identity,
-    is_single_switch,
     parse_cycles,
     stabilizer_restriction_in_alt,
     structure_report,
@@ -37,7 +35,6 @@ from .tree import (
     is_prefix,
     is_valid_address,
     plane_for,
-    random_complete_tree,
     sphere,
 )
 from .almost_automorphisms import (
@@ -77,9 +74,7 @@ from .shift_model import (
     InvalidBisection,
     Omega,
     PathError,
-    bisection_from_jsonable,
     bisection_to_element,
-    bisection_to_jsonable,
     check_path,
     compose_bisections,
     cylinder_mass,
@@ -109,13 +104,11 @@ from .covolume import (
     integer_partitions,
     kernel_factor,
     log_ratio,
-    ratio_slope,
     single_switch_covolume,
     smallest_log_sign,
     verify_prime_windows,
     verify_smallest_inequality,
     verify_xi_claims,
-    window_prime_count,
     window_primes,
 )
 from .intervals import decide_sign, default_precision, interval_width

@@ -282,9 +282,6 @@ class SftGraph:
         """Colour -> least colour of its orbit."""
         return {c: min(block) for block in self.orbit_colours for c in block}
 
-    def vertex_index(self, label):
-        return self.vertices.index(label)
-
     def edges(self):
         """All directed edges as (source, target, letter) with the colour
         letter carried by the edge (None on the forced return edges out of

@@ -187,9 +187,6 @@ class TreePairElement:
         reduced._reduced = True
         return reduced
 
-    def is_reduced(self):
-        return self.reduce() is self
-
     # -- group operations ----------------------------------------------------
 
     def inverse(self):

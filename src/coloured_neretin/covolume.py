@@ -180,10 +180,6 @@ class SmallestVerdict:
         return self.lhs == self.rhs
 
     @property
-    def margin(self):
-        return self.rhs - self.lhs
-
-    @property
     def verdict(self):
         if self.holds:
             return "holds"
@@ -316,13 +312,6 @@ def log_ratio(orbit_sizes, n):
         + log_sphere_index(sizes, n)
         - (d + 1) * d ** (n - 1) * math.log(d)
     )
-
-
-def ratio_slope(orbit_sizes, n_low, n_high):
-    """Empirical growth coefficient of ln(ratio) against d^(n-1)."""
-    sizes, d = check_orbit_sizes(orbit_sizes)
-    run = d ** (n_high - 1) - d ** (n_low - 1)
-    return (log_ratio(sizes, n_high) - log_ratio(sizes, n_low)) / run
 
 
 def _xi_capital(log):
@@ -512,13 +501,6 @@ def window_primes(m):
         return []
     _ensure_sieve(m)
     return [p for p in range(m // 2 + 1, m + 1) if _SIEVE[p]]
-
-
-def window_prime_count(m):
-    if m < 2:
-        return 0
-    _ensure_sieve(m)
-    return _PRIME_COUNTS[m] - _PRIME_COUNTS[m // 2]
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,6 @@ class Permutation:
     def is_identity(self):
         return all(self.images[x] == x for x in range(self.degree))
 
-    def fixed_points(self):
-        return [x for x in range(self.degree) if self.images[x] == x]
-
     def moved_points(self):
         return [x for x in range(self.degree) if self.images[x] != x]
 
@@ -118,9 +115,6 @@ class Permutation:
 
     def __hash__(self):
         return hash(self.images)
-
-    def __lt__(self, other):
-        return self.images < other.images
 
     def __repr__(self):
         return "Permutation(%r)" % (self.images,)
@@ -301,8 +295,7 @@ class ColourGroup:
     prod |O_i|! over the orbits O_i, the largest order F can have (see
     ``_stabilizer_chain``); other groups have all of theirs tested.
     ``orbits`` is sorted by minimal colour; ``orbit_of[c]`` gives the orbit
-    index of colour c.  ``elements`` enumerates F in image-tuple order,
-    which no library code needs.
+    index of colour c.
     """
 
     def __init__(self, generators, degree):
@@ -329,27 +322,9 @@ class ColourGroup:
         """Tree arity parameter: |D| = d + 1."""
         return self.degree - 1
 
+    # kept for bench/tracing.py's len(result); len() overflows from degree 21
     def __len__(self):
         return self.order
-
-    @property
-    def elements(self):
-        """Every element, sorted by image tuple (the identity first)."""
-        return tuple(self)
-
-    def __iter__(self):
-        """Walk the chain, taking each level's points by the image they get."""
-        transversals = [t for t in self._transversals if len(t) > 1]
-
-        def walk(i, g):
-            if i == len(transversals):
-                yield Permutation(g)
-                return
-            table = transversals[i]
-            for p in sorted(table, key=g.__getitem__):
-                yield from walk(i + 1, _mul(g, table[p][0]))
-
-        return walk(0, self._identity.images)
 
     def __contains__(self, perm):
         return (
@@ -443,17 +418,6 @@ def closure_enumerate(generators, degree=None):
 
 def trivial_group(degree):
     return closure_enumerate([], degree)
-
-
-def acts_freely(group):
-    """True iff no nonidentity element fixes a colour: by orbit-stabilizer,
-    iff every orbit has |F| points."""
-    return all(size == group.order for size in group.orbit_sizes)
-
-
-def is_single_switch(group):
-    """True iff the group is {id, t} for a single transposition t."""
-    return group.order == 2 and len(group.generators[0].moved_points()) == 2
 
 
 def stabilizer_restriction_in_alt(group, chi, subset):

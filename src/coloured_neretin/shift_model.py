@@ -21,12 +21,10 @@ tree-pair elements.  This module realises that dictionary concretely:
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelianization import sft_graph_for_group
 from .almost_automorphisms import make_element, random_element
 from .permutations import closure_enumerate, from_cycles
 from .tree import plane_for
@@ -273,10 +271,8 @@ def bisection_to_element(bisection, omega):
     return make_element(pairs, pairs.values(), pairs, omega.group)
 
 
-def element_to_bisection(element, omega=None):
+def element_to_bisection(element, omega):
     """The bisection of the reduced element, its label words unchecked."""
-    if omega is None:
-        omega = Omega(sft_graph_for_group(element.group), element.group)
     element = element.reduce()
     labels, graph = omega.plane.label_word, omega.graph
     return Bisection(tuple(
@@ -312,27 +308,5 @@ def compose_bisections(first, second, graph):
     return result
 
 
-def random_bisection(omega, rng=None, expansions=6):
-    rng = rng if rng is not None else random.Random()
+def random_bisection(omega, rng, expansions=6):
     return element_to_bisection(random_element(omega.group, rng, expansions), omega)
-
-
-def bisection_to_jsonable(bisection):
-    return [[list(s), offset, list(t)] for s, offset, t in bisection.pairs]
-
-
-def bisection_from_jsonable(data):
-    """Inverse of bisection_to_jsonable; each entry must be [list of int,
-    int, list of int], else the ValueError names the entry and field."""
-    if not isinstance(data, (list, tuple)):
-        raise ValueError("bisection is not a list of [source, offset, target] entries")
-    for i, item in enumerate(data):
-        if not (isinstance(item, (list, tuple)) and len(item) == 3):
-            raise ValueError("bisection[%d] is not a [source, offset, target] entry" % i)
-        source, offset, target = item
-        for field, path in (("source", source), ("target", target)):
-            if not isinstance(path, (list, tuple)) or any(type(c) is not int for c in path):
-                raise ValueError("bisection[%d] %s is not a list of colours" % (i, field))
-        if type(offset) is not int:
-            raise ValueError("bisection[%d] offset is not an integer" % i)
-    return Bisection(tuple(data))

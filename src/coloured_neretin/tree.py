@@ -146,12 +146,6 @@ class PlaneOrder:
         sentinel d+1, so that strict descendants come first."""
         return self.label_word(tuple(v)) + (self.d + 1,)
 
-    def lex_compare(self, v, w):
-        """-1 / 0 / +1: strict descendants come first; incomparable addresses
-        branch by the plane order of the children of their common prefix."""
-        v, w = self.lex_key(v), self.lex_key(w)
-        return (v > w) - (v < w)
-
     def lex_sorted(self, addresses):
         return sorted((tuple(v) for v in addresses), key=self.lex_key)
 
@@ -206,9 +200,6 @@ class CompleteSubtree:
     def leaf_index(self, leaf):
         return self._index[tuple(leaf)]
 
-    def depth(self):
-        return max(len(w) for w in self.leaves)
-
     def leaf_containing(self, word):
         """The unique leaf that is a prefix of ``word`` (which must be at
         least that deep), or None if ``word`` is a strict prefix of leaves."""
@@ -239,14 +230,6 @@ class CompleteSubtree:
         new = [w for w in self.leaves if w not in set(children)]
         new.append(parent)
         return CompleteSubtree._trusted(self.d, new)
-
-    def internal_vertices(self):
-        """All strict prefixes of leaves (the non-leaf vertices), sorted."""
-        seen = set()
-        for w in self.leaves:
-            for k in range(len(w)):
-                seen.add(w[:k])
-        return sorted(seen)
 
     def __repr__(self):
         return "CompleteSubtree(d=%d, %d leaves)" % (self.d, len(self.leaves))
@@ -301,15 +284,6 @@ def is_complete_leafset(leaves, d):
     except IncompleteTree:
         return False
     return True
-
-
-def random_complete_tree(d, rng, expansions):
-    """Random complete subtree: B_1 followed by ``expansions`` random simple
-    expansions (uniform leaf each time)."""
-    t = CompleteSubtree.ball(d, 1)
-    for _ in range(expansions):
-        t = t.expand(t.leaves[rng.randrange(len(t.leaves))])
-    return t
 
 
 _PLANE_CACHE = weakref.WeakKeyDictionary()

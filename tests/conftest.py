@@ -1,6 +1,12 @@
 """Shared constructors for the test suite."""
 
-from coloured_neretin import closure_enumerate, is_complete_leafset, parse_cycles, trivial_group
+from coloured_neretin import (
+    CompleteSubtree,
+    closure_enumerate,
+    is_complete_leafset,
+    parse_cycles,
+    trivial_group,
+)
 
 
 def group_from(cycle_texts, degree):
@@ -34,6 +40,34 @@ def small_trivial(d=2):
 def sym_group(degree):
     # the full symmetric group: Neretin's own case
     return group_from(["(0 1)", "(%s)" % " ".join(str(c) for c in range(degree))], degree)
+
+
+def closure_oracle(generators, degree):
+    """Every element of <generators> as an image tuple, sorted, by
+    breadth-first closure: an enumeration independent of the stabilizer
+    chain."""
+    identity = tuple(range(degree))
+    seen = {identity}
+    frontier = [identity]
+    for x in frontier:
+        for g in generators:
+            y = tuple(map(g.images.__getitem__, x))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return sorted(seen)
+
+
+def random_complete_tree(d, rng, expansions):
+    """B_1 followed by ``expansions`` simple expansions, each at a uniform leaf."""
+    tree = CompleteSubtree.ball(d, 1)
+    for _ in range(expansions):
+        tree = tree.expand(tree.leaves[rng.randrange(len(tree.leaves))])
+    return tree
+
+
+def tree_depth(tree):
+    return max(map(len, tree.leaves))
 
 
 def random_word(rng, d, length):

@@ -224,7 +224,7 @@ def test_graph_edges_consistent_with_matrix():
         graph = build_sft_graph(sizes)
         counts = {}
         for source, target, _ in graph.edges():
-            key = (graph.vertex_index(source), graph.vertex_index(target))
+            key = (graph.vertices.index(source), graph.vertices.index(target))
             counts[key] = counts.get(key, 0) + 1
         for i in range(len(graph.vertices)):
             for j in range(len(graph.vertices)):

@@ -32,7 +32,6 @@ from coloured_neretin import (
     is_sign_well_defined,
     purely_infinite_witness,
     random_bisection,
-    random_complete_tree,
     random_element,
     sign,
     smallest_log_sign,
@@ -47,6 +46,7 @@ from coloured_neretin import (
 from conftest import (
     four_orbit_group,
     group_from,
+    random_complete_tree,
     rotation_group,
     small_trivial,
     switch_group,

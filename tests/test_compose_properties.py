@@ -23,6 +23,7 @@ from conftest import (
     rotation_group,
     small_trivial,
     sym_group,
+    tree_depth,
 )
 
 GROUPS = {
@@ -35,7 +36,7 @@ ROUNDS = 6
 
 
 def depth(e):
-    return max(e.domain.depth(), e.range.depth())
+    return max(tree_depth(e.domain), tree_depth(e.range))
 
 
 def factors(name, count):
@@ -63,7 +64,7 @@ def test_compose_acts_as_a_after_b(name):
 def test_compose_is_associative_and_reduced(name):
     for _, (a, b, c) in factors(name, 3):
         ab = compose(a, b)
-        assert ab.is_reduced()
+        assert ab.reduce() is ab
         assert compose(ab, c) == compose(a, compose(b, c))
         expanded = ab.expand_at(ab.domain.leaves[-1])
         reduced = expanded.reduce()
@@ -97,4 +98,4 @@ def test_generator_changes_depth_over_the_trivial_group():
     identity = identity_element(group)
     elements = [e for _, (e,) in factors("trivial_d2", 1)]
     assert all(e != identity for e in elements)
-    assert any(e.domain.depth() != e.range.depth() for e in elements)
+    assert any(tree_depth(e.domain) != tree_depth(e.range) for e in elements)

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -9,9 +8,7 @@ from coloured_neretin import (
     InvalidBisection,
     Omega,
     PathError,
-    bisection_from_jsonable,
     bisection_to_element,
-    bisection_to_jsonable,
     build_sft_graph,
     compose,
     compose_bisections,
@@ -321,30 +318,6 @@ def test_validate_bisection_reports_overlaps_in_pair_order():
         "target paths (1,) and (1, 2) overlap (one is a prefix of the other)",
         "target cylinders cover mass 5/12 instead of 1",
     ]
-
-
-def test_bisection_jsonable_round_trip():
-    rng = random.Random(56)
-    for omega in omegas():
-        bis = random_bisection(omega, rng, 5)
-        data = bisection_to_jsonable(bis)
-        json.dumps(data)
-        assert bisection_from_jsonable(data) == bis
-    with pytest.raises(ValueError):
-        bisection_from_jsonable([[1, 2]])
-
-
-def test_bisection_from_jsonable_names_the_bad_field():
-    for data, message in (
-        ([[5, 0, [1]]], "bisection[0] source is not a list of colours"),
-        ([["ab", 0, "ab"]], "bisection[0] source is not a list of colours"),
-        ([[[1], 0, [1, True]]], "bisection[0] target is not a list of colours"),
-        ([[[1], 0.0, [1]]], "bisection[0] offset is not an integer"),
-        ([[[1], 0, [1]], [1, 2]], "bisection[1] is not a [source, offset, target] entry"),
-    ):
-        with pytest.raises(ValueError) as info:
-            bisection_from_jsonable(data)
-        assert str(info.value) == message
 
 
 def test_bisection_pairs_sorted_by_source():

@@ -1,0 +1,135 @@
+"""Which functions of the package do its users reach?
+
+    python3 tools/census.py
+
+Runs, under ``sys.setprofile``, everything that uses the package outside
+the test suite: every CLI subcommand on small inputs, the four demos, and
+two ops of each benchmark workload (``bench/workloads.py``).  Then prints
+each function or method defined in ``src/coloured_neretin`` (nested
+functions included; class bodies, comprehensions and lambdas left out) that none of
+them called, as ``module.qualname (line N)``.  Methods a ``dataclass``
+generates have no source and are not listed.  Files the commands write go
+to a temporary directory that is removed afterwards.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import inspect
+import io
+import os
+import runpy
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE_DIR = os.path.join(ROOT, "src", "coloured_neretin")
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import inputs  # noqa: E402
+import workloads  # noqa: E402
+from coloured_neretin import cli  # noqa: E402
+
+SEED = 23
+DEMOS = sorted(
+    os.path.join(ROOT, "demos", name)
+    for name in os.listdir(os.path.join(ROOT, "demos"))
+    if name.endswith(".py")
+)
+
+
+def _name(code):
+    return getattr(code, "co_qualname", code.co_name)  # co_qualname: Python 3.11+
+
+
+def _key(code):
+    return os.path.realpath(code.co_filename), code.co_firstlineno, _name(code)
+
+
+def defined_functions():
+    """``_key`` -> ``module.qualname`` of every function in the package."""
+    found = {}
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE_DIR, name)
+        with open(path) as handle:
+            stack = [compile(handle.read(), path, "exec")]
+        while stack:
+            code = stack.pop()
+            for const in code.co_consts:
+                if hasattr(const, "co_code"):
+                    stack.append(const)
+            # class bodies run at import and are not functions
+            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
+                found[_key(code)] = "%s.%s" % (name[:-3], _name(code))
+    return found
+
+
+def cli_commands(workdir, first, second):
+    """Argument lists for every subcommand; ``first`` and ``second`` are
+    element files over the four-orbit colour group of the ``deep``
+    workload, where the union {1, 2, 3, 4} has a well-defined sign."""
+    return [
+        ["compose", first, second],
+        ["invert", first],
+        ["reduce", first],
+        ["sign", first, "--subset", "1,2,3,4", "--mode", "class"],
+        ["sign", first, "--subset", "1,2,3,4", "--mode", "honest", "--target", "nf"],
+        ["abelianization", "--orbits", "1,2,2,2"],
+        ["graph", "--orbits", "1,3,2", "--dot", os.path.join(workdir, "g.dot")],
+        ["covolume-table", "--orbits", "1,2", "--max-n", "3", "--gamma-order", "2",
+         "--csv", os.path.join(workdir, "t.csv")],
+        ["verify-smallest", "--max-d", "5"],
+        ["primes-window", "--max-m", "200"],
+        ["appendix-counts", "--d", "2", "--k", "3", "--n", "2"],
+        ["selftest"],
+    ]
+
+
+def run_users(workdir):
+    """Everything the census counts, with stdout discarded."""
+    made = {}
+    for name, workload in workloads.WORKLOADS.items():
+        path = os.path.join(workdir, name)
+        os.mkdir(path)
+        made[name] = workload(SEED, 2, path)
+    first, second = inputs.write_pairs(made["deep"].pairs[:1], workdir)[0]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in cli_commands(workdir, first, second):
+            status = cli.main(argv)
+            if status != 0:
+                raise SystemExit("census: %r exited with %d" % (argv, status))
+        for demo in DEMOS:
+            runpy.run_path(demo, run_name="__main__")
+        for work in made.values():
+            work.setup()
+            for i in range(2):
+                work.op(i)
+
+
+def main():
+    defined = defined_functions()
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    with tempfile.TemporaryDirectory() as workdir:
+        sys.setprofile(profile)
+        try:
+            run_users(workdir)
+        finally:
+            sys.setprofile(None)
+    reached = {_key(code) for code in reached}
+    unreached = sorted(
+        (key[0], key[1], name) for key, name in defined.items() if key not in reached
+    )
+    print("%d functions defined, %d never reached:" % (len(defined), len(unreached)))
+    for _, line, name in unreached:
+        print("  %s (line %d)" % (name, line))
+
+
+if __name__ == "__main__":
+    main()
