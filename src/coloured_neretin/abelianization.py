@@ -7,12 +7,20 @@ edges go between distinct orbit vertices with multiplicity the target's
 orbit size, and each auxiliary vertex splits one loop into two forced
 edges.  The abelianization of V_F is the cokernel of id - M^t tensored
 with Z/2, computed by exact Smith normal form.
+
+With the orbit vertices first, id - M^t = [[A, B], [C, I]]: M has no edge
+between auxiliary vertices, so their block is the identity.  Multiplying
+by [[I, -B], [0, I]] on the left and [[I, 0], [-C, I]] on the right, integer
+matrices of determinant 1, turns it into diag(A - B*C, I) exactly.  So the
+Smith form runs on the (l+1)x(l+1) Schur complement K = A - B*C, which has
+the same cokernel and the same determinant.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -398,7 +406,6 @@ class Abelianization:
     invariant_factors: tuple
     two_torsion_rank: int
     determinant: int
-    snf_matrix: IntMatrix = field(compare=False)
 
     def describe(self):
         if self.two_torsion_rank == 0:
@@ -409,7 +416,12 @@ class Abelianization:
 def vf_abelianization(orbit_sizes):
     """Abelianization of V_F from the orbit sizes: the cokernel of
     id - M^t tensored with Z/2, with the determinant and closed form
-    cross-checked."""
+    cross-checked.
+
+    The Smith form runs on the Schur complement K = A - B*C of the
+    identity block of the auxiliary vertices (see the module docstring);
+    K is formed from the blocks of id - M^t itself, and the product of its
+    invariant factors is checked against the full system's determinant."""
     graph = build_sft_graph(orbit_sizes)
     n = graph.matrix.rows
     system = IntMatrix.identity(n).sub(graph.matrix.transpose())
@@ -419,8 +431,19 @@ def vf_abelianization(orbit_sizes):
         det,
         2 ** l * (1 - d),
     )
-    _, invariants, _ = smith_normal_form(system)
+    k, rows = l + 1, system.entries
+    assert all(rows[i][k:] == tuple(int(i == j) for j in range(k, n))
+               for i in range(k, n)), "the auxiliary block must be the identity"
+    schur = IntMatrix._trusted(
+        [rows[i][j] - sum(rows[i][m] * rows[m][j] for m in range(k, n))
+         for j in range(k)]
+        for i in range(k)
+    )
+    _, invariants, _ = smith_normal_form(schur)
     assert invariants.free_rank == 0, "id - M^t must be nonsingular"
+    assert math.prod(invariants.invariant_factors) == abs(det), (
+        "the invariant factors of K do not multiply to |det(id - M^t)|"
+    )
     two_rank = sum(1 for eps in invariants.invariant_factors if eps % 2 == 0)
     expected = l + 1 if all(x % 2 == 0 for x in graph.orbit_sizes) else l
     assert two_rank == expected, (
@@ -434,7 +457,6 @@ def vf_abelianization(orbit_sizes):
         ),
         two_torsion_rank=two_rank,
         determinant=det,
-        snf_matrix=system,
     )
 
 

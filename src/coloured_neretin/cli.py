@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import json
 import random
 import sys
@@ -167,8 +168,14 @@ def _element_json(element):
     return "{\n  %s\n}" % ",\n  ".join(fields)
 
 
+def _digits(value):
+    """The decimal digits of an int, exact and free of the interpreter's
+    4 300-digit limit on ``str(int)``."""
+    return str(decimal.Decimal(value))
+
+
 def _show_int(value, limit=48):
-    text = str(value)
+    text = _digits(value)
     if len(text) <= limit:
         return text
     return "%s...%s (%d digits)" % (text[:12], text[-6:], len(text))
@@ -299,7 +306,10 @@ def cmd_covolume_table(args):
         with open(args.csv, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=header)
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(
+                {key: _digits(v) if isinstance(v, int) else v for key, v in row.items()}
+                for row in rows
+            )
         print("wrote %s" % args.csv)
     return 0
 

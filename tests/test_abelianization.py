@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -142,12 +143,17 @@ def oracle_matrices(rng):
             )
 
 
+def orbit_system(sizes):
+    """id - M^t of the orbit graph, all (d+1)x(d+1) of it."""
+    matrix = build_sft_graph(sizes).matrix
+    return IntMatrix.identity(matrix.rows).sub(matrix.transpose())
+
+
 def orbit_systems():
     """id - M^t of the orbit graph of every orbit-size vector, 2 <= d <= 8."""
     for d in range(2, 9):
         for sizes in compositions(d + 1):
-            matrix = build_sft_graph(sizes).matrix
-            yield IntMatrix.identity(matrix.rows).sub(matrix.transpose())
+            yield orbit_system(sizes)
 
 
 def test_smith_normal_form_matches_the_seed_elimination():
@@ -328,6 +334,22 @@ def test_factor_product_equals_determinant():
         for x in ab.invariant_factors:
             product *= x
         assert product == abs(ab.determinant)
+
+
+def test_orbit_block_reduction_matches_the_full_system():
+    # the route before the reduction: the Smith form of the whole id - M^t
+    count = 0
+    for d in range(2, 9):
+        for sizes in compositions(d + 1):
+            system = orbit_system(sizes)
+            factors = snf(system)[1].invariant_factors
+            ab = vf_abelianization(sizes)
+            assert ab.invariant_factors == tuple(x for x in factors if x != 1), sizes
+            assert ab.two_torsion_rank == sum(1 for x in factors if x % 2 == 0), sizes
+            assert ab.determinant == bareiss_determinant(system), sizes
+            assert abs(ab.determinant) == math.prod(factors), sizes
+            count += 1
+    assert count == 508
 
 
 def test_abelianization_group_order_vs_snf_matrix():

@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py on synthetic paired runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,26 @@ def test_summary_ties_and_higher_is_better():
     (row,) = rows
     assert row["wins"] == 2 and row["verdict"] == "same"
     assert row["change_vs_parent"] == 1.0
+
+
+def test_revision_of_a_tree_without_git_metadata_is_null(tmp_path, capsys):
+    assert bench_pairs.revision(tmp_path) is None
+    assert "is not a git checkout" in capsys.readouterr().err
+
+
+def test_revision_of_a_git_checkout_is_its_short_commit(tmp_path, capsys):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "f").write_text("x\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    assert bench_pairs.revision(tmp_path) == git("rev-parse", "--short", "HEAD")
+    # a directory inside a work tree is not a checkout of its own
+    assert bench_pairs.revision(tmp_path / "sub") is None
+    assert "is not a git checkout" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import csv
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -20,6 +21,7 @@ from coloured_neretin import (
 )
 from coloured_neretin import cli
 from coloured_neretin.cli import main
+from coloured_neretin.covolume import covolume_table_rows
 
 from conftest import (
     four_orbit_group,
@@ -299,6 +301,29 @@ def test_covolume_table_csv(tmp_path, capsys):
     assert rows[2][:7] == ["2", "3", "2", "6", "720", "48", "-0.287682"]
     assert all(row[-1] == "equality" for row in rows[1:])
     assert "wrote %s" % target in capsys.readouterr().out
+
+
+def test_covolume_table_past_the_int_str_digit_limit(tmp_path, capsys):
+    # sym_product_order has 27 720 digits at n = 5, past str(int)'s limit
+    target = tmp_path / "table.csv"
+    assert main(["covolume-table", "--orbits", "2,2,3", "--csv", str(target)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (printed,) = [line for line in lines if line.startswith("6 | 2 2 3 | 5 | ")]
+    assert printed.split(" | ")[4].endswith("(27720 digits)")
+    header = lines[0].split(" | ")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [header] + [
+            [str(row[key]) for key in header]
+            for row in covolume_table_rows((2, 2, 3), 6)
+        ]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with open(target, newline="") as handle:
+        cells = [line.split(",") for line in handle.read().split("\r\n")[:-1]]
+    assert cells == expected
+    assert len(cells[5][4]) == 27720
 
 
 def test_covolume_table_gamma_bound(capsys):

@@ -129,10 +129,19 @@ def next_bench_path(directory):
 
 
 def revision(checkout):
+    """The short commit of ``checkout``, or None (said on stderr) when the
+    directory is not the top of a git work tree, as with a ``git archive``
+    tree."""
     proc = subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"], cwd=checkout, capture_output=True, text=True
+        ["git", "rev-parse", "--show-toplevel", "--short", "HEAD"],
+        cwd=checkout, capture_output=True, text=True,
     )
-    return proc.stdout.strip() or os.path.abspath(checkout)
+    lines = proc.stdout.split("\n")
+    if proc.returncode == 0 and os.path.samefile(lines[0], checkout):
+        return lines[1]
+    print("%s is not a git checkout: its revision is recorded as null" % checkout,
+          file=sys.stderr)
+    return None
 
 
 def main(argv=None):
