@@ -84,7 +84,6 @@ from .shift_model import (
     path_children,
     random_bisection,
     root_paths,
-    terminal_orbit,
     validate_bisection,
 )
 from .covolume import (

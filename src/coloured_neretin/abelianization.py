@@ -290,6 +290,22 @@ class SftGraph:
         """Colour -> least colour of its orbit."""
         return {c: min(block) for block in self.orbit_colours for c in block}
 
+    @cached_property
+    def step_costs(self):
+        """(first, steps): ``first[c]`` is the number of graph edges a path's
+        first label c costs, ``steps[p][c]`` that of a label c after p.
+        A first label costs 0 at a representative (a zero-length path) and
+        1 elsewhere; a later label costs 2 in its predecessor's orbit (an
+        interrupted loop) and 1 outside it.  ``steps[p]`` has no entry for
+        the representative of p's orbit, which no label after p may be."""
+        orbit_of, rep_of = self.orbit_of, self.rep_of
+        first = {c: int(c != rep_of[c]) for c in orbit_of}
+        steps = {
+            p: {c: 2 if orbit_of[p] == orbit_of[c] else 1 for c in orbit_of if c != rep_of[p]}
+            for p in orbit_of
+        }
+        return first, steps
+
     def edges(self):
         """All directed edges as (source, target, letter) with the colour
         letter carried by the edge (None on the forced return edges out of

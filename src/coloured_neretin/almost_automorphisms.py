@@ -191,7 +191,10 @@ class TreePairElement:
 
     def inverse(self):
         inverse_map = {w: v for v, w in self._map.items()}
-        return TreePairElement(self.group, self.range, self.domain, inverse_map).reduce()
+        inverse = TreePairElement(self.group, self.range, self.domain, inverse_map)
+        # a cherry of the inverse is a cherry of self read backwards
+        inverse._reduced = self._reduced
+        return inverse.reduce()
 
     def __mul__(self, other):
         """self after other (``(self*other)(x) = self(other(x))``)."""
@@ -277,31 +280,48 @@ def _from_pairs(group, pairs):
 
 
 def compose(a, b):
-    """The element acting as a after b on the boundary, reduced.
-
-    One pass over the common refinement of b's range and a's domain.  Its
-    leaves (the middle leaves) are the longer of each comparable pair of a
-    range leaf t of b and a domain leaf s of a; each is found by looking up
-    the prefixes of one leaf in the other tree's index.  A middle leaf m
-    below t and s comes from b^{-1}(t) followed by the tail of m below t,
-    transported, and goes to a(s) followed by the tail of m below s,
-    transported.  Both composite trees are built once, then reduced.
-    """
+    """The element acting as a after b on the boundary, reduced: both
+    composite trees are built once from the leaf map on the common
+    refinement, then reduced."""
     if a.group != b.group:
         raise ValueError("parameter mismatch: elements live over different colour groups")
-    middle = {t: t for t in b.range.leaves if a.domain.leaf_containing(t) is not None}
-    for s in a.domain.leaves:
-        t = b.range.leaf_containing(s)
-        if t is not None:
-            middle[s] = t
+    return _from_pairs(a.group, _composite_pairs(a, b)).reduce()
+
+
+def _composite_pairs(a, b):
+    """The leaf map of a after b on the common refinement of b's range and
+    a's domain, unreduced.
+
+    Both leaf lists are sorted and complete, so their first unconsumed
+    leaves t (of b's range) and s (of a's domain) are always comparable,
+    and one merge finds the refinement: the longer of t and s is the next
+    middle leaf m, stepped past in its own list, and the shorter is
+    stepped past once the next leaf of the other list no longer extends
+    it.  m comes from b^{-1}(t) followed by the tail of m below t,
+    transported, and goes to a(s) followed by the tail of m below s,
+    transported.
+    """
     b_inverse = {w: v for v, w in b._map.items()}
+    transport_tail = a.plane.transport_tail
+    ts, ss = b.range.leaves, a.domain.leaves
     pairs = {}
-    for m, t in middle.items():
-        u, s = b_inverse[t], a.domain.leaf_containing(m)
-        image = a._map[s]
-        source = u + a.plane.transport_tail(t[-1], u[-1], m[len(t):])
-        pairs[source] = image + a.plane.transport_tail(s[-1], image[-1], m[len(s):])
-    return _from_pairs(a.group, pairs).reduce()
+    i = j = 0
+    while i < len(ts):  # the lists end together
+        t, s = ts[i], ss[j]
+        if len(t) >= len(s):
+            m = t
+            i += 1
+            if i == len(ts) or ts[i][: len(s)] != s:
+                j += 1
+        else:
+            m = s
+            j += 1
+            if j == len(ss) or ss[j][: len(t)] != t:
+                i += 1
+        u, image = b_inverse[t], a._map[s]
+        source = u + transport_tail(t[-1], u[-1], m[len(t):])
+        pairs[source] = image + transport_tail(s[-1], image[-1], m[len(s):])
+    return pairs
 
 
 # -- signs -------------------------------------------------------------------

@@ -648,7 +648,11 @@ def build_parser():
     )
     p.add_argument("--orbits", type=_orbit_sizes_arg, required=True)
     p.add_argument("--max-n", type=_int_at_least(1), default=6)
-    p.add_argument("--csv", help="write the table as CSV")
+    p.add_argument(
+        "--csv",
+        help="write the table as CSV (a cell can pass the csv module's default "
+        "field limit of 131072 characters: see csv.field_size_limit)",
+    )
     p.add_argument(
         "--gamma-order",
         type=_int_at_least(1),

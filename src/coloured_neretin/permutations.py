@@ -272,10 +272,13 @@ def _stabilizer_chain(generators, degree, bound):
         g, level = _sift(transversals, g)
         if level < degree:
             add(g, level)
+    order = 1  # the product of the transversal sizes
     level = degree - 1
     while level >= 0:
+        before = len(transversals[level])
         close(level)
-        if prod(map(len, transversals)) == bound:
+        order = order // before * len(transversals[level])
+        if order == bound:
             break
         found = unsettled(level)
         if found is None:
@@ -303,12 +306,12 @@ class ColourGroup:
         self.degree = degree
         self._identity = identity(degree)
         images = [g.images for g in self.generators]
-        labels = _orbit_labels(images, degree)
-        self.orbit_reps = tuple(c for c, label in enumerate(labels) if c == label)
-        self.orbit_of = {c: self.orbit_reps.index(label) for c, label in enumerate(labels)}
-        self.orbits = tuple(
-            tuple(c for c, label in enumerate(labels) if label == rep) for rep in self.orbit_reps
-        )
+        orbits = {}  # least point -> the orbit's points, in increasing order
+        for c, label in enumerate(_orbit_labels(images, degree)):
+            orbits.setdefault(label, []).append(c)
+        self.orbit_reps = tuple(orbits)
+        self.orbits = tuple(map(tuple, orbits.values()))
+        self.orbit_of = {c: i for i, orbit in enumerate(self.orbits) for c in orbit}
         self.orbit_sizes = tuple(len(orb) for orb in self.orbits)
         # F lies in the product of the symmetric groups of its orbits
         self._strong, self._transversals = _stabilizer_chain(

@@ -22,6 +22,7 @@ tree-pair elements.  This module realises that dictionary concretely:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,21 +62,18 @@ def edge_length(path, graph):
     """Number of graph edges traversed by the path.
 
     The zero-length root child contributes 0, a delta start edge 1, a
-    direct hop 1 and an interrupted loop 2.
+    direct hop 1 and an interrupted loop 2; the costs are read from
+    ``graph.step_costs``, which has no entry for a step that is no path's,
+    so a label word that is not a path raises KeyError (IndexError when
+    empty).
     """
-    orbit_of, rep_of = graph.orbit_of, graph.rep_of
-    total, prev = 0, None
-    for c in path:
-        if prev is None:
-            total += 0 if c == rep_of[c] else 1
-        else:
-            total += 2 if orbit_of[c] == orbit_of[prev] else 1
+    first, steps = graph.step_costs
+    prev = path[0]
+    total = first[prev]
+    for c in path[1:]:
+        total += steps[prev][c]
         prev = c
     return total
-
-
-def terminal_orbit(path, graph):
-    return graph.orbit_of[path[-1]]
 
 
 def cylinder_mass(path, graph):
@@ -211,8 +209,10 @@ def _partition_problems(paths, graph, side):
     ]
     # each cylinder's mass over the common denominator (d+1) d^(D-1)
     d = graph.d
-    D = max((len(p) for p in paths), default=1)
-    mass = Fraction(sum(d ** (D - len(p)) for p in paths), (d + 1) * d ** (D - 1))
+    lengths = Counter(map(len, paths))
+    D = max(lengths, default=1)
+    numerator = sum(count * d ** (D - k) for k, count in lengths.items())
+    mass = Fraction(numerator, (d + 1) * d ** (D - 1))
     if mass != 1:
         problems.append("%s cylinders cover mass %s instead of 1" % (side, mass))
     return problems
@@ -225,22 +225,26 @@ def validate_bisection(bisection, graph):
     terminal orbits are reported per pair, and only when every pair is
     sound are the overlaps and masses of both sides checked.
     """
+    orbit_of = graph.orbit_of
     problems = []
     for index, (source, offset, target) in enumerate(bisection.pairs):
-        for path in (source, target):
-            try:
-                check_path(path, graph)
-            except PathError as exc:
-                problems.append("pair %d: %s" % (index, exc))
+        try:
+            want = edge_length(source, graph) - edge_length(target, graph)
+        except (KeyError, IndexError):  # not two paths: name each defect
+            for path in (source, target):
+                try:
+                    check_path(path, graph)
+                except PathError as exc:
+                    problems.append("pair %d: %s" % (index, exc))
+            continue
         if problems:
             continue
-        ends = terminal_orbit(source, graph), terminal_orbit(target, graph)
+        ends = orbit_of[source[-1]], orbit_of[target[-1]]
         if ends[0] != ends[1]:
             problems.append(
                 "pair %d: source ends at orbit vertex %d but target at %d"
                 % ((index,) + ends)
             )
-        want = edge_length(source, graph) - edge_length(target, graph)
         if offset != want:
             problems.append(
                 "pair %d: offset %d does not match edge length difference %d"

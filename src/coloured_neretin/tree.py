@@ -15,6 +15,7 @@ canonical form in the library hangs off.
 from __future__ import annotations
 
 import weakref
+from itertools import chain
 
 
 class IncompleteTree(ValueError):
@@ -240,27 +241,37 @@ def _check_complete(leaves, d):
     a finite complete subtree.
 
     The internal vertices are the strict prefixes of leaves, collected by
-    climbing from each leaf until a prefix is already known.  A complete
-    subtree with i internal vertices has (d-1)i + 2 leaves, none of them
-    internal; otherwise the first defective internal vertex in preorder
-    (plain tuple order) is reported.
+    climbing from each leaf until a prefix is already known.  The climb
+    also tests the no-repeat rule once per vertex: on each leaf's last edge
+    and on each internal vertex as it is added.  A complete subtree with i
+    internal vertices has (d-1)i + 2 leaves, none of them internal;
+    otherwise the first defective internal vertex in preorder (plain tuple
+    order) is reported.
     """
     if not leaves:
         raise IncompleteTree("empty leaf set")
     if leaves == [()]:
         raise IncompleteTree("the bare root is not a complete subtree")
+    # the letters' range in one pass at C speed; the repeats in the climb
+    valid = all(map(range(d + 1).__contains__, set(chain.from_iterable(leaves))))
+    internal = set()
     for w in leaves:
-        if not is_valid_address(w, d):
-            raise IncompleteTree("invalid address %r for d=%d" % (w, d))
+        if len(w) >= 2 and w[-1] == w[-2]:
+            valid = False
+        for k in range(len(w) - 1, -1, -1):
+            v = w[:k]
+            if v in internal:
+                break
+            internal.add(v)
+            if k >= 2 and v[-1] == v[-2]:
+                valid = False
+    if not valid:  # only names the first invalid leaf
+        for w in leaves:
+            if not is_valid_address(w, d):
+                raise IncompleteTree("invalid address %r for d=%d" % (w, d))
     leaf_set = set(leaves)
     if len(leaf_set) != len(leaves):
         raise IncompleteTree("repeated leaf")
-    internal = set()
-    for w in leaves:
-        for k in range(len(w) - 1, -1, -1):
-            if w[:k] in internal:
-                break
-            internal.add(w[:k])
     if internal.isdisjoint(leaf_set) and len(leaves) == (d - 1) * len(internal) + 2:
         return
     for v in sorted(internal):

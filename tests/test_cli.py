@@ -219,6 +219,19 @@ def test_element_validation_reports_filename(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+def test_invert_of_a_huge_degree_file_reports_the_tree(tmp_path, capsys):
+    # the trivial colour group of degree 50001 builds in linear time, so
+    # the leaf set is reached and named instead of the command hanging
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"d": 50000, "domain": [[0]], "range": [[0]], "kappa": [0]}))
+    assert main(["invert", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: %s: vertex () is internal but covers no leaf through colours [1, 2, 3," % path
+    )
+    assert err.endswith(", 49999, 50000]\n")
+
+
 @pytest.mark.parametrize("entry", [2.0, "1", True])
 def test_compose_names_bad_kappa_entries(tmp_path, capsys, entry):
     data = element_to_dict(identity_element(rotation_group()))

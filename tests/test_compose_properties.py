@@ -15,6 +15,7 @@ from coloured_neretin import (
     sft_graph_for_group,
     validate_bisection,
 )
+from coloured_neretin.almost_automorphisms import _composite_pairs, _from_pairs
 
 from conftest import (
     assert_complete,
@@ -22,9 +23,11 @@ from conftest import (
     random_word,
     rotation_group,
     small_trivial,
+    switch_group,
     sym_group,
     tree_depth,
 )
+from compose_oracle import seed_composite_pairs
 
 GROUPS = {
     "trivial_d2": small_trivial(2),
@@ -33,6 +36,10 @@ GROUPS = {
     "sym4": sym_group(4),
 }
 ROUNDS = 6
+
+
+def changes_depth(e):
+    return tree_depth(e.domain) != tree_depth(e.range)
 
 
 def depth(e):
@@ -99,3 +106,39 @@ def test_generator_changes_depth_over_the_trivial_group():
     elements = [e for _, (e,) in factors("trivial_d2", 1)]
     assert all(e != identity for e in elements)
     assert any(tree_depth(e.domain) != tree_depth(e.range) for e in elements)
+
+
+ORACLE_GROUPS = {
+    "trivial_d2": small_trivial(2),
+    "switch": switch_group(),
+    "four_orbit": four_orbit_group(),
+    "sym4": sym_group(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_compose_merge_matches_the_prefix_probe_oracle(name):
+    group = ORACLE_GROUPS[name]
+    identity = identity_element(group)
+    rng = random.Random("compose-oracle:%s" % name)
+    pairs = []
+    for _ in range(50):
+        a, b = (random_element(group, rng, rng.randrange(2, 13)) for _ in range(2))
+        # b.range == a.domain, an identity on either side, and an
+        # unreduced factor from an expansion
+        expanded = a.expand_at(rng.choice(a.domain.leaves))
+        pairs += [(a, b), (a, a.inverse()), (a.inverse(), a), (a, identity), (identity, b)]
+        pairs += [(expanded, b), (b, expanded)]
+        # the inverse of a reduced element needs no contraction; that of
+        # an unreduced one still does
+        unmarked = _from_pairs(group, {w: v for v, w in a._map.items()})
+        assert len(unmarked.reduce().domain) == len(a.domain)
+        assert expanded.inverse().domain == a.range
+    assert sum(a.domain == b.range for a, b in pairs) >= 100
+    assert sum(any(map(changes_depth, pair)) for pair in pairs) >= 200
+    for a, b in pairs:
+        oracle = seed_composite_pairs(a, b)
+        assert _composite_pairs(a, b) == oracle
+        expected = _from_pairs(group, oracle).reduce()
+        c = compose(a, b)
+        assert (c.domain, c.range, c._map) == (expected.domain, expected.range, expected._map)

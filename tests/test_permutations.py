@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations as all_permutations
 from math import factorial, prod
 
@@ -177,6 +178,21 @@ def test_trivial_group():
     assert group.order == 1
     assert group.orbits == ((0,), (1,), (2,), (3,), (4,))
     assert group.d == 4
+
+
+def test_groups_of_large_degree_build_in_linear_time():
+    # the orbit data and the chain's stop test cost O(degree) per group:
+    # quadratic costs would take minutes here
+    degree = 50001
+    start = time.perf_counter()
+    trivial = trivial_group(degree)
+    switch = closure_enumerate([from_cycles([(0, 1)], degree)], degree)
+    assert time.perf_counter() - start < 5
+    assert trivial.order == 1 and switch.order == 2
+    assert trivial.orbits == tuple((c,) for c in range(degree))
+    assert switch.orbits == ((0, 1),) + tuple((c,) for c in range(2, degree))
+    assert switch.orbit_reps == (0,) + tuple(range(2, degree))
+    assert switch.orbit_of[1] == 0 and switch.orbit_of[degree - 1] == degree - 2
 
 
 def test_group_membership_and_stabilizer():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from coloured_neretin import (
     random_bisection,
     random_element,
     root_paths,
-    terminal_orbit,
     validate_bisection,
 )
 from coloured_neretin.shift_model import _make_pair
@@ -54,11 +54,7 @@ def test_root_paths_shape():
     paths = root_paths(graph)
     assert len(paths) == graph.d + 1
     assert all(len(p) == 1 for p in paths)
-    per_orbit = {}
-    for p in paths:
-        per_orbit[terminal_orbit(p, graph)] = per_orbit.get(
-            terminal_orbit(p, graph), 0
-        ) + 1
+    per_orbit = Counter(graph.orbit_of[p[-1]] for p in paths)
     assert per_orbit == {0: 1, 1: 3, 2: 2}
 
 
@@ -202,7 +198,7 @@ def test_bisection_offsets_and_masses():
         graph = omega.graph
         for source, offset, target in bis.pairs:
             assert offset == edge_length(source, graph) - edge_length(target, graph)
-            assert terminal_orbit(source, graph) == terminal_orbit(target, graph)
+            assert graph.orbit_of[source[-1]] == graph.orbit_of[target[-1]]
         for paths in (bis.sources(), bis.targets()):
             mass = sum((cylinder_mass(p, graph) for p in paths), Fraction(0))
             assert mass == 1
@@ -277,6 +273,18 @@ ROOTS = [((c,), (c,)) for c in range(4)]
             "representative 0; pair 1: label 0 after a label in the orbit of 1 "
             "must avoid the representative 0",
             id="bad-label",
+        ),
+        pytest.param(
+            ROOTS[:3] + [((3, 7, 2), (3,))],
+            "pair 3: label 7 is not a colour of the graph",
+            id="unknown-label-inside",
+        ),
+        # once a pair has a problem, later pairs are checked for labels only
+        pytest.param(
+            [((0,), (1,)), ((1,), (0,)), ((2,), (2,)), ((3, 7), (3,))],
+            "pair 0: offset 0 does not match edge length difference -1; "
+            "pair 3: label 7 is not a colour of the graph",
+            id="wrong-offset",
         ),
     ],
 )

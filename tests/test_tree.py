@@ -233,6 +233,17 @@ def test_incomplete_leafsets_rejected():
         pytest.param(
             [(0, 0), (1,), (2,)], "invalid address (0, 0) for d=2", id="invalid-address"
         ),
+        pytest.param(
+            [(0, 0, 1), (0, 2), (1,), (2,)],
+            "invalid address (0, 0, 1) for d=2",
+            id="repeat-inside-a-prefix",
+        ),
+        # the right number of leaves, and no leaf below another
+        pytest.param(
+            [(0,), (1,), (3, 0), (3, 1)],
+            "invalid address (3, 0) for d=2",
+            id="out-of-range-before-the-last-letter",
+        ),
         pytest.param([(0,), (0,), (1,), (2,)], "repeated leaf", id="repeated"),
         pytest.param(
             [(0,), (1,), (2,), (1, 0)],
