@@ -450,12 +450,11 @@ def element_from_local_data(group, local):
         for k, c in enumerate(word):
             prefix = word[:k]
             if prefix in normalized:
-                p = normalized[prefix]
+                img += (normalized[prefix](c),)
             elif k == 0:
-                p = group.identity()
+                img += (c,)
             else:
-                p = plane.transport(prefix[-1], img[-1])
-            img = img + (p(c),)
+                img += plane.transport_tail(prefix[-1], img[-1], (c,))
         return img
 
     for v, p in normalized.items():

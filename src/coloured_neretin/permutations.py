@@ -357,8 +357,9 @@ class ColourGroup:
 
     @cached_property
     def _level_labels(self):
-        """Orbit labels of levels 1..d of the chain."""
-        return [_orbit_labels(gens, self.degree) for gens in self._strong[1:]]
+        """Orbit labels of level i+1 for each level i the descent chooses in."""
+        levels = (i for i, table in enumerate(self._transversals) if len(table) > 1)
+        return {i: _orbit_labels(self._strong[i + 1], self.degree) for i in levels}
 
     def least_element_mapping(self, point, image):
         """The first element in image-tuple order that sends point to image.

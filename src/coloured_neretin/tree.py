@@ -68,60 +68,47 @@ class PlaneOrder:
     canonical maps: f_chi = the first element of F (in image-tuple order)
     with f_chi(chi) = representative, found by a descent of F's stabilizer
     chain (``ColourGroup.least_element_mapping``) without listing F; the
-    identity is first in that order, so f_chi = id whenever chi is itself a
-    representative.  The maps' inverses, the child orders and the
-    transports are computed once, here.
+    identity is first in that order, so a representative gets F's shared
+    identity without a descent.  The child orders and the transports are
+    read off the maps and the image tuples of their inverses.
     """
 
     def __init__(self, group):
         self.d = group.d
+        ident = group.identity()
         self.canonical_maps = {
-            chi: group.least_element_mapping(chi, group.orbit_reps[group.orbit_of[chi]])
-            for chi in range(group.degree)
+            chi: ident if chi == orbit[0] else group.least_element_mapping(chi, orbit[0])
+            for orbit in group.orbits
+            for chi in orbit
         }
-        inverses = {chi: f.inverse() for chi, f in self.canonical_maps.items()}
-        self._inverse_images = {chi: f.images for chi, f in inverses.items()}
-        self._child_orders = {
-            chi: tuple(sorted(admissible_child_colours((chi,), self.d), key=f))
+        self._inverse_images = {
+            chi: ident.images if f is ident else f.inverse().images
             for chi, f in self.canonical_maps.items()
-        }
-        self._transports = {
-            (a, b): inverses[b] * self.canonical_maps[a]
-            for a in range(group.degree)
-            for b in range(group.degree)
-            if group.orbit_of[a] == group.orbit_of[b]
         }
 
     def children(self, v):
-        """The children of v, in plane order."""
+        """The children of v, in plane order: f_col(v)^{-1} read in order."""
         v = tuple(v)
-        return [v + (c,) for c in (self._child_orders[v[-1]] if v else range(self.d + 1))]
-
-    def transport(self, src_colour, dst_colour):
-        """The colour map matching children of a src-coloured vertex with
-        children of a dst-coloured vertex position by position.
-
-        Equals f_dst^{-1} o f_src; requires the two colours to share an orbit
-        (so both canonical maps land on the same representative).  Sends
-        src_colour to dst_colour, hence admissible colours to admissible ones.
-        """
-        try:
-            return self._transports[src_colour, dst_colour]
-        except KeyError:
-            raise ValueError(
-                "colours %d and %d lie in different orbits" % (src_colour, dst_colour)
-            ) from None
+        if not v:
+            return [(c,) for c in range(self.d + 1)]
+        return [v + (c,) for c in self._inverse_images[v[-1]] if c != v[-1]]
 
     def transport_tail(self, src_colour, dst_colour, tail):
         """Image of the relative address ``tail`` under the canonical
         order-preserving isomorphism from the subtree below a src-coloured
-        vertex to the subtree below a dst-coloured vertex."""
-        out = []
+        vertex to the subtree below a dst-coloured vertex: a letter c below
+        an a-coloured vertex goes to f_b^{-1}(f_a(c)) below a b-coloured one.
+        A nonempty tail needs a and b in one orbit, where f_a(a) = f_b(b).
+        """
+        maps, inverses = self.canonical_maps, self._inverse_images
         a, b = src_colour, dst_colour
+        if tail and maps[a].images[a] != maps[b].images[b]:
+            raise ValueError("colours %d and %d lie in different orbits" % (a, b))
+        out = []
         for c in tail:
-            c2 = self.transport(a, b).images[c]
-            out.append(c2)
-            a, b = c, c2
+            b = inverses[b][maps[a].images[c]]
+            out.append(b)
+            a = c
         return tuple(out)
 
     def label_word(self, v):
@@ -283,8 +270,11 @@ def _check_complete(leaves, d):
             if v + (c,) not in internal and v + (c,) not in leaf_set
         ]
         if missing:
+            if len(missing) > 5:  # the first three, the count left out, the last two
+                missing[3:-2] = ["<%d more>" % (len(missing) - 5)]
             raise IncompleteTree(
-                "vertex %r is internal but covers no leaf through colours %s" % (v, missing)
+                "vertex %r is internal but covers no leaf through colours [%s]"
+                % (v, ", ".join(map(str, missing)))
             )
 
 

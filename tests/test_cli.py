@@ -9,6 +9,7 @@ import json
 import os
 import random
 import sys
+import time
 
 import pytest
 
@@ -230,6 +231,54 @@ def test_invert_of_a_huge_degree_file_reports_the_tree(tmp_path, capsys):
         "error: %s: vertex () is internal but covers no leaf through colours [1, 2, 3," % path
     )
     assert err.endswith(", 49999, 50000]\n")
+
+
+def test_huge_degree_diagnosis_fits_on_one_short_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.json").write_text(
+        json.dumps({"d": 50000, "domain": [[0]], "range": [[0]], "kappa": [0]})
+    )
+    assert main(["invert", "huge.json"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: huge.json: vertex () is internal but covers no leaf through "
+        "colours [1, 2, 3, <49995 more>, 49999, 50000]\n"
+    )
+    assert len(err) < 200
+
+
+@pytest.fixture(scope="module")
+def huge_identity_files(tmp_path_factory):
+    """B_1 identity files at d = 50000, one leaf per colour, over the
+    trivial colour group and over <(0 1)>, with their parsed contents."""
+    folder = tmp_path_factory.mktemp("huge")
+    files = {}
+    for name, generators in (("trivial", []), ("switch", ["(0 1)"])):
+        leaves = [[c] for c in range(50001)]
+        data = {
+            "d": 50000,
+            "F_generators": generators,
+            "domain": leaves,
+            "range": leaves,
+            "kappa": list(range(50001)),
+        }
+        path = folder / (name + ".json")
+        path.write_text(json.dumps(data))
+        files[name] = (str(path), data)
+    return files
+
+
+@pytest.mark.parametrize("group", ["trivial", "switch"])
+@pytest.mark.parametrize("command", ["compose", "invert", "reduce"])
+def test_huge_degree_valid_files_run_end_to_end(huge_identity_files, capsys, group, command):
+    # the plane order is linear in the degree, so a valid element file of
+    # degree 50000 is processed in seconds
+    path, data = huge_identity_files[group]
+    argv = [command, path, path] if command == "compose" else [command, path]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 20.0
+    assert json.loads(capsys.readouterr().out) == data
 
 
 @pytest.mark.parametrize("entry", [2.0, "1", True])

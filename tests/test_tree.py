@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from conftest import (
     random_complete_tree,
     rotation_group,
     switch_group,
+    sym_group,
 )
 
 
@@ -93,9 +95,21 @@ def test_rotation_group_child_orders():
     assert plane.children((2,)) == [(2, 0), (2, 3), (2, 1)]
 
 
+def letterwise_transport(plane, src, dst, tail):
+    """f_dst^{-1} o f_src applied letter by letter with group arithmetic,
+    each image colour becoming the next destination."""
+    maps = plane.canonical_maps
+    out = []
+    for c in tail:
+        out.append((maps[dst].inverse() * maps[src])(c))
+        src, dst = c, out[-1]
+    return tuple(out)
+
+
 def test_canonical_map_properties():
-    for group in (rotation_group(), switch_group(), four_orbit_group()):
+    for group in (rotation_group(), switch_group(), four_orbit_group(), sym_group(4)):
         plane = PlaneOrder(group)
+        d = group.d
         oracle = closure_oracle(group.generators, group.degree)
         for chi in range(group.degree):
             f = plane.canonical_maps[chi]
@@ -103,6 +117,20 @@ def test_canonical_map_properties():
             assert f(chi) == rep
             # lexicographically least element of the group with f(chi) = rep
             assert f.images == min(g for g in oracle if g[chi] == rep)
+            # the children are the admissible colours sorted by f_chi
+            for v in [(chi,)] + [(c, chi) for c in range(group.degree) if c != chi]:
+                assert plane.children(v) == [
+                    v + (c,) for c in sorted(admissible_child_colours(v, d), key=f)
+                ]
+            # the transport is f_b^{-1} o f_a, letter by letter
+            for dst in group.orbits[group.orbit_of[chi]]:
+                for n in (1, 2, 3):
+                    for tail in brute_sphere(d, n):
+                        if tail[0] != chi:
+                            assert plane.transport_tail(chi, dst, tail) == (
+                                letterwise_transport(plane, chi, dst, tail)
+                            )
+        assert plane.children(()) == [(c,) for c in range(group.degree)]
         # representative colours get the identity, so rep vertices sort children
         # by plain colour order
         for rep in group.orbit_reps:
@@ -112,13 +140,32 @@ def test_canonical_map_properties():
 def test_transport_composition():
     group = rotation_group()
     plane = PlaneOrder(group)
-    assert plane.transport(1, 1).is_identity()
-    t12 = plane.transport(1, 2)
-    t23 = plane.transport(2, 3)
-    t13 = plane.transport(1, 3)
-    assert t23 * t12 == t13
+    orbit = group.orbits[group.orbit_of[1]]
+    for a in orbit:
+        tails = [t for n in (1, 2, 3) for t in brute_sphere(3, n) if t[0] != a]
+        for t in tails:
+            assert plane.transport_tail(a, a, t) == t
+            for b in orbit:
+                for c in orbit:
+                    moved = plane.transport_tail(a, b, t)
+                    assert plane.transport_tail(b, c, moved) == plane.transport_tail(a, c, t)
+    assert plane.transport_tail(0, 1, ()) == ()
+    with pytest.raises(ValueError, match="colours 0 and 1 lie in different orbits"):
+        plane.transport_tail(0, 1, (2,))  # different orbits
+
+
+def test_plane_of_a_large_trivial_group_builds_fast():
+    # representatives take F's shared identity without a chain descent, and
+    # the plane holds one map and one inverse per colour
+    group = trivial_group(50001)
+    start = time.perf_counter()
+    plane = PlaneOrder(group)
+    assert time.perf_counter() - start < 5.0
+    assert all(plane.canonical_maps[chi] is group.identity() for chi in range(50001))
+    assert plane.children((7,))[:3] == [(7, 0), (7, 1), (7, 2)]
+    assert plane.transport_tail(3, 3, (0, 3, 9)) == (0, 3, 9)
     with pytest.raises(ValueError):
-        plane.transport(0, 1)  # different orbits
+        plane.transport_tail(3, 9, (0,))  # every colour is its own orbit
 
 
 def test_transport_tail_preserves_validity():
@@ -289,6 +336,24 @@ def test_incomplete_leafset_messages(leaves, message):
         with pytest.raises(IncompleteTree) as info:
             build()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "d, leaves, colours",
+    [
+        (6, [(0,), (1,)], "[2, 3, 4, 5, 6]"),
+        (7, [(0,), (1,)], "[2, 3, 4, <1 more>, 6, 7]"),
+        (40, [(0,), (1,)], "[2, 3, 4, <34 more>, 39, 40]"),
+    ],
+)
+def test_long_missing_colour_lists_are_capped(d, leaves, colours):
+    # more than five missing colours: the first three, the count left out
+    # and the last two
+    with pytest.raises(IncompleteTree) as info:
+        CompleteSubtree(d, leaves)
+    assert str(info.value) == (
+        "vertex () is internal but covers no leaf through colours " + colours
+    )
 
 
 # -- randomized complete-subtree invariants --------------------------------------
