@@ -146,8 +146,8 @@ def test_transport_composition():
         for t in tails:
             assert plane.transport_tail(a, a, t) == t
             for b in orbit:
+                moved = plane.transport_tail(a, b, t)
                 for c in orbit:
-                    moved = plane.transport_tail(a, b, t)
                     assert plane.transport_tail(b, c, moved) == plane.transport_tail(a, c, t)
     assert plane.transport_tail(0, 1, ()) == ()
     with pytest.raises(ValueError, match="colours 0 and 1 lie in different orbits"):
