@@ -12,14 +12,17 @@ With the orbit vertices first, id - M^t = [[A, B], [C, I]]: M has no edge
 between auxiliary vertices, so their block is the identity.  Multiplying
 by [[I, -B], [0, I]] on the left and [[I, 0], [-C, I]] on the right, integer
 matrices of determinant 1, turns it into diag(A - B*C, I) exactly.  So the
-Smith form runs on the (l+1)x(l+1) Schur complement K = A - B*C, which has
-the same cokernel and the same determinant.
+(l+1)x(l+1) Schur complement K = A - B*C has the same cokernel as id - M^t,
+and det(id - M^t) = det(K) * det(I) = det(K).  The Smith form and the
+determinant both run on K, which is formed from the entries of M without
+building id - M^t.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,12 +55,6 @@ class IntMatrix:
         matrix.entries = tuple(map(tuple, rows))
         return matrix
 
-    @classmethod
-    def identity(cls, n):
-        if n < 1:
-            raise ValueError("empty matrix")
-        return cls._trusted([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def rows(self):
         return len(self.entries)
@@ -76,9 +73,6 @@ class IntMatrix:
     def __hash__(self):
         return hash(self.entries)
 
-    def transpose(self):
-        return IntMatrix._trusted(zip(*self.entries))
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch: %dx%d times %dx%d"
@@ -87,14 +81,6 @@ class IntMatrix:
         return IntMatrix._trusted(
             [sum(map(operator.mul, row, column)) for column in columns]
             for row in self.entries
-        )
-
-    def sub(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return IntMatrix._trusted(
-            map(operator.sub, ra, rb)
-            for ra, rb in zip(self.entries, other.entries)
         )
 
     def __repr__(self):
@@ -381,20 +367,18 @@ def build_sft_graph(orbit_sizes, orbit_colours=None):
         for i, size in enumerate(orbit_sizes)
         for j in range(1, size)
     ]
-    index = {v: k for k, v in enumerate(vertices)}
-    n = len(vertices)
+    k, n = len(orbit_sizes), len(vertices)
     entries = [[0] * n for _ in range(n)]
+    aux = k  # the index of ("delta", i, 1), the first auxiliary vertex of orbit i
     for i, si in enumerate(orbit_sizes):
-        for j, sj in enumerate(orbit_sizes):
-            if i != j:
-                entries[index[("D", i)]][index[("D", j)]] = sj
-        for j in range(1, si):
-            entries[index[("D", i)]][index[("delta", i, j)]] = 1
-            entries[index[("delta", i, j)]][index[("D", i)]] = 1
+        entries[i][:k] = orbit_sizes
+        entries[i][i] = 0
+        for a in range(aux, aux + si - 1):
+            entries[i][a] = entries[a][i] = 1
+        aux += si - 1
     matrix = IntMatrix._trusted(entries)
 
-    for i in range(len(orbit_sizes)):
-        row = matrix.entries[index[("D", i)]]
+    for row in matrix.entries[:k]:
         assert sum(row) == d, "row sum at an orbit vertex must be d"
     if not _strongly_connected(matrix):
         raise ValueError("orbit graph is not irreducible")
@@ -404,9 +388,8 @@ def build_sft_graph(orbit_sizes, orbit_colours=None):
         raise ValueError("orbit graph degenerates to a permutation matrix")
 
     graph = SftGraph(orbit_sizes, orbit_colours, tuple(vertices), matrix)
-    edge_counts = {}
-    for src, dst, _ in graph.edges():
-        edge_counts[(src, dst)] = edge_counts.get((src, dst), 0) + 1
+    edge_counts = Counter((src, dst) for src, dst, _ in graph.edges())
+    index = {v: pos for pos, v in enumerate(vertices)}
     for (src, dst), count in edge_counts.items():
         assert matrix[index[src], index[dst]] == count
     return graph
@@ -434,26 +417,27 @@ def vf_abelianization(orbit_sizes):
     id - M^t tensored with Z/2, with the determinant and closed form
     cross-checked.
 
-    The Smith form runs on the Schur complement K = A - B*C of the
-    identity block of the auxiliary vertices (see the module docstring);
-    K is formed from the blocks of id - M^t itself, and the product of its
-    invariant factors is checked against the full system's determinant."""
+    The Smith form and the determinant both run on the Schur complement
+    K = A - B*C of the auxiliary block of id - M^t (see the module
+    docstring), formed straight from the entries of M:
+    K[i][j] = [i == j] - M[j][i] - sum over auxiliary a of M[a][i]*M[j][a].
+    M has no edge between auxiliary vertices, which is checked; that block
+    of id - M^t is then the identity, so det(id - M^t) = det(K), and the
+    product of K's invariant factors is checked against it."""
     graph = build_sft_graph(orbit_sizes)
-    n = graph.matrix.rows
-    system = IntMatrix.identity(n).sub(graph.matrix.transpose())
-    det = bareiss_determinant(system)
     d, l = graph.d, graph.l
+    m, k, n = graph.matrix.entries, l + 1, graph.matrix.rows
+    assert not any(any(row[k:]) for row in m[k:]), "M has an edge between auxiliary vertices"
+    into = [[a for a in range(k, n) if m[a][i]] for i in range(k)]  # auxiliary a -> orbit i
+    schur = IntMatrix._trusted(
+        [int(i == j) - m[j][i] - sum(m[a][i] * m[j][a] for a in into[i])
+         for j in range(k)]
+        for i in range(k)
+    )
+    det = bareiss_determinant(schur)
     assert det == 2 ** l * (1 - d), "determinant %d, expected %d" % (
         det,
         2 ** l * (1 - d),
-    )
-    k, rows = l + 1, system.entries
-    assert all(rows[i][k:] == tuple(int(i == j) for j in range(k, n))
-               for i in range(k, n)), "the auxiliary block must be the identity"
-    schur = IntMatrix._trusted(
-        [rows[i][j] - sum(rows[i][m] * rows[m][j] for m in range(k, n))
-         for j in range(k)]
-        for i in range(k)
     )
     _, invariants, _ = smith_normal_form(schur)
     assert invariants.free_rank == 0, "id - M^t must be nonsingular"

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from sympy import Matrix
@@ -7,16 +8,21 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from coloured_neretin import (
     Abelianization,
+    CompleteSubtree,
     IntMatrix,
     bareiss_determinant,
     build_sft_graph,
+    compose,
     dot_export,
+    make_element,
+    random_element,
     sft_graph_for_group,
+    sign,
     smith_normal_form as snf,
     vf_abelianization,
 )
-from coloured_neretin.covolume import ball_counts, compositions
-from conftest import four_orbit_group, rotation_group, switch_group
+from coloured_neretin.covolume import ball_counts, compositions, integer_partitions
+from conftest import four_orbit_group, group_from, rotation_group, switch_group
 from smith_oracle import seed_bareiss_determinant, seed_smith_normal_form
 
 
@@ -145,8 +151,8 @@ def oracle_matrices(rng):
 
 def orbit_system(sizes):
     """id - M^t of the orbit graph, all (d+1)x(d+1) of it."""
-    matrix = build_sft_graph(sizes).matrix
-    return IntMatrix.identity(matrix.rows).sub(matrix.transpose())
+    m = build_sft_graph(sizes).matrix.entries
+    return IntMatrix([[int(i == j) - m[j][i] for j in range(len(m))] for i in range(len(m))])
 
 
 def orbit_systems():
@@ -352,6 +358,16 @@ def test_orbit_block_reduction_matches_the_full_system():
     assert count == 508
 
 
+def test_orbit_block_determinant_matches_the_full_system_at_d9():
+    # with the test above, every composition with 2 <= d <= 9
+    count = 0
+    for sizes in compositions(10):
+        full = bareiss_determinant(orbit_system(sizes))
+        assert vf_abelianization(sizes).determinant == full, sizes
+        count += 1
+    assert count == 512
+
+
 def test_abelianization_group_order_vs_snf_matrix():
     # the SNF of (I - M^t) recomputed through sympy gives the same factors
     for sizes in ((1, 2, 2, 2), (2, 2), (4,), (1, 1, 1, 1)):
@@ -371,3 +387,97 @@ def test_abelianization_is_a_dataclass_with_sizes():
     assert isinstance(ab, Abelianization)
     assert ab.orbit_sizes == (2, 2)
     assert ab.two_torsion_rank == 2  # both orbit sizes even: l + 1
+
+
+# -- the two-torsion rank from the group side -------------------------------------
+
+
+def block_group(sizes):
+    """A colour group whose orbits are consecutive blocks of the given
+    sizes: the cyclic group of one cycle per block."""
+    cycles, start = "", 0
+    for size in sizes:
+        if size > 1:
+            cycles += "(%s)" % " ".join(str(c) for c in range(start, start + size))
+        start += size
+    return group_from([cycles] if cycles else [], start)
+
+
+def even_unions(group):
+    """Every nonempty union of orbits with an even number of colours: the
+    subsets on which the class sign is a homomorphism of V_F."""
+    orbits = group.orbits
+    unions = []
+    for mask in range(1, 1 << len(orbits)):
+        subset = tuple(sorted(c for i, orbit in enumerate(orbits) if mask >> i & 1 for c in orbit))
+        if len(subset) % 2 == 0:
+            unions.append(subset)
+    return unions
+
+
+def orbit_swap(group, orbit):
+    """The B_2 element swapping a leaf coloured by the least colour of
+    ``orbit`` with one coloured by its greatest, under one parent when
+    these colours differ and under two when the orbit is a singleton;
+    every other leaf is fixed."""
+    low, high = orbit[0], orbit[-1]
+    parents = [c for c in range(group.d + 1) if c not in (low, high)]
+    first, second = (parents[0], low), (parents[low == high], high)
+    leaves = CompleteSubtree.ball(group.d, 2).leaves
+    pairs = {v: v for v in leaves}
+    pairs[first], pairs[second] = second, first
+    return make_element(leaves, leaves, pairs, group)
+
+
+def sign_bits(e, unions):
+    """The class signs of ``e`` on ``unions`` as an F_2 vector: bit k is
+    set when the sign on ``unions[k]`` is -1."""
+    return sum(1 << k for k, subset in enumerate(unions) if sign(e, subset).value == -1)
+
+
+def f2_rank(vectors):
+    basis = {}  # leading bit -> reduced vector
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
+
+
+def test_orbit_swaps_realise_the_two_torsion_rank():
+    # one swap per orbit; their class signs on the even unions of orbits
+    # span an F_2 space of dimension two_torsion_rank, so explicit elements
+    # of V_F realise the whole abelianization computed from the orbit graph
+    start = time.perf_counter()
+    count = 0
+    for d in range(2, 10):
+        for sizes in integer_partitions(d + 1):
+            group = block_group(sizes)
+            assert group.orbit_sizes == tuple(sizes)
+            unions = even_unions(group)
+            swaps = [sign_bits(orbit_swap(group, orbit), unions) for orbit in group.orbits]
+            assert f2_rank(swaps) == vf_abelianization(sizes).two_torsion_rank, sizes
+            count += 1
+    assert count == 135
+    assert time.perf_counter() - start < 5.0
+
+
+def test_class_signs_are_a_homomorphism_on_random_pairs():
+    # random_element changes depth, so the check is not vacuous over trivial F
+    start = time.perf_counter()
+    rng = random.Random(48)
+    count = nontrivial = 0
+    for d in range(2, 10):
+        for sizes in integer_partitions(d + 1):
+            group = block_group(sizes)
+            unions = even_unions(group)
+            a, b = random_element(group, rng, 3), random_element(group, rng, 3)
+            signs = [sign_bits(e, unions) for e in (a, b, compose(a, b))]
+            assert signs[2] == signs[0] ^ signs[1], sizes
+            count += 1
+            nontrivial += all(signs)
+    assert count == 135 and 2 * nontrivial > count
+    assert time.perf_counter() - start < 5.0

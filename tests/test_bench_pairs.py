@@ -1,7 +1,10 @@
-"""The summary of tools/bench_pairs.py on synthetic paired runs."""
+"""The summary of tools/bench_pairs.py on synthetic paired runs, and its
+record of runs that end without a result."""
 
 import importlib.util
+import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,47 @@ def test_revision_of_a_git_checkout_is_its_short_commit(tmp_path, capsys):
     # a directory inside a work tree is not a checkout of its own
     assert bench_pairs.revision(tmp_path / "sub") is None
     assert "is not a git checkout" in capsys.readouterr().err
+
+
+def python_command(code):
+    """A benchmark command that runs ``code``; the workload arguments
+    appended to it land in ``sys.argv``."""
+    return [sys.executable, "-c", code]
+
+
+def test_run_once_records_a_run_that_exits_non_zero_without_a_result(tmp_path):
+    code = ("import sys; print('{\"attempted\": 5, \"failed\": 0}'); "
+            "print('boom', file=sys.stderr); sys.exit(3)")
+    result = bench_pairs.run_once(tmp_path, python_command(code), "deep", 23, "1", False)
+    assert result["attempted"] == 0 and result["failed"] == 0 and not result["correct"]
+    assert result["error"] == "exit 3: boom"
+
+
+def test_run_once_records_a_malformed_last_line_without_a_result(tmp_path):
+    for code, error in (("print('[1, 2]')", "'[1, 2]'"), ("print('ok')", "'ok'"), ("pass", "''")):
+        result = bench_pairs.run_once(tmp_path, python_command(code), "deep", 23, "1", False)
+        assert result["error"] == "no JSON object on the last line: " + error
+    ok = "import json; print(json.dumps({'attempted': 5, 'failed': 1, 'metrics': {}}))"
+    assert bench_pairs.run_once(tmp_path, python_command(ok), "deep", 23, "1", False) == {
+        "attempted": 5, "failed": 1, "metrics": {}}
+
+
+def test_runs_without_a_result_are_counted_and_fail_the_tool(tmp_path, capsys):
+    # the command of BENCHMARK.json runs in each side's checkout; here it
+    # crashes in the one named "parent"
+    code = ("import os, sys; os.path.basename(os.getcwd()) == 'parent' and sys.exit(1); "
+            "print('{\"attempted\": 2, \"failed\": 0, \"metrics\": {}}')")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "command": python_command(code), "run_seconds": 1, "end_to_end": []}))
+    args = ["--parent", str(parent), "--change", str(change), "--workloads", "deep",
+            "--seeds", "23", "--pairs", "2", "--out", str(tmp_path)]
+    assert bench_pairs.main(args) == 1
+    assert ("deep     failed ops: parent 0/0, 2 runs without a result; "
+            "change 0/4, 0 runs without a result") in capsys.readouterr().out
+    args[1] = str(change)  # both sides run cleanly
+    assert bench_pairs.main(args) == 0
+    assert ("deep     failed ops: parent 0/4, 0 runs without a result; "
+            "change 0/4, 0 runs without a result") in capsys.readouterr().out

@@ -23,6 +23,10 @@ prints each side's median and quartiles, how many pairs the change won
 
 Metrics without a bound (the per-layer ones of ``--trace 1``) get
 ``gain`` or ``same`` only.
+
+The closing lines give, per workload and side, the failed ops and the runs
+that ended without a result (a non-zero exit or a last line that is not a
+JSON object).  The tool exits 1 when there is any such run.
 """
 
 from __future__ import annotations
@@ -106,17 +110,27 @@ def format_row(row):
 
 
 def run_once(checkout, command, workload, seed, seconds, trace):
-    """The JSON result of one benchmark run in ``checkout``."""
+    """The JSON result of one benchmark run in ``checkout``.
+
+    A run that exits non-zero (a crash, or a kill on a timeout) or whose
+    last line of output is not a JSON object ends without a result: it is
+    recorded with no ops and an ``error`` that says why."""
     argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     if trace:
         argv += ["--trace", "1"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
     try:
-        return json.loads(lines[-1])
-    except (IndexError, ValueError):
-        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
-                "error": "exit %d: %s" % (proc.returncode, proc.stderr.strip()[-500:])}
+        result = json.loads(last)
+    except ValueError:
+        result = None
+    if proc.returncode != 0:
+        error = "exit %d: %s" % (proc.returncode, proc.stderr.strip()[-500:])
+    elif not isinstance(result, dict):
+        error = "no JSON object on the last line: %r" % last[-200:]
+    else:
+        return result
+    return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "error": error}
 
 
 def next_bench_path(directory):
@@ -202,16 +216,20 @@ def main(argv=None):
     print("wrote %s" % path)
     for row in summarise(record["runs"], spec):
         print(format_row(row))
+    lost = 0
     for workload in args.workloads.split(","):
-        counts = {
-            side: [sum(r["result"][k] for r in record["runs"]
-                       if r["workload"] == workload and r["side"] == side)
-                   for k in ("failed", "attempted")]
-            for side in sides
-        }
-        print("%-8s failed ops: parent %d/%d, change %d/%d"
-              % ((workload,) + tuple(counts["parent"]) + tuple(counts["change"])))
-    return 0
+        texts = []
+        for side in sides:
+            results = [r["result"] for r in record["runs"]
+                       if r["workload"] == workload and r["side"] == side]
+            missing = sum(1 for result in results if "error" in result)
+            lost += missing
+            texts.append("%s %d/%d, %d run%s without a result" % (
+                side, sum(result["failed"] for result in results),
+                sum(result["attempted"] for result in results),
+                missing, "" if missing == 1 else "s"))
+        print("%-8s failed ops: %s" % (workload, "; ".join(texts)))
+    return 1 if lost else 0
 
 
 if __name__ == "__main__":
