@@ -27,6 +27,7 @@ from itertools import chain
 
 from .permutations import (
     NotInvariant,
+    Permutation,
     closure_enumerate,
     cycle_string,
     parse_cycles,
@@ -366,9 +367,10 @@ def is_sign_well_defined(group, subset, target="vf"):
 def sign(e, subset, mode="class", target="vf"):
     """Sign of the leaf permutation restricted to subset-coloured leaves.
 
-    honest mode: the parity for the element's own trees, via inversion
-    counting against the lexicographic order (the k-th subset-coloured range
-    leaf is identified with the k-th subset-coloured domain leaf).
+    honest mode: the parity for the element's own trees, of the permutation
+    that sends the k-th subset-coloured domain leaf in plane order to the
+    position of its image among the subset-coloured range leaves (the k-th
+    subset-coloured range leaf is identified with the k-th domain leaf).
 
     class mode: refuses representative-dependent data (NotWellDefined) and
     otherwise returns the homomorphism value, computed on the reduced form.
@@ -384,15 +386,11 @@ def sign(e, subset, mode="class", target="vf"):
             )
         e = e.reduce()
     plane = e.plane
-    dom = [v for v in plane.lex_sorted(e.domain.leaves) if v[-1] in subset]
-    ran = [w for w in plane.lex_sorted(e.range.leaves) if w[-1] in subset]
+    dom = plane.lex_sorted(v for v in e.domain.leaves if v[-1] in subset)
+    ran = plane.lex_sorted(w for w in e.range.leaves if w[-1] in subset)
     assert len(dom) == len(ran)
     position = {w: k for k, w in enumerate(ran)}
-    seq = [position[e.leaf_image(v)] for v in dom]
-    inversions = sum(
-        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
-    )
-    return SignValue(-1 if inversions % 2 else 1, subset)
+    return SignValue(Permutation([position[e.leaf_image(v)] for v in dom]).parity(), subset)
 
 
 def find_sign_violation(group, subset):

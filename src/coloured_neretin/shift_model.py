@@ -187,6 +187,15 @@ class Bisection:
         return [t for _, _, t in self.pairs]
 
 
+def _mass(paths, d):
+    """Total mass of the cylinders, summed over the common denominator
+    (d+1) d^(D-1), D the length of the longest path."""
+    lengths = Counter(map(len, paths))
+    D = max(lengths, default=1)
+    numerator = sum(count * d ** (D - k) for k, count in lengths.items())
+    return Fraction(numerator, (d + 1) * d ** (D - 1))
+
+
 def _partition_problems(paths, graph, side):
     """Overlaps, reported for each pair i < j in that order, then the mass.
 
@@ -207,24 +216,65 @@ def _partition_problems(paths, graph, side):
         % (side, paths[i], paths[j])
         for i, j in sorted(overlaps)
     ]
-    # each cylinder's mass over the common denominator (d+1) d^(D-1)
-    d = graph.d
-    lengths = Counter(map(len, paths))
-    D = max(lengths, default=1)
-    numerator = sum(count * d ** (D - k) for k, count in lengths.items())
-    mass = Fraction(numerator, (d + 1) * d ** (D - 1))
+    mass = _mass(paths, graph.d)
     if mass != 1:
         problems.append("%s cylinders cover mass %s instead of 1" % (side, mass))
     return problems
 
 
+def _is_valid(pairs, graph):
+    """The sweep: True iff every pair has the right offset and terminal
+    orbits and each side is prefix-free with mass 1.  Any label or path
+    that is not a graph path shows as a failed lookup and gives False."""
+    first, steps = graph.step_costs
+    orbit_of = graph.orbit_of
+    try:
+        for source, offset, target in pairs:
+            if orbit_of[source[-1]] != orbit_of[target[-1]]:
+                return False
+            prev = source[0]
+            length = first[prev]
+            for c in source[1:]:
+                length += steps[prev][c]
+                prev = c
+            prev = target[0]
+            length -= first[prev]
+            for c in target[1:]:
+                length -= steps[prev][c]
+                prev = c
+            if length != offset:
+                return False
+        for paths in (sorted([s for s, _, _ in pairs]), sorted([t for _, _, t in pairs])):
+            # in tuple order a path that is a prefix of another is a
+            # prefix of its successor
+            for p, q in zip(paths, paths[1:]):
+                if q[: len(p)] == p:
+                    return False
+            if _mass(paths, graph.d) != 1:
+                return False
+    except (LookupError, TypeError):
+        return False
+    return True
+
+
 def validate_bisection(bisection, graph):
     """The list of problems of the bisection, empty when it is valid.
 
-    Never raises on mathematically bad data: bad labels, offsets and
-    terminal orbits are reported per pair, and only when every pair is
-    sound are the overlaps and masses of both sides checked.
+    A sweep runs first and decides: per pair, the edge-length difference
+    and the two terminal orbits, read inline from ``graph.step_costs`` and
+    ``graph.orbit_of``; per side, one sort, a prefix test on each adjacent
+    pair and the mass sum.  When it passes the list is empty.  Only on a
+    defect does the diagnosis run, which names the problems: it never
+    raises on mathematically bad data; bad labels, offsets and terminal
+    orbits are reported per pair, and only when every pair is sound are
+    the overlaps and masses of both sides checked.
     """
+    if _is_valid(bisection.pairs, graph):
+        return []
+    return _diagnose_bisection(bisection, graph)
+
+
+def _diagnose_bisection(bisection, graph):
     orbit_of = graph.orbit_of
     problems = []
     for index, (source, offset, target) in enumerate(bisection.pairs):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import weakref
 from itertools import chain
+from operator import getitem
 
 
 class IncompleteTree(ValueError):
@@ -69,8 +70,12 @@ class PlaneOrder:
     with f_chi(chi) = representative, found by a descent of F's stabilizer
     chain (``ColourGroup.least_element_mapping``) without listing F; the
     identity is first in that order, so a representative gets F's shared
-    identity without a descent.  The child orders and the transports are
-    read off the maps and the image tuples of their inverses.
+    identity without a descent.
+
+    The plane stores ``canonical_maps`` (colour -> f_chi) and two lists
+    indexed by colour: ``_images[chi]``, the image tuple of f_chi, and
+    ``_inverse_images[chi]``, that of f_chi^{-1}.  Child orders, label words
+    and transports read only the two lists.
     """
 
     def __init__(self, group):
@@ -81,10 +86,11 @@ class PlaneOrder:
             for orbit in group.orbits
             for chi in orbit
         }
-        self._inverse_images = {
-            chi: ident.images if f is ident else f.inverse().images
-            for chi, f in self.canonical_maps.items()
-        }
+        maps = [self.canonical_maps[chi] for chi in range(self.d + 1)]
+        self._images = [f.images for f in maps]
+        self._inverse_images = [
+            ident.images if f is ident else f.inverse().images for f in maps
+        ]
 
     def children(self, v):
         """The children of v, in plane order: f_col(v)^{-1} read in order."""
@@ -100,13 +106,13 @@ class PlaneOrder:
         an a-coloured vertex goes to f_b^{-1}(f_a(c)) below a b-coloured one.
         A nonempty tail needs a and b in one orbit, where f_a(a) = f_b(b).
         """
-        maps, inverses = self.canonical_maps, self._inverse_images
+        images, inverses = self._images, self._inverse_images
         a, b = src_colour, dst_colour
-        if tail and maps[a].images[a] != maps[b].images[b]:
+        if tail and images[a][a] != images[b][b]:
             raise ValueError("colours %d and %d lie in different orbits" % (a, b))
         out = []
         for c in tail:
-            b = inverses[b][maps[a].images[c]]
+            b = inverses[b][images[a][c]]
             out.append(b)
             a = c
         return tuple(out)
@@ -119,14 +125,18 @@ class PlaneOrder:
         """
         if not v:
             return ()
-        maps = self.canonical_maps
-        return (v[0],) + tuple(maps[p].images[c] for p, c in zip(v, v[1:]))
+        return (v[0],) + tuple(map(getitem, map(self._images.__getitem__, v), v[1:]))
 
     def address_of(self, labels):
         """Inverse of ``label_word``."""
-        word = []
-        for k, label in enumerate(labels):
-            word.append(self._inverse_images[word[-1]][label] if k else label)
+        if not labels:
+            return ()
+        inverses = self._inverse_images
+        a = labels[0]
+        word = [a]
+        for label in labels[1:]:
+            a = inverses[a][label]
+            word.append(a)
         return tuple(word)
 
     def lex_key(self, v):

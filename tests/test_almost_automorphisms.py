@@ -267,6 +267,43 @@ def test_sign_of_identity_and_multiplicativity():
         assert sign(a.inverse(), subset).value == sa
 
 
+def quadratic_sign(e, subset):
+    """The honest sign as first computed: both whole leaf lists in plane
+    order, filtered to the subset's colours, and the inversions of the
+    matched positions counted pair by pair."""
+    plane = e.plane
+    dom = [v for v in plane.lex_sorted(e.domain.leaves) if v[-1] in subset]
+    ran = [w for w in plane.lex_sorted(e.range.leaves) if w[-1] in subset]
+    position = {w: k for k, w in enumerate(ran)}
+    seq = [position[e.leaf_image(v)] for v in dom]
+    inversions = sum(
+        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def test_sign_matches_the_inversion_count_on_random_pairs():
+    rng = random.Random(29)
+    cases = [
+        (four_orbit_group(), [(1, 2), (3, 4), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6)]),
+        (switch_group(), [(1, 2), (0, 3)]),
+        (small_trivial(3), [(0, 1), (0, 1, 2, 3)]),
+    ]
+    odd = 0
+    for group, subsets in cases:
+        for _ in range(8):
+            a, b = random_element(group, rng, 5), random_element(group, rng, 5)
+            for e in (a, b, compose(a, b)):
+                for subset in subsets:
+                    value = quadratic_sign(e, subset)
+                    assert sign(e, subset, mode="honest").value == value
+                    assert sign(e, subset, mode="class").value == quadratic_sign(
+                        e.reduce(), subset
+                    )
+                    odd += value == -1
+    assert odd > 0  # both parities occur
+
+
 def test_honest_sign_stable_under_expansion_for_even_subsets():
     rng = random.Random(28)
     group = four_orbit_group()

@@ -22,10 +22,19 @@ from coloured_neretin import (
     random_bisection,
     random_element,
     root_paths,
+    sft_graph_for_group,
     validate_bisection,
 )
 from coloured_neretin.shift_model import _make_pair
-from conftest import group_from, rotation_group
+from bisection_oracle import seed_validate_bisection
+from conftest import (
+    four_orbit_group,
+    group_from,
+    rotation_group,
+    small_trivial,
+    switch_group,
+    sym_group,
+)
 
 
 BRIDGE_CASES = [
@@ -334,3 +343,87 @@ def test_bisection_pairs_sorted_by_source():
     bis = random_bisection(omega, rng, 6)
     sources = [s for s, _, _ in bis.pairs]
     assert sources == sorted(sources)
+
+
+# -- the sweep against the seed validation ------------------------------------------
+
+
+def one_defect_away(pairs, graph, rng):
+    """Pair lists one defect away from the valid ``pairs``: an offset off by
+    one, targets swapped across orbits, a pair dropped, duplicated or put
+    in another's place, a path replaced by its parent or a child, an unknown
+    label and an empty path.  A changed path comes once with the old offset
+    and once, where both paths are paths, with the offset recomputed, so
+    that the per-pair checks pass and only a side's partition is wrong."""
+    orbit_of, n = graph.orbit_of, len(pairs)
+
+    def put(i, pair):
+        return pairs[:i] + [pair] + pairs[i + 1 :]
+
+    def with_path(i, side, path):
+        source, offset, target = pairs[i]
+        source, target = (path, target) if side == 0 else (source, path)
+        variants = [put(i, (source, offset, target))]
+        try:
+            variants.append(put(i, _make_pair(source, target, graph)))
+        except (KeyError, IndexError):
+            pass
+        return variants
+
+    i, j = rng.randrange(n), rng.randrange(n)
+    source, offset, target = pairs[i]
+    out = [
+        put(i, (source, offset + rng.choice((-1, 1)), target)),
+        pairs + [pairs[j]],
+        pairs[:i] + pairs[i + 1 :],
+    ]
+    twins = [
+        k for k in range(n)
+        if k != i and len(pairs[k][0]) == len(source) and len(pairs[k][2]) == len(target)
+    ]
+    if twins:  # same lengths, so both masses stay 1 and only the overlap shows
+        out.append(put(i, pairs[rng.choice(twins)]))
+    others = [k for k in range(n) if orbit_of[pairs[k][2][-1]] != orbit_of[target[-1]]]
+    if others:
+        k = rng.choice(others)
+        swapped = put(i, (source, offset, pairs[k][2]))
+        swapped[k] = (pairs[k][0], pairs[k][1], target)
+        out.append(swapped)
+        out.append(put(i, _make_pair(source, pairs[k][2], graph)))
+    for side in (0, 2):
+        path = pairs[i][side]
+        children = path_children(path, graph)
+        same_orbit = [c for c in children if orbit_of[c[-1]] == orbit_of[path[-1]]]
+        position = rng.randrange(len(path))
+        unknown = path[:position] + (graph.d + 1,) + path[position + 1 :]
+        for changed in [path[:-1], rng.choice(children), unknown, ()] + same_orbit[:1]:
+            out.extend(with_path(i, side, changed))
+    return out
+
+
+VALIDATION_CASES = [small_trivial(2), switch_group(), four_orbit_group(), sym_group(4)]
+
+
+def test_validate_bisection_matches_the_seed_validation():
+    rng = random.Random(58)
+    valid = target_only = overlap_at_mass_one = 0
+    for group in VALIDATION_CASES:
+        omega = Omega(sft_graph_for_group(group), group)
+        graph = omega.graph
+        for _ in range(6):
+            first = random_bisection(omega, rng, rng.randrange(1, 7))
+            second = random_bisection(omega, rng, rng.randrange(1, 7))
+            for base in (first, compose_bisections(first, second, graph)):
+                for _ in range(3):
+                    for pairs in [list(base.pairs)] + one_defect_away(list(base.pairs), graph, rng):
+                        bisection = Bisection(tuple(pairs))
+                        want = seed_validate_bisection(bisection, graph)
+                        assert validate_bisection(bisection, graph) == want, pairs
+                        valid += not want
+                        target_only += bool(want) and all(p.startswith("target ") for p in want)
+                        overlap_at_mass_one += any("overlap" in p for p in want) and not any(
+                            "mass" in p for p in want
+                        )
+    # the sample holds valid bisections and the defects that only the
+    # target side's sort, or only the adjacent-prefix test, can see
+    assert valid > 0 and target_only > 0 and overlap_at_mass_one > 0

@@ -26,6 +26,7 @@ from conftest import (
     four_orbit_group,
     random_complete_tree,
     rotation_group,
+    small_trivial,
     switch_group,
     sym_group,
 )
@@ -135,6 +136,21 @@ def test_canonical_map_properties():
         # by plain colour order
         for rep in group.orbit_reps:
             assert plane.canonical_maps[rep].is_identity()
+
+
+def test_label_word_is_its_definition_and_address_of_inverts_it():
+    # label_word(v) = (v[0], f_{v[0]}(v[1]), ..., f_{v[n-2]}(v[n-1])), with
+    # f read off canonical_maps; address_of undoes it
+    groups = (small_trivial(2), switch_group(), rotation_group(), four_orbit_group(), sym_group(4))
+    for group in groups:
+        plane = PlaneOrder(group)
+        maps = plane.canonical_maps
+        addresses = [()] + [v for n in (1, 2, 3) for v in brute_sphere(group.d, n)]
+        assert len(addresses) == 1 + sum((group.d + 1) * group.d ** k for k in range(3))
+        for v in addresses:
+            want = v[:1] + tuple(maps[v[i - 1]](v[i]) for i in range(1, len(v)))
+            assert plane.label_word(v) == want
+            assert plane.address_of(want) == v
 
 
 def test_transport_composition():

@@ -8,7 +8,9 @@ two ops of each benchmark workload (``bench/workloads.py``).  Then prints
 each function or method defined in ``src/coloured_neretin`` (nested
 functions included; class bodies, comprehensions and lambdas left out) that none of
 them called, as ``module.qualname (line N)``.  Methods a ``dataclass``
-generates have no source and are not listed.  Files the commands write go
+generates have no source and are not listed.  Last come the line count of
+each module of the package and their total, so that the net ``src/`` line
+delta of a change is the difference of two runs.  Files the commands write go
 to a temporary directory that is removed afterwards.
 """
 
@@ -64,6 +66,16 @@ def defined_functions():
             if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
                 found[_key(code)] = "%s.%s" % (name[:-3], _name(code))
     return found
+
+
+def module_lines():
+    """Module file name -> its number of lines, in file name order."""
+    lines = {}
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name)) as handle:
+                lines[name] = sum(1 for _ in handle)
+    return lines
 
 
 def cli_commands(workdir, first, second):
@@ -129,6 +141,11 @@ def main():
     print("%d functions defined, %d never reached:" % (len(defined), len(unreached)))
     for _, line, name in unreached:
         print("  %s (line %d)" % (name, line))
+    lines = module_lines()
+    print("lines per module:")
+    for name, count in lines.items():
+        print("  %s %d" % (name, count))
+    print("  total %d" % sum(lines.values()))
 
 
 if __name__ == "__main__":
