@@ -224,8 +224,9 @@ def _partition_problems(paths, graph, side):
 
 def _is_valid(pairs, graph):
     """The sweep: True iff every pair has the right offset and terminal
-    orbits and each side is prefix-free with mass 1.  Any label or path
-    that is not a graph path shows as a failed lookup and gives False."""
+    orbits and each side is prefix-free with mass 1.  A label word that is
+    not a graph path fails a lookup (or a comparison, for labels of other
+    types) and gives False, and the diagnosis then names it."""
     first, steps = graph.step_costs
     orbit_of = graph.orbit_of
     try:
@@ -275,6 +276,8 @@ def validate_bisection(bisection, graph):
 
 
 def _diagnose_bisection(bisection, graph):
+    """Every problem of the bisection, in the order ``validate_bisection``
+    documents; run only when the sweep has found a defect."""
     orbit_of = graph.orbit_of
     problems = []
     for index, (source, offset, target) in enumerate(bisection.pairs):
