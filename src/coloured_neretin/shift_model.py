@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .almost_automorphisms import make_element, random_element
 from .permutations import closure_enumerate, from_cycles
-from .tree import plane_for
+from .tree import check_address, plane_for
 
 
 class PathError(ValueError):
@@ -134,7 +134,8 @@ class Omega:
         return address
 
     def to_labels(self, address):
-        return check_path(self.plane.label_word(tuple(address)), self.graph)
+        address = check_address(address, self.graph.d)
+        return check_path(self.plane.label_word(address), self.graph)
 
     def check_depth(self, depth):
         """Exhaustively verify the isomorphism on all paths of <= depth labels.
@@ -187,102 +188,67 @@ class Bisection:
         return [t for _, _, t in self.pairs]
 
 
-def _mass(paths, d):
-    """Total mass of the cylinders, summed over the common denominator
-    (d+1) d^(D-1), D the length of the longest path."""
+def _partition_problems(paths, ordered, graph, side):
+    """Overlaps, reported for each pair i < j in that order, then the mass.
+
+    ``ordered`` is ``paths`` sorted.  In label order the extensions of a
+    path directly follow it, so a path that is a prefix of another is a
+    prefix of its successor: a valid side costs one test per adjacent
+    pair.  Only when one holds does the forward scan from each path, which
+    stops at the first non-extension, find every overlapping pair once.
+    """
+    problems = []
+    if any(q[: len(p)] == p for p, q in zip(ordered, ordered[1:])):
+        order = sorted(range(len(paths)), key=paths.__getitem__)
+        overlaps = []
+        for k, i in enumerate(order):
+            p = paths[i]
+            for j in order[k + 1 :]:
+                if paths[j][: len(p)] != p:
+                    break
+                overlaps.append((min(i, j), max(i, j)))
+        problems = [
+            "%s paths %r and %r overlap (one is a prefix of the other)"
+            % (side, paths[i], paths[j])
+            for i, j in sorted(overlaps)
+        ]
+    # each cylinder's mass over the common denominator (d+1) d^(D-1)
+    d = graph.d
     lengths = Counter(map(len, paths))
     D = max(lengths, default=1)
     numerator = sum(count * d ** (D - k) for k, count in lengths.items())
-    return Fraction(numerator, (d + 1) * d ** (D - 1))
-
-
-def _partition_problems(paths, graph, side):
-    """Overlaps, reported for each pair i < j in that order, then the mass.
-
-    In label order the extensions of a path directly follow it, so a
-    forward scan from each path that stops at the first non-extension
-    finds every overlapping pair once.
-    """
-    order = sorted(range(len(paths)), key=paths.__getitem__)
-    overlaps = []
-    for k, i in enumerate(order):
-        p = paths[i]
-        for j in order[k + 1 :]:
-            if paths[j][: len(p)] != p:
-                break
-            overlaps.append((min(i, j), max(i, j)))
-    problems = [
-        "%s paths %r and %r overlap (one is a prefix of the other)"
-        % (side, paths[i], paths[j])
-        for i, j in sorted(overlaps)
-    ]
-    mass = _mass(paths, graph.d)
+    mass = Fraction(numerator, (d + 1) * d ** (D - 1))
     if mass != 1:
         problems.append("%s cylinders cover mass %s instead of 1" % (side, mass))
     return problems
 
 
-def _is_valid(pairs, graph):
-    """The sweep: True iff every pair has the right offset and terminal
-    orbits and each side is prefix-free with mass 1.  A label word that is
-    not a graph path fails a lookup (or a comparison, for labels of other
-    types) and gives False, and the diagnosis then names it."""
-    first, steps = graph.step_costs
-    orbit_of = graph.orbit_of
-    try:
-        for source, offset, target in pairs:
-            if orbit_of[source[-1]] != orbit_of[target[-1]]:
-                return False
-            prev = source[0]
-            length = first[prev]
-            for c in source[1:]:
-                length += steps[prev][c]
-                prev = c
-            prev = target[0]
-            length -= first[prev]
-            for c in target[1:]:
-                length -= steps[prev][c]
-                prev = c
-            if length != offset:
-                return False
-        for paths in (sorted([s for s, _, _ in pairs]), sorted([t for _, _, t in pairs])):
-            # in tuple order a path that is a prefix of another is a
-            # prefix of its successor
-            for p, q in zip(paths, paths[1:]):
-                if q[: len(p)] == p:
-                    return False
-            if _mass(paths, graph.d) != 1:
-                return False
-    except (LookupError, TypeError):
-        return False
-    return True
-
-
 def validate_bisection(bisection, graph):
     """The list of problems of the bisection, empty when it is valid.
 
-    A sweep runs first and decides: per pair, the edge-length difference
-    and the two terminal orbits, read inline from ``graph.step_costs`` and
-    ``graph.orbit_of``; per side, one sort, a prefix test on each adjacent
-    pair and the mass sum.  When it passes the list is empty.  Only on a
-    defect does the diagnosis run, which names the problems: it never
-    raises on mathematically bad data; bad labels, offsets and terminal
-    orbits are reported per pair, and only when every pair is sound are
-    the overlaps and masses of both sides checked.
+    Never raises on mathematically bad data: bad labels, offsets and
+    terminal orbits are reported per pair, and only when every pair is
+    sound are the overlaps and masses of both sides checked.  The edge
+    lengths are read inline from ``graph.step_costs``; ``check_path`` runs
+    only on a pair whose lookup fails, to name the defect.  Per side one
+    sort and a prefix test on adjacent paths decide whether any overlaps
+    must be listed.
     """
-    if _is_valid(bisection.pairs, graph):
-        return []
-    return _diagnose_bisection(bisection, graph)
-
-
-def _diagnose_bisection(bisection, graph):
-    """Every problem of the bisection, in the order ``validate_bisection``
-    documents; run only when the sweep has found a defect."""
+    first, steps = graph.step_costs
     orbit_of = graph.orbit_of
     problems = []
     for index, (source, offset, target) in enumerate(bisection.pairs):
-        try:
-            want = edge_length(source, graph) - edge_length(target, graph)
+        try:  # edge_length(source) - edge_length(target), inlined
+            prev = source[0]
+            want = first[prev]
+            for c in source[1:]:
+                want += steps[prev][c]
+                prev = c
+            prev = target[0]
+            want -= first[prev]
+            for c in target[1:]:
+                want -= steps[prev][c]
+                prev = c
         except (KeyError, IndexError):  # not two paths: name each defect
             for path in (source, target):
                 try:
@@ -304,8 +270,12 @@ def _diagnose_bisection(bisection, graph):
                 % (index, offset, want)
             )
     if not problems:
-        problems.extend(_partition_problems(bisection.sources(), graph, "source"))
-        problems.extend(_partition_problems(bisection.targets(), graph, "target"))
+        # Bisection keeps its pairs sorted by source, so only the targets
+        # need a sort
+        sources = [s for s, _, _ in bisection.pairs]
+        targets = [t for _, _, t in bisection.pairs]
+        problems.extend(_partition_problems(sources, sources, graph, "source"))
+        problems.extend(_partition_problems(targets, sorted(targets), graph, "target"))
     return problems
 
 

@@ -1,9 +1,10 @@
 """Oracle for ``coloured_neretin.shift_model.validate_bisection``.
 
-``seed_validate_bisection`` is the check as it ran before the sorted
-sweep: every pair's labels, offset and terminal orbits, then the overlaps
-and the mass of each side, for every bisection.  The sweep with its
-diagnosis must give the same list of problems.
+``seed_validate_bisection`` is the check as it ran before the per-side
+adjacent-prefix test and the inline step costs: every pair's labels,
+offset and terminal orbits, then the overlap scan and the mass of each
+side, for every bisection.  ``validate_bisection`` must give the same
+list of problems.
 """
 
 from collections import Counter

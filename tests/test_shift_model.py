@@ -140,6 +140,13 @@ def test_omega_to_labels_round_trip():
             assert omega.to_labels(address) == p
 
 
+def test_omega_to_labels_rejects_an_invalid_address():
+    omega = Omega(build_sft_graph((1, 3)))
+    for address in ((2, -1, 3), (2, -1), (4,), (1, 1), (0, 2, 5)):
+        with pytest.raises(ValueError, match="invalid vertex address"):
+            omega.to_labels(address)
+
+
 def test_omega_default_group_over_singleton_orbits():
     omega = Omega(build_sft_graph((1, 1, 1)))
     assert len(omega.group) == 1
@@ -345,7 +352,7 @@ def test_bisection_pairs_sorted_by_source():
     assert sources == sorted(sources)
 
 
-# -- the sweep against the seed validation ------------------------------------------
+# -- validate_bisection against the seed validation ---------------------------------
 
 
 def one_defect_away(pairs, graph, rng):
