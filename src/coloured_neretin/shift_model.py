@@ -272,8 +272,7 @@ def validate_bisection(bisection, graph):
     if not problems:
         # Bisection keeps its pairs sorted by source, so only the targets
         # need a sort
-        sources = [s for s, _, _ in bisection.pairs]
-        targets = [t for _, _, t in bisection.pairs]
+        sources, targets = bisection.sources(), bisection.targets()
         problems.extend(_partition_problems(sources, sources, graph, "source"))
         problems.extend(_partition_problems(targets, sorted(targets), graph, "target"))
     return problems
