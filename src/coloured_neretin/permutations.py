@@ -83,32 +83,16 @@ class Permutation:
 
     def parity(self):
         """+1 for even, -1 for odd."""
-        sign = 1
-        for cyc in self.cycles():
-            if len(cyc) % 2 == 0:
-                sign = -sign
-        return sign
+        return (-1) ** sum(len(cyc) - 1 for cyc in self.cycles())
 
     def restriction_parity(self, subset):
-        """Parity of the restriction to an invariant subset (+1 even / -1 odd)."""
+        """Parity of the restriction to an invariant subset (+1 even / -1 odd):
+        the cycles that start in the subset are the ones inside it."""
         subset = set(subset)
         for x in subset:
             if self.images[x] not in subset:
                 raise NotInvariant("subset %s not invariant under %s" % (sorted(subset), self))
-        sign = 1
-        seen = set()
-        for start in subset:
-            if start in seen:
-                continue
-            length = 0
-            x = start
-            while x not in seen:
-                seen.add(x)
-                x = self.images[x]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        return (-1) ** sum(len(cyc) - 1 for cyc in self.cycles() if cyc[0] in subset)
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -179,6 +163,15 @@ def _mul(a, b):
 
 def _inverse(a):
     return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+def _check_colours(colours, d):
+    """``colours`` as a tuple, each an int in 0..d (bools are not colours)."""
+    colours = tuple(colours)
+    for c in colours:
+        if type(c) is not int or not 0 <= c <= d:
+            raise ValueError("colour %r outside 0..%d" % (c, d))
+    return colours
 
 
 def _orbit_labels(generators, degree):
@@ -355,6 +348,19 @@ class ColourGroup:
         subset = set(subset)
         return all(g(x) in subset for g in self.generators for x in subset)
 
+    def invariant_subset(self, subset):
+        """``subset`` as a sorted tuple of colours mapped to itself by F.
+
+        The one check of a colour subset: ValueError names the first colour
+        that is not an int in 0..d, NotInvariant a subset F moves off itself.
+        """
+        subset = tuple(sorted(set(_check_colours(subset, self.d))))
+        if not self.is_invariant(subset):
+            raise NotInvariant(
+                "subset %s is not invariant under the colour group" % (list(subset),)
+            )
+        return subset
+
     @cached_property
     def _level_labels(self):
         """Orbit labels of level i+1 for each level i the descent chooses in."""
@@ -434,9 +440,8 @@ def stabilizer_restriction_in_alt(group, chi, subset):
     e(u_{s(p)}) e(s) e(u_p), so it suffices that e(u_p) is the same along
     every generator edge of the orbit.
     """
-    subset = tuple(sorted(set(subset)))
-    if not group.is_invariant(subset):
-        raise NotInvariant("subset %s is not invariant under the group" % (list(subset),))
+    subset = group.invariant_subset(subset)
+    _check_colours((chi,), group.d)
     parities = [(g.images, g.restriction_parity(subset)) for g in group.generators]
     signs = {chi: 1}
     frontier = [chi]
@@ -486,11 +491,7 @@ def structure_report(group, support=None):
     ``primitive`` and ``block_system`` (a proper nontrivial block system if
     the action is transitive but imprimitive, else None).
     """
-    if support is None:
-        support = range(group.degree)
-    support = tuple(sorted(set(support)))
-    if not group.is_invariant(support):
-        raise NotInvariant("support %s is not invariant under the group" % (list(support),))
+    support = group.invariant_subset(range(group.degree) if support is None else support)
     n = len(support)
     if n == 0:
         raise ValueError("empty support")
@@ -535,11 +536,10 @@ def structure_report(group, support=None):
 def contains_alternating(group, support):
     """Whether the group's action contains Alt(support).
 
-    Assumes every group element moves only points of ``support``; then the
-    group embeds in Sym(support) and order comparison decides the question.
+    The group must move only points of ``support`` (ValueError otherwise);
+    then it embeds in Sym(support) and order comparison decides the question.
     """
-    support = tuple(sorted(set(support)))
-    for g in group.generators:
-        for x in g.moved_points():
-            assert x in support, "element moves a point outside the support"
+    support = group.invariant_subset(support)
+    if any(len(orbit) > 1 and orbit[0] not in support for orbit in group.orbits):
+        raise ValueError("the group moves colours outside the support %s" % (list(support),))
     return 2 * group.order >= factorial(len(support))

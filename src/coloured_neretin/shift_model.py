@@ -25,6 +25,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .almost_automorphisms import make_element, random_element
 from .permutations import closure_enumerate, from_cycles
@@ -165,21 +166,25 @@ class Omega:
 class Bisection:
     """Shift-side normal form: (source path, offset, target path) triples.
 
-    Both paths of a triple are label-word tuples.  The source paths and the
-    target paths each give a clopen partition of the path space, the offset
-    of a pair is the difference of the edge lengths of its paths, and
-    source and target of a pair end at the same orbit vertex;
-    ``validate_bisection`` checks all of this.  Pairs are kept sorted by
-    source label word.
+    Both paths of a triple are label-word tuples and the offset is an int
+    (not a bool), kept as given; any other offset raises InvalidBisection.
+    The source paths and the target paths each give a clopen partition of
+    the path space, the offset of a pair is the difference of the edge
+    lengths of its paths, and source and target of a pair end at the same
+    orbit vertex; ``validate_bisection`` checks all of this.  Pairs are kept
+    sorted by source label word.
     """
 
     pairs: tuple
 
     def __post_init__(self):
-        canonical = tuple(
-            sorted((tuple(s), int(offset), tuple(t)) for s, offset, t in self.pairs)
-        )
-        object.__setattr__(self, "pairs", canonical)
+        pairs = [(tuple(s), offset, tuple(t)) for s, offset, t in self.pairs]
+        if not set(map(type, map(itemgetter(1), pairs))) <= {int}:
+            raise InvalidBisection([
+                "pair %r: offset %r is not an int" % (pair, pair[1])
+                for pair in pairs if type(pair[1]) is not int
+            ])
+        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
 
     def sources(self):
         return [s for s, _, _ in self.pairs]

@@ -30,6 +30,7 @@ from coloured_neretin import (
     random_element,
     sign,
     sphere,
+    stabilizer_restriction_in_alt,
     translation_element,
     trivial_group,
 )
@@ -341,6 +342,50 @@ def test_class_sign_rejects_bad_subsets():
         sign(e, (5, 6), target="nf")  # stabilizer parity fails
     assert sign(e, (5, 6), target="vf").value == 1
     assert sign(e, (), mode="honest").value == 1  # empty subset, trivially +1
+    with pytest.raises(NotInvariant):
+        is_sign_well_defined(group, (1, 3))  # no sign to ask about
+
+
+@pytest.mark.parametrize("bad", [7, -1, 2.0, "2", True, None])
+def test_sign_functions_name_a_bad_colour(bad):
+    group = four_orbit_group()  # d = 6
+    e = identity_element(group)
+    calls = [
+        lambda: find_sign_violation(group, (bad,)),
+        lambda: is_sign_well_defined(group, (1, 2, bad), target="vf"),
+        lambda: is_sign_well_defined(group, (1, 2, bad), target="nf"),
+    ] + [
+        lambda mode=mode, target=target: sign(e, (1, 2, bad), mode=mode, target=target)
+        for mode in ("class", "honest")
+        for target in ("vf", "nf")
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "colour %r outside 0..6" % (bad,)
+
+
+def test_nf_per_orbit_matches_every_colour():
+    groups = [
+        small_trivial(3),
+        switch_group(),
+        rotation_group(),
+        four_orbit_group(),
+        group_from(["(1 2)"], 3),
+        group_from(["(0 1)", "(2 3)"], 4),
+        group_from(["(1 2)(3 4)", "(3 4)(5 6)"], 7),
+        group_from(["(0 1 2 3 4 5)"], 6),
+    ]
+    decided = 0
+    for group in groups:
+        for mask in range(1 << len(group.orbits)):
+            subset = [c for k, orbit in enumerate(group.orbits) if mask >> k & 1 for c in orbit]
+            every_colour = len(subset) % 2 == 0 and all(
+                stabilizer_restriction_in_alt(group, chi, subset) for chi in range(group.degree)
+            )
+            assert is_sign_well_defined(group, subset, target="nf") == every_colour
+            decided += every_colour
+    assert 0 < decided
 
 
 def test_nf_well_defined_exactly_for_the_even_union():

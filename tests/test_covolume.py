@@ -248,6 +248,7 @@ def test_smallest_trichotomy_sweep():
                 assert verdict.verdict == "equality"
             else:
                 assert verdict.verdict == "reversed"
+            assert verdict.expected == verdict.verdict
             compare = dominant_coefficient_compare(sizes)
             assert compare.strict_less == verdict.holds
             assert compare.equality == verdict.equality

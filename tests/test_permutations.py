@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import permutations as all_permutations
 from math import factorial, prod
@@ -16,6 +19,7 @@ from coloured_neretin import (
     contains_alternating,
     cycle_string,
     from_cycles,
+    is_sign_well_defined,
     parse_cycles,
     stabilizer_restriction_in_alt,
     structure_report,
@@ -210,6 +214,13 @@ def test_invariant_subsets():
     assert group.is_invariant((1, 2, 3, 4))
     assert not group.is_invariant((1, 3))
     assert group.is_invariant(())
+    assert group.invariant_subset([4, 2, 1, 3, 3]) == (1, 2, 3, 4)
+    assert group.invariant_subset(()) == ()
+    with pytest.raises(NotInvariant, match=r"subset \[1, 3\] is not invariant"):
+        group.invariant_subset((3, 1))
+    # the range is checked before invariance
+    with pytest.raises(ValueError, match=r"colour -1 outside 0..6"):
+        structure_report(group, (-1, 0))
 
 
 # -- the stabilizer chain against a brute-force closure --------------------------
@@ -284,10 +295,14 @@ def test_chain_matches_brute_force_closure():
             if len(subset) % 2:
                 continue
             even_there = {g: Permutation(g).restriction_parity(subset) == 1 for g in oracle}
+            per_colour = []
             for chi in range(degree):
-                assert stabilizer_restriction_in_alt(group, chi, subset) == all(
+                per_colour.append(stabilizer_restriction_in_alt(group, chi, subset))
+                assert per_colour[-1] == all(
                     even_there[g] for g in oracle if g[chi] == chi
                 )
+            # one colour per orbit decides the nf test
+            assert is_sign_well_defined(group, subset, target="nf") == all(per_colour)
 
 
 def test_chain_handles_large_symmetric_groups():
@@ -457,9 +472,68 @@ def test_contains_alternating_matches_enumeration():
 
 
 def test_contains_alternating_requires_support():
-    group = group_from(["(0 1 2)"], 4)
-    with pytest.raises(AssertionError):
-        contains_alternating(group, (0, 1))
+    with pytest.raises(ValueError):
+        contains_alternating(group_from(["(0 1 2)"], 4), (0, 1))  # not invariant
+    # invariant, but the group moves 0 and 1 outside it
+    with pytest.raises(ValueError, match="moves colours outside the support"):
+        contains_alternating(group_from(["(0 1)"], 4), (2, 3))
+
+
+BAD_COLOURS = [7, -1, 2.0, "2", True, None]
+
+
+def colour_calls(group, bad):
+    """Every call of this module that takes colours, with ``bad`` among them."""
+    return {
+        "invariant_subset": lambda: group.invariant_subset((1, 2, bad)),
+        "stabilizer subset": lambda: stabilizer_restriction_in_alt(group, 0, (1, 2, bad)),
+        "stabilizer chi": lambda: stabilizer_restriction_in_alt(group, bad, (1, 2)),
+        "structure_report": lambda: structure_report(group, (0, bad)),
+        "contains_alternating": lambda: contains_alternating(group, tuple(range(7)) + (bad,)),
+    }
+
+
+@pytest.mark.parametrize("bad", BAD_COLOURS)
+def test_functions_taking_colours_name_a_bad_colour(bad):
+    group = four_orbit_group()  # d = 6
+    for name, call in colour_calls(group, bad).items():
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "colour %r outside 0..6" % (bad,), name
+
+
+def test_colour_checks_hold_without_asserts():
+    # python -O strips assert statements; no check of a colour argument is one
+    code = """
+from coloured_neretin import contains_alternating, is_sign_well_defined
+from conftest import four_orbit_group, group_from
+from test_permutations import BAD_COLOURS, colour_calls
+group = four_orbit_group()
+calls = [lambda: contains_alternating(group_from(["(0 1)"], 4), (2, 3))]
+for bad in BAD_COLOURS:
+    calls += colour_calls(group, bad).values()
+    calls.append(lambda bad=bad: is_sign_well_defined(group, (1, 2, bad), target="nf"))
+for call in calls:
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+"""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(os.path.dirname(here), "src"), here, env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "the group moves colours outside the support [2, 3]"
+    expected = [
+        "colour %r outside 0..6" % (bad,) for bad in BAD_COLOURS for _ in range(6)
+    ]
+    assert lines[1:] == expected
 
 
 def test_stabilizer_restriction_four_orbit_example():

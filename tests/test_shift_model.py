@@ -255,6 +255,21 @@ def test_validate_bisection_diagnostics():
         bisection_to_element(bad, Omega(graph))
 
 
+@pytest.mark.parametrize("offset", [0.7, 1.7, "1", None, True, Fraction(1)])
+def test_bisection_offsets_are_ints(offset):
+    # an offset is kept as given, so one that is not an int is refused
+    # rather than truncated into a valid bisection
+    graph = build_sft_graph((2, 2))
+    good = identity_bisection(graph)
+    s, zero, t = good.pairs[1]
+    assert type(zero) is int
+    with pytest.raises(InvalidBisection) as info:
+        Bisection(good.pairs[:1] + ((list(s), offset, t),) + good.pairs[2:])
+    assert info.value.problems == ["pair %r: offset %r is not an int" % ((s, offset, t), offset)]
+    shifted = Bisection(tuple((s, offset + 1, t) for s, offset, t in good.pairs))
+    assert [o for _, o, _ in shifted.pairs] == [o + 1 for _, o, _ in good.pairs]
+
+
 ROOTS = [((c,), (c,)) for c in range(4)]
 
 
