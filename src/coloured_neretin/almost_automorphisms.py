@@ -630,6 +630,11 @@ def element_from_dict(data, group=None):
     field (callers must then ensure it matches)."""
     _check_element_shape(data)
     d = data["d"]
+    if len(data["domain"]) <= d:
+        # a complete leaf set other than the bare root has at least d + 1
+        # leaves, so this domain's own check fails, naming its defect at a
+        # cost bounded by the file, before F costs O(d)
+        CompleteSubtree(d, _addresses(data["domain"], "domain"))
     if group is None:
         generators = []
         for i, text in enumerate(data.get("F_generators", [])):

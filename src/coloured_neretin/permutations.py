@@ -13,9 +13,11 @@ module boundary.
 
 from __future__ import annotations
 
+import random
 import re
 from functools import cached_property
 from math import factorial, prod
+from operator import itemgetter
 
 
 class DegreeMismatch(ValueError):
@@ -87,8 +89,9 @@ class Permutation:
 
     def restriction_parity(self, subset):
         """Parity of the restriction to an invariant subset (+1 even / -1 odd):
-        the cycles that start in the subset are the ones inside it."""
-        subset = set(subset)
+        the cycles that start in the subset are the ones inside it.
+        ValueError names a colour that is not an int in 0..degree-1."""
+        subset = set(_check_colours(subset, self.degree - 1))
         for x in subset:
             if self.images[x] not in subset:
                 raise NotInvariant("subset %s not invariant under %s" % (sorted(subset), self))
@@ -157,12 +160,19 @@ def cycle_string(perm):
 
 
 def _mul(a, b):
-    """Image tuple of a * b (b acts first)."""
-    return tuple(map(a.__getitem__, b))
+    """Image tuple of a * b (b acts first).
+
+    ``itemgetter`` of one index gives a bare item, not a tuple, but the one
+    permutation of degree 1 is the identity.
+    """
+    return itemgetter(*b)(a) if len(b) > 1 else a
 
 
 def _inverse(a):
-    return tuple(sorted(range(len(a)), key=a.__getitem__))
+    inverse = [0] * len(a)
+    for x, y in enumerate(a):
+        inverse[y] = x
+    return tuple(inverse)
 
 
 def _check_colours(colours, d):
@@ -191,6 +201,27 @@ def _orbit_labels(generators, degree):
     return labels
 
 
+def _parity_vector(g, labels):
+    """Bit ``labels[x]`` set for each orbit on which g is odd, in one cycle pass.
+
+    g is odd on an orbit exactly when it has an odd number of cycles of
+    even length there.
+    """
+    vector = 0
+    seen = bytearray(len(g))
+    for start, image in enumerate(g):
+        if seen[start] or image == start:
+            continue
+        length = 1
+        while image != start:
+            seen[image] = 1
+            image = g[image]
+            length += 1
+        if not length % 2:
+            vector ^= 1 << labels[start]
+    return vector
+
+
 def _sift(transversals, g, start=0):
     """Strip g (an image tuple fixing 0..start-1) down the chain.
 
@@ -206,92 +237,187 @@ def _sift(transversals, g, start=0):
     return g, len(g)
 
 
-def _stabilizer_chain(generators, degree, bound):
-    """Strong generators and transversals of <generators> on base 0..degree-1.
+def _stabilizer_chain(generators, labels, bound):
+    """Strong generators and transversals of <generators> on base 0..d.
 
-    Incremental Schreier-Sims: levels are completed from d back to 0.
-    Level i is complete once every Schreier generator u_{s(p)}^-1 s u_p
-    (p in the orbit of i, s a strong generator fixing 0..i-1) sifts through
-    levels i+1..d; one that does not becomes a new strong generator at
-    the level where it left the chain, and the work resumes there.
-    Transversal entries are never replaced, so a pair that sifted once stays
-    settled and is not tested again.
+    ``labels`` are the orbit labels of ``_orbit_labels``.
 
-    ``bound`` is a known upper bound on the group order, and the chain stops
-    as soon as the product of the transversal sizes reaches it, checked
-    after each level's orbit is closed (Seress, 2003, sec. 4.5).  That is
-    sound because every transversal T_i lies in the true basic orbit
-    Delta_i, so prod |T_i| <= prod |Delta_i| = |G| <= bound: equality
-    forces T_i = Delta_i at every level.  Each entry of T_j is a word in
-    the strong generators of level j, so strong[i] then generates the
+    ``bound`` is a known upper bound on the group order.  The chain is
+    certified once the product of the transversal sizes reaches it (Seress,
+    2003, sec. 4.5): every transversal T_i lies in the true basic orbit
+    Delta_i, so prod |T_i| <= prod |Delta_i| = |G| <= bound, and equality
+    forces T_i = Delta_i at every level.  Each entry of T_j is a word in the
+    strong generators of level j, so strong[i] then generates the
     stabilizer G_i = T_i T_(i+1) ... T_d, and sifting, the order and the
-    level orbits are exact.  Other groups test every Schreier generator.
+    level orbits are exact.
+
+    The chain is built in up to two phases.  First random Schreier-Sims
+    (Seress, sec. 4.3): products of the generators, drawn by product
+    replacement (Celler et al., 1995) from a privately seeded generator,
+    are sifted, and each residue becomes a strong generator at the level
+    where it left the chain.  The phase ends at the bound, or after
+    ``_RANDOM_MISSES`` products in a row sift through.  Only a group still
+    below the bound then gets the deterministic completion, incremental
+    Schreier-Sims: levels are completed from d back to 0, and level i is
+    complete once every Schreier generator u_{s(p)}^-1 s u_p (p in the
+    orbit of i, s a strong generator fixing 0..i-1) sifts through levels
+    i+1..d; one that does not becomes a new strong generator at the level
+    where it left the chain, and the work resumes there.  Transversal
+    entries are never replaced, so a (point, generator) pair that sifted
+    once stays settled and leaves the list of untested pairs for good.
+    The completion stops at the bound too; otherwise it tests every
+    Schreier generator.  It restarts from the input generators when the
+    random phase added residues, whose Schreier generators cost more than
+    they save, and otherwise goes on from the random phase's chain, which
+    is then the input generators' own.
     """
-    ident = tuple(range(degree))
-    strong = [[] for _ in range(degree)]  # strong[i]: generators fixing 0..i-1
-    transversals = [{i: (ident, ident)} for i in range(degree)]
-    tested = [set() for _ in range(degree)]
+    chain = _Chain(generators, labels)
+    if chain.order < bound:
+        added = chain.sift_random_products(generators, bound)
+        if chain.order < bound:
+            if added:
+                chain = _Chain(generators, labels)
+            chain.complete(bound)
+    return chain.strong, chain.transversals
 
-    def add(g, level):
+
+_RANDOM_SEED = 1995  # a fixed seed: the same generators build the same chain
+_RANDOM_MISSES = 10  # products in a row that sift through end the random phase
+_RANDOM_STATE = 5  # product replacement keeps at least this many elements
+
+
+class _Chain:
+    """A stabilizer chain under construction, every level closed.
+
+    ``strong[i]`` holds the strong generators fixing 0..i-1,
+    ``transversals[i]`` maps each point p of the orbit of i under them to
+    (u_p, u_p^-1), and ``order`` is the product of the transversal sizes.
+    ``applied[i]`` counts the generators of ``strong[i]`` already applied to
+    every point of level i, so closing a level applies the new generators
+    to the old points and all generators to the new points.  During the
+    completion, ``pending[i]`` lists the (point, generator) pairs of level i
+    that closing has examined and no Schreier generator has tested yet.
+    """
+
+    __slots__ = ("strong", "transversals", "applied", "pending", "order", "room")
+
+    def __init__(self, generators, labels):
+        degree = len(labels)
+        ident = tuple(range(degree))
+        # room[i]: how many of the points i..d lie in the orbit of i under the
+        # generators; they hold the orbit of i under G_i, so a level with
+        # that many points is full
+        self.room = [0] * degree
+        counts = {}
+        for i in reversed(range(degree)):
+            self.room[i] = counts[labels[i]] = counts.get(labels[i], 0) + 1
+        self.strong = [[] for _ in range(degree)]
+        self.transversals = [{i: (ident, ident)} for i in range(degree)]
+        self.applied = [0] * degree
+        self.pending = None
+        self.order = 1
+        for g in generators:
+            g, level = _sift(self.transversals, g)
+            if level < degree:
+                self.add(g, level)
+
+    def add(self, g, level):
+        """Make g, which fixes 0..level-1, a strong generator; close levels 0..level."""
         for i in range(level + 1):
-            strong[i].append(g)
+            self.strong[i].append(g)
+            self.close(i)
 
-    def close(level):
+    def close(self, level):
         """Extend level's transversal to the orbit of its strong generators."""
-        gens, table = strong[level], transversals[level]
-        frontier = list(table)
-        for p in frontier:
-            for s in gens:
-                if s[p] not in table:
-                    v = _mul(s, table[p][0])
-                    table[s[p]] = (v, _inverse(v))
-                    frontier.append(s[p])
+        gens = self.strong[level]
+        done = self.applied[level]
+        if done == len(gens):
+            return
+        self.applied[level] = len(gens)
+        table = self.transversals[level]
+        before = len(table)
+        if before == self.room[level] and self.pending is None:
+            return
+        new = gens[done:]
+        points = list(table)
+        for k, p in enumerate(points):
+            u = table[p][0]
+            for s in new if k < before else gens:
+                q = s[p]
+                if q not in table:
+                    v = _mul(s, u)
+                    table[q] = v, _inverse(v)
+                    points.append(q)
+        if self.pending is not None:
+            self.pending[level] += [(p, s) for p in points[:before] for s in new]
+            self.pending[level] += [(p, s) for p in points[before:] for s in gens]
+        self.order = self.order // before * len(table)
 
-    def unsettled(level):
-        """The first Schreier generator of the closed level that leaves the
-        chain, as (residue, level left), or None."""
-        gens, table = strong[level], transversals[level]
-        for p, (u, _) in table.items():
-            for k, s in enumerate(gens):
-                if (p, k) not in tested[level]:
-                    tested[level].add((p, k))
-                    h = _mul(table[s[p]][1], _mul(s, u))
-                    h, leave = _sift(transversals, h, level + 1)
-                    if leave < degree:
-                        return h, leave
-        return None
+    def sift_random_products(self, generators, bound):
+        """The random phase of ``_stabilizer_chain``; whether it added a
+        strong generator."""
+        rng = random.Random(_RANDOM_SEED)
+        state = list(generators) * -(-_RANDOM_STATE // len(generators))
+        size = len(state)
+        degree = len(self.strong)
+        x = self.transversals[0][0][0]  # the identity
+        added = False
+        misses = 0
+        while misses < _RANDOM_MISSES:
+            i = int(rng.random() * size)
+            j = int(rng.random() * (size - 1))
+            j += j >= i
+            state[i] = _mul(state[i], state[j])
+            x = _mul(x, state[i])
+            h, level = _sift(self.transversals, x)
+            if level == degree:
+                misses += 1
+                continue
+            misses = 0
+            added = True
+            self.add(h, level)
+            if self.order == bound:
+                break
+        return added
 
-    for g in generators:
-        g, level = _sift(transversals, g)
-        if level < degree:
-            add(g, level)
-    order = 1  # the product of the transversal sizes
-    level = degree - 1
-    while level >= 0:
-        before = len(transversals[level])
-        close(level)
-        order = order // before * len(transversals[level])
-        if order == bound:
-            break
-        found = unsettled(level)
-        if found is None:
-            level -= 1
-        else:
-            add(*found)
-            level = found[1]
-    return strong, transversals
+    def complete(self, bound):
+        """The deterministic completion of ``_stabilizer_chain``."""
+        self.pending = [
+            [(p, s) for p in table for s in gens]
+            for table, gens in zip(self.transversals, self.strong)
+        ]
+        degree = len(self.strong)
+        level = degree - 1
+        while level >= 0 and self.order < bound:
+            table, pending = self.transversals[level], self.pending[level]
+            while pending:
+                p, s = pending.pop()
+                h = _mul(table[s[p]][1], _mul(s, table[p][0]))
+                h, leave = _sift(self.transversals, h, level + 1)
+                if leave < degree:
+                    self.add(h, leave)
+                    level = leave
+                    break
+            else:
+                level -= 1
 
 
 class ColourGroup:
     """A subgroup F of Sym({0..d}) as a stabilizer chain, with its orbit data.
 
     Immutable after construction.  ``order`` is the product of the
-    transversal sizes; membership sifts through the chain.  The chain
-    stops testing Schreier generators once that product reaches
-    prod |O_i|! over the orbits O_i, the largest order F can have (see
-    ``_stabilizer_chain``); other groups have all of theirs tested.
-    ``orbits`` is sorted by minimal colour; ``orbit_of[c]`` gives the orbit
-    index of colour c.
+    transversal sizes; membership sifts through the chain.  The chain is
+    certified as soon as that product reaches an upper bound on |F| (see
+    ``_stabilizer_chain``).  With k the number of orbits O_i of size >= 2
+    and r the F_2-rank of the generators' parity vectors (bit i set when
+    the generator is odd on O_i), |F| <= prod |O_i|! / 2^(k - r): the
+    signs of the restrictions to the O_i form a homomorphism
+    F -> (Z/2)^k, whose image the generators' vectors span, so it has 2^r
+    elements, and whose kernel lies in prod Alt(O_i), of order
+    prod |O_i|! / 2^k.  Products of symmetric and alternating groups on
+    the orbits reach that bound from random products alone; other groups
+    have every Schreier generator tested.  ``orbits`` is sorted by minimal
+    colour; ``orbit_of[c]`` gives the orbit index of colour c.
     """
 
     def __init__(self, generators, degree):
@@ -299,17 +425,27 @@ class ColourGroup:
         self.degree = degree
         self._identity = identity(degree)
         images = [g.images for g in self.generators]
+        labels = _orbit_labels(images, degree)
         orbits = {}  # least point -> the orbit's points, in increasing order
-        for c, label in enumerate(_orbit_labels(images, degree)):
+        for c, label in enumerate(labels):
             orbits.setdefault(label, []).append(c)
         self.orbit_reps = tuple(orbits)
         self.orbits = tuple(map(tuple, orbits.values()))
         self.orbit_of = {c: i for i, orbit in enumerate(self.orbits) for c in orbit}
         self.orbit_sizes = tuple(len(orb) for orb in self.orbits)
-        # F lies in the product of the symmetric groups of its orbits
-        self._strong, self._transversals = _stabilizer_chain(
-            images, degree, prod(map(factorial, self.orbit_sizes))
-        )
+        # an F_2 basis of the generators' parity vectors, in decreasing order,
+        # so their leading bits differ
+        basis = []
+        for g in images:
+            vector = _parity_vector(g, labels)
+            for b in basis:
+                vector = min(vector, vector ^ b)
+            if vector:
+                basis.append(vector)
+                basis.sort(reverse=True)
+        moving = sum(size > 1 for size in self.orbit_sizes)
+        bound = prod(map(factorial, self.orbit_sizes)) >> (moving - len(basis))
+        self._strong, self._transversals = _stabilizer_chain(images, labels, bound)
         self.order = prod(len(table) for table in self._transversals)
         self._hash = hash((degree, self.order, self.orbits))
 
@@ -345,7 +481,9 @@ class ColourGroup:
         return self._identity
 
     def is_invariant(self, subset):
-        subset = set(subset)
+        """Whether F maps ``subset`` to itself; ValueError names the first
+        colour that is not an int in 0..d."""
+        subset = set(_check_colours(subset, self.d))
         return all(g(x) in subset for g in self.generators for x in subset)
 
     def invariant_subset(self, subset):
@@ -354,12 +492,12 @@ class ColourGroup:
         The one check of a colour subset: ValueError names the first colour
         that is not an int in 0..d, NotInvariant a subset F moves off itself.
         """
-        subset = tuple(sorted(set(_check_colours(subset, self.d))))
+        subset = tuple(subset)
         if not self.is_invariant(subset):
             raise NotInvariant(
-                "subset %s is not invariant under the colour group" % (list(subset),)
+                "subset %s is not invariant under the colour group" % (sorted(set(subset)),)
             )
-        return subset
+        return tuple(sorted(set(subset)))
 
     @cached_property
     def _level_labels(self):

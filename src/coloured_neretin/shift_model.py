@@ -167,7 +167,8 @@ class Bisection:
     """Shift-side normal form: (source path, offset, target path) triples.
 
     Both paths of a triple are label-word tuples and the offset is an int
-    (not a bool), kept as given; any other offset raises InvalidBisection.
+    (not a bool), kept as given; a pair of another shape, or any other
+    offset, raises InvalidBisection naming the pair.
     The source paths and the target paths each give a clopen partition of
     the path space, the offset of a pair is the difference of the edge
     lengths of its paths, and source and target of a pair end at the same
@@ -178,7 +179,10 @@ class Bisection:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = [(tuple(s), offset, tuple(t)) for s, offset, t in self.pairs]
+        try:
+            pairs = [(tuple(s), offset, tuple(t)) for s, offset, t in self.pairs]
+        except (TypeError, ValueError):
+            raise InvalidBisection(_shape_problems(self.pairs)) from None
         if not set(map(type, map(itemgetter(1), pairs))) <= {int}:
             raise InvalidBisection([
                 "pair %r: offset %r is not an int" % (pair, pair[1])
@@ -191,6 +195,18 @@ class Bisection:
 
     def targets(self):
         return [t for _, _, t in self.pairs]
+
+
+def _shape_problems(pairs):
+    """Each pair that is not a (path, offset, path) triple of two iterables."""
+    problems = []
+    for pair in pairs:
+        try:
+            s, _, t = pair
+            tuple(s), tuple(t)
+        except (TypeError, ValueError):
+            problems.append("pair %r is not a (path, offset, path) triple" % (pair,))
+    return problems
 
 
 def _partition_problems(paths, ordered, graph, side):

@@ -15,6 +15,7 @@ canonical form in the library hangs off.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from itertools import chain
 from operator import getitem
 
@@ -271,21 +272,37 @@ def _check_complete(leaves, d):
         raise IncompleteTree("repeated leaf")
     if internal.isdisjoint(leaf_set) and len(leaves) == (d - 1) * len(internal) + 2:
         return
+    covered = internal | leaf_set
+    children = Counter(w[:-1] for w in covered if w)
     for v in sorted(internal):
         if v in leaf_set:
             raise IncompleteTree("leaf %r has descendants in the leaf set" % (v,))
-        missing = [
-            c
-            for c in admissible_child_colours(v, d)
-            if v + (c,) not in internal and v + (c,) not in leaf_set
-        ]
-        if missing:
-            if len(missing) > 5:  # the first three, the count left out, the last two
-                missing[3:-2] = ["<%d more>" % (len(missing) - 5)]
+        count = d + (not v) - children[v]  # the admissible colours not covered
+        if count:
             raise IncompleteTree(
                 "vertex %r is internal but covers no leaf through colours [%s]"
-                % (v, ", ".join(map(str, missing)))
+                % (v, ", ".join(map(str, _missing_colours(v, d, count, covered))))
             )
+
+
+def _missing_colours(v, d, count, covered):
+    """The ``count`` colours c of children v + (c,) missing from ``covered``:
+    all of them up to five, else the first three, the count left out and
+    the last two.  Each scan stops once it has found its colours, so a leaf
+    set much smaller than d costs O(its size), not O(d)."""
+
+    def scan(colours, wanted):
+        found = []
+        for c in colours:
+            if len(found) == wanted:
+                break
+            if (not v or c != v[-1]) and v + (c,) not in covered:
+                found.append(c)
+        return found
+
+    if count <= 5:
+        return scan(range(d + 1), count)
+    return scan(range(d + 1), 3) + ["<%d more>" % (count - 5)] + scan(range(d, -1, -1), 2)[::-1]
 
 
 def is_complete_leafset(leaves, d):

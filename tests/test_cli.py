@@ -247,6 +247,25 @@ def test_huge_degree_diagnosis_fits_on_one_short_line(tmp_path, monkeypatch, cap
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("d", [2**70, 10**8], ids=["2**70", "10**8"])
+def test_a_domain_too_small_for_d_is_named_before_f_is_built(tmp_path, capsys, d):
+    # a complete leaf set has at least d + 1 leaves, so the three-leaf domain
+    # is refused from the file alone: F_generators (the second one is not
+    # even cycle notation) are not parsed and F is not built over d + 1
+    # colours, which overflowed at 2**70 and ran out of memory at 10**8
+    data = element_to_dict(identity_element(small_trivial(2)))
+    data.update(d=d, F_generators=["(0 1)", "(0 1 x)"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["reduce", str(path)]) == 1
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == (
+        "error: %s: vertex () is internal but covers no leaf through colours "
+        "[3, 4, 5, <%d more>, %d, %d]\n" % (path, d - 7, d - 1, d)
+    )
+
+
 @pytest.fixture(scope="module")
 def huge_identity_files(tmp_path_factory):
     """B_1 identity files at d = 50000, one leaf per colour, over the

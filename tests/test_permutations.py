@@ -318,7 +318,7 @@ def test_chain_handles_large_symmetric_groups():
             assert maps[chi] == from_cycles([tuple(range(chi + 1))], degree)
 
 
-# -- the chain's stop at the orbit-product bound ---------------------------------
+# -- the chain's stop at the orbit-product bound, sharpened by parity -----------
 
 
 def cycles_on(degree, *cycle_texts):
@@ -327,6 +327,54 @@ def cycles_on(degree, *cycle_texts):
 
 def full_symmetric(degree):
     return [from_cycles([(0, 1)], degree), from_cycles([tuple(range(degree))], degree)]
+
+
+def full_alternating(degree):
+    """(0 1 2) and a cycle of odd length through the other points."""
+    rest = tuple(range(degree)) if degree % 2 else tuple(range(1, degree))
+    return [from_cycles([(0, 1, 2)], degree), from_cycles([rest], degree)]
+
+
+def wreath_with_cyclic_top(base_cycles, block, blocks):
+    """The base group on block 0 of ``blocks`` blocks of size ``block``,
+    and the shift of block i to block i + 1."""
+    degree = block * blocks
+    shift = [tuple(b * block + x for b in range(blocks)) for x in range(block)]
+    return [from_cycles(cycles, degree) for cycles in base_cycles + [shift]]
+
+
+def affine_line(p, root):
+    """x -> x + 1 and x -> root * x on Z/p, for a primitive root mod p."""
+    assert len({pow(root, k, p) for k in range(p - 1)}) == p - 1
+    scale = tuple(pow(root, k, p) for k in range(p - 1))
+    return [from_cycles([tuple(range(p))], p), from_cycles([scale], p)]
+
+
+def f2_rank(rows):
+    """Rank over F_2 of 0/1 rows, by plain row reduction."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [x ^ y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def parity_bound(group):
+    """prod |O_i|! / 2^(k - r), the order bound the chain stops at: k orbits
+    of size >= 2, r the F_2-rank of the generators' parity vectors on them
+    (taken here from ``restriction_parity``, orbit by orbit)."""
+    moving = [orbit for orbit in group.orbits if len(orbit) > 1]
+    rank = f2_rank(
+        [[g.restriction_parity(orbit) == -1 for orbit in moving] for g in group.generators]
+    )
+    return prod(factorial(len(orbit)) for orbit in group.orbits) // 2 ** (len(moving) - rank)
 
 
 def criterion_12_groups():
@@ -342,8 +390,9 @@ def criterion_12_groups():
             generators.append(random_permutation(rng, k))
 
 
-# (generators, degree): F is the full product of the symmetric groups on its
-# orbits, so the chain stops once its order reaches prod |O_i|!
+# (generators, degree): the parity map F -> (Z/2)^k onto the span of the
+# generators' vectors has its kernel in prod Alt(O_i), and here it is all
+# of prod Alt(O_i), so the chain stops once its order reaches the bound
 REACH_THE_BOUND = (
     [pytest.param(full_symmetric(n), n, id="Sym(%d)" % n) for n in range(3, 9)]
     + [
@@ -351,12 +400,17 @@ REACH_THE_BOUND = (
         for n in (5, 6)
     ]
     + [pytest.param([], n, id="trivial-%d" % n) for n in (1, 4)]
+    + [pytest.param(cycles_on(5, "(0 1 2)", "(0 1 2 3 4)"), 5, id="Alt(5)")]
+    + [pytest.param(full_alternating(n), n, id="Alt(%d)" % n) for n in (4, 6, 7, 8)]
+    + [pytest.param(list(four_orbit_group().generators), 7, id="four-orbit")]
+    + [pytest.param(cycles_on(7, "(0 1)(2 3)", "(4 5 6)"), 7, id="diagonal-S2-x-A3")]
 )
-# F is a proper subgroup of that product, so every Schreier generator is tested
+# F is a proper subgroup of that kernel times the image, so every Schreier
+# generator is tested
 BELOW_THE_BOUND = [
-    pytest.param(cycles_on(5, "(0 1 2)", "(0 1 2 3 4)"), 5, id="Alt(5)"),
     pytest.param(cycles_on(6, "(0 1 2 3 4 5)"), 6, id="C6"),
-    pytest.param(list(four_orbit_group().generators), 7, id="four-orbit"),
+    pytest.param(cycles_on(4, "(0 1 2 3)", "(0 2)"), 4, id="D4"),
+    pytest.param(cycles_on(6, "(0 1 2)(3 4 5)", "(0 3)(1 4)(2 5)"), 6, id="C3-wr-C2"),
 ]
 
 
@@ -387,13 +441,72 @@ def check_chain(gens, degree, rng):
 @pytest.mark.parametrize("gens, degree", REACH_THE_BOUND)
 def test_chain_stops_at_the_orbit_product_bound(gens, degree):
     group = check_chain(gens, degree, random.Random(109))
-    assert group.order == prod(factorial(size) for size in group.orbit_sizes)
+    assert group.order == parity_bound(group)
 
 
 @pytest.mark.parametrize("gens, degree", BELOW_THE_BOUND)
 def test_chain_below_the_orbit_product_bound(gens, degree):
     group = check_chain(gens, degree, random.Random(110))
-    assert group.order < prod(factorial(size) for size in group.orbit_sizes)
+    assert group.order < parity_bound(group)
+
+
+# (generators, degree, order by its closed form): the random phase gives up
+# on these and the deterministic completion builds the chain
+BELOW_THE_BOUND_PANEL = [
+    pytest.param(
+        wreath_with_cyclic_top([[(0, 1)]], 2, 30), 60, 2**30 * 30, id="C2-wr-C30"
+    ),
+    pytest.param(
+        wreath_with_cyclic_top([[(0, 1)], [tuple(range(6))]], 6, 10), 60, 720**10 * 10,
+        id="Sym(6)-wr-C10",
+    ),
+    pytest.param(
+        wreath_with_cyclic_top([[(0, 1)], [(0, 1, 2)]], 3, 20), 60, 6**20 * 20,
+        id="Sym(3)-wr-C20",
+    ),
+    pytest.param(affine_line(61, 2), 61, 61 * 60, id="AGL(1,61)"),
+    pytest.param([from_cycles([tuple(range(2001))], 2001)], 2001, 2001, id="C2001"),
+]
+
+
+@pytest.mark.parametrize("gens, degree, order", BELOW_THE_BOUND_PANEL)
+def test_chain_below_the_bound_panel(gens, degree, order):
+    rng = random.Random(112)
+    group = closure_enumerate(gens, degree)
+    assert group.order == order < parity_bound(group)
+    for _ in range(5):
+        inside = Permutation(range(degree))
+        for g in rng.choices(gens, k=8):
+            inside = inside * g
+        assert inside in group
+    # a transposition fixes too many points for the affine and cyclic
+    # groups, and moves 0 and 6 between blocks of the wreath products
+    assert from_cycles([(0, 6)], degree) not in group
+
+
+@pytest.mark.parametrize("make, order", [(full_symmetric, factorial), (full_alternating,
+                         lambda n: factorial(n) // 2)], ids=["Sym(100)", "Alt(100)"])
+def test_large_symmetric_and_alternating_groups_build_fast(make, order):
+    rng = random.Random(113)
+    gens = make(100)
+    start = time.perf_counter()
+    group = closure_enumerate(gens, 100)
+    assert time.perf_counter() - start < 3
+    assert group.order == order(100) == parity_bound(group)
+    odd = from_cycles([(0, 1)], 100)
+    assert (odd in group) == (make is full_symmetric)
+    for _ in range(5):
+        images = list(range(100))
+        rng.shuffle(images)
+        p = Permutation(images)
+        assert (p in group) == (make is full_symmetric or p.parity() == 1)
+
+
+def test_closure_leaves_the_global_random_state_alone():
+    state = random.getstate()
+    for gens, degree in [(full_symmetric(12), 12), (cycles_on(6, "(0 1 2 3 4 5)"), 6)]:
+        closure_enumerate(gens, degree)
+    assert random.getstate() == state
 
 
 def test_chain_on_criterion_12_groups():
@@ -486,6 +599,8 @@ def colour_calls(group, bad):
     """Every call of this module that takes colours, with ``bad`` among them."""
     return {
         "invariant_subset": lambda: group.invariant_subset((1, 2, bad)),
+        "is_invariant": lambda: group.is_invariant((1, 2, bad)),
+        "restriction_parity": lambda: group.generators[0].restriction_parity((1, 2, bad)),
         "stabilizer subset": lambda: stabilizer_restriction_in_alt(group, 0, (1, 2, bad)),
         "stabilizer chi": lambda: stabilizer_restriction_in_alt(group, bad, (1, 2)),
         "structure_report": lambda: structure_report(group, (0, bad)),
@@ -531,7 +646,7 @@ for call in calls:
     lines = result.stdout.splitlines()
     assert lines[0] == "the group moves colours outside the support [2, 3]"
     expected = [
-        "colour %r outside 0..6" % (bad,) for bad in BAD_COLOURS for _ in range(6)
+        "colour %r outside 0..6" % (bad,) for bad in BAD_COLOURS for _ in range(8)
     ]
     assert lines[1:] == expected
 

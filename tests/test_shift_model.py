@@ -270,6 +270,19 @@ def test_bisection_offsets_are_ints(offset):
     assert [o for _, o, _ in shifted.pairs] == [o + 1 for _, o, _ in good.pairs]
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [(None, 0, (1,)), ((1,), 0, None), ((1,), 0), ((1,), 0, (1,), 0), 5, None],
+    ids=["source-none", "target-none", "two-entries", "four-entries", "int", "none"],
+)
+def test_bisection_pairs_are_triples(bad):
+    # a pair of another shape is named, not left to a bare unpacking error
+    good = identity_bisection(build_sft_graph((2, 2)))
+    with pytest.raises(InvalidBisection) as info:
+        Bisection(good.pairs[:1] + (bad,) + good.pairs[1:])
+    assert info.value.problems == ["pair %r is not a (path, offset, path) triple" % (bad,)]
+
+
 ROOTS = [((c,), (c,)) for c in range(4)]
 
 
