@@ -240,36 +240,33 @@ def _sift(transversals, g, start=0):
 def _stabilizer_chain(generators, labels, bound):
     """Strong generators and transversals of <generators> on base 0..d.
 
-    ``labels`` are the orbit labels of ``_orbit_labels``.
+    ``labels`` are the generators' orbit labels and ``bound`` an upper bound
+    on the group order.  The chain is certified once the product of the
+    transversal sizes reaches it (Seress, 2003, sec. 4.5): every
+    transversal T_i lies in the true basic orbit Delta_i, so
+    prod |T_i| <= prod |Delta_i| = |G| <= bound, and equality forces
+    T_i = Delta_i at every level.  Each entry of T_j is a word in the strong
+    generators of level j, so strong[i] then generates the stabilizer
+    G_i = T_i T_(i+1) ... T_d, and sifting, the order and the level orbits
+    are exact.
 
-    ``bound`` is a known upper bound on the group order.  The chain is
-    certified once the product of the transversal sizes reaches it (Seress,
-    2003, sec. 4.5): every transversal T_i lies in the true basic orbit
-    Delta_i, so prod |T_i| <= prod |Delta_i| = |G| <= bound, and equality
-    forces T_i = Delta_i at every level.  Each entry of T_j is a word in the
-    strong generators of level j, so strong[i] then generates the
-    stabilizer G_i = T_i T_(i+1) ... T_d, and sifting, the order and the
-    level orbits are exact.
-
-    The chain is built in up to two phases.  First random Schreier-Sims
-    (Seress, sec. 4.3): products of the generators, drawn by product
-    replacement (Celler et al., 1995) from a privately seeded generator,
-    are sifted, and each residue becomes a strong generator at the level
-    where it left the chain.  The phase ends at the bound, or after
-    ``_RANDOM_MISSES`` products in a row sift through.  Only a group still
-    below the bound then gets the deterministic completion, incremental
-    Schreier-Sims: levels are completed from d back to 0, and level i is
-    complete once every Schreier generator u_{s(p)}^-1 s u_p (p in the
-    orbit of i, s a strong generator fixing 0..i-1) sifts through levels
-    i+1..d; one that does not becomes a new strong generator at the level
-    where it left the chain, and the work resumes there.  Transversal
-    entries are never replaced, so a (point, generator) pair that sifted
-    once stays settled and leaves the list of untested pairs for good.
-    The completion stops at the bound too; otherwise it tests every
-    Schreier generator.  It restarts from the input generators when the
-    random phase added residues, whose Schreier generators cost more than
-    they save, and otherwise goes on from the random phase's chain, which
-    is then the input generators' own.
+    First comes random Schreier-Sims (Seress, sec. 4.3): products of the
+    generators, drawn by product replacement (Celler et al., 1995) with a
+    private, fixed-seed ``random.Random``, are sifted, and each residue
+    becomes a strong generator at the level where it left the chain.  The
+    phase ends at the bound, or after ``_RANDOM_MISSES`` products in a row
+    sift through.  A group still below the bound gets the deterministic
+    completion, incremental Schreier-Sims: levels are completed from d back
+    to 0, and level i is complete once every Schreier generator
+    u_{s(p)}^-1 s u_p (p in the orbit of i, s a strong generator fixing
+    0..i-1) sifts through levels i+1..d; one that does not becomes a strong
+    generator at the level where it left the chain, and the work resumes
+    there.  Transversal entries are never replaced, so a (point, generator)
+    pair that sifted once leaves the list of untested pairs for good.  The
+    completion stops at the bound too.  It restarts from the input
+    generators when the random phase added residues, whose Schreier
+    generators cost more than they save, and otherwise goes on from the
+    random phase's chain, which is then the input generators' own.
     """
     chain = _Chain(generators, labels)
     if chain.order < bound:

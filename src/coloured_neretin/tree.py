@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from operator import getitem
 
 
@@ -288,21 +288,15 @@ def _check_complete(leaves, d):
 def _missing_colours(v, d, count, covered):
     """The ``count`` colours c of children v + (c,) missing from ``covered``:
     all of them up to five, else the first three, the count left out and
-    the last two.  Each scan stops once it has found its colours, so a leaf
-    set much smaller than d costs O(its size), not O(d)."""
+    the last two, found from both ends at a cost bounded by ``covered``."""
 
-    def scan(colours, wanted):
-        found = []
-        for c in colours:
-            if len(found) == wanted:
-                break
-            if (not v or c != v[-1]) and v + (c,) not in covered:
-                found.append(c)
-        return found
+    def first(colours, n):
+        gaps = (c for c in colours if (not v or c != v[-1]) and v + (c,) not in covered)
+        return list(islice(gaps, n))
 
     if count <= 5:
-        return scan(range(d + 1), count)
-    return scan(range(d + 1), 3) + ["<%d more>" % (count - 5)] + scan(range(d, -1, -1), 2)[::-1]
+        return first(range(d + 1), count)
+    return first(range(d + 1), 3) + ["<%d more>" % (count - 5)] + first(range(d, -1, -1), 2)[::-1]
 
 
 def is_complete_leafset(leaves, d):
