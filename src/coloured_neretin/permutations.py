@@ -238,7 +238,7 @@ def _sift(transversals, g, start=0):
 
 
 def _stabilizer_chain(generators, labels, bound):
-    """Strong generators and transversals of <generators> on base 0..d.
+    """The stabilizer chain of <generators> on base 0..d, as a ``_Chain``.
 
     ``labels`` are the generators' orbit labels and ``bound`` an upper bound
     on the group order.  The chain is certified once the product of the
@@ -275,7 +275,7 @@ def _stabilizer_chain(generators, labels, bound):
             if added:
                 chain = _Chain(generators, labels)
             chain.complete(bound)
-    return chain.strong, chain.transversals
+    return chain
 
 
 _RANDOM_SEED = 1995  # a fixed seed: the same generators build the same chain
@@ -442,8 +442,9 @@ class ColourGroup:
                 basis.sort(reverse=True)
         moving = sum(size > 1 for size in self.orbit_sizes)
         bound = prod(map(factorial, self.orbit_sizes)) >> (moving - len(basis))
-        self._strong, self._transversals = _stabilizer_chain(images, labels, bound)
-        self.order = prod(len(table) for table in self._transversals)
+        chain = _stabilizer_chain(images, labels, bound)
+        self._strong, self._transversals = chain.strong, chain.transversals
+        self.order = chain.order
         self._hash = hash((degree, self.order, self.orbits))
 
     @property
