@@ -384,12 +384,15 @@ class _Chain:
             for table, gens in zip(self.transversals, self.strong)
         ]
         degree = len(self.strong)
+        ident = self.transversals[0][0][0]
         level = degree - 1
         while level >= 0 and self.order < bound:
             table, pending = self.transversals[level], self.pending[level]
             while pending:
                 p, s = pending.pop()
                 h = _mul(table[s[p]][1], _mul(s, table[p][0]))
+                if h == ident:  # as on every edge that added a point to the table
+                    continue
                 h, leave = _sift(self.transversals, h, level + 1)
                 if leave < degree:
                     self.add(h, leave)
