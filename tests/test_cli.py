@@ -252,7 +252,7 @@ def test_a_domain_too_small_for_d_is_named_before_f_is_built(tmp_path, capsys, d
     # a complete leaf set has at least d + 1 leaves, so the three-leaf domain
     # is refused from the file alone: F_generators (the second one is not
     # even cycle notation) are not parsed and F is not built over d + 1
-    # colours, which overflowed at 2**70 and ran out of memory at 10**8
+    # colours, which would overflow at 2**70 and exhaust memory at 10**8
     data = element_to_dict(identity_element(small_trivial(2)))
     data.update(d=d, F_generators=["(0 1)", "(0 1 x)"])
     path = tmp_path / "bad.json"
