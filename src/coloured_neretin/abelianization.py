@@ -13,9 +13,14 @@ between auxiliary vertices, so their block is the identity.  Multiplying
 by [[I, -B], [0, I]] on the left and [[I, 0], [-C, I]] on the right, integer
 matrices of determinant 1, turns it into diag(A - B*C, I) exactly.  So the
 (l+1)x(l+1) Schur complement K = A - B*C has the same cokernel as id - M^t,
-and det(id - M^t) = det(K) * det(I) = det(K).  The Smith form and the
-determinant both run on K, which is formed from the entries of M without
-building id - M^t.
+and det(id - M^t) = det(K) * det(I) = det(K).
+
+The blocks are fixed by the orbit sizes s_0, ..., s_l.  A[i][j] =
+[i == j] - M[j][i], with M[j][i] = s_i off the diagonal and 0 on it.
+(B*C)[i][j] counts the paths j -> a -> i through an auxiliary a: s_i - 1
+when i == j (the loop vertices of orbit i), none otherwise.  So K[i][j] =
+2 * [i == j] - s_i, that is K = 2I - s 1^t: the Smith form and the
+determinant run on the orbit sizes alone, without the graph.
 """
 
 from __future__ import annotations
@@ -414,25 +419,14 @@ class Abelianization:
 
 def vf_abelianization(orbit_sizes):
     """Abelianization of V_F from the orbit sizes: the cokernel of
-    id - M^t tensored with Z/2, with the determinant and closed form
-    cross-checked.
-
-    The Smith form and the determinant both run on the Schur complement
-    K = A - B*C of the auxiliary block of id - M^t (see the module
-    docstring), formed straight from the entries of M:
-    K[i][j] = [i == j] - M[j][i] - sum over auxiliary a of M[a][i]*M[j][a].
-    M has no edge between auxiliary vertices, which is checked; that block
-    of id - M^t is then the identity, so det(id - M^t) = det(K), and the
-    product of K's invariant factors is checked against it."""
-    graph = build_sft_graph(orbit_sizes)
-    d, l = graph.d, graph.l
-    m, k, n = graph.matrix.entries, l + 1, graph.matrix.rows
-    assert not any(any(row[k:]) for row in m[k:]), "M has an edge between auxiliary vertices"
-    into = [[a for a in range(k, n) if m[a][i]] for i in range(k)]  # auxiliary a -> orbit i
+    id - M^t tensored with Z/2, computed on K = 2I - s 1^t (see the module
+    docstring).  det(K) = det(id - M^t) is checked against 2^l (1 - d),
+    the invariant factors against |det(K)|, and the two-torsion rank
+    against the parity closed form."""
+    sizes, d = check_orbit_sizes(orbit_sizes)
+    l = len(sizes) - 1
     schur = IntMatrix._trusted(
-        [int(i == j) - m[j][i] - sum(m[a][i] * m[j][a] for a in into[i])
-         for j in range(k)]
-        for i in range(k)
+        [2 * (i == j) - s for j in range(l + 1)] for i, s in enumerate(sizes)
     )
     det = bareiss_determinant(schur)
     assert det == 2 ** l * (1 - d), "determinant %d, expected %d" % (
@@ -445,13 +439,13 @@ def vf_abelianization(orbit_sizes):
         "the invariant factors of K do not multiply to |det(id - M^t)|"
     )
     two_rank = sum(1 for eps in invariants.invariant_factors if eps % 2 == 0)
-    expected = l + 1 if all(x % 2 == 0 for x in graph.orbit_sizes) else l
+    expected = l + 1 if all(x % 2 == 0 for x in sizes) else l
     assert two_rank == expected, (
         "SNF two-torsion rank %d disagrees with the parity closed form %d"
         % (two_rank, expected)
     )
     return Abelianization(
-        orbit_sizes=graph.orbit_sizes,
+        orbit_sizes=sizes,
         invariant_factors=tuple(
             eps for eps in invariants.invariant_factors if eps != 1
         ),

@@ -474,11 +474,10 @@ def verify_xi_claims(max_x, start_bits=None):
 
 _SIEVE_LIMIT = 0
 _SIEVE = bytearray((0, 0))
-_PRIME_COUNTS = [0, 0]
 
 
 def _ensure_sieve(limit):
-    global _SIEVE_LIMIT, _SIEVE, _PRIME_COUNTS
+    global _SIEVE_LIMIT, _SIEVE
     if limit <= _SIEVE_LIMIT:
         return
     size = max(limit, 2 * _SIEVE_LIMIT, 1024)
@@ -487,14 +486,8 @@ def _ensure_sieve(limit):
     for p in range(2, int(size ** 0.5) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    counts = [0] * (size + 1)
-    running = 0
-    for i in range(size + 1):
-        running += flags[i]
-        counts[i] = running
     _SIEVE_LIMIT = size
     _SIEVE = flags
-    _PRIME_COUNTS = counts
 
 
 def window_primes(m):
@@ -518,15 +511,21 @@ class PrimeWindowReport:
 
 
 def verify_prime_windows(max_m, min_m=17):
-    """Count primes in (m/2, m] for every m in [min_m, max_m]."""
+    """Count primes in (m/2, m] for every m in [min_m, max_m].
+
+    One count is updated from the sieve as m steps up: a prime p enters
+    the window at m = p and leaves it at m = 2p."""
     if max_m < min_m:
         raise ValueError("max_m must be at least %d" % min_m)
     _ensure_sieve(max_m)
-    least_count = None
+    sieve = _SIEVE
+    count = least_count = sum(sieve[min_m // 2 + 1 : min_m + 1])
     least_at = min_m
-    for m in range(min_m, max_m + 1):
-        count = _PRIME_COUNTS[m] - _PRIME_COUNTS[m // 2]
-        if least_count is None or count < least_count:
+    for m in range(min_m + 1, max_m + 1):
+        count += sieve[m]
+        if not m & 1:
+            count -= sieve[m >> 1]
+        if count < least_count:
             least_count = count
             least_at = m
     return PrimeWindowReport(

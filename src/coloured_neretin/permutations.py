@@ -52,13 +52,10 @@ class Permutation:
     def __mul__(self, other):
         if self.degree != other.degree:
             raise DegreeMismatch("composing degree %d with degree %d" % (self.degree, other.degree))
-        return Permutation(tuple(self.images[other.images[x]] for x in range(self.degree)))
+        return Permutation(_mul(self.images, other.images))
 
     def inverse(self):
-        inv = [0] * self.degree
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation(inv)
+        return Permutation(_inverse(self.images))
 
     def is_identity(self):
         return all(self.images[x] == x for x in range(self.degree))

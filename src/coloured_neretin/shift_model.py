@@ -249,27 +249,17 @@ def validate_bisection(bisection, graph):
 
     Never raises on mathematically bad data: bad labels, offsets and
     terminal orbits are reported per pair, and only when every pair is
-    sound are the overlaps and masses of both sides checked.  The edge
-    lengths are read inline from ``graph.step_costs``; ``check_path`` runs
-    only on a pair whose lookup fails, to name the defect.  Per side one
-    sort and a prefix test on adjacent paths decide whether any overlaps
-    must be listed.
+    sound are the overlaps and masses of both sides checked.  Each offset
+    is checked against ``edge_length``, whose lookup fails on a label word
+    that is not a path; ``check_path`` runs only on such a pair, to name
+    the defect.  Per side one sort and a prefix test on adjacent paths
+    decide whether any overlaps must be listed.
     """
-    first, steps = graph.step_costs
     orbit_of = graph.orbit_of
     problems = []
     for index, (source, offset, target) in enumerate(bisection.pairs):
-        try:  # edge_length(source) - edge_length(target), inlined
-            prev = source[0]
-            want = first[prev]
-            for c in source[1:]:
-                want += steps[prev][c]
-                prev = c
-            prev = target[0]
-            want -= first[prev]
-            for c in target[1:]:
-                want -= steps[prev][c]
-                prev = c
+        try:
+            want = edge_length(source, graph) - edge_length(target, graph)
         except (KeyError, IndexError):  # not two paths: name each defect
             for path in (source, target):
                 try:

@@ -347,7 +347,18 @@ def test_orbit_block_reduction_matches_the_full_system():
     count = 0
     for d in range(2, 9):
         for sizes in compositions(d + 1):
+            k = len(sizes)
+            m = build_sft_graph(sizes).matrix.entries
+            # no edge between auxiliary vertices: the auxiliary block of
+            # id - M^t is the identity, and K = A - B*C is 2I - s 1^t
+            assert not any(any(row[k:]) for row in m[k:]), sizes
             system = orbit_system(sizes)
+            a = system.entries
+            schur = [
+                [a[i][j] - sum(a[i][x] * a[x][j] for x in range(k, len(a))) for j in range(k)]
+                for i in range(k)
+            ]
+            assert schur == [[2 * (i == j) - s for j in range(k)] for i, s in enumerate(sizes)]
             factors = snf(system)[1].invariant_factors
             ab = vf_abelianization(sizes)
             assert ab.invariant_factors == tuple(x for x in factors if x != 1), sizes

@@ -352,6 +352,12 @@ def test_abelianization_output(capsys):
     assert "invariant factors: 2, 2, 10" in out
     assert "two-torsion rank: 3" in out
     assert "abelianization: (Z/2)^3" in out
+    # an orbit of 10^8 colours costs no more than the orbit sizes
+    assert main(["abelianization", "--orbits", "1,2,99999997"]) == 0
+    out = capsys.readouterr().out
+    assert "relation matrix determinant: -399999992" in out
+    assert "invariant factors: 2, 199999996" in out
+    assert "two-torsion rank: 2" in out
 
 
 def test_graph_dot_export(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import iv
 from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_sub, mpi_zero
-from sympy import primerange
+from sympy import primepi, primerange
 
 from coloured_neretin import (
     appendix_counts,
@@ -508,6 +508,17 @@ def test_prime_window_report():
     assert report.least_at == 17
     with pytest.raises(ValueError):
         verify_prime_windows(10)
+
+
+@pytest.mark.parametrize(
+    "min_m, max_m", [(18, 60), (19, 400), (23, 200), (500, 2000), (1001, 3000), (4006, 4008)]
+)
+def test_prime_window_report_matches_primepi(min_m, max_m):
+    # windows that start past m = 17, so the least count sits elsewhere
+    counts = [primepi(m) - primepi(m // 2) for m in range(min_m, max_m + 1)]
+    report = verify_prime_windows(max_m, min_m)
+    assert report.least_count == min(counts)
+    assert report.least_at == min_m + counts.index(min(counts))
 
 
 # -- appendix counts ------------------------------------------------------------------
