@@ -352,7 +352,7 @@ def test_abelianization_output(capsys):
     assert "invariant factors: 2, 2, 10" in out
     assert "two-torsion rank: 3" in out
     assert "abelianization: (Z/2)^3" in out
-    # an orbit of 10^8 colours costs no more than the orbit sizes
+    # K is formed from the orbit sizes alone: an orbit of 10^8 colours builds no graph
     assert main(["abelianization", "--orbits", "1,2,99999997"]) == 0
     out = capsys.readouterr().out
     assert "relation matrix determinant: -399999992" in out

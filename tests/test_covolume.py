@@ -514,7 +514,7 @@ def test_prime_window_report():
     "min_m, max_m", [(18, 60), (19, 400), (23, 200), (500, 2000), (1001, 3000), (4006, 4008)]
 )
 def test_prime_window_report_matches_primepi(min_m, max_m):
-    # windows that start past m = 17, so the least count sits elsewhere
+    # windows that start past m = 17, whose least count is not the one at 17
     counts = [primepi(m) - primepi(m // 2) for m in range(min_m, max_m + 1)]
     report = verify_prime_windows(max_m, min_m)
     assert report.least_count == min(counts)
