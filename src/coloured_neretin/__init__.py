@@ -61,11 +61,7 @@ from .abelianization import (
     AbelianInvariants,
     Abelianization,
     IntMatrix,
-    SftGraph,
     bareiss_determinant,
-    build_sft_graph,
-    dot_export,
-    sft_graph_for_group,
     smith_normal_form,
     vf_abelianization,
 )
@@ -74,16 +70,20 @@ from .shift_model import (
     InvalidBisection,
     Omega,
     PathError,
+    SftGraph,
     bisection_to_element,
+    build_sft_graph,
     check_path,
     compose_bisections,
     cylinder_mass,
+    dot_export,
     edge_length,
     element_to_bisection,
     identity_bisection,
     path_children,
     random_bisection,
     root_paths,
+    sft_graph_for_group,
     validate_bisection,
 )
 from .covolume import (

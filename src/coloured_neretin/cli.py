@@ -30,10 +30,7 @@ import time
 from functools import cache
 
 from .abelianization import (
-    build_sft_graph,
     check_orbit_sizes,
-    dot_export,
-    sft_graph_for_group,
     smith_normal_form,
     IntMatrix,
     vf_abelianization,
@@ -74,10 +71,13 @@ from .permutations import (
 from .shift_model import (
     Omega,
     bisection_to_element,
+    build_sft_graph,
     compose_bisections,
+    dot_export,
     element_to_bisection,
     identity_bisection,
     random_bisection,
+    sft_graph_for_group,
 )
 
 

@@ -25,8 +25,10 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 
+from .abelianization import IntMatrix, check_orbit_sizes
 from .almost_automorphisms import make_element, random_element
 from .permutations import closure_enumerate, from_cycles
 from .tree import check_address, plane_for
@@ -40,6 +42,172 @@ class InvalidBisection(ValueError):
     def __init__(self, problems):
         super().__init__("; ".join(problems) or "invalid bisection")
         self.problems = problems
+
+
+# -- the orbit graph -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SftGraph:
+    """Vertices: ("D", i) for each orbit, then ("delta", i, j) grouped by
+    orbit i, j = 1..size-1.  ``matrix[src][dst]`` counts directed edges."""
+
+    orbit_sizes: tuple
+    orbit_colours: tuple
+    vertices: tuple
+    matrix: IntMatrix
+
+    @property
+    def d(self):
+        return sum(self.orbit_sizes) - 1
+
+    @property
+    def l(self):
+        return len(self.orbit_sizes) - 1
+
+    @cached_property
+    def orbit_of(self):
+        """Colour -> index of its orbit."""
+        return {c: i for i, block in enumerate(self.orbit_colours) for c in block}
+
+    @cached_property
+    def rep_of(self):
+        """Colour -> least colour of its orbit."""
+        return {c: min(block) for block in self.orbit_colours for c in block}
+
+    @cached_property
+    def step_costs(self):
+        """(first, steps): ``first[c]`` is the number of graph edges a path's
+        first label c costs, ``steps[p][c]`` that of a label c after p.
+        A first label costs 0 at a representative (a zero-length path) and
+        1 elsewhere; a later label costs 2 in its predecessor's orbit (an
+        interrupted loop) and 1 outside it.  ``steps[p]`` has no entry for
+        the representative of p's orbit, which no label after p may be."""
+        orbit_of, rep_of = self.orbit_of, self.rep_of
+        first = {c: int(c != rep_of[c]) for c in orbit_of}
+        steps = {
+            p: {c: 2 if orbit_of[p] == orbit_of[c] else 1 for c in orbit_of if c != rep_of[p]}
+            for p in orbit_of
+        }
+        return first, steps
+
+    def edges(self):
+        """All directed edges as (source, target, letter) with the colour
+        letter carried by the edge (None on the forced return edges out of
+        delta vertices)."""
+        out = []
+        for i, src_colours in enumerate(self.orbit_colours):
+            for j, dst_colours in enumerate(self.orbit_colours):
+                if i != j:
+                    for c in sorted(dst_colours):
+                        out.append((("D", i), ("D", j), c))
+            loop_colours = sorted(src_colours)[1:]  # all but the representative
+            for j, c in enumerate(loop_colours, start=1):
+                out.append((("D", i), ("delta", i, j), c))
+                out.append((("delta", i, j), ("D", i), None))
+        return out
+
+
+def _default_colours(orbit_sizes):
+    blocks = []
+    start = 0
+    for size in orbit_sizes:
+        blocks.append(tuple(range(start, start + size)))
+        start += size
+    return tuple(blocks)
+
+
+def _strongly_connected(matrix):
+    rows = matrix.entries
+
+    def reachable(lines):
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            for j, entry in enumerate(lines[frontier.pop()]):
+                if entry and j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+        return len(seen) == len(lines)
+
+    return reachable(rows) and reachable(tuple(zip(*rows)))
+
+
+def build_sft_graph(orbit_sizes, orbit_colours=None):
+    """The orbit graph for the given orbit sizes.
+
+    ``orbit_colours`` defaults to consecutive blocks of {0..d}; pass a
+    group's actual orbit partition when the colour labels matter.
+    """
+    orbit_sizes, d = check_orbit_sizes(orbit_sizes)
+    if orbit_colours is None:
+        orbit_colours = _default_colours(orbit_sizes)
+    else:
+        orbit_colours = tuple(tuple(sorted(c)) for c in orbit_colours)
+        if tuple(len(c) for c in orbit_colours) != orbit_sizes:
+            raise ValueError("colour blocks do not match the orbit sizes")
+        if sorted(c for block in orbit_colours for c in block) != list(range(d + 1)):
+            raise ValueError("colour blocks do not partition 0..%d" % d)
+
+    vertices = [("D", i) for i in range(len(orbit_sizes))] + [
+        ("delta", i, j)
+        for i, size in enumerate(orbit_sizes)
+        for j in range(1, size)
+    ]
+    k, n = len(orbit_sizes), len(vertices)
+    entries = [[0] * n for _ in range(n)]
+    aux = k  # the index of ("delta", i, 1), the first auxiliary vertex of orbit i
+    for i, si in enumerate(orbit_sizes):
+        entries[i][:k] = orbit_sizes
+        entries[i][i] = 0
+        for a in range(aux, aux + si - 1):
+            entries[i][a] = entries[a][i] = 1
+        aux += si - 1
+    matrix = IntMatrix._trusted(entries)
+
+    for row in matrix.entries[:k]:
+        assert sum(row) == d, "row sum at an orbit vertex must be d"
+    if not _strongly_connected(matrix):
+        raise ValueError("orbit graph is not irreducible")
+    if all(sum(row) == 1 for row in matrix.entries) and all(
+        sum(col) == 1 for col in zip(*matrix.entries)
+    ):
+        raise ValueError("orbit graph degenerates to a permutation matrix")
+
+    graph = SftGraph(orbit_sizes, orbit_colours, tuple(vertices), matrix)
+    edge_counts = Counter((src, dst) for src, dst, _ in graph.edges())
+    index = {v: pos for pos, v in enumerate(vertices)}
+    for (src, dst), count in edge_counts.items():
+        assert matrix[index[src], index[dst]] == count
+    return graph
+
+
+def sft_graph_for_group(group):
+    return build_sft_graph(group.orbit_sizes, group.orbits)
+
+
+def dot_export(graph):
+    """GraphViz source for the orbit graph, multi-edges expanded; edge
+    labels document the colour identities used by the path encoding."""
+
+    def name(v):
+        if v[0] == "D":
+            return "D%d" % v[1]
+        return "delta_%d_%d" % (v[1], v[2])
+
+    lines = ["digraph orbit_graph {"]
+    for v in graph.vertices:
+        shape = "circle" if v[0] == "D" else "point"
+        lines.append('  %s [shape=%s];' % (name(v), shape))
+    for src, dst, letter in graph.edges():
+        if letter is None:
+            lines.append('  %s -> %s [style=dashed];' % (name(src), name(dst)))
+        else:
+            lines.append(
+                '  %s -> %s [label="%d"];' % (name(src), name(dst), letter)
+            )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def check_path(path, graph):
