@@ -1,12 +1,12 @@
-"""The orbit graph of a colour group, Smith normal forms, and the
-abelianization of V_F.
+"""Smith normal forms and the abelianization of V_F.
 
-The graph has one vertex per colour orbit plus one auxiliary vertex per
-"interrupted loop" (an orbit of size s contributes s-1 of them); direct
-edges go between distinct orbit vertices with multiplicity the target's
-orbit size, and each auxiliary vertex splits one loop into two forced
-edges.  The abelianization of V_F is the cokernel of id - M^t tensored
-with Z/2, computed by exact Smith normal form.
+The abelianization of V_F is the cokernel of id - M^t tensored with Z/2,
+computed by exact Smith normal form.  M is the adjacency matrix of the
+orbit graph (``shift_model.SftGraph``): one vertex per colour orbit plus
+one auxiliary vertex per "interrupted loop" (an orbit of size s
+contributes s-1 of them); direct edges go between distinct orbit vertices
+with multiplicity the target's orbit size, and each auxiliary vertex
+splits one loop into two forced edges.
 
 With the orbit vertices first, id - M^t = [[A, B], [C, I]]: M has no edge
 between auxiliary vertices, so their block is the identity.  Multiplying

@@ -6,6 +6,8 @@ bijectively to vertices of the coloured tree, and the topological full
 group of the shift groupoid corresponds to the dense subgroup generated by
 tree-pair elements.  This module realises that dictionary concretely:
 
+* ``SftGraph`` is the orbit graph, kept as its orbit partition; its edges,
+  step costs and DOT export are linear in d for a fixed number of orbits,
 * a path is its word of colour labels, a plain tuple with one label per
   hop between orbit vertices.  A label in the orbit of its predecessor is
   an interrupted loop through a delta vertex (one label, two graph edges),
@@ -26,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 
 from .abelianization import IntMatrix, check_orbit_sizes
@@ -50,12 +53,11 @@ class InvalidBisection(ValueError):
 @dataclass(frozen=True)
 class SftGraph:
     """Vertices: ("D", i) for each orbit, then ("delta", i, j) grouped by
-    orbit i, j = 1..size-1.  ``matrix[src][dst]`` counts directed edges."""
+    orbit i, j = 1..size-1.  ``orbit_colours`` holds one sorted block per
+    orbit; ``edges()`` is the one construction of the edges."""
 
     orbit_sizes: tuple
     orbit_colours: tuple
-    vertices: tuple
-    matrix: IntMatrix
 
     @property
     def d(self):
@@ -66,6 +68,21 @@ class SftGraph:
         return len(self.orbit_sizes) - 1
 
     @cached_property
+    def vertices(self):
+        return tuple([("D", i) for i in range(len(self.orbit_sizes))] + [
+            ("delta", i, j) for i, size in enumerate(self.orbit_sizes) for j in range(1, size)
+        ])
+
+    @cached_property
+    def matrix(self):
+        """``matrix[src, dst]`` counts directed edges, all (d+1)^2 entries."""
+        index = {v: n for n, v in enumerate(self.vertices)}
+        entries = [[0] * len(index) for _ in index]
+        for src, dst, _ in self.edges():
+            entries[index[src]][index[dst]] += 1
+        return IntMatrix._trusted(entries)
+
+    @cached_property
     def orbit_of(self):
         """Colour -> index of its orbit."""
         return {c: i for i, block in enumerate(self.orbit_colours) for c in block}
@@ -73,7 +90,7 @@ class SftGraph:
     @cached_property
     def rep_of(self):
         """Colour -> least colour of its orbit."""
-        return {c: min(block) for block in self.orbit_colours for c in block}
+        return {c: block[0] for block in self.orbit_colours for c in block}
 
     @cached_property
     def step_costs(self):
@@ -81,67 +98,56 @@ class SftGraph:
         first label c costs, ``steps[p][c]`` that of a label c after p.
         A first label costs 0 at a representative (a zero-length path) and
         1 elsewhere; a later label costs 2 in its predecessor's orbit (an
-        interrupted loop) and 1 outside it.  ``steps[p]`` has no entry for
-        the representative of p's orbit, which no label after p may be."""
-        orbit_of, rep_of = self.orbit_of, self.rep_of
-        first = {c: int(c != rep_of[c]) for c in orbit_of}
-        steps = {
-            p: {c: 2 if orbit_of[p] == orbit_of[c] else 1 for c in orbit_of if c != rep_of[p]}
-            for p in orbit_of
-        }
-        return first, steps
+        interrupted loop) and 1 outside it.  ``steps[p]``, one row shared by
+        p's orbit, has no entry for the orbit's representative, which no
+        label after p may be."""
+        orbit_of = self.orbit_of
+        first = {c: int(c != block[0]) for block in self.orbit_colours for c in block}
+        rows = [
+            {c: 2 if orbit_of[c] == i else 1 for c in orbit_of if c != block[0]}
+            for i, block in enumerate(self.orbit_colours)
+        ]
+        return first, {p: rows[i] for p, i in orbit_of.items()}
 
     def edges(self):
         """All directed edges as (source, target, letter) with the colour
         letter carried by the edge (None on the forced return edges out of
         delta vertices)."""
         out = []
-        for i, src_colours in enumerate(self.orbit_colours):
-            for j, dst_colours in enumerate(self.orbit_colours):
+        orbit = [("D", i) for i in range(len(self.orbit_colours))]
+        for i, block in enumerate(self.orbit_colours):
+            for j, colours in enumerate(self.orbit_colours):
                 if i != j:
-                    for c in sorted(dst_colours):
-                        out.append((("D", i), ("D", j), c))
-            loop_colours = sorted(src_colours)[1:]  # all but the representative
-            for j, c in enumerate(loop_colours, start=1):
-                out.append((("D", i), ("delta", i, j), c))
-                out.append((("delta", i, j), ("D", i), None))
+                    out.extend((orbit[i], orbit[j], c) for c in colours)
+            for j, c in enumerate(block[1:], start=1):  # all but the representative
+                relay = ("delta", i, j)
+                out.extend(((orbit[i], relay, c), (relay, orbit[i], None)))
         return out
 
 
-def _default_colours(orbit_sizes):
-    blocks = []
-    start = 0
-    for size in orbit_sizes:
-        blocks.append(tuple(range(start, start + size)))
-        start += size
-    return tuple(blocks)
-
-
-def _strongly_connected(matrix):
-    rows = matrix.entries
-
-    def reachable(lines):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            for j, entry in enumerate(lines[frontier.pop()]):
-                if entry and j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        return len(seen) == len(lines)
-
-    return reachable(rows) and reachable(tuple(zip(*rows)))
+def _reaches_all(arrows, vertices):
+    """Whether the first vertex reaches every vertex along the arrows."""
+    heads = {}
+    for src, dst in arrows:
+        heads.setdefault(src, []).append(dst)
+    seen, frontier = {vertices[0]}, [vertices[0]]
+    while frontier:
+        new = set(heads.get(frontier.pop(), ())) - seen
+        seen |= new
+        frontier.extend(new)
+    return len(seen) == len(vertices)
 
 
 def build_sft_graph(orbit_sizes, orbit_colours=None):
-    """The orbit graph for the given orbit sizes.
+    """The orbit graph for the given orbit sizes, checked on its edge counts.
 
     ``orbit_colours`` defaults to consecutive blocks of {0..d}; pass a
     group's actual orbit partition when the colour labels matter.
     """
     orbit_sizes, d = check_orbit_sizes(orbit_sizes)
     if orbit_colours is None:
-        orbit_colours = _default_colours(orbit_sizes)
+        starts = accumulate(orbit_sizes, initial=0)
+        orbit_colours = tuple(tuple(range(a, a + s)) for a, s in zip(starts, orbit_sizes))
     else:
         orbit_colours = tuple(tuple(sorted(c)) for c in orbit_colours)
         if tuple(len(c) for c in orbit_colours) != orbit_sizes:
@@ -149,36 +155,18 @@ def build_sft_graph(orbit_sizes, orbit_colours=None):
         if sorted(c for block in orbit_colours for c in block) != list(range(d + 1)):
             raise ValueError("colour blocks do not partition 0..%d" % d)
 
-    vertices = [("D", i) for i in range(len(orbit_sizes))] + [
-        ("delta", i, j)
-        for i, size in enumerate(orbit_sizes)
-        for j in range(1, size)
-    ]
-    k, n = len(orbit_sizes), len(vertices)
-    entries = [[0] * n for _ in range(n)]
-    aux = k  # the index of ("delta", i, 1), the first auxiliary vertex of orbit i
-    for i, si in enumerate(orbit_sizes):
-        entries[i][:k] = orbit_sizes
-        entries[i][i] = 0
-        for a in range(aux, aux + si - 1):
-            entries[i][a] = entries[a][i] = 1
-        aux += si - 1
-    matrix = IntMatrix._trusted(entries)
-
-    for row in matrix.entries[:k]:
-        assert sum(row) == d, "row sum at an orbit vertex must be d"
-    if not _strongly_connected(matrix):
+    graph = SftGraph(orbit_sizes, orbit_colours)
+    edges, vertices = graph.edges(), graph.vertices
+    out_degree = Counter(map(itemgetter(0), edges))
+    in_degree = Counter(map(itemgetter(1), edges))
+    for i in range(len(orbit_sizes)):
+        assert out_degree["D", i] == d, "row sum at an orbit vertex must be d"
+    arrows = set(map(itemgetter(0, 1), edges))
+    backward = {(dst, src) for src, dst in arrows}
+    if not (_reaches_all(arrows, vertices) and _reaches_all(backward, vertices)):
         raise ValueError("orbit graph is not irreducible")
-    if all(sum(row) == 1 for row in matrix.entries) and all(
-        sum(col) == 1 for col in zip(*matrix.entries)
-    ):
+    if all(out_degree[v] == 1 == in_degree[v] for v in vertices):
         raise ValueError("orbit graph degenerates to a permutation matrix")
-
-    graph = SftGraph(orbit_sizes, orbit_colours, tuple(vertices), matrix)
-    edge_counts = Counter((src, dst) for src, dst, _ in graph.edges())
-    index = {v: pos for pos, v in enumerate(vertices)}
-    for (src, dst), count in edge_counts.items():
-        assert matrix[index[src], index[dst]] == count
     return graph
 
 
@@ -191,21 +179,14 @@ def dot_export(graph):
     labels document the colour identities used by the path encoding."""
 
     def name(v):
-        if v[0] == "D":
-            return "D%d" % v[1]
-        return "delta_%d_%d" % (v[1], v[2])
+        return "D%d" % v[1] if v[0] == "D" else "delta_%d_%d" % v[1:]
 
     lines = ["digraph orbit_graph {"]
     for v in graph.vertices:
-        shape = "circle" if v[0] == "D" else "point"
-        lines.append('  %s [shape=%s];' % (name(v), shape))
+        lines.append("  %s [shape=%s];" % (name(v), "circle" if v[0] == "D" else "point"))
     for src, dst, letter in graph.edges():
-        if letter is None:
-            lines.append('  %s -> %s [style=dashed];' % (name(src), name(dst)))
-        else:
-            lines.append(
-                '  %s -> %s [label="%d"];' % (name(src), name(dst), letter)
-            )
+        style = "style=dashed" if letter is None else 'label="%d"' % letter
+        lines.append("  %s -> %s [%s];" % (name(src), name(dst), style))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

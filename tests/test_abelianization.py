@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from sympy import Matrix
@@ -241,6 +242,47 @@ def test_graph_edges_consistent_with_matrix():
         for i in range(len(graph.vertices)):
             for j in range(len(graph.vertices)):
                 assert counts.get((i, j), 0) == graph.matrix[i, j]
+
+
+def test_edges_follow_the_orbit_sizes():
+    # the one construction of the edges against the orbit sizes: s_j edges
+    # D_i -> D_j for i != j, one edge each way between D_i and each of its
+    # s_i - 1 relays, and out of D_i every colour but its representative
+    count = 0
+    for d in range(2, 9):
+        for sizes in compositions(d + 1):
+            graph = build_sft_graph(sizes)
+            want = Counter()
+            for i, si in enumerate(sizes):
+                for j, sj in enumerate(sizes):
+                    if i != j:
+                        want[("D", i), ("D", j)] = sj
+                for a in range(1, si):
+                    want[("D", i), ("delta", i, a)] = want[("delta", i, a), ("D", i)] = 1
+            edges = graph.edges()
+            assert Counter((src, dst) for src, dst, _ in edges) == want, sizes
+            for i, block in enumerate(graph.orbit_colours):
+                letters = sorted(c for src, _, c in edges if src == ("D", i))
+                assert letters == [c for c in range(d + 1) if c != block[0]], sizes
+            count += 1
+    assert count == 508
+
+
+def test_a_large_orbit_graph_is_built_in_linear_size():
+    # (d+1)^2 is 10^10 here; the build, the lookups, the cost tables and
+    # the DOT export each stay linear in d
+    start = time.perf_counter()
+    graph = build_sft_graph((1, 2, 99997))
+    d = graph.d
+    assert d == 99999 and len(graph.vertices) == d + 1
+    assert len(graph.rep_of) == d + 1 and graph.rep_of[d] == 3
+    first, steps = graph.step_costs
+    rows = {id(row): row for row in steps.values()}
+    assert len(first) == len(steps) == d + 1 and len(rows) == 3
+    assert all(len(row) == d for row in rows.values())
+    edges = 3 * d + (d + 1 - 3)  # d out of each orbit vertex, one out of each relay
+    assert dot_export(graph).count("\n") == 1 + (d + 1) + edges + 1
+    assert time.perf_counter() - start < 5
 
 
 def test_graph_edge_labels_are_colours():
