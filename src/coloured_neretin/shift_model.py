@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 
 from .abelianization import IntMatrix, check_orbit_sizes
@@ -197,7 +197,7 @@ def check_path(path, graph):
     orbit_of, rep_of = graph.orbit_of, graph.rep_of
     prev = None
     for c in path:
-        if c not in orbit_of:
+        if type(c) is not int or c not in orbit_of:  # True and 1.0 hash like 1
             raise PathError("label %r is not a colour of the graph" % (c,))
         if prev is not None and c == rep_of[prev]:
             raise PathError(
@@ -401,15 +401,22 @@ def validate_bisection(bisection, graph):
     sound are the overlaps and masses of both sides checked.  Each offset
     is checked against ``edge_length``, whose lookup fails on a label word
     that is not a path; ``check_path`` runs only on such a pair, to name
-    the defect.  Per side one sort and a prefix test on adjacent paths
-    decide whether any overlaps must be listed.
+    the defect, and on every pair when one pass at C speed finds a label
+    that is not an int.  Per side one sort and a prefix test on adjacent
+    paths decide whether any overlaps must be listed.
     """
+    pairs = bisection.pairs
+    # True and 1.0 hash like 1 and would pass every lookup
+    paths = chain.from_iterable(map(itemgetter(0, 2), pairs))
+    typed = set(map(type, chain.from_iterable(paths))) <= {int}
     orbit_of = graph.orbit_of
     problems = []
-    for index, (source, offset, target) in enumerate(bisection.pairs):
+    for index, (source, offset, target) in enumerate(pairs):
         try:
-            want = edge_length(source, graph) - edge_length(target, graph)
-        except (KeyError, IndexError):  # not two paths: name each defect
+            want = edge_length(source, graph) - edge_length(target, graph) if typed else None
+        except (KeyError, IndexError):
+            want = None
+        if want is None:  # not two paths of int labels: name each defect
             for path in (source, target):
                 try:
                     check_path(path, graph)

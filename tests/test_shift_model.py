@@ -11,6 +11,7 @@ from coloured_neretin import (
     PathError,
     bisection_to_element,
     build_sft_graph,
+    check_path,
     compose,
     compose_bisections,
     cylinder_mass,
@@ -83,8 +84,6 @@ def test_path_children_count_and_validity():
 
 
 def test_check_path_rejections():
-    from coloured_neretin import check_path
-
     graph = build_sft_graph((1, 3, 2))  # orbit representatives 0, 1, 4
     with pytest.raises(PathError):
         check_path((9,), graph)  # not a colour
@@ -281,6 +280,26 @@ def test_bisection_pairs_are_triples(bad):
     with pytest.raises(InvalidBisection) as info:
         Bisection(good.pairs[:1] + (bad,) + good.pairs[1:])
     assert info.value.problems == ["pair %r is not a (path, offset, path) triple" % (bad,)]
+
+
+@pytest.mark.parametrize("label", [True, 1.0], ids=["bool", "float"])
+def test_labels_must_be_ints(label):
+    # True and 1.0 hash like the colour 1 and pass every table lookup; the
+    # label is named where the bisection enters, not in the tree below
+    group = group_from(["(1 2)"], 3)
+    omega = Omega(sft_graph_for_group(group), group)
+    pairs = identity_bisection(omega.graph).pairs
+    assert pairs[1][0] == (1,)
+    bad = Bisection(pairs[:1] + (((label,),) + pairs[1][1:],) + pairs[2:])
+    message = "pair 1: label %r is not a colour of the graph" % (label,)
+    assert validate_bisection(bad, omega.graph) == [message]
+    with pytest.raises(InvalidBisection) as info:
+        bisection_to_element(bad, omega)
+    assert info.value.problems == [message]
+    with pytest.raises(PathError, match="label %r is not a colour" % (label,)):
+        check_path((0, label), omega.graph)
+    with pytest.raises(PathError, match="label %r is not a colour" % (label,)):
+        omega.to_address((label, 0))
 
 
 ROOTS = [((c,), (c,)) for c in range(4)]
