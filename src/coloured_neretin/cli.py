@@ -60,7 +60,7 @@ from .covolume import (
     verify_prime_windows,
     verify_smallest_inequality,
     verify_xi_claims,
-    window_primes,
+    window_ends,
 )
 from .permutations import (
     closure_enumerate,
@@ -355,14 +355,14 @@ def cmd_verify_smallest(args):
 
 def cmd_primes_window(args):
     report = verify_prime_windows(args.max_m)
-    primes = window_primes(args.max_m)
-    if len(primes) <= 25:
-        listing = "{%s}" % ", ".join(map(str, primes))
+    count, least, greatest = window_ends(args.max_m, 25)
+    if count <= 25:
+        listing = "{%s}" % ", ".join(map(str, least))
     else:
         listing = "%d primes, first {%s}, last {%s}" % (
-            len(primes),
-            ", ".join(map(str, primes[:3])),
-            ", ".join(map(str, primes[-3:])),
+            count,
+            ", ".join(map(str, least[:3])),
+            ", ".join(map(str, greatest[-3:])),
         )
     print("window (m/2, m] for m = %d: %s" % (args.max_m, listing))
     print(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
 from math import factorial
 
 from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub, mpi_zero
@@ -496,6 +497,16 @@ def window_primes(m):
         return []
     _ensure_sieve(m)
     return [p for p in range(m // 2 + 1, m + 1) if _SIEVE[p]]
+
+
+def window_ends(m, k):
+    """(count, least, greatest): the number of primes in (m/2, m] and the
+    k least and the k greatest of them, read from the sieve in place."""
+    _ensure_sieve(m)
+    primes, flags = range(m // 2 + 1, m + 1), memoryview(_SIEVE)[m // 2 + 1 : m + 1]
+    least = list(islice(compress(primes, flags), k))
+    greatest = list(islice(compress(reversed(primes), reversed(flags)), k))[::-1]
+    return _SIEVE.count(1, m // 2 + 1, m + 1), least, greatest
 
 
 @dataclass(frozen=True)

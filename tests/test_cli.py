@@ -22,7 +22,7 @@ from coloured_neretin import (
 )
 from coloured_neretin import cli
 from coloured_neretin.cli import main
-from coloured_neretin.covolume import covolume_table_rows
+from coloured_neretin.covolume import covolume_table_rows, window_primes
 
 from conftest import (
     four_orbit_group,
@@ -464,6 +464,22 @@ def test_primes_window(capsys):
     assert "window (m/2, m] for m = 20: {11, 13, 17, 19}" in out
     assert "least count over 17 <= m <= 20: 3 (at m = 17)" in out
     assert "every window contains at least three primes: True" in out
+
+
+@pytest.mark.parametrize("m", [17, 100, 10 ** 5, 10 ** 6])
+def test_primes_window_line_matches_the_listed_window(capsys, m):
+    # the command reads the window's count and ends from the sieve; the
+    # line must be the one the full list of window primes gives
+    primes = window_primes(m)
+    if len(primes) <= 25:
+        listing = "{%s}" % ", ".join(map(str, primes))
+    else:
+        listing = "%d primes, first {%s}, last {%s}" % (
+            len(primes), ", ".join(map(str, primes[:3])), ", ".join(map(str, primes[-3:]))
+        )
+    assert main(["primes-window", "--max-m", str(m)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == "window (m/2, m] for m = %d: %s" % (m, listing)
 
 
 def test_appendix_counts(capsys):
