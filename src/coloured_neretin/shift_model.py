@@ -339,6 +339,13 @@ class Bisection:
             ])
         object.__setattr__(self, "pairs", tuple(sorted(pairs)))
 
+    @cached_property
+    def _int_labels(self):
+        """Whether every label is an int: True and 1.0 hash like 1 and would
+        pass every table lookup.  One pass at C speed, once per bisection."""
+        labels = chain.from_iterable([s + t for s, _, t in self.pairs])
+        return set(map(type, labels)) <= {int}
+
     def sources(self):
         return [s for s, _, _ in self.pairs]
 
@@ -401,17 +408,14 @@ def validate_bisection(bisection, graph):
     sound are the overlaps and masses of both sides checked.  Each offset
     is checked against ``edge_length``, whose lookup fails on a label word
     that is not a path; ``check_path`` runs only on such a pair, to name
-    the defect, and on every pair when one pass at C speed finds a label
-    that is not an int.  Per side one sort and a prefix test on adjacent
-    paths decide whether any overlaps must be listed.
+    the defect, and on every pair when a label is not an int.  Per side
+    one sort and a prefix test on adjacent paths decide whether any
+    overlaps must be listed.
     """
-    pairs = bisection.pairs
-    # True and 1.0 hash like 1 and would pass every lookup
-    paths = chain.from_iterable(map(itemgetter(0, 2), pairs))
-    typed = set(map(type, chain.from_iterable(paths))) <= {int}
+    typed = bisection._int_labels
     orbit_of = graph.orbit_of
     problems = []
-    for index, (source, offset, target) in enumerate(pairs):
+    for index, (source, offset, target) in enumerate(bisection.pairs):
         try:
             want = edge_length(source, graph) - edge_length(target, graph) if typed else None
         except (KeyError, IndexError):
