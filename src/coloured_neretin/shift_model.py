@@ -52,9 +52,8 @@ class InvalidBisection(ValueError):
 
 @dataclass(frozen=True)
 class SftGraph:
-    """Vertices: ("D", i) for each orbit, then ("delta", i, j) grouped by
-    orbit i, j = 1..size-1.  ``orbit_colours`` holds one sorted block per
-    orbit; ``edges()`` is the one construction of the edges."""
+    """Vertices: ("D", i) for each orbit, then ("delta", i, j) grouped by orbit
+    i, j = 1..size-1.  One sorted colour block per orbit; ``edges()`` builds the edges."""
 
     orbit_sizes: tuple
     orbit_colours: tuple
@@ -98,9 +97,8 @@ class SftGraph:
         first label c costs, ``steps[p][c]`` that of a label c after p.
         A first label costs 0 at a representative (a zero-length path) and
         1 elsewhere; a later label costs 2 in its predecessor's orbit (an
-        interrupted loop) and 1 outside it.  ``steps[p]``, one row shared by
-        p's orbit, has no entry for the orbit's representative, which no
-        label after p may be."""
+        interrupted loop) and 1 outside it.  ``steps[p]`` is one row per orbit,
+        without the orbit's representative, which no label after p may be."""
         orbit_of = self.orbit_of
         first = {c: int(c != block[0]) for block in self.orbit_colours for c in block}
         rows = [
@@ -341,8 +339,7 @@ class Bisection:
 
     @cached_property
     def _int_labels(self):
-        """Whether every label is an int: True and 1.0 hash like 1 and would
-        pass every table lookup.  One pass at C speed, once per bisection."""
+        """Whether every label is an int (True and 1.0 hash like 1), scanned once."""
         labels = chain.from_iterable([s + t for s, _, t in self.pairs])
         return set(map(type, labels)) <= {int}
 
