@@ -20,6 +20,7 @@ from coloured_neretin import (
     compose_bisections,
     cylinder_mass,
     dot_export,
+    edge_length,
     element_to_bisection,
     random_bisection,
     random_element,
@@ -52,7 +53,8 @@ def main():
     b = element_to_bisection(e, omega)
     print("element with %d leaves becomes %d prefix-replacement pairs:"
           % (len(e.domain.leaves), len(b.pairs)))
-    for source, offset, target in b.pairs[:6]:
+    for source, target in b.pairs[:6]:
+        offset = edge_length(source, graph) - edge_length(target, graph)
         print("  %-18s -> %-18s (offset %+d, mass %s)"
               % (source, target, offset,
                  cylinder_mass(source, graph)))

@@ -17,8 +17,10 @@ tree-pair elements.  This module realises that dictionary concretely:
 * ``Omega`` translates label words to tree addresses and back, letter by
   letter, using the canonical colour transports,
 * ``Bisection`` is the shift-side normal form of an element: a finite list
-  of (source path, shift offset, target path) triples whose source and
-  target cylinders each partition the path space.
+  of (source path, target path) pairs whose source and target cylinders
+  each partition the path space.  The lag of a pair in Matui's groupoid,
+  ``edge_length(source) - edge_length(target)``, is fixed by its paths and
+  not stored.
 """
 
 from __future__ import annotations
@@ -311,54 +313,48 @@ class Omega:
 
 @dataclass(frozen=True)
 class Bisection:
-    """Shift-side normal form: (source path, offset, target path) triples.
+    """Shift-side normal form: (source path, target path) pairs.
 
-    Both paths of a triple are label-word tuples and the offset is an int
-    (not a bool), kept as given; a pair of another shape, or any other
-    offset, raises InvalidBisection naming the pair.
-    The source paths and the target paths each give a clopen partition of
-    the path space, the offset of a pair is the difference of the edge
-    lengths of its paths, and source and target of a pair end at the same
-    orbit vertex; ``validate_bisection`` checks all of this.  Pairs are kept
-    sorted by source label word.
+    Both paths of a pair are label-word tuples of ints (not bools: True
+    and 1.0 hash like 1); a pair of another shape, or a label of another
+    type, raises InvalidBisection naming it, before the pairs are sorted
+    by source label word.  The source paths and the target paths each give
+    a clopen partition of the path space, and source and target of a pair
+    end at the same orbit vertex; ``validate_bisection`` checks this
+    against the graph.
     """
 
     pairs: tuple
 
     def __post_init__(self):
         try:
-            pairs = [(tuple(s), offset, tuple(t)) for s, offset, t in self.pairs]
+            pairs = [(tuple(s), tuple(t)) for s, t in self.pairs]
         except (TypeError, ValueError):
             raise InvalidBisection(_shape_problems(self.pairs)) from None
-        if not set(map(type, map(itemgetter(1), pairs))) <= {int}:
+        labels = chain.from_iterable(chain.from_iterable(pairs))
+        if not set(map(type, labels)) <= {int}:
             raise InvalidBisection([
-                "pair %r: offset %r is not an int" % (pair, pair[1])
-                for pair in pairs if type(pair[1]) is not int
+                "pair %r: label %r is not an int" % (pair, c)
+                for pair in pairs for c in chain(*pair) if type(c) is not int
             ])
         object.__setattr__(self, "pairs", tuple(sorted(pairs)))
 
-    @cached_property
-    def _int_labels(self):
-        """Whether every label is an int (True and 1.0 hash like 1), scanned once."""
-        labels = chain.from_iterable([s + t for s, _, t in self.pairs])
-        return set(map(type, labels)) <= {int}
-
     def sources(self):
-        return [s for s, _, _ in self.pairs]
+        return [s for s, _ in self.pairs]
 
     def targets(self):
-        return [t for _, _, t in self.pairs]
+        return [t for _, t in self.pairs]
 
 
 def _shape_problems(pairs):
-    """Each pair that is not a (path, offset, path) triple of two iterables."""
+    """Each pair that is not a (path, path) pair of two iterables."""
     problems = []
     for pair in pairs:
         try:
-            s, _, t = pair
+            s, t = pair
             tuple(s), tuple(t)
         except (TypeError, ValueError):
-            problems.append("pair %r is not a (path, offset, path) triple" % (pair,))
+            problems.append("pair %r is not a (path, path) pair" % (pair,))
     return problems
 
 
@@ -400,24 +396,20 @@ def _partition_problems(paths, ordered, graph, side):
 def validate_bisection(bisection, graph):
     """The list of problems of the bisection, empty when it is valid.
 
-    Never raises on mathematically bad data: bad labels, offsets and
-    terminal orbits are reported per pair, and only when every pair is
-    sound are the overlaps and masses of both sides checked.  Each offset
-    is checked against ``edge_length``, whose lookup fails on a label word
-    that is not a path; ``check_path`` runs only on such a pair, to name
-    the defect, and on every pair when a label is not an int.  Per side
-    one sort and a prefix test on adjacent paths decide whether any
-    overlaps must be listed.
+    Never raises on mathematically bad data: bad paths and terminal
+    orbits are reported per pair, and only when every pair is sound are
+    the overlaps and masses of both sides checked.  The ``edge_length``
+    lookup is the test that both label words of a pair are paths;
+    ``check_path`` runs only on a pair whose lookup fails, to name the
+    defect.  Per side one sort and a prefix test on adjacent paths decide
+    whether any overlaps must be listed.
     """
-    typed = bisection._int_labels
     orbit_of = graph.orbit_of
     problems = []
-    for index, (source, offset, target) in enumerate(bisection.pairs):
+    for index, (source, target) in enumerate(bisection.pairs):
         try:
-            want = edge_length(source, graph) - edge_length(target, graph) if typed else None
-        except (KeyError, IndexError):
-            want = None
-        if want is None:  # not two paths of int labels: name each defect
+            edge_length(source, graph), edge_length(target, graph)
+        except (KeyError, IndexError):  # not two paths: name each defect
             for path in (source, target):
                 try:
                     check_path(path, graph)
@@ -432,11 +424,6 @@ def validate_bisection(bisection, graph):
                 "pair %d: source ends at orbit vertex %d but target at %d"
                 % ((index,) + ends)
             )
-        if offset != want:
-            problems.append(
-                "pair %d: offset %d does not match edge length difference %d"
-                % (index, offset, want)
-            )
     if not problems:
         # Bisection keeps its pairs sorted by source, so only the targets
         # need a sort
@@ -446,12 +433,8 @@ def validate_bisection(bisection, graph):
     return problems
 
 
-def _make_pair(source, target, graph):
-    return source, edge_length(source, graph) - edge_length(target, graph), target
-
-
 def identity_bisection(graph):
-    return Bisection(tuple(_make_pair(p, p, graph) for p in root_paths(graph)))
+    return Bisection(tuple((p, p) for p in root_paths(graph)))
 
 
 def bisection_to_element(bisection, omega):
@@ -461,17 +444,15 @@ def bisection_to_element(bisection, omega):
     if problems:
         raise InvalidBisection(problems)
     address = omega.plane.address_of
-    pairs = {address(s): address(t) for s, _, t in bisection.pairs}
+    pairs = {address(s): address(t) for s, t in bisection.pairs}
     return make_element(pairs, pairs.values(), pairs, omega.group)
 
 
 def element_to_bisection(element, omega):
-    """The bisection of the reduced element, its label words unchecked."""
+    """The bisection of the reduced element, its label words not checked as paths."""
     element = element.reduce()
-    labels, graph = omega.plane.label_word, omega.graph
-    return Bisection(tuple(
-        _make_pair(labels(v), labels(w), graph) for v, w in element._map.items()
-    ))
+    labels = omega.plane.label_word
+    return Bisection(tuple((labels(v), labels(w)) for v, w in element._map.items()))
 
 
 def compose_bisections(first, second, graph):
@@ -479,23 +460,21 @@ def compose_bisections(first, second, graph):
 
     A pair (s, t) acts on cylinders by replacing the prefix s with t and
     keeping the remaining labels; the terminal-vertex condition is exactly
-    what makes the remaining labels legal after either prefix.  The labels
-    kept cost the same edges after either prefix, so offsets add.
+    what makes the remaining labels legal after either prefix.
     """
     by_source = {}
-    for s1, o1, t1 in first.pairs:
-        by_source.setdefault(s1, []).append((o1, t1))
+    for s1, t1 in first.pairs:
+        by_source.setdefault(s1, []).append(t1)
     sources = first.sources()  # sorted, as pairs are
     pairs = []
-    for s2, o2, t2 in second.pairs:
+    for s2, t2 in second.pairs:
         for k in range(1, len(t2) + 1):
-            for o1, t1 in by_source.get(t2[:k], ()):
-                pairs.append((s2, o1 + o2, t1 + t2[k:]))
+            for t1 in by_source.get(t2[:k], ()):
+                pairs.append((s2, t1 + t2[k:]))
         for n in range(bisect_right(sources, t2), len(sources)):
             if sources[n][: len(t2)] != t2:
                 break
-            _, o1, t1 = first.pairs[n]
-            pairs.append((s2 + sources[n][len(t2) :], o1 + o2, t1))
+            pairs.append((s2 + sources[n][len(t2) :], first.pairs[n][1]))
     result = Bisection(tuple(pairs))
     problems = validate_bisection(result, graph)
     assert not problems, problems

@@ -1,9 +1,9 @@
 """Oracle for ``coloured_neretin.shift_model.validate_bisection``.
 
 ``seed_validate_bisection`` is the check as it ran before the per-side
-adjacent-prefix test and the inline step costs: every pair's labels,
-offset and terminal orbits, then the overlap scan and the mass of each
-side, for every bisection.  ``validate_bisection`` must give the same
+adjacent-prefix test and the inline step costs: every pair's labels and
+terminal orbits, then the overlap scan and the mass of each side, for
+every bisection.  ``validate_bisection`` must give the same
 list of problems.
 """
 
@@ -47,15 +47,15 @@ def _partition_problems(paths, graph, side):
 def seed_validate_bisection(bisection, graph):
     """The list of problems of the bisection, empty when it is valid.
 
-    Never raises on mathematically bad data: bad labels, offsets and
-    terminal orbits are reported per pair, and only when every pair is
+    Never raises on mathematically bad data: bad labels and terminal
+    orbits are reported per pair, and only when every pair is
     sound are the overlaps and masses of both sides checked.
     """
     orbit_of = graph.orbit_of
     problems = []
-    for index, (source, offset, target) in enumerate(bisection.pairs):
+    for index, (source, target) in enumerate(bisection.pairs):
         try:
-            want = edge_length(source, graph) - edge_length(target, graph)
+            edge_length(source, graph), edge_length(target, graph)
         except (KeyError, IndexError):  # not two paths: name each defect
             for path in (source, target):
                 try:
@@ -70,11 +70,6 @@ def seed_validate_bisection(bisection, graph):
             problems.append(
                 "pair %d: source ends at orbit vertex %d but target at %d"
                 % ((index,) + ends)
-            )
-        if offset != want:
-            problems.append(
-                "pair %d: offset %d does not match edge length difference %d"
-                % (index, offset, want)
             )
     if not problems:
         problems.extend(_partition_problems(bisection.sources(), graph, "source"))

@@ -26,7 +26,6 @@ from coloured_neretin import (
     sft_graph_for_group,
     validate_bisection,
 )
-from coloured_neretin.shift_model import _make_pair
 from bisection_oracle import seed_validate_bisection
 from conftest import (
     four_orbit_group,
@@ -166,7 +165,7 @@ def test_identity_bisection_round_trip():
         bis = identity_bisection(omega.graph)
         problems = validate_bisection(bis, omega.graph)
         assert not problems, problems
-        assert all(offset == 0 for _, offset, _ in bis.pairs)
+        assert all(source == target for source, target in bis.pairs)
         element = bisection_to_element(bis, omega)
         assert element.is_identity()
         assert element_to_bisection(identity_element(omega.group), omega) == bis
@@ -206,13 +205,34 @@ def test_compose_bisections_matches_element_composition():
             assert bisection_to_element(composed, omega) == compose(a, b)
 
 
+def test_composed_lags_add():
+    # the lag of a pair in Matui's groupoid {(x, k - l, y)} is the edge
+    # length of its source less that of its target; a composed pair starts
+    # in one pair of `second`, ends in one of `first`, and its lag is the
+    # sum of theirs, because the labels it keeps cost the same edges after
+    # either prefix
+    rng = random.Random(59)
+    for omega in omegas():
+        graph = omega.graph
+
+        def lag(pair):
+            return edge_length(pair[0], graph) - edge_length(pair[1], graph)
+
+        for _ in range(10):
+            first = random_bisection(omega, rng, 4)
+            second = random_bisection(omega, rng, 4)
+            for s, t in compose_bisections(first, second, graph).pairs:
+                (start,) = [p for p in second.pairs if s[: len(p[0])] == p[0]]
+                (end,) = [p for p in first.pairs if t[: len(p[1])] == p[1]]
+                assert lag((s, t)) == lag(start) + lag(end)
+
+
 def test_bisection_offsets_and_masses():
     rng = random.Random(55)
     for omega in omegas():
         bis = random_bisection(omega, rng, 5)
         graph = omega.graph
-        for source, offset, target in bis.pairs:
-            assert offset == edge_length(source, graph) - edge_length(target, graph)
+        for source, target in bis.pairs:
             assert graph.orbit_of[source[-1]] == graph.orbit_of[target[-1]]
         for paths in (bis.sources(), bis.targets()):
             mass = sum((cylinder_mass(p, graph) for p in paths), Fraction(0))
@@ -223,21 +243,15 @@ def test_validate_bisection_diagnostics():
     graph = build_sft_graph((2, 2))
     good = identity_bisection(graph)
 
-    # wrong offset
-    s, _, t = good.pairs[0]
-    bad = Bisection(((s, 3, t),) + good.pairs[1:])
-    problems = validate_bisection(bad, graph)
-    assert problems
-    assert any("offset" in p for p in problems)
-
     # mismatched terminal orbits: colour 0 ends at orbit 0, colour 2 at orbit 1
     pairs = list(good.pairs)
     zero = next(p for p in pairs if p[0] == (0,))
     two = next(p for p in pairs if p[0] == (2,))
     swapped = [
         p for p in pairs if p not in (zero, two)
-    ] + [(zero[0], 0, two[2]), (two[0], 0, zero[2])]
-    problems = validate_bisection(Bisection(tuple(swapped)), graph)
+    ] + [(zero[0], two[1]), (two[0], zero[1])]
+    bad = Bisection(tuple(swapped))
+    problems = validate_bisection(bad, graph)
     assert problems
     assert any("orbit" in p for p in problems)
 
@@ -247,55 +261,41 @@ def test_validate_bisection_diagnostics():
     assert any("mass" in p for p in problems)
 
     # invalid labels
-    problems = validate_bisection(Bisection((((7,), 0, (7,)),)), graph)
+    problems = validate_bisection(Bisection((((7,), (7,)),)), graph)
     assert problems
 
     with pytest.raises(InvalidBisection):
         bisection_to_element(bad, Omega(graph))
 
 
-@pytest.mark.parametrize("offset", [0.7, 1.7, "1", None, True, Fraction(1)])
-def test_bisection_offsets_are_ints(offset):
-    # an offset is kept as given, so one that is not an int is refused
-    # rather than truncated into a valid bisection
-    graph = build_sft_graph((2, 2))
-    good = identity_bisection(graph)
-    s, zero, t = good.pairs[1]
-    assert type(zero) is int
-    with pytest.raises(InvalidBisection) as info:
-        Bisection(good.pairs[:1] + ((list(s), offset, t),) + good.pairs[2:])
-    assert info.value.problems == ["pair %r: offset %r is not an int" % ((s, offset, t), offset)]
-    shifted = Bisection(tuple((s, offset + 1, t) for s, offset, t in good.pairs))
-    assert [o for _, o, _ in shifted.pairs] == [o + 1 for _, o, _ in good.pairs]
-
-
+# named as in earlier versions, where a pair was a (path, offset, path)
+# triple, so that its results compare across them
 @pytest.mark.parametrize(
     "bad",
-    [(None, 0, (1,)), ((1,), 0, None), ((1,), 0), ((1,), 0, (1,), 0), 5, None],
-    ids=["source-none", "target-none", "two-entries", "four-entries", "int", "none"],
+    [(None, (1,)), ((1,), None), ((1,), 0), ((1,), 0, (1,), 0), ((1,), 0, (1,)), 5, None],
+    ids=["source-none", "target-none", "two-entries", "four-entries", "triple", "int", "none"],
 )
 def test_bisection_pairs_are_triples(bad):
     # a pair of another shape is named, not left to a bare unpacking error
     good = identity_bisection(build_sft_graph((2, 2)))
     with pytest.raises(InvalidBisection) as info:
         Bisection(good.pairs[:1] + (bad,) + good.pairs[1:])
-    assert info.value.problems == ["pair %r is not a (path, offset, path) triple" % (bad,)]
+    assert info.value.problems == ["pair %r is not a (path, path) pair" % (bad,)]
 
 
-@pytest.mark.parametrize("label", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("label", [True, 1.0, "a"], ids=["bool", "float", "str"])
 def test_labels_must_be_ints(label):
-    # True and 1.0 hash like the colour 1 and pass every table lookup; the
-    # label is named where the bisection enters, not in the tree below
+    # True and 1.0 hash like the colour 1 and pass every table lookup, and
+    # "a" does not compare with 1; the label is named where the bisection
+    # is built, before its pairs are sorted
     group = group_from(["(1 2)"], 3)
     omega = Omega(sft_graph_for_group(group), group)
     pairs = identity_bisection(omega.graph).pairs
-    assert pairs[1][0] == (1,)
-    bad = Bisection(pairs[:1] + (((label,),) + pairs[1][1:],) + pairs[2:])
-    message = "pair 1: label %r is not a colour of the graph" % (label,)
-    assert validate_bisection(bad, omega.graph) == [message]
+    assert pairs[1] == ((1,), (1,))
+    bad = ((label,), (label,))
     with pytest.raises(InvalidBisection) as info:
-        bisection_to_element(bad, omega)
-    assert info.value.problems == [message]
+        Bisection(pairs[:1] + (bad,) + pairs[2:])
+    assert info.value.problems == ["pair %r: label %r is not an int" % (bad, label)] * 2
     with pytest.raises(PathError, match="label %r is not a colour" % (label,)):
         check_path((0, label), omega.graph)
     with pytest.raises(PathError, match="label %r is not a colour" % (label,)):
@@ -344,17 +344,17 @@ ROOTS = [((c,), (c,)) for c in range(4)]
         ),
         # once a pair has a problem, later pairs are checked for labels only
         pytest.param(
-            [((0,), (1,)), ((1,), (0,)), ((2,), (2,)), ((3, 7), (3,))],
-            "pair 0: offset 0 does not match edge length difference -1; "
+            [((0,), (2,)), ((1,), (1,)), ((2,), (0,)), ((3, 7), (3,))],
+            "pair 0: source ends at orbit vertex 0 but target at 1; "
             "pair 3: label 7 is not a colour of the graph",
-            id="wrong-offset",
+            id="wrong-orbit",
         ),
     ],
 )
 def test_bisection_to_element_messages(pairs, message):
     # the boundary where a caller's bisection enters keeps every check
     graph = build_sft_graph((2, 2))
-    bisection = Bisection(tuple((s, 0, t) for s, t in pairs))
+    bisection = Bisection(tuple(pairs))
     with pytest.raises(InvalidBisection) as info:
         bisection_to_element(bisection, Omega(graph))
     assert str(info.value) == message
@@ -363,11 +363,8 @@ def test_bisection_to_element_messages(pairs, message):
 def test_validate_bisection_reports_overlaps_in_pair_order():
     graph = build_sft_graph((2, 2))
 
-    def bisection(pairs):
-        return Bisection(tuple(_make_pair(s, t, graph) for s, t in pairs))
-
     nested = [(1,), (1, 2), (1, 2, 3)]
-    problems = validate_bisection(bisection([(p, p) for p in nested]), graph)
+    problems = validate_bisection(Bisection(tuple((p, p) for p in nested)), graph)
     assert problems == [
         "%s %s" % (side, text)
         for side in ("source", "target")
@@ -380,7 +377,7 @@ def test_validate_bisection_reports_overlaps_in_pair_order():
     ]
     # targets out of label order: messages still follow the pair order
     swapped = [((1,), (1,)), ((1, 2), (1, 3)), ((1, 3), (1, 2))]
-    problems = validate_bisection(bisection(swapped), graph)
+    problems = validate_bisection(Bisection(tuple(swapped)), graph)
     assert problems == [
         "source paths (1,) and (1, 2) overlap (one is a prefix of the other)",
         "source paths (1,) and (1, 3) overlap (one is a prefix of the other)",
@@ -395,7 +392,7 @@ def test_bisection_pairs_sorted_by_source():
     rng = random.Random(57)
     omega = next(iter(omegas()))
     bis = random_bisection(omega, rng, 6)
-    sources = [s for s, _, _ in bis.pairs]
+    sources = [s for s, _ in bis.pairs]
     assert sources == sorted(sources)
 
 
@@ -403,55 +400,40 @@ def test_bisection_pairs_sorted_by_source():
 
 
 def one_defect_away(pairs, graph, rng):
-    """Pair lists one defect away from the valid ``pairs``: an offset off by
-    one, targets swapped across orbits, a pair dropped, duplicated or put
-    in another's place, a path replaced by its parent or a child, an unknown
-    label and an empty path.  A changed path comes once with the old offset
-    and once, where both paths are paths, with the offset recomputed, so
-    that the per-pair checks pass and only a side's partition is wrong."""
+    """Pair lists one defect away from the valid ``pairs``: targets swapped
+    across orbits, or one pair's target replaced by a target of another
+    orbit, a pair dropped, duplicated or put in another's place, a path
+    replaced by its parent or a child, an unknown label and an empty
+    path.  A path replaced by a child in its own orbit passes the per-pair
+    checks, so that only a side's partition is wrong."""
     orbit_of, n = graph.orbit_of, len(pairs)
 
     def put(i, pair):
         return pairs[:i] + [pair] + pairs[i + 1 :]
 
-    def with_path(i, side, path):
-        source, offset, target = pairs[i]
-        source, target = (path, target) if side == 0 else (source, path)
-        variants = [put(i, (source, offset, target))]
-        try:
-            variants.append(put(i, _make_pair(source, target, graph)))
-        except (KeyError, IndexError):
-            pass
-        return variants
-
     i, j = rng.randrange(n), rng.randrange(n)
-    source, offset, target = pairs[i]
-    out = [
-        put(i, (source, offset + rng.choice((-1, 1)), target)),
-        pairs + [pairs[j]],
-        pairs[:i] + pairs[i + 1 :],
-    ]
+    source, target = pairs[i]
+    out = [pairs + [pairs[j]], pairs[:i] + pairs[i + 1 :]]
     twins = [
         k for k in range(n)
-        if k != i and len(pairs[k][0]) == len(source) and len(pairs[k][2]) == len(target)
+        if k != i and len(pairs[k][0]) == len(source) and len(pairs[k][1]) == len(target)
     ]
     if twins:  # same lengths, so both masses stay 1 and only the overlap shows
         out.append(put(i, pairs[rng.choice(twins)]))
-    others = [k for k in range(n) if orbit_of[pairs[k][2][-1]] != orbit_of[target[-1]]]
+    others = [k for k in range(n) if orbit_of[pairs[k][1][-1]] != orbit_of[target[-1]]]
     if others:
         k = rng.choice(others)
-        swapped = put(i, (source, offset, pairs[k][2]))
-        swapped[k] = (pairs[k][0], pairs[k][1], target)
-        out.append(swapped)
-        out.append(put(i, _make_pair(source, pairs[k][2], graph)))
-    for side in (0, 2):
+        moved = put(i, (source, pairs[k][1]))
+        swapped = moved[:k] + [(pairs[k][0], target)] + moved[k + 1 :]
+        out.extend((moved, swapped))
+    for side in (0, 1):
         path = pairs[i][side]
         children = path_children(path, graph)
         same_orbit = [c for c in children if orbit_of[c[-1]] == orbit_of[path[-1]]]
         position = rng.randrange(len(path))
         unknown = path[:position] + (graph.d + 1,) + path[position + 1 :]
         for changed in [path[:-1], rng.choice(children), unknown, ()] + same_orbit[:1]:
-            out.extend(with_path(i, side, changed))
+            out.append(put(i, (changed, target) if side == 0 else (source, changed)))
     return out
 
 
