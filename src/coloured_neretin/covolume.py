@@ -53,6 +53,13 @@ def compositions(total):
             yield (head,) + rest
 
 
+def _check_ints(**values):
+    """Raise ValueError naming the first argument that is not an int (bools are not)."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError("%s must be an int, not %r" % (name, value))
+
+
 def is_single_switch_sizes(orbit_sizes):
     sizes = sorted(orbit_sizes)
     return sizes[-1] == 2 and all(x == 1 for x in sizes[:-1])
@@ -86,6 +93,7 @@ def ball_counts(orbit_sizes, n):
     against the closed form with exponent (d^(n-1)-1)/(d-1).
     """
     sizes, d = check_orbit_sizes(orbit_sizes)
+    _check_ints(n=n)
     if n < 1:
         raise ValueError("ball radius must be at least 1")
     sphere = (d + 1) * d ** (n - 1)
@@ -137,8 +145,8 @@ def covolume_chain(orbit_sizes, n, gamma_order):
     sphere orbits; if it does not, the hypothesis is impossible and a
     ValueError says so.
     """
+    _check_ints(gamma_order=gamma_order)
     counts = ball_counts(orbit_sizes, n)
-    gamma_order = int(gamma_order)
     if gamma_order < 1:
         raise ValueError("gamma_order must be a positive integer")
     if counts.sym_product_order % gamma_order != 0:
@@ -486,7 +494,7 @@ def _ensure_sieve(limit):
     flags[0] = flags[1] = 0
     for p in range(2, int(size ** 0.5) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+            flags[p * p :: p] = bytearray(len(range(p * p, size + 1, p)))
     _SIEVE_LIMIT = size
     _SIEVE = flags
 
@@ -569,6 +577,7 @@ def appendix_counts(d, k, n):
     k! * d^(k d^(n-1)): the recursion value always satisfies the bound,
     the off-by-one value already violates it at d = k = n = 2.
     """
+    _check_ints(d=d, k=k, n=n)
     if d < 2 or k < 2:
         raise ValueError("d and k must be at least 2")
     if n < 1:
@@ -602,6 +611,7 @@ def appendix_counts(d, k, n):
 def covolume_table_rows(orbit_sizes, max_n):
     """Rows for the covolume table: one per radius 1..max_n."""
     sizes, d = check_orbit_sizes(orbit_sizes)
+    _check_ints(max_n=max_n)
     verdict = verify_smallest_inequality(sizes).verdict
     rows = []
     for n in range(1, max_n + 1):

@@ -556,6 +556,31 @@ def test_appendix_counts_validation():
         appendix_counts(2, 2, 0)
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("gamma_order", lambda v: covolume_chain((1, 2), 2, v)),
+        ("n", lambda v: covolume_chain((1, 2), v, 2)),
+        ("n", lambda v: ball_counts((1, 2), v)),
+        ("d", lambda v: appendix_counts(v, 2, 2)),
+        ("k", lambda v: appendix_counts(2, v, 2)),
+        ("n", lambda v: appendix_counts(2, 2, v)),
+        ("max_n", lambda v: covolume_table_rows((1, 2), v)),
+    ],
+    ids=[
+        "chain-gamma_order", "chain-n", "ball_counts-n", "appendix-d",
+        "appendix-k", "appendix-n", "table-max_n",
+    ],
+)
+def test_integer_arguments_must_be_ints(name, call):
+    # a float, str or bool is named, not truncated, read as 1 or left to
+    # a bare TypeError further in
+    for value in (2.5, 2.0, "2", True):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == "%s must be an int, not %r" % (name, value)
+
+
 # -- table rows -----------------------------------------------------------------------
 
 
