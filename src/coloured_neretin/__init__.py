@@ -4,8 +4,8 @@ The package models the dense finitely generated subgroup attached to a
 permutation group of colours F <= Sym({0,...,d}): elements are tree pairs
 with an orbit-respecting leaf bijection, composed, inverted and reduced
 exactly.  On top of the element algebra it provides sign homomorphisms,
-abelianization via Smith normal form of the orbit graph, the dictionary to
-the one-sided shift of finite type on that graph, boundary translation
+the abelianization in closed form from the orbit sizes, the orbit graph and
+the dictionary to its one-sided shift of finite type, boundary translation
 witnesses, and the exact ball counts, covolume bounds and interval-checked
 inequalities behind the lattice (non-)existence results.
 """

@@ -12,10 +12,12 @@ import random
 import time
 
 from coloured_neretin import (
+    IntMatrix,
     Omega,
     Permutation,
     appendix_counts,
     ball_counts,
+    bareiss_determinant,
     bisection_to_element,
     build_sft_graph,
     closure_enumerate,
@@ -35,6 +37,7 @@ from coloured_neretin import (
     random_element,
     sign,
     smallest_log_sign,
+    smith_normal_form,
     structure_report,
     validate_bisection,
     verify_prime_windows,
@@ -78,6 +81,14 @@ def expand_randomly(element, rng, steps):
     return element
 
 
+def orbit_block(parts):
+    # K = 2I - s 1^t, the orbit block of id - M^t with its cokernel and
+    # determinant (the derivation is in the abelianization module docstring)
+    return IntMatrix(
+        [[2 * (i == j) - s for j in range(len(parts))] for i, s in enumerate(parts)]
+    )
+
+
 # -- criterion 1 --------------------------------------------------------------
 
 
@@ -86,6 +97,12 @@ def test_criterion_01_abelianization_closed_form():
     for d in range(2, 10):
         for parts in integer_partitions(d + 1):
             result = vf_abelianization(parts)
+            # vf_abelianization is a closed form: the Smith form is its oracle
+            _, invariants, _ = smith_normal_form(orbit_block(parts))
+            factors = invariants.invariant_factors
+            assert invariants.free_rank == 0
+            assert result.invariant_factors == tuple(f for f in factors if f != 1)
+            assert result.two_torsion_rank == sum(1 for f in factors if f % 2 == 0)
             expected = (
                 len(parts)
                 if all(x % 2 == 0 for x in parts)
@@ -110,6 +127,7 @@ def test_criterion_02_determinant_identity():
             result = vf_abelianization(parts)
             exponent = len(parts) - 1
             assert result.determinant == 2 ** exponent * (1 - d)
+            assert result.determinant == bareiss_determinant(orbit_block(parts))
 
 
 # -- criterion 3 --------------------------------------------------------------
