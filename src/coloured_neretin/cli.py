@@ -235,7 +235,7 @@ def cmd_abelianization(args):
     result = vf_abelianization(args.orbits)
     d = sum(args.orbits) - 1
     print("orbit sizes: %s (d = %d)" % (",".join(map(str, args.orbits)), d))
-    print("relation matrix determinant: %d" % result.determinant)
+    print("relation matrix determinant: %s" % _digits(result.determinant))
     if result.invariant_factors:
         print(
             "invariant factors: %s"

@@ -360,6 +360,34 @@ def test_abelianization_output(capsys):
     assert "two-torsion rank: 2" in out
 
 
+def test_abelianization_of_many_orbits(capsys):
+    # the factors are a closed form in the orbit sizes: a thousand orbits
+    # take milliseconds, not the cubic cost of an elimination
+    start = time.perf_counter()
+    assert main(["abelianization", "--orbits", ",".join(["1"] * 1000)]) == 0
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "relation matrix determinant: %d" % (2 ** 999 * (1 - 999)),
+        "invariant factors: %s" % ", ".join(["2"] * 998 + ["1996"]),
+        "two-torsion rank: 999",
+        "abelianization: (Z/2)^999",
+    ]
+    # at 20 000 orbits the determinant has 6 025 digits, past str(int)'s limit
+    assert main(["abelianization", "--orbits", ",".join(["1"] * 20000)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "abelianization: (Z/2)^19999"
+    label, printed = lines[1].split(": ")
+    assert label == "relation matrix determinant"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(printed) == 2 ** 19999 * (1 - 19999)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(printed) == 6026  # the digits and the minus sign
+
+
 def test_graph_dot_export(tmp_path, capsys):
     dot = tmp_path / "graph.dot"
     assert main(["graph", "--orbits", "1,3,2", "--dot", str(dot)]) == 0
