@@ -169,6 +169,9 @@ def covolume_chain(orbit_sizes, n, gamma_order):
 
 def single_switch_covolume(d, n, gamma_order):
     """Closed form of the chain value for the order-2 single switch group."""
+    _check_ints(d=d, n=n, gamma_order=gamma_order)
+    if d < 2 or n < 1 or gamma_order < 1:
+        raise ValueError("need d >= 2, n >= 1 and gamma_order >= 1")
     m = d ** (n - 1)
     numerator = factorial(2 * m) * factorial(m) ** (d - 1)
     return Fraction(numerator, 2 ** m * gamma_order)

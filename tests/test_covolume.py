@@ -549,6 +549,13 @@ def test_appendix_bound_and_discrepancy():
                 assert not counts.overcount_matches
 
 
+def test_single_switch_covolume_validation():
+    for args in ((1, 2, 1), (2, 0, 1), (2, 2, 0), (2, 2, -2)):
+        with pytest.raises(ValueError) as info:
+            single_switch_covolume(*args)
+        assert str(info.value) == "need d >= 2, n >= 1 and gamma_order >= 1"
+
+
 def test_appendix_counts_validation():
     with pytest.raises(ValueError):
         appendix_counts(1, 2, 2)
@@ -566,10 +573,14 @@ def test_appendix_counts_validation():
         ("k", lambda v: appendix_counts(2, v, 2)),
         ("n", lambda v: appendix_counts(2, 2, v)),
         ("max_n", lambda v: covolume_table_rows((1, 2), v)),
+        ("d", lambda v: single_switch_covolume(v, 2, 1)),
+        ("n", lambda v: single_switch_covolume(2, v, 1)),
+        ("gamma_order", lambda v: single_switch_covolume(2, 2, v)),
     ],
     ids=[
         "chain-gamma_order", "chain-n", "ball_counts-n", "appendix-d",
-        "appendix-k", "appendix-n", "table-max_n",
+        "appendix-k", "appendix-n", "table-max_n", "single_switch-d",
+        "single_switch-n", "single_switch-gamma_order",
     ],
 )
 def test_integer_arguments_must_be_ints(name, call):
