@@ -104,6 +104,37 @@ def test_edge_length_convention():
     assert edge_length((0, 1, 4, 5), graph) == 0 + 1 + 1 + 2
 
 
+def walk_length(path, graph):
+    """The number of edges of ``graph.edges()`` on the walk that spells the
+    path: a representative starts at its orbit vertex, any other first
+    colour at the relay its loop edge enters; each later colour follows the
+    edge it labels, and a walk leaves a relay at once by its unlabelled
+    edge."""
+    step = {(src, letter): dst for src, dst, letter in graph.edges()}
+    relay_of = {letter: dst for (_, letter), dst in step.items() if dst[0] == "delta"}
+    if path[0] in relay_of:
+        vertex, count = step[relay_of[path[0]], None], 1
+    else:
+        vertex, count = ("D", graph.orbit_of[path[0]]), 0
+    for c in path[1:]:
+        vertex = step[vertex, c]
+        count += 1
+        if vertex[0] == "delta":
+            vertex = step[vertex, None]
+            count += 1
+    return count
+
+
+def test_edge_length_counts_the_edges_of_the_walk():
+    for omega in omegas():
+        graph = omega.graph
+        level = root_paths(graph)
+        for _ in range(3):
+            for path in level:
+                assert edge_length(path, graph) == walk_length(path, graph), path
+            level = [child for p in level for child in path_children(p, graph)]
+
+
 def test_cylinder_mass_halving():
     graph = build_sft_graph((2, 2))
     d = graph.d
