@@ -493,7 +493,10 @@ def _selftest_abelianization():
         smith_normal_form(IntMatrix(entries))
     for total in range(3, 7):
         for sizes in compositions(total):
-            vf_abelianization(sizes)
+            # the closed form against the Smith form of K = 2I - s 1^t
+            rows = [[2 * (i == j) - s for j in range(len(sizes))] for i, s in enumerate(sizes)]
+            factors = smith_normal_form(IntMatrix(rows))[1].invariant_factors
+            assert vf_abelianization(sizes).invariant_factors == tuple(f for f in factors if f != 1)
 
 
 def _selftest_shift_bridge():
