@@ -30,8 +30,8 @@ number of even factors is dim G/2G, the corank of K mod 2 = s 1^t mod 2:
 l + 1 when g = 2, else l.  The product of the factors is |det K| =
 2^l (d - 1).  Together: (g, 2, ..., 2, 2(d - 1)/g), with l - 1 twos.
 
-``smith_normal_form`` and ``bareiss_determinant`` compute the same
-numbers by elimination; the tests use them as the oracle of the closed form.
+``smith_normal_form`` and ``bareiss_determinant`` compute the same numbers by
+elimination; the tests and ``selftest`` check the closed form against them.
 """
 
 from __future__ import annotations
