@@ -104,6 +104,13 @@ def _int_at_least(minimum):
 
 
 def _orbit_sizes_arg(text):
+    parts = [part.strip().lstrip("+-") for part in text.split(",")]
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(part) > limit and part.isdigit() for part in parts):
+        raise argparse.ArgumentTypeError(
+            "an orbit size has more than %d digits, the limit of "
+            "sys.get_int_max_str_digits()" % limit
+        )
     try:
         sizes = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:

@@ -19,10 +19,8 @@ from fractions import Fraction
 from itertools import compress, islice
 from math import factorial
 
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub, mpi_zero
-
 from .abelianization import check_orbit_sizes
-from .intervals import _int_interval, decide_sign, default_precision, interval_width, memoised_log
+from .intervals import _endpoints, decide_sign, default_precision, fixed_log, interval_width
 
 
 def exact_div(a, b):
@@ -232,26 +230,26 @@ def verify_smallest_inequality(orbit_sizes):
 def smallest_log_sign(orbit_sizes, start_bits=None):
     """Interval sign of the logarithmic form (rhs - lhs); independent check.
 
-    Each logarithm is evaluated once per precision within the call (see
-    ``memoised_log``); the expression and its order of operations are those
-    of the form itself, so the interval is the one the plain form gives.
+    The form is evaluated on fixed-point int pairs (see ``intervals``), each
+    logarithm once per precision within the call (see ``fixed_log``).
     """
     sizes, d = check_orbit_sizes(orbit_sizes)
     if start_bits is None:
         start_bits = default_precision()
-    log = memoised_log()
+    log = fixed_log()
 
     def expression(prec):
-        rhs = mpi_zero
+        lo = hi = 0
         for x in sizes:
-            rhs = mpi_add(rhs, mpi_mul(_int_interval(x, prec), log(x, prec), prec), prec)
-        ratio = mpi_div(_int_interval(d, prec), _int_interval(d + 1, prec), prec)
-        rhs = mpi_mul(rhs, ratio, prec)
+            a, b = log(x, prec)
+            lo, hi = lo + x * a, hi + x * b
+        lo, hi = lo * d // (d + 1), -(-hi * d // (d + 1))
         for x in sizes:
-            rhs = mpi_sub(rhs, log(factorial(x), prec), prec)
-        gap = mpi_sub(log(d + 1, prec), log(d, prec), prec)
-        lhs = mpi_mul(_int_interval(d - 1, prec), gap, prec)
-        return mpi_sub(rhs, lhs, prec)
+            a, b = log(factorial(x), prec)
+            lo, hi = lo - b, hi - a
+        (a, b), (c, e) = log(d + 1, prec), log(d, prec)
+        # minus (d-1)(log(d+1) - log d)
+        return _endpoints(lo - (d - 1) * (b - c), hi - (d - 1) * (a - e), prec)
 
     return decide_sign(expression, start_bits=start_bits)
 
@@ -329,52 +327,54 @@ def log_ratio(orbit_sizes, n):
 
 
 def _xi_capital(log):
-    """The comparison functional as ``xi(parts, prec)``, an endpoint pair at
-    prec bits; ``log`` is a ``memoised_log``.  While ``xi`` lives it keeps
-    the running sums of p log p (p > 1) and of log p! by (prefix, prec), and
-    x/(x+1) and (x-1) log(x/(x+1)) by (x, prec).  A new prefix extends its
-    longest known one by the rounded steps of the literal sum, in its order,
-    so every endpoint is the literal one, for unsorted tuples too."""
+    """The comparison functional as ``xi(parts, prec)``, a fixed-point int
+    pair at prec bits (see ``intervals``); ``log`` is a ``fixed_log``.
+    While ``xi`` lives it keeps the running sums of p log p and of log p!
+    by (prefix, prec), and (x-1) log(x/(x+1)) by (x, prec).  A new prefix
+    extends its longest known one; int sums are exact, so the pair does not
+    depend on which prefixes were known, and tuples need not be sorted."""
     sums = {}
-    ends = {}
+    tails = {}
 
     def xi(parts, prec):
         known = len(parts)
         while known and (parts[:known], prec) not in sums:
             known -= 1
-        weighted, log_facts = sums.get((parts[:known], prec), (mpi_zero, mpi_zero))
+        w_lo, w_hi, f_lo, f_hi = sums.get((parts[:known], prec), (0, 0, 0, 0))
         for k in range(known, len(parts)):
             p = parts[k]
-            if p > 1:
-                weighted = mpi_add(
-                    weighted, mpi_mul(_int_interval(p, prec), log(p, prec), prec), prec
-                )
-            log_facts = mpi_add(log_facts, log(factorial(p), prec), prec)
-            sums[(parts[: k + 1], prec)] = weighted, log_facts
+            (a, b), (c, e) = log(p, prec), log(factorial(p), prec)
+            w_lo, w_hi, f_lo, f_hi = w_lo + p * a, w_hi + p * b, f_lo + c, f_hi + e
+            sums[parts[: k + 1], prec] = w_lo, w_hi, f_lo, f_hi
         x = sum(parts) - 1
-        if (x, prec) not in ends:
-            ends[x, prec] = (
-                mpi_div(_int_interval(x, prec), _int_interval(x + 1, prec), prec),
-                mpi_mul(_int_interval(x - 1, prec), log(Fraction(x, x + 1), prec), prec),
-            )
-        ratio, tail = ends[x, prec]
-        return mpi_add(mpi_sub(mpi_mul(ratio, weighted, prec), log_facts, prec), tail, prec)
+        tail = tails.get((x, prec))
+        if tail is None:
+            (a, b), (c, e) = log(x, prec), log(x + 1, prec)
+            tail = tails[x, prec] = (x - 1) * (a - e), (x - 1) * (b - c)
+        return w_lo * x // (x + 1) - f_hi + tail[0], -(-w_hi * x // (x + 1)) - f_lo + tail[1]
 
     return xi
 
 
-def _xi_small_iv(x, prec):
+def _xi_step(xi, bigger, smaller):
+    """The expression xi(bigger) - xi(smaller) for ``decide_sign``."""
+
+    def expression(prec):
+        (a, b), (c, e) = xi(bigger, prec), xi(smaller, prec)
+        return _endpoints(a - e, b - c, prec)
+
+    return expression
+
+
+def _xi_small_iv(log, x, prec):
     """The single-variable tail function of the append-a-fixed-point step,
-    as an endpoint pair at prec bits."""
-    one = _int_interval(1, prec)
-    x = _int_interval(x, prec)
-    up = mpi_add(x, one, prec)
-    down = mpi_sub(x, one, prec)
-    up2 = mpi_add(x, _int_interval(2, prec), prec)
-    first = mpi_div(mpi_log(mpi_div(up, down, prec), prec), up2, prec)
-    second = mpi_mul(x, mpi_log(mpi_div(up2, up, prec), prec), prec)
-    third = mpi_mul(down, mpi_log(mpi_div(up, x, prec), prec), prec)
-    return mpi_add(mpi_sub(first, second, prec), third, prec)
+    log((x+1)/(x-1))/(x+2) - x log((x+2)/(x+1)) + (x-1) log((x+1)/x), as
+    mpf endpoints at prec bits; ``log`` is a ``fixed_log``."""
+    (a0, b0), (a1, b1), (a2, b2) = log(x, prec), log(x + 1, prec), log(x + 2, prec)
+    am, bm = log(x - 1, prec)
+    lo = (a1 - bm) // (x + 2) - x * (b2 - a1) + (x - 1) * (a1 - b0)
+    hi = -((am - b1) // (x + 2)) - x * (a2 - b1) + (x - 1) * (b1 - a0)
+    return _endpoints(lo, hi, prec)
 
 
 @dataclass
@@ -408,17 +408,17 @@ def verify_xi_claims(max_x, start_bits=None):
     Within one call each logarithm and each value of the functional is
     evaluated once per precision: a partition met again at the same
     precision, say as the larger side of one step and the smaller side of
-    another, reuses its interval, which is the one the literal expression
-    gives.  The functional's running sums are shared by prefix and its
-    ratio and tail terms by total (see ``_xi_capital``); like the
-    logarithms, these tables are made afresh for each call and dropped
-    when it returns.
+    another, reuses its fixed-point interval (see ``intervals``).  The
+    functional's running sums are shared by prefix and its tail term by
+    total (see ``_xi_capital``); like the logarithms, these tables are made
+    afresh for each call and dropped when it returns.
     """
     if max_x < 3:
         raise ValueError("max_x must be at least 3")
     if start_bits is None:
         start_bits = default_precision()
-    capital = _xi_capital(memoised_log())
+    log = fixed_log()
+    capital = _xi_capital(log)
     values = {}
 
     def xi(parts, prec):
@@ -449,23 +449,17 @@ def verify_xi_claims(max_x, start_bits=None):
         for parts in integer_partitions(total):
             if len(parts) <= total - 2:
                 bigger = parts + (1,)
-                sign, value, bits = decide_sign(
-                    lambda prec, a=bigger, b=parts: mpi_sub(xi(a, prec), xi(b, prec), prec),
-                    start_bits=start_bits,
-                )
+                sign, value, bits = decide_sign(_xi_step(xi, bigger, parts), start_bits=start_bits)
                 append_checked += 1
                 record(("append", parts), sign, bits, value)
             if len(parts) >= 2 and parts[-1] == 1 and len(parts) <= total - 1:
                 merged = parts[:-2] + (parts[-2] + 1,)
-                sign, value, bits = decide_sign(
-                    lambda prec, a=merged, b=parts: mpi_sub(xi(a, prec), xi(b, prec), prec),
-                    start_bits=start_bits,
-                )
+                sign, value, bits = decide_sign(_xi_step(xi, merged, parts), start_bits=start_bits)
                 merge_checked += 1
                 record(("merge", parts), sign, bits, value)
     for x in range(2, max_x + 1):
         sign, value, bits = decide_sign(
-            lambda prec, x=x: _xi_small_iv(x, prec), start_bits=start_bits
+            lambda prec, x=x: _xi_small_iv(log, x, prec), start_bits=start_bits
         )
         tail_checked += 1
         record(("tail", x), sign, bits, value)

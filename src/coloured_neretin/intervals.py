@@ -1,27 +1,35 @@
 """Adaptive-precision interval sign decisions.
 
-Inequalities that mix incommensurable logarithms are decided in interval
-arithmetic on mpmath's endpoint pairs (``mpmath.libmp.libmpi``): an
-expression takes the working precision in bits and returns a pair (a, b)
-of mpf endpoints built with ``mpi_add``, ``mpi_sub``, ``mpi_mul``,
-``mpi_div`` and ``mpi_log`` at that precision, an int n entering as
-``_int_interval(n, bits)``.  The precision doubles until the interval
-excludes zero.  Precision is always passed explicitly: no decision reads
-or writes the global ``iv.prec`` of mpmath's interval context, so
+An interval expression takes the working precision p in bits and returns
+a pair (a, b) of mpf endpoints (``mpmath.libmp``) of an interval that
+contains the exact value.  ``decide_sign`` doubles the precision until the
+interval excludes zero.  Precision is always passed explicitly: no decision
+reads or writes the global ``iv.prec`` of mpmath's interval context, so
 decisions may nest.  The starting precision comes from the
 COLOURED_NERETIN_PRECISION environment variable (bits, default 128); an
 inequality that stays undecided at the precision cap is reported as
 undecided, never as true or false.
+
+The package's expressions compute in fixed point, on pairs of Python ints
+(lo, hi) that stand for [lo, hi]·2⁻ᵖ.  A sum adds endpoints, a difference
+subtracts each endpoint from the other's opposite one, and a product with
+an int k ≥ 0 is (k·lo, k·hi): all exact.  Every rounding is outwards, a
+floor on lo and a ceiling on hi: a product with a positive rational n/m is
+(⌊lo·n/m⌋, ⌈hi·n/m⌉), and the logarithm of an int (``fixed_log``) is
+mpmath's ``mpi_log`` enclosure at p bits with its lower end floored and its
+upper end ceiled to multiples of 2⁻ᵖ; log(n/m) is log n − log m.  The pair
+is handed to ``decide_sign`` as mpf endpoints converted exactly, unrounded.
 """
 
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 
 from mpmath import iv
-from mpmath.libmp import from_int, mpf_sign, mpf_sub, round_ceiling, round_floor, to_float
-from mpmath.libmp.libmpi import mpi_div, mpi_log
+from mpmath.libmp import (
+    from_int, from_man_exp, mpf_neg, mpf_sign, mpf_sub, round_ceiling, to_fixed, to_float,
+)
+from mpmath.libmp.libmpi import mpi_log
 
 MAX_BITS = 1 << 14
 
@@ -32,12 +40,6 @@ def default_precision():
     except ValueError:
         bits = 128
     return max(16, bits)
-
-
-def _int_interval(n, prec):
-    """The int n as an endpoint pair at prec bits, rounded outwards; the
-    pair mpmath's interval context makes of an int at that precision."""
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
 def decide_sign(expression, start_bits=None, max_bits=MAX_BITS):
@@ -60,35 +62,31 @@ def decide_sign(expression, start_bits=None, max_bits=MAX_BITS):
         bits *= 2
 
 
-def memoised_log():
-    """A fresh interval logarithm that evaluates each argument once per
+def fixed_log():
+    """A fresh fixed-point logarithm that evaluates each argument once per
     precision.
 
-    The returned ``log(x, prec)`` takes an int or a Fraction and returns
-    the endpoint pair ``mpi_log`` gives at prec bits for the int x (for a
-    Fraction n/m, for ``mpi_div`` of n by m), kept under the key (x, prec);
-    a later call with the same key returns the same pair.  The table lives
-    as long as the returned function, so make one per public call: no
-    interval outlives the call that decides with it.
+    The returned ``log(n, prec)`` takes an int n ≥ 1 and returns the int
+    pair (lo, hi) with ln n in [lo, hi]·2^-prec (see the module docstring),
+    kept under the key (n, prec).  The table lives as long as the returned
+    function, so make one per public call: no interval outlives the call
+    that decides with it.
     """
     values = {}
 
-    def log(x, prec):
-        key = (x, prec)
-        value = values.get(key)
+    def log(n, prec):
+        value = values.get((n, prec))
         if value is None:
-            if type(x) is Fraction:
-                value = mpi_div(
-                    _int_interval(x.numerator, prec),
-                    _int_interval(x.denominator, prec),
-                    prec,
-                )
-            else:
-                value = _int_interval(x, prec)
-            value = values[key] = mpi_log(value, prec)
+            a, b = mpi_log((from_int(n), from_int(n)), prec)
+            value = values[n, prec] = to_fixed(a, prec), -to_fixed(mpf_neg(b), prec)
         return value
 
     return log
+
+
+def _endpoints(lo, hi, prec):
+    """The fixed-point pair (lo, hi) at prec bits as exact mpf endpoints."""
+    return from_man_exp(lo, -prec), from_man_exp(hi, -prec)
 
 
 def interval_width(value):

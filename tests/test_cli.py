@@ -535,6 +535,21 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()  # swallow argparse usage chatter
 
 
+def test_orbit_sizes_past_the_int_str_digit_limit(capsys):
+    # a size int() refuses at the interpreter's digit limit is named as such,
+    # and the limit itself is left as it is
+    limit = sys.get_int_max_str_digits()
+    assert main(["abelianization", "--orbits", "1," + "9" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(
+        "argument --orbits: an orbit size has more than %d digits, the limit of "
+        "sys.get_int_max_str_digits()" % limit
+    )
+    assert sys.get_int_max_str_digits() == limit
+    assert main(["abelianization", "--orbits", "1,x" + "9" * 5000]) == 2
+    assert "comma-separated list of integers" in capsys.readouterr().err
+
+
 def test_one_parser_serves_every_request(tmp_path, capsys):
     # the parser is built once per process, so no request may leak into the next
     assert cli.build_parser() is cli.build_parser()

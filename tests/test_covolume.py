@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_sub, mpi_zero
+from mpmath.libmp import mpf_le
 from sympy import primepi, primerange
 
 from coloured_neretin import (
@@ -28,8 +28,8 @@ from coloured_neretin import (
     window_primes,
 )
 from coloured_neretin import covolume
-from coloured_neretin.covolume import _xi_capital, exact_div
-from coloured_neretin.intervals import MAX_BITS, _int_interval, default_precision, memoised_log
+from coloured_neretin.covolume import _xi_capital, _xi_step, exact_div
+from coloured_neretin.intervals import MAX_BITS, default_precision, fixed_log
 
 
 # -- oracles ------------------------------------------------------------------
@@ -298,16 +298,14 @@ def test_xi_claims_hold_through_twelve():
 
 
 def test_xi_interval_signs_match_float_oracle():
-    xi = _xi_capital(memoised_log())
+    xi = _xi_capital(fixed_log())
     for total in range(3, 10):
         for parts in integer_partitions(total):
             if len(parts) > total - 2:
                 continue
             bigger = parts + (1,)
             expected = xi_float(bigger) - xi_float(parts)
-            sign, _, _ = decide_sign(
-                lambda prec, a=bigger, b=parts: mpi_sub(xi(a, prec), xi(b, prec), prec)
-            )
+            sign, _, _ = decide_sign(_xi_step(xi, bigger, parts))
             assert sign == (1 if expected > 0 else -1)
             assert abs(expected) > 1e-9  # floats are safely away from zero
 
@@ -316,8 +314,8 @@ def test_xi_append_fails_at_the_boundary():
     # appending a singleton to (2, 1) decreases the functional: the append
     # step is only valid with at most total-2 parts
     assert xi_float((2, 1, 1)) < xi_float((2, 1))
-    xi = _xi_capital(memoised_log())
-    sign, _, _ = decide_sign(lambda prec: mpi_sub(xi((2, 1, 1), prec), xi((2, 1), prec), prec))
+    xi = _xi_capital(fixed_log())
+    sign, _, _ = decide_sign(_xi_step(xi, (2, 1, 1), (2, 1)))
     assert sign == -1
     report = verify_xi_claims(12)
     assert ("append", (2, 1)) not in [tag for tag in report.failures]
@@ -394,35 +392,32 @@ def literal_smallest_log(sizes):
     return rhs - lhs
 
 
-def literal_xi_decisions(max_x, evaluated):
-    """The expressions verify_xi_claims decides, in its order; every value
-    of the functional they compute is added to ``evaluated`` as
-    (partition, precision)."""
-
-    def capital(parts):
-        evaluated.add((parts, iv.prec))
-        return literal_xi_capital(parts)
-
-    expressions = []
+def literal_xi_decisions(max_x):
+    """The expressions verify_xi_claims decides, in its order, each with
+    the partitions whose functional it evaluates."""
+    decisions = []
     for total in range(3, max_x + 1):
         for parts in integer_partitions(total):
             if len(parts) <= total - 2:
-                expressions.append(lambda a=parts + (1,), b=parts: capital(a) - capital(b))
+                decisions.append((parts + (1,), parts))
             if len(parts) >= 2 and parts[-1] == 1 and len(parts) <= total - 1:
-                merged = parts[:-2] + (parts[-2] + 1,)
-                expressions.append(lambda a=merged, b=parts: capital(a) - capital(b))
-    expressions.extend(lambda x=x: literal_xi_small(x) for x in range(2, max_x + 1))
+                decisions.append((parts[:-2] + (parts[-2] + 1,), parts))
+    expressions = [
+        (pair, lambda a=pair[0], b=pair[1]: literal_xi_capital(a) - literal_xi_capital(b))
+        for pair in decisions
+    ]
+    expressions.extend(((), lambda x=x: literal_xi_small(x)) for x in range(2, max_x + 1))
     return expressions
 
 
 @pytest.fixture
 def decisions(monkeypatch):
-    """Every (start_bits, sign, a, b, bits) that covolume's decide_sign returns."""
+    """Every (start_bits, sign, value, bits) that covolume's decide_sign returns."""
     seen = []
 
     def recording(expression, start_bits=None):
         sign, value, bits = decide_sign(expression, start_bits=start_bits)
-        seen.append((start_bits, sign, value.a, value.b, bits))
+        seen.append((start_bits, sign, value, bits))
         return sign, value, bits
 
     monkeypatch.delenv("COLOURED_NERETIN_PRECISION", raising=False)
@@ -430,13 +425,40 @@ def decisions(monkeypatch):
     return seen
 
 
-def literal_decision(expression, start_bits):
-    """The literal decision, with the start precision that covolume's public
-    calls resolve once and pass to every decision."""
-    if start_bits is None:
+def check_literal_decisions(seen, expressions, start_bits):
+    """Each recorded decision against the literal expression it stands for.
+
+    The start precision is the one covolume's public calls resolve once and
+    pass to every decision.  The sign is the literal one at every start; at
+    the default start the settling precision is too (at a low start, fixed
+    point and floating point may settle at different precisions).  The
+    returned interval contains the literal value at four times its settling
+    precision."""
+    default = start_bits is None
+    if default:
         start_bits = default_precision()
-    sign, value, bits = literal_decide_sign(expression, start_bits=start_bits)
-    return (start_bits, sign, value.a, value.b, bits)
+    assert len(seen) == len(expressions)
+    for decision, expression in zip(seen, expressions):
+        start, sign, value, bits = decision
+        literal_sign, _, literal_bits = literal_decide_sign(expression, start_bits=start_bits)
+        assert (start, sign) == (start_bits, literal_sign), decision
+        if default:
+            assert bits == literal_bits, decision
+        saved = iv.prec
+        try:
+            iv.prec = 4 * bits
+            fine = expression()
+        finally:
+            iv.prec = saved
+        (a, b), (lo, hi) = value._mpi_, fine._mpi_
+        assert mpf_le(a, lo) and mpf_le(hi, b), decision
+
+
+def precisions(start, bits):
+    """The precisions a decision tries, from start to the settling one."""
+    while start <= bits:
+        yield start
+        start *= 2
 
 
 def counting_xi(monkeypatch, calls):
@@ -461,14 +483,16 @@ def test_xi_claims_match_the_literal_expressions(decisions, monkeypatch, max_x, 
     counting_xi(monkeypatch, calls)
     report = verify_xi_claims(max_x, start_bits=start_bits)
     assert report.ok
-    evaluated = set()
-    expected = [
-        literal_decision(expression, start_bits)
-        for expression in literal_xi_decisions(max_x, evaluated)
-    ]
-    assert decisions == expected
-    assert report.max_bits == max(bits for *_, bits in expected)
-    # each value of the functional is computed once per precision
+    literal = literal_xi_decisions(max_x)
+    check_literal_decisions(decisions, [expression for _, expression in literal], start_bits)
+    assert report.max_bits == max(bits for *_, bits in decisions)
+    # each value of the functional is computed once per precision it is decided at
+    evaluated = {
+        (parts, prec)
+        for (pair, _), (start, *_, bits) in zip(literal, decisions)
+        for prec in precisions(start, bits)
+        for parts in pair
+    }
     assert sorted(calls) == sorted(evaluated)
     if start_bits is None:
         assert len(calls) == 441 and report.max_bits == 128
@@ -478,12 +502,12 @@ def test_xi_claims_match_the_literal_expressions(decisions, monkeypatch, max_x, 
 
 @pytest.mark.parametrize("start_bits", [None, 3, 5])
 def test_smallest_log_sign_matches_the_literal_expression(decisions, start_bits):
-    expected = []
+    expressions = []
     for d in range(2, 10):
         for sizes in integer_partitions(d + 1):
             smallest_log_sign(sizes, start_bits=start_bits)
-            expected.append(literal_decision(lambda: literal_smallest_log(sizes), start_bits))
-    assert decisions == expected
+            expressions.append(lambda sizes=sizes: literal_smallest_log(sizes))
+    check_literal_decisions(decisions, expressions, start_bits)
     if start_bits is not None:
         assert any(bits > start_bits for *_, bits in decisions)
 
@@ -619,21 +643,6 @@ def test_covolume_table_rows_columns():
     assert rows[1]["bound_ratio"] == "%.6f" % log_ratio((1, 3), 2)
 
 
-def direct_xi_capital(parts, log, prec):
-    """The functional summed over the whole tuple, with no shared sums."""
-    x = sum(parts) - 1
-    weighted = mpi_zero
-    for p in parts:
-        if p > 1:
-            weighted = mpi_add(weighted, mpi_mul(_int_interval(p, prec), log(p, prec), prec), prec)
-    log_facts = mpi_zero
-    for p in parts:
-        log_facts = mpi_add(log_facts, log(math.factorial(p), prec), prec)
-    ratio = mpi_div(_int_interval(x, prec), _int_interval(x + 1, prec), prec)
-    tail = mpi_mul(_int_interval(x - 1, prec), log(Fraction(x, x + 1), prec), prec)
-    return mpi_add(mpi_sub(mpi_mul(ratio, weighted, prec), log_facts, prec), tail, prec)
-
-
 def test_shared_xi_tables_give_the_fresh_endpoints(monkeypatch):
     calls = []
     counting_xi(monkeypatch, calls)
@@ -642,8 +651,6 @@ def test_shared_xi_tables_give_the_fresh_endpoints(monkeypatch):
     assert len(tuples) == 441
     assert (3, 1, 2) in tuples  # merged tuples need not be sorted
     for prec in (3, 128, 256):
-        shared = _xi_capital(memoised_log())
+        shared = _xi_capital(fixed_log())
         for parts in tuples:
-            got = shared(parts, prec)
-            assert got == _xi_capital(memoised_log())(parts, prec), (parts, prec)
-            assert got == direct_xi_capital(parts, memoised_log(), prec), (parts, prec)
+            assert shared(parts, prec) == _xi_capital(fixed_log())(parts, prec), (parts, prec)

@@ -26,6 +26,7 @@ from coloured_neretin import (
     trivial_group,
 )
 from coloured_neretin.covolume import is_single_switch_sizes
+from colour_calls import BAD_COLOURS, colour_calls
 from conftest import closure_oracle, group_from, four_orbit_group, switch_group
 
 
@@ -592,22 +593,6 @@ def test_contains_alternating_requires_support():
         contains_alternating(group_from(["(0 1)"], 4), (2, 3))
 
 
-BAD_COLOURS = [7, -1, 2.0, "2", True, None]
-
-
-def colour_calls(group, bad):
-    """Every call of this module that takes colours, with ``bad`` among them."""
-    return {
-        "invariant_subset": lambda: group.invariant_subset((1, 2, bad)),
-        "is_invariant": lambda: group.is_invariant((1, 2, bad)),
-        "restriction_parity": lambda: group.generators[0].restriction_parity((1, 2, bad)),
-        "stabilizer subset": lambda: stabilizer_restriction_in_alt(group, 0, (1, 2, bad)),
-        "stabilizer chi": lambda: stabilizer_restriction_in_alt(group, bad, (1, 2)),
-        "structure_report": lambda: structure_report(group, (0, bad)),
-        "contains_alternating": lambda: contains_alternating(group, tuple(range(7)) + (bad,)),
-    }
-
-
 @pytest.mark.parametrize("bad", BAD_COLOURS)
 def test_functions_taking_colours_name_a_bad_colour(bad):
     group = four_orbit_group()  # d = 6
@@ -622,7 +607,7 @@ def test_colour_checks_hold_without_asserts():
     code = """
 from coloured_neretin import contains_alternating, is_sign_well_defined
 from conftest import four_orbit_group, group_from
-from test_permutations import BAD_COLOURS, colour_calls
+from colour_calls import BAD_COLOURS, colour_calls
 group = four_orbit_group()
 calls = [lambda: contains_alternating(group_from(["(0 1)"], 4), (2, 3))]
 for bad in BAD_COLOURS:
