@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -297,6 +298,19 @@ def test_xi_claims_hold_through_twelve():
     assert "total-2" in report.boundary_note
 
 
+def test_undecided_xi_claims_report_their_widths(monkeypatch):
+    # with the precision capped at the start, no claim of total 5 is decided:
+    # each is reported as undecided with its interval's width, none as failed
+    monkeypatch.setattr(covolume, "decide_sign", functools.partial(decide_sign, max_bits=3))
+    report = verify_xi_claims(5, start_bits=3)
+    assert not report.ok and report.failures == [] and report.max_bits == 3
+    assert [tag for tag, _ in report.undecided][-4:] == [("tail", x) for x in range(2, 6)]
+    assert len(report.undecided) == (
+        report.append_checked + report.merge_checked + report.tail_checked
+    )
+    assert all(1 < width < 8 for _, width in report.undecided)
+
+
 def test_xi_interval_signs_match_float_oracle():
     xi = _xi_capital(fixed_log())
     for total in range(3, 10):
@@ -395,16 +409,16 @@ def literal_smallest_log(sizes):
 def literal_xi_decisions(max_x):
     """The expressions verify_xi_claims decides, in its order, each with
     the partitions whose functional it evaluates."""
-    decisions = []
+    pairs = []
     for total in range(3, max_x + 1):
         for parts in integer_partitions(total):
             if len(parts) <= total - 2:
-                decisions.append((parts + (1,), parts))
+                pairs.append((parts + (1,), parts))
             if len(parts) >= 2 and parts[-1] == 1 and len(parts) <= total - 1:
-                decisions.append((parts[:-2] + (parts[-2] + 1,), parts))
+                pairs.append((parts[:-2] + (parts[-2] + 1,), parts))
     expressions = [
         (pair, lambda a=pair[0], b=pair[1]: literal_xi_capital(a) - literal_xi_capital(b))
-        for pair in decisions
+        for pair in pairs
     ]
     expressions.extend(((), lambda x=x: literal_xi_small(x)) for x in range(2, max_x + 1))
     return expressions
@@ -429,9 +443,9 @@ def check_literal_decisions(seen, expressions, start_bits):
     """Each recorded decision against the literal expression it stands for.
 
     The start precision is the one covolume's public calls resolve once and
-    pass to every decision.  The sign is the literal one at every start; at
-    the default start the settling precision is too (at a low start, fixed
-    point and floating point may settle at different precisions).  The
+    pass to every decision.  The sign is the literal one at every start,
+    and at the default start so is the settling precision (at a low start,
+    fixed point and floating point may settle at different precisions).  The
     returned interval contains the literal value at four times its settling
     precision."""
     default = start_bits is None
