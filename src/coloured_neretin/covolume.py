@@ -20,7 +20,7 @@ from itertools import compress, islice
 from math import factorial
 
 from .abelianization import check_orbit_sizes
-from .intervals import _endpoints, decide_sign, default_precision, fixed_log, interval_width
+from .intervals import decide_sign, default_precision, fixed_log, interval_width
 
 
 def exact_div(a, b):
@@ -249,7 +249,7 @@ def smallest_log_sign(orbit_sizes, start_bits=None):
             lo, hi = lo - b, hi - a
         (a, b), (c, e) = log(d + 1, prec), log(d, prec)
         # minus (d-1)(log(d+1) - log d)
-        return _endpoints(lo - (d - 1) * (b - c), hi - (d - 1) * (a - e), prec)
+        return lo - (d - 1) * (b - c), hi - (d - 1) * (a - e)
 
     return decide_sign(expression, start_bits=start_bits)
 
@@ -361,20 +361,20 @@ def _xi_step(xi, bigger, smaller):
 
     def expression(prec):
         (a, b), (c, e) = xi(bigger, prec), xi(smaller, prec)
-        return _endpoints(a - e, b - c, prec)
+        return a - e, b - c
 
     return expression
 
 
-def _xi_small_iv(log, x, prec):
+def _xi_tail(log, x, prec):
     """The single-variable tail function of the append-a-fixed-point step,
     log((x+1)/(x-1))/(x+2) - x log((x+2)/(x+1)) + (x-1) log((x+1)/x), as
-    mpf endpoints at prec bits; ``log`` is a ``fixed_log``."""
+    a fixed-point pair at prec bits; ``log`` is a ``fixed_log``."""
     (a0, b0), (a1, b1), (a2, b2) = log(x, prec), log(x + 1, prec), log(x + 2, prec)
     am, bm = log(x - 1, prec)
     lo = (a1 - bm) // (x + 2) - x * (b2 - a1) + (x - 1) * (a1 - b0)
     hi = -((am - b1) // (x + 2)) - x * (a2 - b1) + (x - 1) * (b1 - a0)
-    return _endpoints(lo, hi, prec)
+    return lo, hi
 
 
 @dataclass
@@ -459,7 +459,7 @@ def verify_xi_claims(max_x, start_bits=None):
                 record(("merge", parts), sign, bits, value)
     for x in range(2, max_x + 1):
         sign, value, bits = decide_sign(
-            lambda prec, x=x: _xi_small_iv(log, x, prec), start_bits=start_bits
+            lambda prec, x=x: _xi_tail(log, x, prec), start_bits=start_bits
         )
         tail_checked += 1
         record(("tail", x), sign, bits, value)

@@ -1,34 +1,31 @@
 """Adaptive-precision interval sign decisions.
 
 An interval expression takes the working precision p in bits and returns
-a pair (a, b) of mpf endpoints (``mpmath.libmp``) of an interval that
-contains the exact value.  ``decide_sign`` doubles the precision until the
-interval excludes zero.  Precision is always passed explicitly: no decision
-reads or writes the global ``iv.prec`` of mpmath's interval context, so
-decisions may nest.  The starting precision comes from the
+a fixed-point pair (lo, hi) of Python ints: the interval [lo, hi]·2⁻ᵖ,
+which contains the exact value.  ``decide_sign`` doubles the precision
+until the interval excludes zero.  Precision is always passed explicitly:
+no decision reads or writes the global ``iv.prec`` of mpmath's interval
+context, so decisions may nest.  The starting precision comes from the
 COLOURED_NERETIN_PRECISION environment variable (bits, default 128); an
 inequality that stays undecided at the precision cap is reported as
 undecided, never as true or false.
 
-The package's expressions compute in fixed point, on pairs of Python ints
-(lo, hi) that stand for [lo, hi]·2⁻ᵖ.  A sum adds endpoints, a difference
-subtracts each endpoint from the other's opposite one, and a product with
-an int k ≥ 0 is (k·lo, k·hi): all exact.  Every rounding is outwards, a
-floor on lo and a ceiling on hi: a product with a positive rational n/m is
-(⌊lo·n/m⌋, ⌈hi·n/m⌉), and the logarithm of an int (``fixed_log``) is
-mpmath's ``mpi_log`` enclosure at p bits with its lower end floored and its
-upper end ceiled to multiples of 2⁻ᵖ; log(n/m) is log n − log m.  The pair
-is handed to ``decide_sign`` as mpf endpoints converted exactly, unrounded.
+A sum adds endpoints, a difference subtracts each endpoint from the
+other's opposite one, and a product with an int k ≥ 0 is (k·lo, k·hi): all
+exact.  Every rounding is outwards, a floor on lo and a ceiling on hi: a
+product with a positive rational n/m is (⌊lo·n/m⌋, ⌈hi·n/m⌉), and the
+logarithm of an int (``fixed_log``) is mpmath's ``mpi_log`` enclosure at p
+bits with its lower end floored and its upper end ceiled to multiples of
+2⁻ᵖ; log(n/m) is log n − log m.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from fractions import Fraction
 
-from mpmath import iv
-from mpmath.libmp import (
-    from_int, from_man_exp, mpf_neg, mpf_sign, mpf_sub, round_ceiling, to_fixed, to_float,
-)
+from mpmath.libmp import from_int, mpf_neg, to_fixed
 from mpmath.libmp.libmpi import mpi_log
 
 MAX_BITS = 1 << 14
@@ -45,20 +42,20 @@ def default_precision():
 def decide_sign(expression, start_bits=None, max_bits=MAX_BITS):
     """Sign of the interval expression(bits).
 
-    ``expression`` is called with the working precision in bits and returns
-    an endpoint pair (a, b) computed at that precision (see the module
-    docstring); ``iv.prec`` is never read or written.  Returns (sign, value,
-    bits) where sign is +1, -1 or None (undecided at max_bits), value is the
-    last pair as an ``mpmath.iv`` interval and bits is the precision that
-    settled the question, or the last one tried when none did.  A start
-    above max_bits is lowered to max_bits.
+    ``expression`` is called with the working precision p in bits and
+    returns the fixed-point pair (lo, hi) computed at that precision (see
+    the module docstring).  Returns (sign, value, bits) where sign is +1,
+    -1 or None (undecided at max_bits), value is the last pair as the
+    triple (lo, hi, bits) and bits is the precision that settled the
+    question, or the last one tried when none did.  A start above max_bits
+    is lowered to max_bits.
     """
     bits = min(start_bits if start_bits is not None else default_precision(), max_bits)
     while True:
-        a, b = expression(bits)
-        sign = 1 if mpf_sign(a) > 0 else -1 if mpf_sign(b) < 0 else None
+        lo, hi = expression(bits)
+        sign = 1 if lo > 0 else -1 if hi < 0 else None
         if sign is not None or 2 * bits > max_bits:
-            return sign, iv.make_mpf((a, b)), bits
+            return sign, (lo, hi, bits), bits
         bits *= 2
 
 
@@ -84,13 +81,10 @@ def fixed_log():
     return log
 
 
-def _endpoints(lo, hi, prec):
-    """The fixed-point pair (lo, hi) at prec bits as exact mpf endpoints."""
-    return from_man_exp(lo, -prec), from_man_exp(hi, -prec)
-
-
 def interval_width(value):
-    """Width b - a of an ``mpmath.iv`` interval as a float, rounded up:
-    the endpoints are subtracted at 53 bits, not at ``iv.prec``."""
-    a, b = value._mpi_
-    return to_float(mpf_sub(b, a, 53, round_ceiling), rnd=round_ceiling)
+    """Width (hi - lo)·2^-bits of a ``decide_sign`` value (lo, hi, bits) as
+    a float, rounded up: a positive width never reads 0.0."""
+    lo, hi, bits = value
+    exact = Fraction(hi - lo, 1 << bits)
+    width = float(exact)
+    return math.nextafter(width, math.inf) if width < exact else width

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv
-from mpmath.libmp import mpf_le
+from mpmath.libmp import from_man_exp, mpf_le
 from sympy import primepi, primerange
 
 from coloured_neretin import (
@@ -464,7 +464,7 @@ def check_literal_decisions(seen, expressions, start_bits):
             fine = expression()
         finally:
             iv.prec = saved
-        (a, b), (lo, hi) = value._mpi_, fine._mpi_
+        (a, b), (lo, hi) = [from_man_exp(end, -value[2]) for end in value[:2]], fine._mpi_
         assert mpf_le(a, lo) and mpf_le(hi, b), decision
 
 
