@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import itemgetter
 
 from .abelianization import IntMatrix, check_orbit_sizes
 from .almost_automorphisms import make_element, random_element
@@ -125,24 +124,16 @@ class SftGraph:
         return out
 
 
-def _reaches_all(arrows, vertices):
-    """Whether the first vertex reaches every vertex along the arrows."""
-    heads = {}
-    for src, dst in arrows:
-        heads.setdefault(src, []).append(dst)
-    seen, frontier = {vertices[0]}, [vertices[0]]
-    while frontier:
-        new = set(heads.get(frontier.pop(), ())) - seen
-        seen |= new
-        frontier.extend(new)
-    return len(seen) == len(vertices)
-
-
 def build_sft_graph(orbit_sizes, orbit_colours=None):
-    """The orbit graph for the given orbit sizes, checked on its edge counts.
+    """The orbit graph for the given orbit sizes and colour blocks.
 
     ``orbit_colours`` defaults to consecutive blocks of {0..d}; pass a
-    group's actual orbit partition when the colour labels matter.
+    group's actual orbit partition when the colour labels matter.  Only the
+    input is checked: once the sizes name d + 1 ≥ 3 colours and the blocks
+    partition them, each orbit vertex D_i has out-degree Σ_{j≠i} s_j + s_i − 1
+    = d ≥ 2, so the graph is no permutation matrix.  It is strongly
+    connected, since every D_i has an edge to every other D_j and every delta
+    vertex has an edge to and from its own D_i.
     """
     orbit_sizes, d = check_orbit_sizes(orbit_sizes)
     if orbit_colours is None:
@@ -154,20 +145,7 @@ def build_sft_graph(orbit_sizes, orbit_colours=None):
             raise ValueError("colour blocks do not match the orbit sizes")
         if sorted(c for block in orbit_colours for c in block) != list(range(d + 1)):
             raise ValueError("colour blocks do not partition 0..%d" % d)
-
-    graph = SftGraph(orbit_sizes, orbit_colours)
-    edges, vertices = graph.edges(), graph.vertices
-    out_degree = Counter(map(itemgetter(0), edges))
-    in_degree = Counter(map(itemgetter(1), edges))
-    for i in range(len(orbit_sizes)):
-        assert out_degree["D", i] == d, "row sum at an orbit vertex must be d"
-    arrows = set(map(itemgetter(0, 1), edges))
-    backward = {(dst, src) for src, dst in arrows}
-    if not (_reaches_all(arrows, vertices) and _reaches_all(backward, vertices)):
-        raise ValueError("orbit graph is not irreducible")
-    if all(out_degree[v] == 1 == in_degree[v] for v in vertices):
-        raise ValueError("orbit graph degenerates to a permutation matrix")
-    return graph
+    return SftGraph(orbit_sizes, orbit_colours)
 
 
 def sft_graph_for_group(group):

@@ -14,6 +14,7 @@ from coloured_neretin import (
     check_path,
     compose,
     compose_bisections,
+    compositions,
     cylinder_mass,
     edge_length,
     element_to_bisection,
@@ -53,6 +54,41 @@ def omegas():
             yield Omega(graph)
         else:
             yield Omega(graph, group)
+
+
+# -- the orbit graph -----------------------------------------------------------------
+
+
+def reaches_all(heads, vertices):
+    """Whether a BFS from the first vertex along ``heads`` reaches them all."""
+    seen, frontier = {vertices[0]}, [vertices[0]]
+    while frontier:
+        for dst in heads.get(frontier.pop(), ()):
+            if dst not in seen:
+                seen.add(dst)
+                frontier.append(dst)
+    return len(seen) == len(vertices)
+
+
+def test_orbit_graphs_are_irreducible_and_not_permutations():
+    # build_sft_graph checks only its input; every orbit graph it builds
+    # has out-degree d at each orbit vertex, is strongly connected and is
+    # no permutation matrix
+    for colours in range(3, 10):
+        for sizes in compositions(colours):
+            graph = build_sft_graph(sizes)
+            vertices, edges = graph.vertices, graph.edges()
+            assert {v for e in edges for v in e[:2]} == set(vertices), sizes
+            out_degree = Counter(src for src, _, _ in edges)
+            in_degree = Counter(dst for _, dst, _ in edges)
+            for i in range(len(sizes)):
+                assert out_degree["D", i] == graph.d, sizes
+            forward, backward = {}, {}
+            for src, dst, _ in edges:
+                forward.setdefault(src, []).append(dst)
+                backward.setdefault(dst, []).append(src)
+            assert reaches_all(forward, vertices) and reaches_all(backward, vertices), sizes
+            assert not all(out_degree[v] == 1 == in_degree[v] for v in vertices), sizes
 
 
 # -- paths ---------------------------------------------------------------------
