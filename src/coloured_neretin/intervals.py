@@ -83,8 +83,12 @@ def fixed_log():
 
 def interval_width(value):
     """Width (hi - lo)·2^-bits of a ``decide_sign`` value (lo, hi, bits) as
-    a float, rounded up: a positive width never reads 0.0."""
+    a float, rounded up: a positive width never reads 0.0, and one above
+    the largest float reads inf."""
     lo, hi, bits = value
     exact = Fraction(hi - lo, 1 << bits)
-    width = float(exact)
+    try:
+        width = float(exact)
+    except OverflowError:
+        return math.inf
     return math.nextafter(width, math.inf) if width < exact else width

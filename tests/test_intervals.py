@@ -138,6 +138,8 @@ def test_interval_width():
     # a decimal that is not a binary fraction has a genuine, tiny width
     tenth = (1 << 64) // 10, -(-(1 << 64) // 10), 64
     assert 0 < interval_width(tenth) < 1e-15
+    # a width above the largest float rounds up to inf
+    assert interval_width((-(1 << 5000), 1 << 5000, 16)) == math.inf
 
 
 def test_interval_width_below_the_smallest_float():
