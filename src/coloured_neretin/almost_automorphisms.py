@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 
 from .permutations import (
     Permutation,
@@ -98,13 +99,15 @@ class TreePairElement:
             or set(pairs.values()) != range_._index.keys()
         ):
             raise ValueError("the leaf map is not a bijection of the leaf sets")
-        orbit_of = group.orbit_of
-        for leaf, image in pairs.items():
-            if orbit_of[leaf[-1]] != orbit_of[image[-1]]:
-                raise OrbitViolation(
-                    "leaf %r (colour %d) maps to %r (colour %d) across orbits"
-                    % (leaf, leaf[-1], image, image[-1])
-                )
+        orbit, last = group.orbit_of.__getitem__, itemgetter(-1)
+        # the orbits in one pass at C speed; the loop below only names a violation
+        if list(map(orbit, map(last, pairs))) != list(map(orbit, map(last, pairs.values()))):
+            for leaf, image in pairs.items():
+                if orbit(leaf[-1]) != orbit(image[-1]):
+                    raise OrbitViolation(
+                        "leaf %r (colour %d) maps to %r (colour %d) across orbits"
+                        % (leaf, leaf[-1], image, image[-1])
+                    )
         self.group = group
         self.plane = plane_for(group)
         self.domain = domain
@@ -118,8 +121,8 @@ class TreePairElement:
     def kappa(self):
         """``kappa[i]`` is the index in ``range.leaves`` of the image of
         ``domain.leaves[i]``."""
-        index = self.range.leaf_index
-        return tuple(index(self._map[v]) for v in self.domain.leaves)
+        images = map(self._map.__getitem__, self.domain.leaves)
+        return tuple(map(self.range._index.__getitem__, images))
 
     def leaf_image(self, leaf):
         return self._map[tuple(leaf)]
@@ -250,9 +253,11 @@ def make_element(domain_leaves, range_leaves, bijection, group):
         ))
     else:
         kappa = list(bijection)
-        for i, k in enumerate(kappa):
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise ValueError("kappa[%d] is not an integer: %r" % (i, k))
+        # the types in one pass at C speed; the loop below only names a failure
+        if not set(map(type, kappa)) <= {int}:
+            for i, k in enumerate(kappa):
+                if not isinstance(k, int) or isinstance(k, bool):
+                    raise ValueError("kappa[%d] is not an integer: %r" % (i, k))
         n = len(range_leaves)
         if sorted(kappa) != list(range(n)):
             if len(kappa) != n:

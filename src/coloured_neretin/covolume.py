@@ -30,15 +30,24 @@ def exact_div(a, b):
 
 
 def integer_partitions(total, max_part=None):
-    """Partitions of ``total`` as descending tuples."""
-    if max_part is None:
-        max_part = total
+    """Partitions of ``total`` into parts of at most ``max_part`` (default
+    ``total``) as descending tuples, in reverse lexicographic order.  A walk
+    without recursion: the next partition lowers the last part above 1 by
+    one and refills what follows it greedily."""
     if total == 0:
         yield ()
         return
-    for head in range(min(total, max_part), 0, -1):
-        for rest in integer_partitions(total - head, head):
-            yield (head,) + rest
+    parts, rest, top = [], total, total if max_part is None else max_part
+    while (top := min(rest, top)) >= 1:
+        q, r = divmod(rest, top)
+        parts += [top] * q + ([r] if r else [])
+        yield tuple(parts)
+        rest = parts.count(1) + 1  # the trailing ones and the unit taken below
+        del parts[len(parts) + 1 - rest :]
+        if not parts:
+            return
+        parts[-1] -= 1
+        top = parts[-1]
 
 
 def compositions(total):

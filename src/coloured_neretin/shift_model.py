@@ -31,11 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
+from operator import itemgetter
 
 from .abelianization import IntMatrix, check_orbit_sizes
 from .almost_automorphisms import make_element, random_element
 from .permutations import closure_enumerate, from_cycles
-from .tree import check_address, plane_for
+from .tree import _walks_complete, check_address, plane_for
 
 
 class PathError(ValueError):
@@ -299,7 +300,8 @@ class Bisection:
     by source label word.  The source paths and the target paths each give
     a clopen partition of the path space, and source and target of a pair
     end at the same orbit vertex; ``validate_bisection`` checks this
-    against the graph.
+    against the graph.  ``_trusted`` builds, without the label scan, the
+    bisections the package makes from int label words.
     """
 
     pairs: tuple
@@ -316,6 +318,12 @@ class Bisection:
                 for pair in pairs for c in chain(*pair) if type(c) is not int
             ])
         object.__setattr__(self, "pairs", tuple(sorted(pairs)))
+
+    @classmethod
+    def _trusted(cls, pairs):
+        bisection = cls.__new__(cls)
+        object.__setattr__(bisection, "pairs", tuple(sorted(pairs)))
+        return bisection
 
     def sources(self):
         return [s for s, _ in self.pairs]
@@ -336,30 +344,26 @@ def _shape_problems(pairs):
     return problems
 
 
-def _partition_problems(paths, ordered, graph, side):
+def _partition_problems(paths, graph, side):
     """Overlaps, reported for each pair i < j in that order, then the mass.
 
-    ``ordered`` is ``paths`` sorted.  In label order the extensions of a
-    path directly follow it, so a path that is a prefix of another is a
-    prefix of its successor: a valid side costs one test per adjacent
-    pair.  Only when one holds does the forward scan from each path, which
-    stops at the first non-extension, find every overlapping pair once.
+    In label order the extensions of a path directly follow it, so a
+    forward scan from each path that stops at the first non-extension
+    finds every overlapping pair once.
     """
-    problems = []
-    if any(q[: len(p)] == p for p, q in zip(ordered, ordered[1:])):
-        order = sorted(range(len(paths)), key=paths.__getitem__)
-        overlaps = []
-        for k, i in enumerate(order):
-            p = paths[i]
-            for j in order[k + 1 :]:
-                if paths[j][: len(p)] != p:
-                    break
-                overlaps.append((min(i, j), max(i, j)))
-        problems = [
-            "%s paths %r and %r overlap (one is a prefix of the other)"
-            % (side, paths[i], paths[j])
-            for i, j in sorted(overlaps)
-        ]
+    order = sorted(range(len(paths)), key=paths.__getitem__)
+    overlaps = []
+    for k, i in enumerate(order):
+        p = paths[i]
+        for j in order[k + 1 :]:
+            if paths[j][: len(p)] != p:
+                break
+            overlaps.append((min(i, j), max(i, j)))
+    problems = [
+        "%s paths %r and %r overlap (one is a prefix of the other)"
+        % (side, paths[i], paths[j])
+        for i, j in sorted(overlaps)
+    ]
     # each cylinder's mass over the common denominator (d+1) d^(D-1)
     d = graph.d
     lengths = Counter(map(len, paths))
@@ -374,15 +378,23 @@ def _partition_problems(paths, ordered, graph, side):
 def validate_bisection(bisection, graph):
     """The list of problems of the bisection, empty when it is valid.
 
-    Never raises on mathematically bad data: bad paths and terminal
-    orbits are reported per pair, and only when every pair is sound are
-    the overlaps and masses of both sides checked.  The ``edge_length``
-    lookup is the test that both label words of a pair are paths;
-    ``check_path`` runs only on a pair whose lookup fails, to name the
-    defect.  Per side one sort and a prefix test on adjacent paths decide
-    whether any overlaps must be listed.
+    Never raises on mathematically bad data.  A sound bisection passes a
+    preorder walk of each side's sorted paths in the path tree (every word
+    a path, the cylinders a partition) and one comparison of the terminal
+    orbits.  Otherwise bad paths (``check_path`` names each pair whose
+    ``edge_length`` lookup fails) and terminal orbits are reported per pair,
+    and only when every pair is sound are the overlaps and masses of both
+    sides checked.
     """
-    orbit_of = graph.orbit_of
+    # Bisection keeps its pairs sorted by source, so only the targets need a sort
+    sources, targets = bisection.sources(), bisection.targets()
+    orbit, last = graph.orbit_of.__getitem__, itemgetter(-1)
+    if (
+        _walks_complete(sources, graph.d, graph.rep_of)
+        and _walks_complete(sorted(targets), graph.d, graph.rep_of)
+        and list(map(orbit, map(last, sources))) == list(map(orbit, map(last, targets)))
+    ):
+        return []
     problems = []
     for index, (source, target) in enumerate(bisection.pairs):
         try:
@@ -396,41 +408,40 @@ def validate_bisection(bisection, graph):
             continue
         if problems:
             continue
-        ends = orbit_of[source[-1]], orbit_of[target[-1]]
+        ends = orbit(source[-1]), orbit(target[-1])
         if ends[0] != ends[1]:
             problems.append(
                 "pair %d: source ends at orbit vertex %d but target at %d"
                 % ((index,) + ends)
             )
     if not problems:
-        # Bisection keeps its pairs sorted by source, so only the targets
-        # need a sort
-        sources, targets = bisection.sources(), bisection.targets()
-        problems.extend(_partition_problems(sources, sources, graph, "source"))
-        problems.extend(_partition_problems(targets, sorted(targets), graph, "target"))
+        problems.extend(_partition_problems(sources, graph, "source"))
+        problems.extend(_partition_problems(targets, graph, "target"))
     return problems
 
 
 def identity_bisection(graph):
-    return Bisection(tuple((p, p) for p in root_paths(graph)))
+    return Bisection._trusted((p, p) for p in root_paths(graph))
 
 
 def bisection_to_element(bisection, omega):
     """The reduced element of a bisection.  A caller's bisection enters
-    here and is validated once; its valid paths are translated unchecked."""
+    here and is validated once; its valid paths are translated unchecked,
+    the i-th source to the i-th target."""
     problems = validate_bisection(bisection, omega.graph)
     if problems:
         raise InvalidBisection(problems)
     address = omega.plane.address_of
-    pairs = {address(s): address(t) for s, t in bisection.pairs}
-    return make_element(pairs, pairs.values(), pairs, omega.group)
+    sources = list(map(address, bisection.sources()))
+    targets = list(map(address, bisection.targets()))
+    return make_element(sources, targets, range(len(sources)), omega.group)
 
 
 def element_to_bisection(element, omega):
     """The bisection of the reduced element, its label words not checked as paths."""
     element = element.reduce()
     labels = omega.plane.label_word
-    return Bisection(tuple((labels(v), labels(w)) for v, w in element._map.items()))
+    return Bisection._trusted((labels(v), labels(w)) for v, w in element._map.items())
 
 
 def compose_bisections(first, second, graph):
@@ -453,7 +464,7 @@ def compose_bisections(first, second, graph):
             if sources[n][: len(t2)] != t2:
                 break
             pairs.append((s2 + sources[n][len(t2) :], first.pairs[n][1]))
-    result = Bisection(tuple(pairs))
+    result = Bisection._trusted(pairs)
     problems = validate_bisection(result, graph)
     assert not problems, problems
     return result

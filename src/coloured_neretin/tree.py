@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from itertools import chain, islice
+from itertools import islice
 from operator import getitem
 
 
@@ -238,35 +238,29 @@ def _check_complete(leaves, d):
     """Raise IncompleteTree unless the sorted ``leaves`` are the leaf set of
     a finite complete subtree.
 
-    The internal vertices are the strict prefixes of leaves, collected by
-    climbing from each leaf until a prefix is already known.  The climb
-    also tests the no-repeat rule once per vertex: on each leaf's last edge
-    and on each internal vertex as it is added.  A complete subtree with i
-    internal vertices has (d-1)i + 2 leaves, none of them internal;
-    otherwise the first defective internal vertex in preorder (plain tuple
-    order) is reported.
+    ``_walks_complete`` accepts a valid set; the rest names the first
+    defect: the first invalid address, else a repeated leaf, else the first
+    defective internal vertex in preorder (plain tuple order).  The internal
+    vertices are the strict prefixes of leaves, collected by climbing from
+    each leaf until a prefix is already known.  A complete subtree with i
+    internal vertices has (d-1)i + 2 leaves, none of them internal.
     """
+    if _walks_complete(leaves, d, range(d + 1)):  # a child avoids its parent's colour
+        return
     if not leaves:
         raise IncompleteTree("empty leaf set")
     if leaves == [()]:
         raise IncompleteTree("the bare root is not a complete subtree")
-    # the letters' range in one pass at C speed; the repeats in the climb
-    valid = all(map(range(d + 1).__contains__, set(chain.from_iterable(leaves))))
+    for w in leaves:
+        if not is_valid_address(w, d):
+            raise IncompleteTree("invalid address %r for d=%d" % (w, d))
     internal = set()
     for w in leaves:
-        if len(w) >= 2 and w[-1] == w[-2]:
-            valid = False
         for k in range(len(w) - 1, -1, -1):
             v = w[:k]
             if v in internal:
                 break
             internal.add(v)
-            if k >= 2 and v[-1] == v[-2]:
-                valid = False
-    if not valid:  # only names the first invalid leaf
-        for w in leaves:
-            if not is_valid_address(w, d):
-                raise IncompleteTree("invalid address %r for d=%d" % (w, d))
     leaf_set = set(leaves)
     if len(leaf_set) != len(leaves):
         raise IncompleteTree("repeated leaf")
@@ -283,6 +277,33 @@ def _check_complete(leaves, d):
                 "vertex %r is internal but covers no leaf through colours [%s]"
                 % (v, ", ".join(map(str, _missing_colours(v, d, count, covered))))
             )
+
+
+def _walks_complete(words, d, avoid):
+    """Whether the sorted ``words`` are the leaves of a finite complete tree
+    whose root has the children (c,), c = 0..d, and whose vertex v has the
+    children v + (c,), c != avoid[v[-1]], by one preorder walk: each word
+    descends from the walk's next vertex by first children only, and the
+    later children wait on a stack that never outgrows the words left.
+    False for d < 1, which the caller's own checks decide."""
+    n = len(words)
+    if not 0 < d < n:
+        return False
+    pending = [(c,) for c in range(d, -1, -1)]
+    for k, w in enumerate(words):
+        if not pending:
+            return False
+        v = pending.pop()
+        if w[: len(v)] != v:
+            return False
+        for c in w[len(v) :]:
+            skip = avoid[v[-1]]
+            first = 1 if skip == 0 else 0
+            if c != first or len(pending) + d > n - k:
+                return False
+            pending.extend([v + (x,) for x in range(d, first, -1) if x != skip])
+            v += (c,)
+    return not pending
 
 
 def _missing_colours(v, d, count, covered):

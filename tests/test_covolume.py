@@ -120,6 +120,27 @@ def test_integer_partitions_counts():
     assert list(integer_partitions(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
+def recursive_partitions(total, max_part=None):
+    """The partitions as the recursive generator gave them: largest head
+    first, then the partitions of the rest with parts at most the head."""
+    if max_part is None:
+        max_part = total
+    if total == 0:
+        yield ()
+        return
+    for head in range(min(total, max_part), 0, -1):
+        for rest in recursive_partitions(total - head, head):
+            yield (head,) + rest
+
+
+@pytest.mark.parametrize("max_part", [None, 0, 1, 2, 3, 5, 14])
+def test_integer_partitions_match_the_recursive_walk(max_part):
+    for total in range(15):
+        assert list(integer_partitions(total, max_part)) == list(
+            recursive_partitions(total, max_part)
+        )
+
+
 def test_compositions_counts():
     assert len(list(compositions(5))) == 16
     assert sorted(set(tuple(sorted(c, reverse=True)) for c in compositions(5))) == sorted(

@@ -25,6 +25,7 @@ from coloured_neretin import (
     random_element,
     root_paths,
     sft_graph_for_group,
+    sphere,
     validate_bisection,
 )
 from bisection_oracle import seed_validate_bisection
@@ -247,6 +248,22 @@ def test_bisection_round_trip_random_elements():
             problems = validate_bisection(bis, omega.graph)
             assert not problems, problems
             assert bisection_to_element(bis, omega) == e
+
+
+def test_package_bisections_are_what_the_constructor_builds():
+    # the package builds its bisections without the label scan; the public
+    # constructor, which scans every label and refuses any that is not an
+    # int, must build the same pairs from them
+    rng = random.Random(58)
+    for omega in omegas():
+        built = [identity_bisection(omega.graph)]
+        for _ in range(10):
+            a = random_element(omega.group, rng, 5)
+            b = random_element(omega.group, rng, 5)
+            left, right = element_to_bisection(a, omega), element_to_bisection(b, omega)
+            built += [left, right, compose_bisections(left, right, omega.graph)]
+        for bisection in built:
+            assert bisection == Bisection(bisection.pairs)
 
 
 def test_bisection_canonicalization_is_idempotent():
@@ -505,6 +522,19 @@ def one_defect_away(pairs, graph, rng):
 
 
 VALIDATION_CASES = [small_trivial(2), switch_group(), four_orbit_group(), sym_group(4)]
+
+
+def test_a_tree_leaf_set_is_no_path_partition():
+    # the leaves of B_2 in address space, read as label words: a child
+    # avoids its parent's own colour there, but a path's next label avoids
+    # the representative of its orbit, so outside the trivial group some
+    # words are no paths and others are missing
+    for group in VALIDATION_CASES:
+        graph = sft_graph_for_group(group)
+        bisection = Bisection(tuple((w, w) for w in sphere(group.d, 2)))
+        want = seed_validate_bisection(bisection, graph)
+        assert validate_bisection(bisection, graph) == want
+        assert bool(want) == (group.orbit_sizes != (1,) * (group.d + 1))
 
 
 def test_validate_bisection_matches_the_seed_validation():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -30,6 +31,8 @@ from conftest import (
     switch_group,
     sym_group,
 )
+from coloured_neretin.tree import _walks_complete
+from tree_oracle import seed_check_complete
 
 
 # -- addresses -----------------------------------------------------------------
@@ -370,6 +373,84 @@ def test_long_missing_colour_lists_are_capped(d, leaves, colours):
     assert str(info.value) == (
         "vertex () is internal but covers no leaf through colours " + colours
     )
+
+
+def defective_leafset(d, rng, leaves):
+    """One or two defects applied to a list of complete leaves: a deletion,
+    a duplicate, an extra descendant, an extra parent, a repeated letter or
+    the letter d + 1."""
+    leaves = list(leaves)
+    for _ in range(rng.choice((1, 1, 2))):
+        nonroot = [k for k, leaf in enumerate(leaves) if leaf]
+        if not nonroot:
+            break
+        k = rng.choice(nonroot)
+        leaf = leaves[k]
+        kind = rng.randrange(6)
+        if kind == 0:
+            del leaves[k]
+        elif kind == 1:
+            leaves.append(leaf)
+        elif kind == 2:
+            leaves.append(leaf + (rng.choice(admissible_child_colours(leaf, d)),))
+        elif kind == 3:
+            leaves.append(leaf[:-1])
+        elif kind == 4:
+            i = rng.randrange(len(leaf))
+            leaves[k] = leaf[: i + 1] + leaf[i:]
+        else:
+            i = rng.randrange(len(leaf))
+            leaves[k] = leaf[:i] + (d + 1,) + leaf[i + 1 :]
+    return leaves
+
+
+def test_leafset_check_matches_the_seed_check():
+    rng = random.Random(20)
+    outcomes = set()
+    for n in range(3200):
+        d = 2 + n % 4
+        leaves = random_complete_tree(d, rng, rng.randrange(12)).leaves
+        if n % 8:
+            leaves = defective_leafset(d, rng, leaves)
+        try:
+            seed_check_complete(sorted(leaves), d)
+            want = None
+        except IncompleteTree as exc:
+            want = str(exc)
+        try:
+            CompleteSubtree(d, leaves)
+            got = None
+        except IncompleteTree as exc:
+            got = str(exc)
+        assert got == want, (d, leaves)
+        # the walk alone decides, so a sound set never reaches the climb
+        assert _walks_complete(sorted(leaves), d, range(d + 1)) == (want is None)
+        outcomes.add(want and want.split()[0])
+    # valid sets and every kind of message were met
+    assert outcomes == {None, "invalid", "repeated", "leaf", "vertex"}
+
+
+def test_leafset_check_matches_the_seed_check_below_d_2():
+    # at d = 0 a vertex has no child, at d = 1 one child; arbitrary short
+    # words over one colour too many
+    rng = random.Random(21)
+    for d in (0, 1):
+        words = [w for k in range(4) for w in itertools.product(range(d + 2), repeat=k)]
+        for _ in range(500):
+            leaves = sorted(rng.sample(words, rng.randrange(5)))
+            try:
+                seed_check_complete(leaves, d)
+                want = None
+            except IncompleteTree as exc:
+                want = str(exc)
+            # the walk leaves d = 0 to the climb
+            assert _walks_complete(leaves, d, range(d + 1)) == (d == 1 and want is None)
+            try:
+                CompleteSubtree(d, leaves)
+                got = None
+            except IncompleteTree as exc:
+                got = str(exc)
+            assert got == want, (d, leaves)
 
 
 # -- randomized complete-subtree invariants --------------------------------------
