@@ -381,10 +381,9 @@ def validate_bisection(bisection, graph):
     Never raises on mathematically bad data.  A sound bisection passes a
     preorder walk of each side's sorted paths in the path tree (every word
     a path, the cylinders a partition) and one comparison of the terminal
-    orbits.  Otherwise bad paths (``check_path`` names each pair whose
-    ``edge_length`` lookup fails) and terminal orbits are reported per pair,
-    and only when every pair is sound are the overlaps and masses of both
-    sides checked.
+    orbits.  Otherwise bad paths (named by ``check_path``) and terminal
+    orbits are reported per pair, and only when every pair is sound are the
+    overlaps and masses of both sides checked.
     """
     # Bisection keeps its pairs sorted by source, so only the targets need a sort
     sources, targets = bisection.sources(), bisection.targets()
@@ -397,15 +396,11 @@ def validate_bisection(bisection, graph):
         return []
     problems = []
     for index, (source, target) in enumerate(bisection.pairs):
-        try:
-            edge_length(source, graph), edge_length(target, graph)
-        except (KeyError, IndexError):  # not two paths: name each defect
-            for path in (source, target):
-                try:
-                    check_path(path, graph)
-                except PathError as exc:
-                    problems.append("pair %d: %s" % (index, exc))
-            continue
+        for path in (source, target):
+            try:
+                check_path(path, graph)
+            except PathError as exc:
+                problems.append("pair %d: %s" % (index, exc))
         if problems:
             continue
         ends = orbit(source[-1]), orbit(target[-1])
