@@ -20,7 +20,7 @@ dynamics witnesses on clopen subsets of the boundary.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -28,10 +28,10 @@ from operator import itemgetter
 
 from .permutations import (
     Permutation,
+    _stabilizers_restrict_evenly,
     closure_enumerate,
     cycle_string,
     parse_cycles,
-    stabilizer_restriction_in_alt,
 )
 from .tree import (
     CompleteSubtree,
@@ -265,7 +265,8 @@ def make_element(domain_leaves, range_leaves, bijection, group):
             for i, k in enumerate(kappa):
                 if not 0 <= k < n:
                     raise ValueError("kappa[%d] = %d is out of range" % (i, k))
-            duplicate = next(k for k in kappa if kappa.count(k) > 1)
+            counts = Counter(kappa)
+            duplicate = next(k for k in kappa if counts[k] > 1)
             raise ValueError("kappa is not a bijection: duplicate index %d" % duplicate)
         pairs = dict(zip(domain_leaves, [range_leaves[k] for k in kappa]))
     return TreePairElement(group, domain, range_, pairs).reduce()
@@ -347,9 +348,7 @@ def _sign_defined(group, subset, target):
         raise ValueError("target must be 'vf' or 'nf'")
     if len(subset) % 2:
         return False
-    return target == "vf" or all(
-        stabilizer_restriction_in_alt(group, chi, subset) for chi in group.orbit_reps
-    )
+    return target == "vf" or _stabilizers_restrict_evenly(group, group.orbit_reps, subset)
 
 
 def is_sign_well_defined(group, subset, target="vf"):

@@ -36,7 +36,6 @@ from .abelianization import (
     vf_abelianization,
 )
 from .almost_automorphisms import (
-    NotWellDefined,
     compose,
     element_from_dict,
     element_to_dict,
@@ -81,7 +80,7 @@ from .shift_model import (
 )
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
@@ -219,10 +218,7 @@ def cmd_reduce(args):
 
 def cmd_sign(args):
     element = parse_element_file(args.element)
-    try:
-        value = sign(element, args.subset, mode=args.mode, target=args.target)
-    except NotWellDefined as exc:
-        raise CliError(str(exc))
+    value = sign(element, args.subset, mode=args.mode, target=args.target)
     print(
         "sign on colours {%s} (mode=%s, target=%s): %+d"
         % (
@@ -301,10 +297,7 @@ def cmd_covolume_table(args):
         )
     if args.gamma_order is not None:
         for n in range(1, args.max_n + 1):
-            try:
-                chain = covolume_chain(args.orbits, n, args.gamma_order)
-            except ValueError as exc:
-                raise CliError(str(exc))
+            chain = covolume_chain(args.orbits, n, args.gamma_order)
             print(
                 "index lower bound at n=%d (|Gamma_n| = %d): %s"
                 % (n, args.gamma_order, _show_fraction(chain.index_bound))
@@ -704,9 +697,6 @@ def main(argv=None):
         return code if isinstance(code, int) else 2
     try:
         return args.func(args) or 0
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

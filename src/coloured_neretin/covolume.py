@@ -309,30 +309,17 @@ def dominant_coefficient_compare(orbit_sizes):
     )
 
 
-def log_aut_ball(orbit_sizes, n):
-    sizes, d = check_orbit_sizes(orbit_sizes)
-    base = sum(math.lgamma(x + 1) for x in sizes)
-    return base + (d ** (n - 1) - 1) / (d - 1) * _log_kernel_factor(sizes, d)
-
-
-def log_sphere_index(orbit_sizes, n):
-    """ln [Sym(sphere) : prod Sym(sphere orbits)] via lgamma."""
+def log_ratio(orbit_sizes, n):
+    """ln of |Aut(B_n)| * [Sym(S_n) : prod Sym(D_n^(i))] / d^|S_n|, the
+    sphere index via lgamma."""
     sizes, d = check_orbit_sizes(orbit_sizes)
     m = d ** (n - 1)
-    value = math.lgamma((d + 1) * m + 1)
+    aut_ball = sum(math.lgamma(x + 1) for x in sizes)
+    aut_ball += (m - 1) / (d - 1) * _log_kernel_factor(sizes, d)
+    sphere_index = math.lgamma((d + 1) * m + 1)
     for x in sizes:
-        value -= math.lgamma(x * m + 1)
-    return value
-
-
-def log_ratio(orbit_sizes, n):
-    """ln of |Aut(B_n)| * [Sym(S_n) : prod Sym(D_n^(i))] / d^|S_n|."""
-    sizes, d = check_orbit_sizes(orbit_sizes)
-    return (
-        log_aut_ball(sizes, n)
-        + log_sphere_index(sizes, n)
-        - (d + 1) * d ** (n - 1) * math.log(d)
-    )
+        sphere_index -= math.lgamma(x * m + 1)
+    return aut_ball + sphere_index - (d + 1) * m * math.log(d)
 
 
 def _xi_capital(log):

@@ -578,9 +578,16 @@ def stabilizer_restriction_in_alt(group, chi, subset):
     """
     subset = group.invariant_subset(subset)
     _check_colours((chi,), group.d)
+    return _stabilizers_restrict_evenly(group, (chi,), subset)
+
+
+def _stabilizers_restrict_evenly(group, starts, subset):
+    """``stabilizer_restriction_in_alt`` for each colour of ``starts``, one
+    per orbit, on a ``subset`` already checked: one walk from all of them
+    visits each colour once, and each generator's parity is taken once."""
     parities = [(g.images, g.restriction_parity(subset)) for g in group.generators]
-    signs = {chi: 1}
-    frontier = [chi]
+    signs = dict.fromkeys(starts, 1)
+    frontier = list(starts)
     for p in frontier:
         for g, parity in parities:
             q, sign = g[p], parity * signs[p]

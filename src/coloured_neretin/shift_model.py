@@ -263,8 +263,9 @@ class Omega:
         return address
 
     def to_labels(self, address):
-        address = check_address(address, self.graph.d)
-        return check_path(self.plane.label_word(address), self.graph)
+        labels = self.plane.label_word(check_address(address, self.graph.d))
+        # later labels need no check: f_a(b) is not the representative f_a(a), b != a
+        return check_path(labels[:1], self.graph) + labels[1:]
 
     def check_depth(self, depth):
         """Exhaustively verify the isomorphism on all paths of <= depth labels.

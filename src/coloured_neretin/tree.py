@@ -15,8 +15,7 @@ canonical form in the library hangs off.
 from __future__ import annotations
 
 import weakref
-from collections import Counter
-from itertools import islice
+from itertools import islice, takewhile
 from operator import getitem
 
 
@@ -240,10 +239,14 @@ def _check_complete(leaves, d):
 
     ``_walks_complete`` accepts a valid set; the rest names the first
     defect: the first invalid address, else a repeated leaf, else the first
-    defective internal vertex in preorder (plain tuple order).  The internal
-    vertices are the strict prefixes of leaves, collected by climbing from
-    each leaf until a prefix is already known.  A complete subtree with i
-    internal vertices has (d-1)i + 2 leaves, none of them internal.
+    defective internal vertex (strict prefix of a leaf) in preorder.  One
+    pass over the leaves keeps the strict prefixes of the current leaf open,
+    each with the index of its first leaf and the number of children met,
+    and closes one once the next leaf no longer passes through it.  A vertex
+    is keyed by (index of its first leaf, depth), which is preorder order
+    (plain tuple order); only the reported vertex is built as a tuple.  A
+    complete subtree is one whose leaves are not internal and whose
+    internal vertices have all their children (d, the root d + 1).
     """
     if _walks_complete(leaves, d, range(d + 1)):  # a child avoids its parent's colour
         return
@@ -254,29 +257,41 @@ def _check_complete(leaves, d):
     for w in leaves:
         if not is_valid_address(w, d):
             raise IncompleteTree("invalid address %r for d=%d" % (w, d))
-    internal = set()
-    for w in leaves:
-        for k in range(len(w) - 1, -1, -1):
-            v = w[:k]
-            if v in internal:
-                break
-            internal.add(v)
-    leaf_set = set(leaves)
-    if len(leaf_set) != len(leaves):
+    if len(set(leaves)) != len(leaves):
         raise IncompleteTree("repeated leaf")
-    if internal.isdisjoint(leaf_set) and len(leaves) == (d - 1) * len(internal) + 2:
+    defects = []  # (first leaf, depth, colours missing); 0 missing: a leaf with descendants
+    first, met = [], []  # per depth of the open vertices
+
+    def close_deeper(depth):
+        while len(first) > depth + 1:
+            missing = d + (len(first) == 1) - met.pop()
+            if missing:
+                defects.append((first[-1], len(first) - 1, missing))
+            first.pop()
+
+    for i, w in enumerate(leaves):
+        n = 0  # the length of the common prefix with the previous leaf
+        while n < len(first) and leaves[i - 1][n] == w[n]:
+            n += 1
+        close_deeper(n)
+        if len(first) > n:
+            met[n] += 1
+        elif i:  # the previous leaf is a strict prefix of w
+            defects.append((i - 1, n, 0))
+        first += [i] * (len(w) - len(first))
+        met += [1] * (len(w) - len(met))
+    close_deeper(-1)
+    if not defects:
         return
-    covered = internal | leaf_set
-    children = Counter(w[:-1] for w in covered if w)
-    for v in sorted(internal):
-        if v in leaf_set:
-            raise IncompleteTree("leaf %r has descendants in the leaf set" % (v,))
-        count = d + (not v) - children[v]  # the admissible colours not covered
-        if count:
-            raise IncompleteTree(
-                "vertex %r is internal but covers no leaf through colours [%s]"
-                % (v, ", ".join(map(str, _missing_colours(v, d, count, covered))))
-            )
+    i, k, missing = min(defects)
+    v = leaves[i][:k]
+    if not missing:
+        raise IncompleteTree("leaf %r has descendants in the leaf set" % (v,))
+    through = takewhile(lambda w: w[:k] == v, islice(leaves, i, None))
+    raise IncompleteTree(
+        "vertex %r is internal but covers no leaf through colours [%s]"
+        % (v, ", ".join(map(str, _missing_colours(v, d, missing, {w[k] for w in through}))))
+    )
 
 
 def _walks_complete(words, d, avoid):
@@ -306,13 +321,13 @@ def _walks_complete(words, d, avoid):
     return not pending
 
 
-def _missing_colours(v, d, count, covered):
-    """The ``count`` colours c of children v + (c,) missing from ``covered``:
-    all of them up to five, else the first three, the count left out and
-    the last two, found from both ends at a cost bounded by ``covered``."""
+def _missing_colours(v, d, count, present):
+    """The ``count`` colours c of children v + (c,) not in ``present``: all
+    of them up to five, else the first three, the count left out and the
+    last two, found from both ends at a cost bounded by ``present``."""
 
     def first(colours, n):
-        gaps = (c for c in colours if (not v or c != v[-1]) and v + (c,) not in covered)
+        gaps = (c for c in colours if (not v or c != v[-1]) and c not in present)
         return list(islice(gaps, n))
 
     if count <= 5:

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import time
 import weakref
 
 import pytest
@@ -241,6 +242,18 @@ def test_make_element_rejects_non_bijections(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_a_duplicate_kappa_entry_is_named_in_linear_time():
+    # the repeat is at the end of 49 152 entries, where a count per entry
+    # would be quadratic
+    leaves = sphere(2, 15)
+    kappa = list(range(len(leaves)))
+    kappa[-2] = kappa[-1]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="duplicate index 49151$"):
+        make_element(leaves, leaves, kappa, small_trivial(2))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_prefix_too_short_reports_needed_depth():
     group = rotation_group()
     e = translation_element(group, (0, 1, 2))
@@ -386,6 +399,15 @@ def test_nf_per_orbit_matches_every_colour():
             assert is_sign_well_defined(group, subset, target="nf") == every_colour
             decided += every_colour
     assert 0 < decided
+
+
+def test_nf_sign_test_visits_each_colour_once():
+    # one walk over every orbit, not one check of the subset and of every
+    # generator's parity per orbit representative
+    group = group_from(["(1 2)(3 4)"], 4002)
+    start = time.perf_counter()
+    assert is_sign_well_defined(group, range(4002), target="nf")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_nf_well_defined_exactly_for_the_even_union():

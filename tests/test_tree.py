@@ -453,6 +453,17 @@ def test_leafset_check_matches_the_seed_check_below_d_2():
             assert got == want, (d, leaves)
 
 
+def test_a_long_refused_leaf_is_diagnosed_in_linear_time():
+    # the diagnosis keeps one open entry per depth, not every strict prefix
+    # as a tuple, so a 40 000-letter leaf costs no more than its letters
+    long_leaf = [(0,), (1,), (2,) + (0, 1) * 20000]
+    start = time.perf_counter()
+    with pytest.raises(IncompleteTree) as info:
+        CompleteSubtree(2, long_leaf)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == "vertex (2,) is internal but covers no leaf through colours [1]"
+
+
 # -- randomized complete-subtree invariants --------------------------------------
 
 
