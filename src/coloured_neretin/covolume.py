@@ -74,7 +74,10 @@ def is_single_switch_sizes(orbit_sizes):
 
 def kernel_factor(orbit_sizes):
     """Order of the kernel contribution of one interior vertex level."""
-    sizes, d = check_orbit_sizes(orbit_sizes)
+    return _kernel_factor(*check_orbit_sizes(orbit_sizes))
+
+
+def _kernel_factor(sizes, d):
     value = 1
     for x in sizes:
         value *= exact_div(factorial(x) ** (d + 1), x ** x)
@@ -112,7 +115,7 @@ def ball_counts(orbit_sizes, n):
     root_order = 1
     for x in sizes:
         root_order *= factorial(x)
-    K = kernel_factor(sizes)
+    K = _kernel_factor(sizes, d)
 
     aut = root_order
     kernel_orders = []
@@ -239,24 +242,23 @@ def verify_smallest_inequality(orbit_sizes):
 def smallest_log_sign(orbit_sizes, start_bits=None):
     """Interval sign of the logarithmic form (rhs - lhs); independent check.
 
-    The form is evaluated on fixed-point int pairs (see ``intervals``), each
-    logarithm once per precision within the call (see ``fixed_log``).
+    The form is evaluated on fixed-point int pairs (see ``intervals``), its
+    logarithms read from the process-wide table of ``fixed_log``.
     """
     sizes, d = check_orbit_sizes(orbit_sizes)
     if start_bits is None:
         start_bits = default_precision()
-    log = fixed_log()
 
     def expression(prec):
         lo = hi = 0
         for x in sizes:
-            a, b = log(x, prec)
+            a, b = fixed_log(x, prec)
             lo, hi = lo + x * a, hi + x * b
         lo, hi = lo * d // (d + 1), -(-hi * d // (d + 1))
         for x in sizes:
-            a, b = log(factorial(x), prec)
+            a, b = fixed_log(factorial(x), prec)
             lo, hi = lo - b, hi - a
-        (a, b), (c, e) = log(d + 1, prec), log(d, prec)
+        (a, b), (c, e) = fixed_log(d + 1, prec), fixed_log(d, prec)
         # minus (d-1)(log(d+1) - log d)
         return lo - (d - 1) * (b - c), hi - (d - 1) * (a - e)
 
@@ -322,13 +324,13 @@ def log_ratio(orbit_sizes, n):
     return aut_ball + sphere_index - (d + 1) * m * math.log(d)
 
 
-def _xi_capital(log):
+def _xi_capital():
     """The comparison functional as ``xi(parts, prec)``, a fixed-point int
-    pair at prec bits (see ``intervals``); ``log`` is a ``fixed_log``.
-    While ``xi`` lives it keeps the running sums of p log p and of log p!
-    by (prefix, prec), and (x-1) log(x/(x+1)) by (x, prec).  A new prefix
-    extends its longest known one; int sums are exact, so the pair does not
-    depend on which prefixes were known, and tuples need not be sorted."""
+    pair at prec bits (see ``intervals``).  While ``xi`` lives it keeps the
+    running sums of p log p and of log p! by (prefix, prec), and
+    (x-1) log(x/(x+1)) by (x, prec).  A new prefix extends its longest known
+    one; int sums are exact, so the pair does not depend on which prefixes
+    were known, and tuples need not be sorted."""
     sums = {}
     tails = {}
 
@@ -339,13 +341,13 @@ def _xi_capital(log):
         w_lo, w_hi, f_lo, f_hi = sums.get((parts[:known], prec), (0, 0, 0, 0))
         for k in range(known, len(parts)):
             p = parts[k]
-            (a, b), (c, e) = log(p, prec), log(factorial(p), prec)
+            (a, b), (c, e) = fixed_log(p, prec), fixed_log(factorial(p), prec)
             w_lo, w_hi, f_lo, f_hi = w_lo + p * a, w_hi + p * b, f_lo + c, f_hi + e
             sums[parts[: k + 1], prec] = w_lo, w_hi, f_lo, f_hi
         x = sum(parts) - 1
         tail = tails.get((x, prec))
         if tail is None:
-            (a, b), (c, e) = log(x, prec), log(x + 1, prec)
+            (a, b), (c, e) = fixed_log(x, prec), fixed_log(x + 1, prec)
             tail = tails[x, prec] = (x - 1) * (a - e), (x - 1) * (b - c)
         return w_lo * x // (x + 1) - f_hi + tail[0], -(-w_hi * x // (x + 1)) - f_lo + tail[1]
 
@@ -362,12 +364,12 @@ def _xi_step(xi, bigger, smaller):
     return expression
 
 
-def _xi_tail(log, x, prec):
+def _xi_tail(x, prec):
     """The single-variable tail function of the append-a-fixed-point step,
     log((x+1)/(x-1))/(x+2) - x log((x+2)/(x+1)) + (x-1) log((x+1)/x), as
-    a fixed-point pair at prec bits; ``log`` is a ``fixed_log``."""
-    (a0, b0), (a1, b1), (a2, b2) = log(x, prec), log(x + 1, prec), log(x + 2, prec)
-    am, bm = log(x - 1, prec)
+    a fixed-point pair at prec bits."""
+    (a0, b0), (a1, b1), (a2, b2) = (fixed_log(x + k, prec) for k in range(3))
+    am, bm = fixed_log(x - 1, prec)
     lo = (a1 - bm) // (x + 2) - x * (b2 - a1) + (x - 1) * (a1 - b0)
     hi = -((am - b1) // (x + 2)) - x * (a2 - b1) + (x - 1) * (b1 - a0)
     return lo, hi
@@ -401,20 +403,19 @@ def verify_xi_claims(max_x, start_bits=None):
     exists.  Tail: the explicit one-variable lower bound function is
     strictly positive for 2 <= x <= max_x.
 
-    Within one call each logarithm and each value of the functional is
-    evaluated once per precision: a partition met again at the same
-    precision, say as the larger side of one step and the smaller side of
-    another, reuses its fixed-point interval (see ``intervals``).  The
-    functional's running sums are shared by prefix and its tail term by
-    total (see ``_xi_capital``); like the logarithms, these tables are made
-    afresh for each call and dropped when it returns.
+    Within one call each value of the functional is evaluated once per
+    precision: a partition met again at the same precision, say as the
+    larger side of one step and the smaller side of another, reuses its
+    fixed-point interval (see ``intervals``).  The functional's running
+    sums are shared by prefix and its tail term by total (see
+    ``_xi_capital``); these tables live for the call, the logarithms in
+    ``fixed_log``'s table for the process.
     """
     if max_x < 3:
         raise ValueError("max_x must be at least 3")
     if start_bits is None:
         start_bits = default_precision()
-    log = fixed_log()
-    capital = _xi_capital(log)
+    capital = _xi_capital()
     values = {}
 
     def xi(parts, prec):
@@ -455,7 +456,7 @@ def verify_xi_claims(max_x, start_bits=None):
                 record(("merge", parts), sign, bits, value)
     for x in range(2, max_x + 1):
         sign, value, bits = decide_sign(
-            lambda prec, x=x: _xi_tail(log, x, prec), start_bits=start_bits
+            lambda prec, x=x: _xi_tail(x, prec), start_bits=start_bits
         )
         tail_checked += 1
         record(("tail", x), sign, bits, value)

@@ -16,7 +16,9 @@ exact.  Every rounding is outwards, a floor on lo and a ceiling on hi: a
 product with a positive rational n/m is (⌊lo·n/m⌋, ⌈hi·n/m⌉), and the
 logarithm of an int (``fixed_log``) is mpmath's ``mpi_log`` enclosure at p
 bits with its lower end floored and its upper end ceiled to multiples of
-2⁻ᵖ; log(n/m) is log n − log m.
+2⁻ᵖ; log(n/m) is log n − log m.  One bounded table of these logarithms
+serves the whole process: a pair depends only on (n, p), so every caller
+gets the same pair whether or not it was already in the table.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath.libmp import from_int, mpf_neg, to_fixed
 from mpmath.libmp.libmpi import mpi_log
 
 MAX_BITS = 1 << 14
+LOG_TABLE_SIZE = 4096
 
 
 def default_precision():
@@ -59,26 +63,17 @@ def decide_sign(expression, start_bits=None, max_bits=MAX_BITS):
         bits *= 2
 
 
-def fixed_log():
-    """A fresh fixed-point logarithm that evaluates each argument once per
-    precision.
+@lru_cache(maxsize=LOG_TABLE_SIZE)
+def fixed_log(n, prec):
+    """The int pair (lo, hi) with ln n in [lo, hi]·2^-prec, for an int n ≥ 1
+    (see the module docstring).
 
-    The returned ``log(n, prec)`` takes an int n ≥ 1 and returns the int
-    pair (lo, hi) with ln n in [lo, hi]·2^-prec (see the module docstring),
-    kept under the key (n, prec).  The table lives as long as the returned
-    function, so make one per public call: no interval outlives the call
-    that decides with it.
+    Pairs are kept in one process-wide table under the key (n, prec), of at
+    most ``LOG_TABLE_SIZE`` entries, the least recently used dropped first;
+    pass both arguments by position, so that a pair has one key.
     """
-    values = {}
-
-    def log(n, prec):
-        value = values.get((n, prec))
-        if value is None:
-            a, b = mpi_log((from_int(n), from_int(n)), prec)
-            value = values[n, prec] = to_fixed(a, prec), -to_fixed(mpf_neg(b), prec)
-        return value
-
-    return log
+    a, b = mpi_log((from_int(n), from_int(n)), prec)
+    return to_fixed(a, prec), -to_fixed(mpf_neg(b), prec)
 
 
 def interval_width(value):

@@ -24,10 +24,10 @@ class IncompleteTree(ValueError):
 
 
 def is_valid_address(word, d):
-    """No-repeat colour word over {0..d}."""
+    """No-repeat colour word over {0..d}, each letter an int (not a bool)."""
     word = tuple(word)
     for i, c in enumerate(word):
-        if not 0 <= c <= d:
+        if type(c) is not int or not 0 <= c <= d:
             return False
         if i > 0 and word[i - 1] == c:
             return False

@@ -3,6 +3,7 @@ record of runs that end without a result."""
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,28 @@ def test_run_once_records_a_malformed_last_line_without_a_result(tmp_path):
     ok = "import json; print(json.dumps({'attempted': 5, 'failed': 1, 'metrics': {}}))"
     assert bench_pairs.run_once(tmp_path, python_command(ok), "deep", 23, "1", False) == {
         "attempted": 5, "failed": 1, "metrics": {}}
+
+
+def test_each_run_compiles_into_its_own_empty_cache_prefix(tmp_path, monkeypatch):
+    # a __pycache__ in the checkout must not let one side load bytecode that
+    # the other side compiles: every run gets a fresh, empty prefix
+    prefixes = []
+    outer = os.environ.get("PYTHONPYCACHEPREFIX")
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        assert os.path.isdir(prefix) and not os.listdir(prefix)
+        assert env["PATH"] == os.environ["PATH"]
+        prefixes.append(prefix)
+        return subprocess.CompletedProcess(argv, 0, '{"attempted": 1, "failed": 0}\n', "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for workload in ("deep", "neretin", "deep"):
+        result = bench_pairs.run_once(tmp_path, ["bench"], workload, 23, "1", False)
+        assert result == {"attempted": 1, "failed": 0}
+    assert len(set(prefixes)) == 3
+    assert not any(os.path.exists(prefix) for prefix in prefixes)
+    assert os.environ.get("PYTHONPYCACHEPREFIX") == outer  # only the runs' env is set
 
 
 def test_runs_without_a_result_are_counted_and_fail_the_tool(tmp_path, capsys):

@@ -30,7 +30,7 @@ from coloured_neretin import (
 )
 from coloured_neretin import covolume
 from coloured_neretin.covolume import _xi_capital, _xi_step, exact_div
-from coloured_neretin.intervals import MAX_BITS, default_precision, fixed_log
+from coloured_neretin.intervals import MAX_BITS, default_precision
 
 
 # -- oracles ------------------------------------------------------------------
@@ -333,7 +333,7 @@ def test_undecided_xi_claims_report_their_widths(monkeypatch):
 
 
 def test_xi_interval_signs_match_float_oracle():
-    xi = _xi_capital(fixed_log())
+    xi = _xi_capital()
     for total in range(3, 10):
         for parts in integer_partitions(total):
             if len(parts) > total - 2:
@@ -349,7 +349,7 @@ def test_xi_append_fails_at_the_boundary():
     # appending a singleton to (2, 1) decreases the functional: the append
     # step is only valid with at most total-2 parts
     assert xi_float((2, 1, 1)) < xi_float((2, 1))
-    xi = _xi_capital(fixed_log())
+    xi = _xi_capital()
     sign, _, _ = decide_sign(_xi_step(xi, (2, 1, 1), (2, 1)))
     assert sign == -1
     report = verify_xi_claims(12)
@@ -500,8 +500,8 @@ def counting_xi(monkeypatch, calls):
     """Make every functional that ``covolume`` builds append each
     (partition, precision) it evaluates to ``calls``."""
 
-    def counting(log):
-        xi = _xi_capital(log)
+    def counting():
+        xi = _xi_capital()
 
         def counted(parts, prec):
             calls.append((parts, prec))
@@ -686,6 +686,6 @@ def test_shared_xi_tables_give_the_fresh_endpoints(monkeypatch):
     assert len(tuples) == 441
     assert (3, 1, 2) in tuples  # merged tuples need not be sorted
     for prec in (3, 128, 256):
-        shared = _xi_capital(fixed_log())
+        shared = _xi_capital()
         for parts in tuples:
-            assert shared(parts, prec) == _xi_capital(fixed_log())(parts, prec), (parts, prec)
+            assert shared(parts, prec) == _xi_capital()(parts, prec), (parts, prec)

@@ -4,17 +4,28 @@ import math
 from fractions import Fraction
 
 from mpmath import iv
-from mpmath.libmp import mpf_neg, mpf_pi, round_ceiling, round_floor, to_fixed
+from mpmath.libmp import (
+    from_int,
+    mpf_neg,
+    mpf_pi,
+    round_ceiling,
+    round_floor,
+    to_fixed,
+    to_int,
+    to_rational,
+)
+from mpmath.libmp.libmpi import mpi_log
 
 from coloured_neretin import (
     decide_sign,
     default_precision,
+    integer_partitions,
     interval_width,
     smallest_log_sign,
     verify_xi_claims,
 )
 from coloured_neretin import covolume, intervals
-from coloured_neretin.intervals import MAX_BITS, fixed_log
+from coloured_neretin.intervals import LOG_TABLE_SIZE, MAX_BITS, fixed_log
 
 
 def exact(n, bits):
@@ -23,18 +34,15 @@ def exact(n, bits):
 
 
 def test_decide_sign_clearly_positive():
-    log = fixed_log()
-    sign, value, bits = decide_sign(lambda bits: log(2, bits), start_bits=64)
+    sign, value, bits = decide_sign(lambda bits: fixed_log(2, bits), start_bits=64)
     assert sign == 1
     assert value[0] > 0
     assert bits == 64  # no escalation needed
 
 
 def test_decide_sign_clearly_negative():
-    log = fixed_log()
-
     def expr(bits):
-        lo, hi = log(3, bits)
+        lo, hi = fixed_log(3, bits)
         return -hi, -lo
 
     sign, value, bits = decide_sign(expr, start_bits=64)
@@ -45,10 +53,8 @@ def test_decide_sign_clearly_negative():
 
 def test_decide_sign_escalates_precision_for_tiny_differences():
     # log(10^50 + 1) - 50*log(10) is about 1e-50; 16 bits cannot resolve it.
-    log = fixed_log()
-
     def expr(bits):
-        (a, b), (c, e) = log(10 ** 50 + 1, bits), log(10, bits)
+        (a, b), (c, e) = fixed_log(10 ** 50 + 1, bits), fixed_log(10, bits)
         return a - 50 * e, b - 50 * c
 
     sign, value, bits = decide_sign(expr, start_bits=16)
@@ -58,10 +64,8 @@ def test_decide_sign_escalates_precision_for_tiny_differences():
 
 
 def test_decide_sign_exact_zero_is_undecided():
-    log = fixed_log()
-
     def expr(bits):
-        a, b = log(2, bits)
+        a, b = fixed_log(2, bits)
         return a - b, b - a  # log 2 - log 2
 
     sign, value, bits = decide_sign(expr, start_bits=32, max_bits=128)
@@ -102,8 +106,7 @@ def test_no_interval_call_sets_the_global_precision(monkeypatch):
     verify_xi_claims(9, start_bits=4)
     smallest_log_sign((2, 2, 3))
     assert writes == []
-    log = fixed_log()
-    decide_sign(lambda bits: log(2, bits), start_bits=333)
+    decide_sign(lambda bits: fixed_log(2, bits), start_bits=333)
     assert writes == []
 
 
@@ -187,3 +190,58 @@ def test_decide_sign_reports_the_settling_interval():
     sign, (lo, hi, _), bits = decide_sign(expr, start_bits=53)
     assert sign == 1
     assert 0.1415 < Fraction(lo, 1 << bits) <= Fraction(hi, 1 << bits) < 0.1416
+
+
+# -- the table of logarithms ---------------------------------------------------------
+
+
+def test_each_logarithm_is_evaluated_once_per_process(monkeypatch):
+    # the smallest forms twice over, then the Xi claims: every (n, prec) the
+    # table is asked for is evaluated by mpi_log exactly once, so a second
+    # sweep of the same forms evaluates nothing
+    keys = []
+
+    def counted(x, prec):
+        keys.append((to_int(x[0]), prec))
+        return mpi_log(x, prec)
+
+    fixed_log.cache_clear()
+    monkeypatch.setattr(intervals, "mpi_log", counted)
+    partitions = [sizes for d in range(2, 9) for sizes in integer_partitions(d + 1)]
+    assert len(partitions) == 93
+    sweeps = []
+    for _ in range(2):
+        for sizes in partitions:
+            smallest_log_sign(sizes)
+        sweeps.append(len(keys))
+    verify_xi_claims(12)
+    assert sweeps[0] == sweeps[1] > 0
+    assert len(keys) > sweeps[1]
+    assert len(keys) == len(set(keys)) == fixed_log.cache_info().currsize
+    fixed_log.cache_clear()
+
+
+def test_the_log_table_keeps_its_bound():
+    fixed_log.cache_clear()
+    for n in range(1, LOG_TABLE_SIZE + 101):
+        fixed_log(n, 16)
+        assert fixed_log.cache_info().currsize <= LOG_TABLE_SIZE
+    assert fixed_log.cache_info().currsize == LOG_TABLE_SIZE
+    misses = fixed_log.cache_info().misses
+    fixed_log(1, 16)  # the oldest entry was dropped
+    assert fixed_log.cache_info().misses == misses + 1
+    fixed_log.cache_clear()
+
+
+def test_a_table_pair_is_a_fresh_outward_rounded_mpi_log_pair():
+    fixed_log.cache_clear()
+    for n, prec in ((1, 16), (2, 3), (3, 128), (720, 256), (10 ** 50 + 1, 1024), (2, MAX_BITS)):
+        a, b = mpi_log((from_int(n), from_int(n)), prec)
+        # lo is ln n's lower end rounded down to a multiple of 2^-prec, hi its
+        # upper end rounded up
+        lower, upper = (Fraction(*to_rational(end)) * (1 << prec) for end in (a, b))
+        fresh = math.floor(lower), math.ceil(upper)
+        assert fixed_log(n, prec) == fresh  # computed
+        assert fixed_log(n, prec) == fresh  # read from the table
+        assert fresh[0] < fresh[1] or n == 1
+    assert fixed_log.cache_info().hits == 6

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -12,13 +13,16 @@ from coloured_neretin import (
     IncompleteTree,
     PlaneOrder,
     admissible_child_colours,
+    Omega,
     check_address,
     element_from_dict,
+    element_from_local_data,
     is_complete_leafset,
     is_prefix,
     is_valid_address,
     make_element,
     plane_for,
+    sft_graph_for_group,
     sphere,
     trivial_group,
 )
@@ -56,6 +60,25 @@ def test_address_validity():
         check_address((1, 1), 3)
     with pytest.raises(ValueError):
         check_address((0, 5), 3)
+
+
+@pytest.mark.parametrize(
+    "address", [(0, True), (0, True, 0), (True,), (False, 1), (1.0,), (2, 1.0), (0, "1")]
+)
+def test_address_letters_must_be_ints(address):
+    # bools and floats compare like ints, and a str does not compare at all:
+    # each is refused as the address it is, by every entry point that takes one
+    group = switch_group()
+    omega = Omega(sft_graph_for_group(group), group)
+    element = element_from_local_data(group, {(): "(1 2)"})
+    assert not is_valid_address(address, 3)
+    message = re.escape("invalid vertex address %r for d=3" % (address,))
+    with pytest.raises(ValueError, match=message):
+        omega.to_labels(address)
+    with pytest.raises(ValueError, match=message):
+        element.apply_to_prefix(address)
+    with pytest.raises(ValueError, match=message):
+        element_from_local_data(group, {address: group.identity()})
 
 
 def test_admissible_child_colours():

@@ -40,6 +40,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
 def quartiles(values):
@@ -112,13 +113,17 @@ def format_row(row):
 def run_once(checkout, command, workload, seed, seconds, trace):
     """The JSON result of one benchmark run in ``checkout``.
 
-    A run that exits non-zero (a crash, or a kill on a timeout) or whose
-    last line of output is not a JSON object ends without a result: it is
-    recorded with no ops and an ``error`` that says why."""
+    Each run gets its own empty ``PYTHONPYCACHEPREFIX``, so every run of
+    either checkout compiles its modules alike, whatever ``__pycache__``
+    the checkout holds.  A run that exits non-zero (a crash, or a kill on a
+    timeout) or whose last line of output is not a JSON object ends without
+    a result: it is recorded with no ops and an ``error`` that says why."""
     argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     if trace:
         argv += ["--trace", "1"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env)
     last = (proc.stdout.strip().splitlines() or [""])[-1]
     try:
         result = json.loads(last)
