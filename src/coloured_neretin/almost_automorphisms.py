@@ -20,9 +20,9 @@ dynamics witnesses on clopen subsets of the boundary.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 
@@ -79,35 +79,15 @@ class TreePairElement:
     """(domain tree, range tree, leaf map), not necessarily reduced.
 
     ``pairs`` maps each leaf of ``domain`` to its image, a leaf of
-    ``range_``; the element keeps it as its leaf map.  Construction checks
-    the tree arity, that the map is a bijection of the two leaf sets and the
-    orbit condition; use :func:`make_element` to build from file data and
-    reduce.
+    ``range_``; the element keeps it as its leaf map.  The constructor
+    trusts its arguments: a bijection of the two leaf sets that respects
+    the orbits, as the maps the element algebra derives are.  Outside data
+    enters through :func:`make_element`, which checks it and reduces.
     """
 
     __slots__ = ("group", "plane", "domain", "range", "_map", "_reduced")
 
     def __init__(self, group, domain, range_, pairs):
-        if domain.d != group.d or range_.d != group.d:
-            raise ValueError("tree arity does not match the colour group degree")
-        if len(domain) != len(range_):
-            raise SizeMismatch(
-                "domain has %d leaves, range has %d" % (len(domain), len(range_))
-            )
-        if (
-            pairs.keys() != domain._index.keys()
-            or set(pairs.values()) != range_._index.keys()
-        ):
-            raise ValueError("the leaf map is not a bijection of the leaf sets")
-        orbit, last = group.orbit_of.__getitem__, itemgetter(-1)
-        # the orbits in one pass at C speed; the loop below only names a violation
-        if list(map(orbit, map(last, pairs))) != list(map(orbit, map(last, pairs.values()))):
-            for leaf, image in pairs.items():
-                if orbit(leaf[-1]) != orbit(image[-1]):
-                    raise OrbitViolation(
-                        "leaf %r (colour %d) maps to %r (colour %d) across orbits"
-                        % (leaf, leaf[-1], image, image[-1])
-                    )
         self.group = group
         self.plane = plane_for(group)
         self.domain = domain
@@ -240,7 +220,8 @@ def make_element(domain_leaves, range_leaves, bijection, group):
     ``bijection`` is either a dict mapping domain addresses to range
     addresses, or a list of integers (``kappa``) sending the i-th given
     domain leaf to the bijection[i]-th given range leaf.  Every letter of a
-    leaf, a key or a value must be an int (not a bool).
+    leaf, a key or a value must be an int (not a bool).  This is the one
+    check of a leaf map: a bijection of complete leaf sets within F's orbits.
     """
     domain_leaves = _addresses(domain_leaves, "domain")
     range_leaves = _addresses(range_leaves, "range")
@@ -256,7 +237,7 @@ def make_element(domain_leaves, range_leaves, bijection, group):
         # the types in one pass at C speed; the loop below only names a failure
         if not set(map(type, kappa)) <= {int}:
             for i, k in enumerate(kappa):
-                if not isinstance(k, int) or isinstance(k, bool):
+                if type(k) is not int:
                     raise ValueError("kappa[%d] is not an integer: %r" % (i, k))
         n = len(range_leaves)
         if sorted(kappa) != list(range(n)):
@@ -269,6 +250,19 @@ def make_element(domain_leaves, range_leaves, bijection, group):
             duplicate = next(k for k in kappa if counts[k] > 1)
             raise ValueError("kappa is not a bijection: duplicate index %d" % duplicate)
         pairs = dict(zip(domain_leaves, [range_leaves[k] for k in kappa]))
+    if len(domain) != len(range_):
+        raise SizeMismatch("domain has %d leaves, range has %d" % (len(domain), len(range_)))
+    if pairs.keys() != domain._index.keys() or set(pairs.values()) != range_._index.keys():
+        raise ValueError("the leaf map is not a bijection of the leaf sets")
+    orbit, last = group.orbit_of.__getitem__, itemgetter(-1)
+    # the orbits in one pass at C speed; the loop below only names a violation
+    if list(map(orbit, map(last, pairs))) != list(map(orbit, map(last, pairs.values()))):
+        for leaf, image in pairs.items():
+            if orbit(leaf[-1]) != orbit(image[-1]):
+                raise OrbitViolation(
+                    "leaf %r (colour %d) maps to %r (colour %d) across orbits"
+                    % (leaf, leaf[-1], image, image[-1])
+                )
     return TreePairElement(group, domain, range_, pairs).reduce()
 
 
@@ -278,8 +272,8 @@ def identity_element(group):
 
 def _from_pairs(group, pairs):
     """The element sending each key of ``pairs`` (domain leaf) to its value
-    (range leaf), trusting both leaf sets to be complete, as trees derived
-    from validated ones are; the element still checks the leaf map."""
+    (range leaf), trusting both leaf sets to be complete and the map to
+    respect the orbits, as maps derived from validated ones do."""
     domain = CompleteSubtree._trusted(group.d, pairs)
     range_ = CompleteSubtree._trusted(group.d, pairs.values())
     return TreePairElement(group, domain, range_, pairs)
@@ -510,23 +504,18 @@ def purely_infinite_witness(group, cylinders):
     col(v); left multiplication by w_i v^{-1} maps the complement of the
     v-cylinder into the w_i-cylinder (after the v-prefix cancels, the first
     surviving letter is col(v), which cannot cancel into w_i).
+
+    In plain tuple order a vertex's extensions directly follow it, so the
+    sorted cylinders overlap only in an adjacent pair, and one bisection
+    finds a cylinder that holds a vertex or lies below it.
     """
     d = group.d
-    cyls = [check_address(u, d) for u in cylinders]
+    cyls = sorted(check_address(u, d) for u in cylinders)
     if not cyls:
         raise ValueError("U is empty")
-    for i in range(len(cyls)):
-        for j in range(i + 1, len(cyls)):
-            if is_prefix(cyls[i], cyls[j]) or is_prefix(cyls[j], cyls[i]):
-                raise ValueError(
-                    "cylinders %r and %r overlap" % (cyls[i], cyls[j])
-                )
-    mass = Fraction(0)
-    for u in cyls:
-        mass += Fraction(1) if not u else Fraction(1, (d + 1) * d ** (len(u) - 1))
-    if mass == 1:
-        raise ValueError("U is the whole boundary")
-    assert mass < 1
+    for u, w in zip(cyls, cyls[1:]):
+        if is_prefix(u, w):
+            raise ValueError("cylinders %r and %r overlap" % (u, w))
 
     outside = None
     queue = deque([()])
@@ -534,16 +523,16 @@ def purely_infinite_witness(group, cylinders):
         u = queue.popleft()
         for c in admissible_child_colours(u, d):
             child = u + (c,)
-            if any(is_prefix(cyl, child) for cyl in cyls):
-                continue
-            if any(is_prefix(child, cyl) for cyl in cyls):
+            i = bisect_right(cyls, child)
+            if i < len(cyls) and is_prefix(child, cyls[i]):
                 queue.append(child)
-                continue
-            outside = child
-            break
-    assert outside is not None, "a proper clopen set misses some cylinder"
+            elif not (i and is_prefix(cyls[i - 1], child)):
+                outside = child
+                break
+    if outside is None:  # every vertex lies in U or has a cylinder below it
+        raise ValueError("U is the whole boundary")
 
-    anchor = min(cyls)
+    anchor = cyls[0]
     first_two = admissible_child_colours(anchor, d)[:2]
     targets = []
     for a in first_two:

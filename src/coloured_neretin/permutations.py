@@ -29,7 +29,7 @@ class NotInvariant(ValueError):
 
 
 class Permutation:
-    """A permutation of {0, ..., n-1}, stored as its image tuple.
+    """A permutation of {0, ..., n-1}, stored as its image tuple of ints.
 
     Composition is ``(a * b)(x) == a(b(x))``, i.e. b acts first.
     """
@@ -38,7 +38,7 @@ class Permutation:
 
     def __init__(self, images):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
+        if not set(map(type, images)) <= {int} or sorted(images) != list(range(len(images))):
             raise ValueError("not a permutation of 0..%d: %r" % (len(images) - 1, images))
         self.images = images
 
@@ -112,13 +112,13 @@ def identity(degree):
 
 
 def from_cycles(cycles, degree):
-    """Build a permutation of {0..degree-1} from a list of cycles (tuples of points)."""
+    """Build a permutation of {0..degree-1} from a list of cycles (tuples of int points)."""
     images = list(range(degree))
     for cyc in cycles:
         if len(set(cyc)) != len(cyc):
             raise ValueError("repeated point in cycle %r" % (cyc,))
         for point in cyc:
-            if not 0 <= point < degree:
+            if type(point) is not int or not 0 <= point < degree:
                 raise ValueError("point %r out of range for degree %d" % (point, degree))
         for i, point in enumerate(cyc):
             if images[point] != point:

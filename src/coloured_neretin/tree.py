@@ -15,7 +15,7 @@ canonical form in the library hangs off.
 from __future__ import annotations
 
 import weakref
-from itertools import islice, takewhile
+from itertools import chain, islice, takewhile
 from operator import getitem
 
 
@@ -237,18 +237,21 @@ def _check_complete(leaves, d):
     """Raise IncompleteTree unless the sorted ``leaves`` are the leaf set of
     a finite complete subtree.
 
-    ``_walks_complete`` accepts a valid set; the rest names the first
-    defect: the first invalid address, else a repeated leaf, else the first
-    defective internal vertex (strict prefix of a leaf) in preorder.  One
-    pass over the leaves keeps the strict prefixes of the current leaf open,
-    each with the index of its first leaf and the number of children met,
-    and closes one once the next leaf no longer passes through it.  A vertex
-    is keyed by (index of its first leaf, depth), which is preorder order
-    (plain tuple order); only the reported vertex is built as a tuple.  A
-    complete subtree is one whose leaves are not internal and whose
-    internal vertices have all their children (d, the root d + 1).
+    ``_walks_complete`` and a type scan accept a valid set; the rest names
+    the first defect: the first invalid address, else a repeated leaf, else
+    the first defective internal vertex (strict prefix of a leaf) in
+    preorder.  One pass over the leaves keeps the strict prefixes of the
+    current leaf open, each with the index of its first leaf and the number
+    of children met, and closes one once the next leaf no longer passes
+    through it.  A vertex is keyed by (index of its first leaf, depth),
+    which is preorder order (plain tuple order); only the reported vertex
+    is built as a tuple.  A complete subtree is one whose leaves are not
+    internal and whose internal vertices have all their children (d, the
+    root d + 1).
     """
-    if _walks_complete(leaves, d, range(d + 1)):  # a child avoids its parent's colour
+    walked = _walks_complete(leaves, d, range(d + 1))  # a child avoids its parent's colour
+    # the walk compares letters by equality, so a type scan refuses bools and floats
+    if walked and set(map(type, chain.from_iterable(leaves))) <= {int}:
         return
     if not leaves:
         raise IncompleteTree("empty leaf set")

@@ -79,8 +79,14 @@ def random_word(rng, d, length):
 
 
 def assert_complete(*elements):
-    """The domain and range of each element are complete leaf sets (the
-    element algebra builds its trees without checking them)."""
+    """The domain and range of each element are complete leaf sets, and its
+    leaf map takes the domain leaves onto the range leaves within the orbits
+    of F (the element algebra builds its trees and maps without checking
+    them)."""
     for e in elements:
         assert is_complete_leafset(e.domain.leaves, e.group.d)
         assert is_complete_leafset(e.range.leaves, e.group.d)
+        assert sorted(e._map) == list(e.domain.leaves)
+        assert sorted(e._map.values()) == list(e.range.leaves)
+        orbit_of = e.group.orbit_of
+        assert all(orbit_of[v[-1]] == orbit_of[w[-1]] for v, w in e._map.items())

@@ -47,6 +47,7 @@ from coloured_neretin import (
 )
 
 from conftest import (
+    assert_complete,
     four_orbit_group,
     group_from,
     random_complete_tree,
@@ -187,6 +188,7 @@ def test_criterion_04_sign_expansion_dichotomy():
             )
         )
         element = random_element(group, rng, rng.randrange(5))
+        assert_complete(element)
         if is_sign_well_defined(group, subset, target="vf"):
             reference = sign(element, subset, mode="honest").value
             current = element
@@ -198,6 +200,7 @@ def test_criterion_04_sign_expansion_dichotomy():
             stable += 1
         else:
             one, other = find_sign_violation(group, subset)
+            assert_complete(one, other)
             assert one.reduce() == other.reduce()
             assert (
                 sign(one, subset, mode="honest").value

@@ -1,3 +1,4 @@
+import enum
 import gc
 import json
 import random
@@ -215,9 +216,8 @@ def test_make_element_rejects_non_bijections(tmp_path, capsys):
     leaves = sphere(3, 1)
     with pytest.raises(ValueError, match="duplicate index 0"):
         make_element(leaves, leaves, [0, 0, 1, 2], group)
-    ball = CompleteSubtree.ball(group.d, 1)
     with pytest.raises(ValueError, match="not a bijection"):
-        TreePairElement(group, ball, ball, {(0,): (0,), (1,): (1,), (2,): (2,), (3,): (2,)})
+        make_element(leaves, leaves, {(0,): (0,), (1,): (1,), (2,): (2,), (3,): (2,)}, group)
     # element files over trivial F at d = 2 whose kappa is no permutation of 0..2
     for kappa, message in (
         ([0, 1, 5], "kappa[2] = 5 is out of range"),
@@ -552,6 +552,45 @@ def test_purely_infinite_witness_rejects_bad_input():
         purely_infinite_witness(group, [(0,), (0, 1)])  # overlapping
     with pytest.raises(ValueError):
         purely_infinite_witness(group, [(0,), (1,), (2,), (3,)])  # everything
+    with pytest.raises(ValueError, match="U is the whole boundary"):
+        purely_infinite_witness(group, [()])
+
+
+@pytest.mark.parametrize(
+    "cylinders, pair",
+    [
+        ([(1,), (0, 1), (1,)], ((1,), (1,))),  # a duplicate
+        ([(2, 0, 1), (0,), (3,), (2,)], ((2,), (2, 0, 1))),  # apart in the input
+        ([(0, 1, 0), (1,), ()], ((), (0, 1, 0))),  # the root covers everything
+    ],
+)
+def test_purely_infinite_witness_names_an_overlap_in_address_order(cylinders, pair):
+    with pytest.raises(ValueError) as info:
+        purely_infinite_witness(switch_group(), cylinders)
+    assert str(info.value) == "cylinders %r and %r overlap" % pair
+
+
+def test_purely_infinite_witness_of_many_cylinders_is_fast():
+    # every vertex of the sphere of radius 12 at d = 2 but the last: 6 143
+    # cylinders, where a check of every pair would be quadratic
+    group = trivial_group(3)
+    cylinders = sphere(2, 12)[:-1]
+    start = time.perf_counter()
+    g, h = purely_infinite_witness(group, cylinders)
+    assert time.perf_counter() - start < 1.0
+    # words below sampled cylinders go into U, and g and h send them apart
+    inside = set(cylinders)
+    rng = random.Random(33)
+    g_images, h_images = set(), set()
+    for u in rng.sample(cylinders, 20):
+        word = u
+        while len(word) < 60:
+            word += (rng.choice(admissible_child_colours(word, 2)),)
+        for e, images in ((g, g_images), (h, h_images)):
+            image = e.apply_to_prefix(word)
+            assert image[:12] in inside
+            images.add(image[:14])
+    assert g_images.isdisjoint(h_images)
 
 
 # -- local data --------------------------------------------------------------------
@@ -643,6 +682,15 @@ def test_element_from_dict_names_bad_kappa_entries(entry):
     data["kappa"][1] = entry
     with pytest.raises(ValueError, match=r"kappa\[1\] is not an integer"):
         element_from_dict(data)
+
+
+def test_make_element_names_a_kappa_entry_of_an_int_subclass():
+    # an IntEnum compares like an int, but kappa entries must be ints
+    Index = enum.IntEnum("Index", ["ONE", "TWO"])
+    leaves = sphere(3, 1)
+    with pytest.raises(ValueError) as info:
+        make_element(leaves, leaves, [0, Index.ONE, 2, 3], switch_group())
+    assert str(info.value) == "kappa[1] is not an integer: %r" % (Index.ONE,)
 
 
 @pytest.mark.parametrize("letter", [3.0, "a", True])

@@ -108,6 +108,20 @@ def test_from_cycles_and_fixed_points():
     assert from_cycles([(0, 1)], 4).parity() == -1
 
 
+def test_permutation_points_must_be_ints():
+    # a bool or a float equals the right point, but a generator holding one
+    # would print as "(0 True)", which parse_cycles refuses
+    for images in ((1.0, 0), (True, 0, 2), (0, 1, 2.0)):
+        with pytest.raises(ValueError, match="not a permutation of 0..%d" % (len(images) - 1)):
+            Permutation(images)
+    with pytest.raises(ValueError, match="not a permutation"):
+        closure_enumerate([(True, 0, 2)])
+    for point in (True, 1.0):
+        with pytest.raises(ValueError) as info:
+            from_cycles([(point, 2)], 3)
+        assert str(info.value) == "point %r out of range for degree 3" % (point,)
+
+
 def test_restriction_parity_hand_values():
     p = from_cycles([(1, 2), (3, 4)], 7)
     assert p.restriction_parity((1, 2)) == -1

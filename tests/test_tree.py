@@ -81,6 +81,18 @@ def test_address_letters_must_be_ints(address):
         element_from_local_data(group, {address: group.identity()})
 
 
+@pytest.mark.parametrize(
+    "leaves, bad", [([(0,), (True,), (2,)], (True,)), ([(0,), (1.0,), (2,)], (1.0,))]
+)
+def test_leaf_letters_must_be_ints(leaves, bad):
+    # the walk compares letters by equality, so a bool or a float that
+    # equals the right colour must still be refused, as the address it is
+    assert not is_complete_leafset(leaves, 2)
+    with pytest.raises(IncompleteTree) as info:
+        CompleteSubtree(2, leaves)
+    assert str(info.value) == "invalid address %r for d=2" % (bad,)
+
+
 def test_admissible_child_colours():
     assert admissible_child_colours((), 3) == [0, 1, 2, 3]
     assert admissible_child_colours((2,), 3) == [0, 1, 3]
