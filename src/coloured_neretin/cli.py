@@ -29,12 +29,9 @@ import sys
 import time
 from functools import cache
 
-from .abelianization import (
-    check_orbit_sizes,
-    smith_normal_form,
-    IntMatrix,
-    vf_abelianization,
-)
+# The element commands run these two modules.  Each handler of a numeric
+# command imports what it runs itself, so that a process loads only the
+# modules its command uses.
 from .almost_automorphisms import (
     compose,
     element_from_dict,
@@ -46,37 +43,11 @@ from .almost_automorphisms import (
     random_element,
     sign,
 )
-from .covolume import (
-    appendix_counts,
-    ball_counts,
-    covolume_chain,
-    covolume_table_rows,
-    dominant_coefficient_compare,
-    integer_partitions,
-    compositions,
-    single_switch_covolume,
-    smallest_log_sign,
-    verify_prime_windows,
-    verify_smallest_inequality,
-    verify_xi_claims,
-    window_ends,
-)
 from .permutations import (
     closure_enumerate,
     contains_alternating,
     from_cycles,
     structure_report,
-)
-from .shift_model import (
-    Omega,
-    bisection_to_element,
-    build_sft_graph,
-    compose_bisections,
-    dot_export,
-    element_to_bisection,
-    identity_bisection,
-    random_bisection,
-    sft_graph_for_group,
 )
 
 
@@ -103,6 +74,8 @@ def _int_at_least(minimum):
 
 
 def _orbit_sizes_arg(text):
+    from .abelianization import check_orbit_sizes
+
     parts = [part.strip().lstrip("+-") for part in text.split(",")]
     limit = sys.get_int_max_str_digits()
     if limit and any(len(part) > limit and part.isdigit() for part in parts):
@@ -235,6 +208,8 @@ def cmd_sign(args):
 
 
 def cmd_abelianization(args):
+    from .abelianization import vf_abelianization
+
     result = vf_abelianization(args.orbits)
     d = sum(args.orbits) - 1
     print("orbit sizes: %s (d = %d)" % (",".join(map(str, args.orbits)), d))
@@ -252,6 +227,8 @@ def cmd_abelianization(args):
 
 
 def cmd_graph(args):
+    from .shift_model import build_sft_graph, dot_export
+
     graph = build_sft_graph(args.orbits)
     print(
         "orbit graph for sizes %s: %d vertices, %d edges"
@@ -276,6 +253,8 @@ def cmd_graph(args):
 
 
 def cmd_covolume_table(args):
+    from .covolume import covolume_chain, covolume_table_rows
+
     rows = covolume_table_rows(args.orbits, args.max_n)
     header = (
         "d",
@@ -315,6 +294,8 @@ def cmd_covolume_table(args):
 
 
 def cmd_verify_smallest(args):
+    from .covolume import integer_partitions, smallest_log_sign, verify_smallest_inequality
+
     total_holds = total_equality = total_reversed = 0
     max_bits = 0  # the largest precision that settled an interval sign
     for d in range(2, args.max_d + 1):
@@ -354,6 +335,8 @@ def cmd_verify_smallest(args):
 
 
 def cmd_primes_window(args):
+    from .covolume import verify_prime_windows, window_ends
+
     report = verify_prime_windows(args.max_m)
     count, least, greatest = window_ends(args.max_m, 25)
     if count <= 25:
@@ -377,6 +360,8 @@ def cmd_primes_window(args):
 
 
 def cmd_appendix_counts(args):
+    from .covolume import appendix_counts
+
     counts = appendix_counts(args.d, args.k, args.n)
     print(
         "k-regular root with d-regular levels: d=%d, k=%d, n=%d"
@@ -459,6 +444,8 @@ def _selftest_elements():
 
 
 def _selftest_signs():
+    from .abelianization import vf_abelianization
+
     group = closure_enumerate(
         [from_cycles([(1, 2), (3, 4)], 7), from_cycles([(5, 6)], 7)]
     )
@@ -485,6 +472,9 @@ def _selftest_signs():
 
 
 def _selftest_abelianization():
+    from .abelianization import IntMatrix, smith_normal_form, vf_abelianization
+    from .covolume import compositions
+
     rng = random.Random(7)
     for _ in range(20):
         entries = [
@@ -500,6 +490,16 @@ def _selftest_abelianization():
 
 
 def _selftest_shift_bridge():
+    from .shift_model import (
+        Omega,
+        bisection_to_element,
+        compose_bisections,
+        element_to_bisection,
+        identity_bisection,
+        random_bisection,
+        sft_graph_for_group,
+    )
+
     rng = random.Random(99)
     for generators, degree in (([[(1, 2, 3)]], 4), ([[(1, 2)]], 3)):
         group = closure_enumerate([from_cycles(c, degree) for c in generators])
@@ -527,6 +527,14 @@ def _selftest_witnesses():
 
 
 def _selftest_covolume():
+    from .covolume import (
+        ball_counts,
+        covolume_chain,
+        dominant_coefficient_compare,
+        integer_partitions,
+        single_switch_covolume,
+    )
+
     for d in range(2, 7):
         for parts in integer_partitions(d + 1):
             dominant_coefficient_compare(parts)  # asserts the expected verdict
@@ -544,6 +552,8 @@ def _selftest_covolume():
 
 
 def _selftest_estimates():
+    from .covolume import appendix_counts, verify_prime_windows, verify_xi_claims
+
     report = verify_xi_claims(12)
     assert report.ok, (report.failures, report.undecided)
     primes = verify_prime_windows(20000)

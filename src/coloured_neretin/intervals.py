@@ -28,9 +28,6 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.libmp import from_int, mpf_neg, to_fixed
-from mpmath.libmp.libmpi import mpi_log
-
 MAX_BITS = 1 << 14
 LOG_TABLE_SIZE = 4096
 
@@ -70,8 +67,13 @@ def fixed_log(n, prec):
 
     Pairs are kept in one process-wide table under the key (n, prec), of at
     most ``LOG_TABLE_SIZE`` entries, the least recently used dropped first;
-    pass both arguments by position, so that a pair has one key.
+    pass both arguments by position, so that a pair has one key.  mpmath is
+    imported here, on a miss, so that a process that takes no logarithm
+    never loads it.
     """
+    from mpmath.libmp import from_int, mpf_neg, to_fixed
+    from mpmath.libmp.libmpi import mpi_log
+
     a, b = mpi_log((from_int(n), from_int(n)), prec)
     return to_fixed(a, prec), -to_fixed(mpf_neg(b), prec)
 

@@ -115,11 +115,11 @@ def from_cycles(cycles, degree):
     """Build a permutation of {0..degree-1} from a list of cycles (tuples of int points)."""
     images = list(range(degree))
     for cyc in cycles:
-        if len(set(cyc)) != len(cyc):
-            raise ValueError("repeated point in cycle %r" % (cyc,))
         for point in cyc:
             if type(point) is not int or not 0 <= point < degree:
                 raise ValueError("point %r out of range for degree %d" % (point, degree))
+        if len(set(cyc)) != len(cyc):
+            raise ValueError("repeated point in cycle %r" % (cyc,))
         for i, point in enumerate(cyc):
             if images[point] != point:
                 raise ValueError("cycles are not disjoint at point %r" % (point,))

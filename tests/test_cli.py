@@ -20,7 +20,7 @@ from coloured_neretin import (
     identity_element,
     random_element,
 )
-from coloured_neretin import cli
+from coloured_neretin import cli, covolume
 from coloured_neretin.cli import main
 from coloured_neretin.covolume import covolume_table_rows, window_primes
 
@@ -474,13 +474,13 @@ def test_verify_smallest_reports_the_settling_precision(capsys, monkeypatch):
     assert main(["verify-smallest", "--max-d", "5"]) == 0
     # every sign settles at the starting precision
     assert "(interval cross-check at 128 bits)" in capsys.readouterr().out
-    real = cli.smallest_log_sign
+    real = covolume.smallest_log_sign
 
     def escalated(parts):
         sign, value, bits = real(parts)
         return sign, value, 256 if parts == (2, 2, 1) else bits
 
-    monkeypatch.setattr(cli, "smallest_log_sign", escalated)
+    monkeypatch.setattr(covolume, "smallest_log_sign", escalated)
     assert main(["verify-smallest", "--max-d", "5"]) == 0
     out = capsys.readouterr().out
     assert "(interval cross-check at 256 bits)" in out

@@ -6,6 +6,7 @@ from fractions import Fraction
 from mpmath import iv
 from mpmath.libmp import (
     from_int,
+    libmpi,
     mpf_neg,
     mpf_pi,
     round_ceiling,
@@ -206,7 +207,7 @@ def test_each_logarithm_is_evaluated_once_per_process(monkeypatch):
         return mpi_log(x, prec)
 
     fixed_log.cache_clear()
-    monkeypatch.setattr(intervals, "mpi_log", counted)
+    monkeypatch.setattr(libmpi, "mpi_log", counted)
     partitions = [sizes for d in range(2, 9) for sizes in integer_partitions(d + 1)]
     assert len(partitions) == 93
     sweeps = []

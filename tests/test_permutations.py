@@ -122,6 +122,17 @@ def test_permutation_points_must_be_ints():
         assert str(info.value) == "point %r out of range for degree 3" % (point,)
 
 
+def test_from_cycles_names_a_bad_point_before_looking_for_repeats():
+    # True equals 1 and a list cannot be hashed, so a repeat check run first
+    # would call (1, True) a repeat and fail on [0] with a bare TypeError
+    for cycle, point in (((1, True), True), (([0], 1), [0]), ((2, 2.0), 2.0)):
+        with pytest.raises(ValueError) as info:
+            from_cycles([cycle], 3)
+        assert str(info.value) == "point %r out of range for degree 3" % (point,)
+    with pytest.raises(ValueError, match=r"repeated point in cycle \(1, 2, 1\)"):
+        from_cycles([(1, 2, 1)], 3)
+
+
 def test_restriction_parity_hand_values():
     p = from_cycles([(1, 2), (3, 4)], 7)
     assert p.restriction_parity((1, 2)) == -1
