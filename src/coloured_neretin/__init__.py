@@ -56,7 +56,8 @@ def __getattr__(name):
         home = _HOME[name]
     except KeyError:
         raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
-    module = import_module("%s.%s" % (__name__, home))
+    # the import system binds a submodule in the package once it has run
+    module = globals().get(home) or import_module("%s.%s" % (__name__, home))
     return module if name == home else getattr(module, name)
 
 

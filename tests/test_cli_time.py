@@ -50,12 +50,13 @@ def test_runs_alternate_and_each_side_compiles_into_its_own_prefix(cli_time, tmp
     record = tmp_path / "BENCH_1.json"
     record.write_text(json.dumps({"runs": ["kept"]}))
     args = ["--parent", str(parent), "--change", str(change), "--pairs", "2",
-            "--commands", "compose,verify-smallest", "--record", str(record)]
+            "--record", str(record)]
     assert cli_time.main(args) == 0
     p, c = str(parent / "src"), str(change / "src")
+    commands = ["compose", "invert", "reduce", "graph", "covolume-table", "verify-smallest"]
     # per command: one untimed run per side, then the pairs
-    assert [path for _, path, _ in seen] == [p, c, p, c, c, p] * 2
-    assert [command for command, _, _ in seen] == ["compose"] * 6 + ["verify-smallest"] * 6
+    assert [path for _, path, _ in seen] == [p, c, p, c, c, p] * len(commands)
+    assert [command for command, _, _ in seen] == [name for name in commands for _ in range(6)]
     prefixes = {path: prefix for _, path, prefix in seen}
     assert all(prefix == prefixes[path] for _, path, prefix in seen)
     assert len(set(prefixes.values())) == 2
@@ -63,23 +64,22 @@ def test_runs_alternate_and_each_side_compiles_into_its_own_prefix(cli_time, tmp
     data = json.loads(record.read_text())
     assert data["runs"] == ["kept"]
     timed = data["cli_time"]["runs"]
-    assert [run["side"] for run in timed] == ["parent", "change", "change", "parent"] * 2
+    assert [run["side"] for run in timed] == ["parent", "change", "change", "parent"] * len(
+        commands)
+    assert all(run["result"]["metrics"]["wall_s"]["value"] > 0 for run in timed)
     summary = data["cli_time"]["summary"]
-    assert [(row["command"], row["pairs"]) for row in summary] == [
-        ("compose", 2), ("verify-smallest", 2)]
+    assert sorted((row["workload"], row["metric"], row["pairs"]) for row in summary) == sorted(
+        (name, "wall_s", 2) for name in commands)
+    assert {row["verdict"] for row in summary} <= {"gain", "same"}
     assert data["cli_time"]["parent"] is None
     assert "wins" in capsys.readouterr().out
 
 
-def test_a_failing_process_or_an_unknown_command_stops_the_tool(cli_time, tmp_path, monkeypatch):
+def test_a_failing_process_stops_the_tool(cli_time, tmp_path, monkeypatch):
     def failing_run(argv, **kwargs):
         return subprocess.CompletedProcess(argv, 1, "", "error: boom")
 
     monkeypatch.setattr(cli_time.subprocess, "run", failing_run)
-    args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--pairs", "1",
-            "--commands", "invert"]
-    with pytest.raises(SystemExit, match="invert .* exited with 1: error: boom"):
+    args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--pairs", "1"]
+    with pytest.raises(SystemExit, match="compose .* exited with 1: error: boom"):
         cli_time.main(args)
-    with pytest.raises(SystemExit) as info:
-        cli_time.main(args[:-1] + ["no-such-command"])
-    assert info.value.code == 2

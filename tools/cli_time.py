@@ -2,10 +2,10 @@
 checkout.
 
     python3 tools/cli_time.py --parent DIR --change DIR [--pairs 10] \\
-        [--commands compose,invert,reduce,graph,covolume-table,verify-smallest] \\
         [--record BENCH_<n>.json]
 
-For each command, starts ``python -m coloured_neretin.cli <command> ...``
+For each of ``compose``, ``invert``, ``reduce``, ``graph``,
+``covolume-table`` and ``verify-smallest``, starts ``python -m coloured_neretin.cli <command> ...``
 as a fresh process in each checkout (``PYTHONPATH`` its ``src``),
 ``--pairs`` times, one process at a time, alternating which side runs
 first (pair 0 parent first, pair 1 change first, ...), and times each
@@ -20,12 +20,16 @@ every run.)  A command's arguments are its first entry in ``tools/census.py``,
 and the element files are the first ``deep`` input pair of
 ``bench/inputs.py`` for the census seed, as in ``tools/outputs.py``.
 
-Prints, per command, each side's median and quartiles in ms, the change of
-the median and the pairs in which the change's process was faster.  With
-``--record``, the runs and that summary are stored under the key
-``cli_time`` of the given JSON file (made if missing), for instance the
-``BENCH_<n>.json`` of the same change's ``tools/bench_pairs.py`` runs.  A
-process that exits non-zero stops the tool with exit status 1.
+Each timed process is kept as a run of ``tools/bench_pairs.py``'s schema,
+its command as the workload and its seconds as the metric ``wall_s``, and
+is summarised by that tool: per command, each side's median and quartiles
+in seconds, the change of the median, the pairs in which the change's
+process was faster and a verdict, ``gain`` (at least nine tenths of the
+pairs won and the medians apart by more than the parent's quartile spread)
+or ``same``.  With ``--record``, the runs and that summary are stored under
+the key ``cli_time`` of the given JSON file (made if missing), for instance
+the ``BENCH_<n>.json`` of the same change's ``tools/bench_pairs.py`` runs.
+A process that exits non-zero stops the tool with exit status 1.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ import sys
 import tempfile
 import time
 
-from bench_pairs import quartiles, revision
+from bench_pairs import format_row, revision, summarise
 from census import SEED, cli_commands, inputs
 
-COMMANDS = "compose,invert,reduce,graph,covolume-table,verify-smallest"
+COMMANDS = ("compose", "invert", "reduce", "graph", "covolume-table", "verify-smallest")
 
 
 def time_once(checkout, argv, workdir, cache):
@@ -60,39 +64,11 @@ def time_once(checkout, argv, workdir, cache):
     return seconds
 
 
-def summarise(runs):
-    """One row per command: each side's (q1, median, q3) in seconds, the
-    change of the median and the pairs won by the change."""
-    rows = []
-    for command in dict.fromkeys(run["command"] for run in runs):
-        pairs = {}
-        for run in runs:
-            if run["command"] == command:
-                pairs.setdefault(run["pair"], {})[run["side"]] = run["seconds"]
-        both = [p for p in pairs.values() if len(p) == 2]
-        parent = quartiles(sorted(p["parent"] for p in both))
-        change = quartiles(sorted(p["change"] for p in both))
-        rows.append({
-            "command": command, "parent": parent, "change": change,
-            "change_vs_parent": (change[1] - parent[1]) / parent[1],
-            "wins": sum(1 for p in both if p["change"] < p["parent"]), "pairs": len(both),
-        })
-    return rows
-
-
-def format_row(row):
-    p, c = (tuple(1000.0 * v for v in row[side]) for side in ("parent", "change"))
-    return "%-16s parent %.1f [%.1f, %.1f] ms  change %.1f [%.1f, %.1f] ms  %+.1f%%  wins %d/%d" % (
-        row["command"], p[1], p[0], p[2], c[1], c[0], c[2],
-        100.0 * row["change_vs_parent"], row["wins"], row["pairs"])
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--commands", default=COMMANDS, help="comma-separated CLI commands")
     parser.add_argument("--record", help="JSON file to store the runs in, under cli_time")
     args = parser.parse_args(argv)
 
@@ -106,18 +82,17 @@ def main(argv=None):
         known = {}
         for command in cli_commands(workdir, first, second):
             known.setdefault(command[0], command)
-        for name in args.commands.split(","):
-            if name not in known:
-                parser.error("unknown command %r: choose from %s" % (name, ", ".join(known)))
+        for name in COMMANDS:
             for side in sides:  # untimed: fills the side's bytecode cache
                 time_once(sides[side], known[name], workdir, caches[side])
             for pair in range(args.pairs):
                 first_side = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in first_side:
                     seconds = time_once(sides[side], known[name], workdir, caches[side])
-                    runs.append({"order": len(runs) + 1, "command": name, "side": side,
-                                 "pair": pair, "seconds": seconds})
-    rows = summarise(runs)
+                    runs.append({"order": len(runs) + 1, "workload": name, "seed": SEED,
+                                 "side": side, "pair": pair,
+                                 "result": {"metrics": {"wall_s": {"value": seconds}}}})
+    rows = summarise(runs, {"wall_s": {"better": "lower", "bound": None}})
     for row in rows:
         print(format_row(row))
     if args.record:
