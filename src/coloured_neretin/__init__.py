@@ -12,9 +12,9 @@ inequalities behind the lattice (non-)existence results.
 ``import coloured_neretin`` loads none of the modules.  Each public name
 below, and each module name such as ``coloured_neretin.tree``, imports its
 home module on first use (PEP 562), so a program loads only the modules it
-uses; mpmath is loaded by the first interval logarithm.  A name is looked
-up in its home module at every use and never stored here, so a rebinding
-of the home module's name is seen through the package too.
+uses.  A name is looked up in its home module at every use and never
+stored here, so a rebinding of the home module's name is seen through the
+package too.  The package needs nothing outside the standard library.
 """
 
 from importlib import import_module

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
@@ -35,6 +34,7 @@ from .permutations import (
 )
 from .tree import (
     CompleteSubtree,
+    IncompleteTree,
     admissible_child_colours,
     check_address,
     is_prefix,
@@ -66,13 +66,25 @@ class PrefixTooShort(ValueError):
         self.needed_depth = needed_depth
 
 
-@dataclass(frozen=True)
 class SignValue:
-    value: int
-    subset: tuple
+    """The sign ``value`` (+1 or -1) of an element on the colour ``subset``."""
 
-    def __post_init__(self):
-        assert self.value in (1, -1)
+    __slots__ = ("value", "subset")
+
+    def __init__(self, value, subset):
+        assert value in (1, -1)
+        self.value, self.subset = value, subset
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.subset) == (other.value, other.subset)
+
+    def __hash__(self):
+        return hash((self.value, self.subset))
+
+    def __repr__(self):
+        return "SignValue(value=%r, subset=%r)" % (self.value, self.subset)
 
 
 class TreePairElement:
@@ -223,10 +235,18 @@ def make_element(domain_leaves, range_leaves, bijection, group):
     leaf, a key or a value must be an int (not a bool).  This is the one
     check of a leaf map: a bijection of complete leaf sets within F's orbits.
     """
-    domain_leaves = _addresses(domain_leaves, "domain")
-    range_leaves = _addresses(range_leaves, "range")
-    domain = CompleteSubtree(group.d, domain_leaves)
-    range_ = CompleteSubtree(group.d, range_leaves)
+    domain_leaves = [tuple(w) for w in domain_leaves]
+    try:
+        domain = CompleteSubtree(group.d, domain_leaves)
+        range_leaves = [tuple(w) for w in range_leaves]
+        range_ = CompleteSubtree(group.d, range_leaves)
+    except (IncompleteTree, TypeError):
+        # name a letter that is not an int, the domain's first, before the
+        # trees' refusal (an invalid address, or the TypeError of sorting
+        # mixed letters)
+        _addresses(domain_leaves, "domain")
+        _addresses(range_leaves, "range")
+        raise
     if isinstance(bijection, dict):
         pairs = dict(zip(
             _addresses(bijection, "bijection keys"),

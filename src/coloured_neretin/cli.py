@@ -21,8 +21,6 @@ Exit status: 0 on success, 1 on invalid input or a failed verification,
 from __future__ import annotations
 
 import argparse
-import csv
-import decimal
 import json
 import random
 import sys
@@ -150,6 +148,8 @@ def _element_json(element):
 def _digits(value):
     """The decimal digits of an int, exact and free of the interpreter's
     4 300-digit limit on ``str(int)``."""
+    import decimal
+
     return str(decimal.Decimal(value))
 
 
@@ -282,6 +282,8 @@ def cmd_covolume_table(args):
                 % (n, args.gamma_order, _show_fraction(chain.index_bound))
             )
     if args.csv:
+        import csv
+
         with open(args.csv, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=header)
             writer.writeheader()

@@ -3,22 +3,21 @@
 An interval expression takes the working precision p in bits and returns
 a fixed-point pair (lo, hi) of Python ints: the interval [lo, hi]·2⁻ᵖ,
 which contains the exact value.  ``decide_sign`` doubles the precision
-until the interval excludes zero.  Precision is always passed explicitly:
-no decision reads or writes the global ``iv.prec`` of mpmath's interval
-context, so decisions may nest.  The starting precision comes from the
-COLOURED_NERETIN_PRECISION environment variable (bits, default 128); an
-inequality that stays undecided at the precision cap is reported as
-undecided, never as true or false.
+until the interval excludes zero.  Precision is always passed explicitly,
+never held in a global, so decisions may nest.  The starting precision
+comes from the COLOURED_NERETIN_PRECISION environment variable (bits,
+default 128); an inequality that stays undecided at the precision cap is
+reported as undecided, never as true or false.
 
 A sum adds endpoints, a difference subtracts each endpoint from the
 other's opposite one, and a product with an int k ≥ 0 is (k·lo, k·hi): all
 exact.  Every rounding is outwards, a floor on lo and a ceiling on hi: a
 product with a positive rational n/m is (⌊lo·n/m⌋, ⌈hi·n/m⌉), and the
-logarithm of an int (``fixed_log``) is mpmath's ``mpi_log`` enclosure at p
-bits with its lower end floored and its upper end ceiled to multiples of
-2⁻ᵖ; log(n/m) is log n − log m.  One bounded table of these logarithms
-serves the whole process: a pair depends only on (n, p), so every caller
-gets the same pair whether or not it was already in the table.
+logarithm of an int n ≥ 2 (``fixed_log``) is (⌊2ᵖ ln n⌋, ⌊2ᵖ ln n⌋ + 1),
+ln n being irrational, and that of 1 is (0, 0); log(n/m) is log n − log m.
+The logarithms are computed in ints alone (``_log``).  One bounded table of
+them serves the whole process: a pair depends only on (n, p), so every
+caller gets the same pair whether or not it was already in the table.
 """
 
 from __future__ import annotations
@@ -67,15 +66,53 @@ def fixed_log(n, prec):
 
     Pairs are kept in one process-wide table under the key (n, prec), of at
     most ``LOG_TABLE_SIZE`` entries, the least recently used dropped first;
-    pass both arguments by position, so that a pair has one key.  mpmath is
-    imported here, on a miss, so that a process that takes no logarithm
-    never loads it.
+    pass both arguments by position, so that a pair has one key.
     """
-    from mpmath.libmp import from_int, mpf_neg, to_fixed
-    from mpmath.libmp.libmpi import mpi_log
+    return _log(n, prec)
 
-    a, b = mpi_log((from_int(n), from_int(n)), prec)
-    return to_fixed(a, prec), -to_fixed(mpf_neg(b), prec)
+
+def _log(n, prec):
+    """(⌊2^prec ln n⌋, ⌊2^prec ln n⌋ + 1) for an int n ≥ 2, (0, 0) for 1.
+
+    With 2^k ≤ n < 2^(k+1), ln n = k·ln 2 + 2·atanh((n − 2^k)/(n + 2^k)) and
+    ln 2 = 2·atanh(1/3), both series summed by ``_atanh`` at prec + guard
+    bits.  Once the sum's lower end and its upper end (the lower end plus
+    the error bounds) lie between the same two multiples of 2^-prec, these
+    are the pair; else the guard bits double.  ln n is irrational, so some
+    guard separates them.
+    """
+    if n == 1:
+        return 0, 0
+    k = n.bit_length() - 1
+    guard = k.bit_length() + prec.bit_length() + 12
+    while True:
+        bits = prec + guard
+        (l2, e2), (s, e) = _atanh(1, 3, bits), _atanh(n - (1 << k), n + (1 << k), bits)
+        low = 2 * (k * l2 + s)
+        lo = low >> guard
+        if (low + 2 * (k * e2 + e)) >> guard == lo:
+            return lo, lo + 1
+        guard *= 2
+
+
+def _atanh(a, b, bits):
+    """(s, e) with 2^bits·atanh(a/b) in [s, s + e), for ints 0 ≤ 3a ≤ b.
+
+    The series of x^(2j+1)/(2j+1), x = a/b, in fixed point: each power is
+    the previous one times x², floored, so it lies below the exact power
+    by less than 1 + x² + x⁴ + ... ≤ 9/8, and each term floors it once more.
+    The sum stops at the first power that floors to 0, and the terms left
+    out add less than 1/8.  So s is at most the sum, and below it by less
+    than 1 for the first term and 1 + 3/8 for each later one, and e = 2
+    per term bounds the rest.
+    """
+    s = power = (a << bits) // b
+    a2, b2, j = a * a, b * b, 1
+    while power:
+        power = power * a2 // b2
+        s += power // (2 * j + 1)
+        j += 1
+    return s, 2 * j
 
 
 def interval_width(value):

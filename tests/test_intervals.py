@@ -6,13 +6,11 @@ from fractions import Fraction
 from mpmath import iv
 from mpmath.libmp import (
     from_int,
-    libmpi,
     mpf_neg,
     mpf_pi,
     round_ceiling,
     round_floor,
     to_fixed,
-    to_int,
     to_rational,
 )
 from mpmath.libmp.libmpi import mpi_log
@@ -131,7 +129,7 @@ def test_default_precision_parsing(monkeypatch):
     monkeypatch.setenv("COLOURED_NERETIN_PRECISION", "not-a-number")
     assert default_precision() == 128
     monkeypatch.setenv("COLOURED_NERETIN_PRECISION", "4")
-    assert default_precision() == 16  # floor keeps mpmath workable
+    assert default_precision() == 16  # the floor
     monkeypatch.delenv("COLOURED_NERETIN_PRECISION")
     assert default_precision() == 128
 
@@ -198,16 +196,17 @@ def test_decide_sign_reports_the_settling_interval():
 
 def test_each_logarithm_is_evaluated_once_per_process(monkeypatch):
     # the smallest forms twice over, then the Xi claims: every (n, prec) the
-    # table is asked for is evaluated by mpi_log exactly once, so a second
+    # table is asked for is evaluated by the kernel exactly once, so a second
     # sweep of the same forms evaluates nothing
     keys = []
+    kernel = intervals._log
 
-    def counted(x, prec):
-        keys.append((to_int(x[0]), prec))
-        return mpi_log(x, prec)
+    def counted(n, prec):
+        keys.append((n, prec))
+        return kernel(n, prec)
 
     fixed_log.cache_clear()
-    monkeypatch.setattr(libmpi, "mpi_log", counted)
+    monkeypatch.setattr(intervals, "_log", counted)
     partitions = [sizes for d in range(2, 9) for sizes in integer_partitions(d + 1)]
     assert len(partitions) == 93
     sweeps = []
@@ -234,15 +233,37 @@ def test_the_log_table_keeps_its_bound():
     fixed_log.cache_clear()
 
 
-def test_a_table_pair_is_a_fresh_outward_rounded_mpi_log_pair():
+def fixed_mpi_log(n, prec):
+    """mpmath's enclosure of ln n at prec bits as a fixed-point pair: its
+    lower end rounded down to a multiple of 2^-prec, its upper end up."""
+    ends = mpi_log((from_int(n), from_int(n)), prec)
+    lower, upper = (Fraction(*to_rational(end)) * (1 << prec) for end in ends)
+    return math.floor(lower), math.ceil(upper)
+
+
+LOG_CASES = [(1, 16), (2, 3), (3, 128), (720, 256), (10 ** 50 + 1, 1024), (2, MAX_BITS)]
+# every n ≤ 300 and 2^64 ± 1 at precisions from 2 to 1 024 bits, and every
+# 13th n of them at 4 096 bits
+LOG_N = [*range(1, 301), 2 ** 64 - 1, 2 ** 64 + 1]
+LOG_GRID = [
+    (n, prec)
+    for prec in (2, 3, 4, 5, 8, 16, 31, 53, 64, 127, 128, 256, 512, 1024)
+    for n in LOG_N
+] + [(n, 4096) for n in LOG_N[::13]]
+
+
+def test_a_table_pair_encloses_ln_n_no_wider_than_mpi_log():
     fixed_log.cache_clear()
-    for n, prec in ((1, 16), (2, 3), (3, 128), (720, 256), (10 ** 50 + 1, 1024), (2, MAX_BITS)):
-        a, b = mpi_log((from_int(n), from_int(n)), prec)
-        # lo is ln n's lower end rounded down to a multiple of 2^-prec, hi its
-        # upper end rounded up
-        lower, upper = (Fraction(*to_rational(end)) * (1 << prec) for end in (a, b))
-        fresh = math.floor(lower), math.ceil(upper)
-        assert fixed_log(n, prec) == fresh  # computed
-        assert fixed_log(n, prec) == fresh  # read from the table
-        assert fresh[0] < fresh[1] or n == 1
-    assert fixed_log.cache_info().hits == 6
+    cases = list(dict.fromkeys(LOG_CASES + LOG_GRID))
+    for n, prec in cases:
+        lo, hi = fixed_log(n, prec)  # computed
+        assert fixed_log(n, prec) == (lo, hi)  # read from the table
+        # ln n lies in mpmath's enclosure at 64 more bits, which lies in the pair
+        lower, upper = fixed_mpi_log(n, prec + 64)
+        assert lo << 64 <= lower <= upper <= hi << 64, (n, prec)
+        # and the pair is no wider than mpmath's at prec bits
+        mpmath_lo, mpmath_hi = fixed_mpi_log(n, prec)
+        assert hi - lo <= mpmath_hi - mpmath_lo, (n, prec)
+        assert lo < hi or n == 1
+    assert fixed_log.cache_info().hits == len(cases)
+    fixed_log.cache_clear()

@@ -18,9 +18,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "compose_golden.json")
 ELEMENT_MODULES = {"cli", "almost_automorphisms", "permutations", "tree"}
 
+# modules outside the package that the tests watch: mpmath, which no module
+# imports, and the standard modules that only the numeric commands need; a
+# bare interpreter that imports json, argparse and random loads none of them
+WATCHED = {"mpmath", "dataclasses", "inspect", "csv", "decimal"}
+
 # imports the package and, given an argument list, runs the CLI on it; then
 # prints the exit status and the package's modules that are loaded, with
-# "mpmath" added when mpmath is
+# each watched module that is loaded
 PROBE = """
 import contextlib, io, json, sys
 import coloured_neretin
@@ -30,13 +35,14 @@ if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         status = main(argv)
 loaded = [name.split(".")[1] for name in sys.modules if name.startswith("coloured_neretin.")]
-print(json.dumps([status, loaded + ["mpmath"] * ("mpmath" in sys.modules)]))
-"""
+print(json.dumps([status, loaded + [name for name in %r if name in sys.modules]]))
+""" % sorted(WATCHED)
 
 
 def loaded_after(argv):
-    """(exit status, the set of loaded modules) after ``main(argv)`` in a
-    fresh interpreter; ``argv`` None only imports the package."""
+    """(exit status, the set of loaded modules of the package and of
+    ``WATCHED``) after ``main(argv)`` in a fresh interpreter; ``argv`` None
+    only imports the package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
@@ -67,6 +73,7 @@ def test_importing_the_package_loads_no_module():
 
 
 def test_element_commands_load_only_the_element_modules(element_files):
+    # and none of the watched modules
     first, second = element_files
     for argv in (
         ["compose", first, second],
@@ -77,12 +84,20 @@ def test_element_commands_load_only_the_element_modules(element_files):
         assert loaded_after(argv) == (0, ELEMENT_MODULES), argv
 
 
-def test_only_the_interval_commands_load_mpmath():
+def test_no_command_loads_mpmath():
     numeric = {"abelianization", "covolume", "intervals"}
-    argv = ["covolume-table", "--orbits", "1,2", "--max-n", "3"]
-    assert loaded_after(argv) == (0, ELEMENT_MODULES | numeric)
-    argv = ["verify-smallest", "--max-d", "3"]
-    assert loaded_after(argv) == (0, ELEMENT_MODULES | numeric | {"mpmath"})
+    for argv, modules in (
+        (["covolume-table", "--orbits", "1,2", "--max-n", "3"], numeric),
+        (["verify-smallest", "--max-d", "3"], numeric),
+        (["selftest"], numeric | {"shift_model"}),
+    ):
+        status, loaded = loaded_after(argv)
+        assert (status, loaded - WATCHED) == (0, ELEMENT_MODULES | modules), argv
+        assert "mpmath" not in loaded, argv
+    for path in sorted(os.listdir(os.path.join(ROOT, "src", "coloured_neretin"))):
+        if path.endswith(".py"):
+            with open(os.path.join(ROOT, "src", "coloured_neretin", path)) as handle:
+                assert "mpmath" not in handle.read(), path
 
 
 def test_each_public_name_is_the_object_of_its_home_module():
