@@ -72,15 +72,11 @@ def fixed_log(n, prec):
 
 
 def _log(n, prec):
-    """(⌊2^prec ln n⌋, ⌊2^prec ln n⌋ + 1) for an int n ≥ 2, (0, 0) for 1.
-
-    With 2^k ≤ n < 2^(k+1), ln n = k·ln 2 + 2·atanh((n − 2^k)/(n + 2^k)) and
-    ln 2 = 2·atanh(1/3), both series summed by ``_atanh`` at prec + guard
-    bits.  Once the sum's lower end and its upper end (the lower end plus
-    the error bounds) lie between the same two multiples of 2^-prec, these
-    are the pair; else the guard bits double.  ln n is irrational, so some
-    guard separates them.
-    """
+    """The pair of ``fixed_log``: ln n = k·ln 2 + 2·atanh((n − 2^k)/(n + 2^k))
+    for 2^k ≤ n < 2^(k+1), and ln 2 = 2·atanh(1/3), summed at prec + guard
+    bits.  The guard doubles until the sum and the sum plus its error bound
+    lie between the same two multiples of 2^-prec; as ln n is irrational,
+    some guard does it."""
     if n == 1:
         return 0, 0
     k = n.bit_length() - 1
@@ -101,10 +97,10 @@ def _atanh(a, b, bits):
     The series of x^(2j+1)/(2j+1), x = a/b, in fixed point: each power is
     the previous one times x², floored, so it lies below the exact power
     by less than 1 + x² + x⁴ + ... ≤ 9/8, and each term floors it once more.
-    The sum stops at the first power that floors to 0, and the terms left
-    out add less than 1/8.  So s is at most the sum, and below it by less
-    than 1 for the first term and 1 + 3/8 for each later one, and e = 2
-    per term bounds the rest.
+    The sum stops at the first power that floors to 0; the terms after it
+    add less than 1/8.  So 2^bits·atanh(a/b) exceeds s by less than 1 for
+    the first term, 1 + 3/8 for each later one and 1/8 for the rest, which
+    e, 2 per term summed, bounds.
     """
     s = power = (a << bits) // b
     a2, b2, j = a * a, b * b, 1
