@@ -55,8 +55,8 @@ def main():
     print("== a concrete violation on an odd subset ==")
     subset = (0,)
     one, other = find_sign_violation(group, subset)
-    s1 = sign(one, subset, mode="honest").value
-    s2 = sign(other, subset, mode="honest").value
+    s1 = sign(one, subset, mode="honest")
+    s2 = sign(other, subset, mode="honest")
     print("two representations of the same element (equal after reduction:",
           one.reduce() == other.reduce(), ")")
     print("honest signs on D' = {0}: %+d vs %+d" % (s1, s2))
@@ -66,7 +66,7 @@ def main():
     print("== the character that does extend to the closure ==")
     value = sign(identity_element(group), (1, 2, 3, 4),
                  mode="class", target="nf")
-    print("sgn_{1,2,3,4}(identity) = %+d" % value.value)
+    print("sgn_{1,2,3,4}(identity) = %+d" % value)
 
 
 if __name__ == "__main__":

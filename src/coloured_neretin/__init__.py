@@ -25,13 +25,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "permutations": """ColourGroup DegreeMismatch NotInvariant Permutation
         closure_enumerate contains_alternating cycle_string from_cycles identity
-        parse_cycles stabilizer_restriction_in_alt structure_report trivial_group""",
+        parse_cycles stabilizer_restriction_in_alt structure_report""",
     "tree": """CompleteSubtree IncompleteTree PlaneOrder admissible_child_colours
-        check_address is_complete_leafset is_prefix is_valid_address plane_for sphere""",
-    "almost_automorphisms": """NotWellDefined OrbitViolation PrefixTooShort SignValue
-        SizeMismatch TreePairElement compose element_from_dict element_from_local_data
-        element_to_dict find_sign_violation identity_element is_sign_well_defined
-        make_element purely_infinite_witness random_element sign translation_element""",
+        check_address is_prefix is_valid_address plane_for sphere""",
+    "almost_automorphisms": """NotWellDefined OrbitViolation PrefixTooShort SizeMismatch
+        TreePairElement compose element_from_dict element_from_local_data element_to_dict
+        find_sign_violation identity_element is_sign_well_defined make_element
+        purely_infinite_witness random_element sign translation_element""",
     "abelianization": """AbelianInvariants Abelianization IntMatrix bareiss_determinant
         smith_normal_form vf_abelianization""",
     "shift_model": """Bisection InvalidBisection Omega PathError SftGraph
@@ -41,9 +41,8 @@ _EXPORTS = {
     "covolume": """AppendixCounts BallCounts CovolumeChain DominantCompare
         PrimeWindowReport SmallestVerdict XiClaimsReport appendix_counts ball_counts
         compositions covolume_chain covolume_table_rows dominant_coefficient_compare
-        integer_partitions kernel_factor log_ratio single_switch_covolume
-        smallest_log_sign verify_prime_windows verify_smallest_inequality
-        verify_xi_claims window_primes""",
+        integer_partitions log_ratio single_switch_covolume smallest_log_sign
+        verify_prime_windows verify_smallest_inequality verify_xi_claims""",
     "intervals": "decide_sign default_precision interval_width",
 }
 # public name -> home module; a module name is its own home

@@ -76,16 +76,6 @@ class IntMatrix:
     def cols(self):
         return len(self.entries[0])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch: %dx%d times %dx%d"
@@ -95,9 +85,6 @@ class IntMatrix:
             [sum(map(operator.mul, row, column)) for column in columns]
             for row in self.entries
         )
-
-    def __repr__(self):
-        return "IntMatrix(%dx%d)" % (self.rows, self.cols)
 
     def __str__(self):
         width = max(len(str(x)) for row in self.entries for x in row)

@@ -66,27 +66,6 @@ class PrefixTooShort(ValueError):
         self.needed_depth = needed_depth
 
 
-class SignValue:
-    """The sign ``value`` (+1 or -1) of an element on the colour ``subset``."""
-
-    __slots__ = ("value", "subset")
-
-    def __init__(self, value, subset):
-        assert value in (1, -1)
-        self.value, self.subset = value, subset
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.subset) == (other.value, other.subset)
-
-    def __hash__(self):
-        return hash((self.value, self.subset))
-
-    def __repr__(self):
-        return "SignValue(value=%r, subset=%r)" % (self.value, self.subset)
-
-
 class TreePairElement:
     """(domain tree, range tree, leaf map), not necessarily reduced.
 
@@ -190,10 +169,6 @@ class TreePairElement:
         # a cherry of the inverse is a cherry of self read backwards
         inverse._reduced = self._reduced
         return inverse.reduce()
-
-    def __mul__(self, other):
-        """self after other (``(self*other)(x) = self(other(x))``)."""
-        return compose(self, other)
 
     # -- boundary action -----------------------------------------------------
 
@@ -373,7 +348,7 @@ def is_sign_well_defined(group, subset, target="vf"):
 
 
 def sign(e, subset, mode="class", target="vf"):
-    """Sign of the leaf permutation restricted to subset-coloured leaves.
+    """Sign (+1 or -1) of the leaf permutation restricted to subset-coloured leaves.
 
     honest mode: the parity for the element's own trees, of the permutation
     that sends the k-th subset-coloured domain leaf in plane order to the
@@ -398,7 +373,7 @@ def sign(e, subset, mode="class", target="vf"):
     ran = plane.lex_sorted(w for w in e.range.leaves if w[-1] in subset)
     assert len(dom) == len(ran)
     position = {w: k for k, w in enumerate(ran)}
-    return SignValue(Permutation([position[e.leaf_image(v)] for v in dom]).parity(), subset)
+    return Permutation([position[e.leaf_image(v)] for v in dom]).parity()
 
 
 def find_sign_violation(group, subset):
@@ -420,9 +395,7 @@ def find_sign_violation(group, subset):
     pairs[v1], pairs[v2] = v2, v1
     element = _from_pairs(group, pairs)
     expanded = element.expand_at(v1).expand_at(v2)
-    assert sign(element, subset, mode="honest").value != sign(
-        expanded, subset, mode="honest"
-    ).value
+    assert sign(element, subset, mode="honest") != sign(expanded, subset, mode="honest")
     return element, expanded
 
 
@@ -574,19 +547,21 @@ def purely_infinite_witness(group, cylinders):
 def random_element(group, rng, expansions=6):
     """Random reduced element: each step expands a random domain leaf and a
     random range leaf of the same colour orbit (so the trees may differ in
-    depth), then a shuffled orbit-respecting matching pairs the leaves."""
+    depth), then a shuffled orbit-respecting matching pairs the leaves.
+    The range leaves are kept per orbit, each list in the order the leaves
+    appeared, so that a step costs no scan of the whole range."""
     d, orbit_of = group.d, group.orbit_of
-    sides = [[(c,) for c in range(d + 1)], [(c,) for c in range(d + 1)]]
+    domain = [(c,) for c in range(d + 1)]
+    ranges = [[(c,) for c in orbit] for orbit in group.orbits]
     for _ in range(expansions):
-        v = rng.choice(sides[0])
-        w = rng.choice([u for u in sides[1] if orbit_of[u[-1]] == orbit_of[v[-1]]])
-        for leaves, leaf in zip(sides, (v, w)):
-            leaves.remove(leaf)
-            leaves.extend(leaf + (c,) for c in admissible_child_colours(leaf, d))
-    domain, range_ = sides
+        v = domain.pop(rng.randrange(len(domain)))
+        targets = ranges[orbit_of[v[-1]]]
+        w = targets.pop(rng.randrange(len(targets)))
+        domain.extend(v + (c,) for c in admissible_child_colours(v, d))
+        for c in admissible_child_colours(w, d):
+            ranges[orbit_of[c]].append(w + (c,))
     pairs = {}
-    for orbit in range(len(group.orbits)):
-        targets = [w for w in range_ if orbit_of[w[-1]] == orbit]
+    for orbit, targets in enumerate(ranges):
         rng.shuffle(targets)
         sources = [v for v in domain if orbit_of[v[-1]] == orbit]
         pairs.update(zip(sources, targets))

@@ -198,7 +198,7 @@ def cmd_sign(args):
             ",".join(str(c) for c in args.subset),
             args.mode,
             args.target,
-            value.value,
+            value,
         )
     )
     return 0

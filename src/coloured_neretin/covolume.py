@@ -72,11 +72,6 @@ def is_single_switch_sizes(orbit_sizes):
     return sizes[-1] == 2 and all(x == 1 for x in sizes[:-1])
 
 
-def kernel_factor(orbit_sizes):
-    """Order of the kernel contribution of one interior vertex level."""
-    return _kernel_factor(*check_orbit_sizes(orbit_sizes))
-
-
 def _kernel_factor(sizes, d):
     value = 1
     for x in sizes:
@@ -491,14 +486,6 @@ def _ensure_sieve(limit):
             flags[p * p :: p] = bytearray(len(range(p * p, size + 1, p)))
     _SIEVE_LIMIT = size
     _SIEVE = flags
-
-
-def window_primes(m):
-    """Primes p with m/2 < p <= m."""
-    if m < 2:
-        return []
-    _ensure_sieve(m)
-    return [p for p in range(m // 2 + 1, m + 1) if _SIEVE[p]]
 
 
 def window_ends(m, k):

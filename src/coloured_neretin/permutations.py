@@ -60,9 +60,6 @@ class Permutation:
     def is_identity(self):
         return all(self.images[x] == x for x in range(self.degree))
 
-    def moved_points(self):
-        return [x for x in range(self.degree) if self.images[x] != x]
-
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its minimum, sorted by minimum."""
         seen = set()
@@ -560,10 +557,6 @@ def closure_enumerate(generators, degree=None):
                 "generator %s has degree %d, expected %d" % (g, g.degree, degree)
             )
     return ColourGroup([g for g in generators if not g.is_identity()], degree)
-
-
-def trivial_group(degree):
-    return closure_enumerate([], degree)
 
 
 def stabilizer_restriction_in_alt(group, chi, subset):

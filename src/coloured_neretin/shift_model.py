@@ -64,10 +64,6 @@ class SftGraph:
     def d(self):
         return sum(self.orbit_sizes) - 1
 
-    @property
-    def l(self):
-        return len(self.orbit_sizes) - 1
-
     @cached_property
     def vertices(self):
         return tuple([("D", i) for i in range(len(self.orbit_sizes))] + [

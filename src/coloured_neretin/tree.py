@@ -15,6 +15,7 @@ canonical form in the library hangs off.
 from __future__ import annotations
 
 import weakref
+from contextlib import suppress
 from itertools import chain, islice, takewhile
 from operator import getitem
 
@@ -160,9 +161,7 @@ class CompleteSubtree:
     __slots__ = ("d", "leaves", "_index")
 
     def __init__(self, d, leaves):
-        leaves = sorted(tuple(w) for w in leaves)
-        _check_complete(leaves, d)
-        self.d, self.leaves = d, tuple(leaves)
+        self.d, self.leaves = d, tuple(_check_complete([tuple(w) for w in leaves], d))
         self._index = {w: i for i, w in enumerate(self.leaves)}
 
     @classmethod
@@ -194,9 +193,6 @@ class CompleteSubtree:
 
     def __contains__(self, leaf):
         return tuple(leaf) in self._index
-
-    def leaf_index(self, leaf):
-        return self._index[tuple(leaf)]
 
     def leaf_containing(self, word):
         """The unique leaf that is a prefix of ``word`` (which must be at
@@ -234,11 +230,13 @@ class CompleteSubtree:
 
 
 def _check_complete(leaves, d):
-    """Raise IncompleteTree unless the sorted ``leaves`` are the leaf set of
-    a finite complete subtree.
+    """The list ``leaves`` sorted in plain tuple order; raise IncompleteTree
+    unless it is the leaf set of a finite complete subtree.
 
-    ``_walks_complete`` and a type scan accept a valid set; the rest names
-    the first defect: the first invalid address, else a repeated leaf, else
+    A type scan and ``_walks_complete`` accept a valid set.  The scan comes
+    first, since the walk indexes by letters and refuses none that equals an
+    int.  The rest names the first defect: the first invalid address (in the
+    given order if the letters do not compare), else a repeated leaf, else
     the first defective internal vertex (strict prefix of a leaf) in
     preorder.  One pass over the leaves keeps the strict prefixes of the
     current leaf open, each with the index of its first leaf and the number
@@ -249,10 +247,13 @@ def _check_complete(leaves, d):
     internal and whose internal vertices have all their children (d, the
     root d + 1).
     """
-    walked = _walks_complete(leaves, d, range(d + 1))  # a child avoids its parent's colour
-    # the walk compares letters by equality, so a type scan refuses bools and floats
-    if walked and set(map(type, chain.from_iterable(leaves))) <= {int}:
-        return
+    if set(map(type, chain.from_iterable(leaves))) <= {int}:
+        leaves.sort()
+        if _walks_complete(leaves, d, range(d + 1)):  # a child avoids its parent's colour
+            return leaves
+    else:
+        with suppress(TypeError):  # a letter that does not compare with an int
+            leaves = sorted(leaves)
     if not leaves:
         raise IncompleteTree("empty leaf set")
     if leaves == [()]:
@@ -285,7 +286,7 @@ def _check_complete(leaves, d):
         met += [1] * (len(w) - len(met))
     close_deeper(-1)
     if not defects:
-        return
+        return leaves
     i, k, missing = min(defects)
     v = leaves[i][:k]
     if not missing:
@@ -336,15 +337,6 @@ def _missing_colours(v, d, count, present):
     if count <= 5:
         return first(range(d + 1), count)
     return first(range(d + 1), 3) + ["<%d more>" % (count - 5)] + first(range(d, -1, -1), 2)[::-1]
-
-
-def is_complete_leafset(leaves, d):
-    """True iff ``leaves`` is prefix-free and covering (and not just the root)."""
-    try:
-        _check_complete(sorted(tuple(w) for w in leaves), d)
-    except IncompleteTree:
-        return False
-    return True
 
 
 _PLANE_CACHE = weakref.WeakKeyDictionary()

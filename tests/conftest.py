@@ -3,9 +3,7 @@
 from coloured_neretin import (
     CompleteSubtree,
     closure_enumerate,
-    is_complete_leafset,
     parse_cycles,
-    trivial_group,
 )
 
 
@@ -34,7 +32,7 @@ def transitive_group(degree):
 
 
 def small_trivial(d=2):
-    return trivial_group(d + 1)
+    return closure_enumerate([], d + 1)
 
 
 def sym_group(degree):
@@ -84,8 +82,8 @@ def assert_complete(*elements):
     of F (the element algebra builds its trees and maps without checking
     them)."""
     for e in elements:
-        assert is_complete_leafset(e.domain.leaves, e.group.d)
-        assert is_complete_leafset(e.range.leaves, e.group.d)
+        CompleteSubtree(e.group.d, e.domain.leaves)
+        CompleteSubtree(e.group.d, e.range.leaves)
         assert sorted(e._map) == list(e.domain.leaves)
         assert sorted(e._map.values()) == list(e.range.leaves)
         orbit_of = e.group.orbit_of

@@ -127,7 +127,7 @@ def seed_smith_normal_form(matrix):
     for i in range(m):
         for j in range(n):
             expected = diagonal[i] if i == j and i < len(diagonal) else 0
-            assert product[i, j] == expected, "S*M*T is not the computed diagonal"
+            assert product.entries[i][j] == expected, "S*M*T is not the computed diagonal"
     assert abs(seed_bareiss_determinant(s_matrix)) == 1
     assert abs(seed_bareiss_determinant(t_matrix)) == 1
 

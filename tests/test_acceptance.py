@@ -158,7 +158,7 @@ def test_criterion_03_four_orbit_worked_example():
     value = sign(
         identity_element(group), (1, 2, 3, 4), mode="class", target="nf"
     )
-    assert value.value == 1
+    assert value == 1
 
 
 # -- criterion 4 --------------------------------------------------------------
@@ -190,21 +190,21 @@ def test_criterion_04_sign_expansion_dichotomy():
         element = random_element(group, rng, rng.randrange(5))
         assert_complete(element)
         if is_sign_well_defined(group, subset, target="vf"):
-            reference = sign(element, subset, mode="honest").value
+            reference = sign(element, subset, mode="honest")
             current = element
             for _ in range(rng.randrange(1, 5)):
                 current = current.expand_at(
                     rng.choice(current.domain.leaves)
                 )
-                assert sign(current, subset, mode="honest").value == reference
+                assert sign(current, subset, mode="honest") == reference
             stable += 1
         else:
             one, other = find_sign_violation(group, subset)
             assert_complete(one, other)
             assert one.reduce() == other.reduce()
             assert (
-                sign(one, subset, mode="honest").value
-                != sign(other, subset, mode="honest").value
+                sign(one, subset, mode="honest")
+                != sign(other, subset, mode="honest")
             )
             violated += 1
     assert stable + violated == 200

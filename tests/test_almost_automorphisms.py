@@ -16,6 +16,7 @@ from coloured_neretin import (
     SizeMismatch,
     TreePairElement,
     admissible_child_colours,
+    closure_enumerate,
     compose,
     element_from_dict,
     element_from_local_data,
@@ -34,10 +35,10 @@ from coloured_neretin import (
     sphere,
     stabilizer_restriction_in_alt,
     translation_element,
-    trivial_group,
 )
 from coloured_neretin.cli import main
 from conftest import (
+    assert_complete,
     four_orbit_group,
     group_from,
     random_complete_tree,
@@ -45,8 +46,10 @@ from conftest import (
     rotation_group,
     small_trivial,
     switch_group,
+    sym_group,
     tree_depth,
 )
+from random_element_oracle import seed_random_element
 
 
 # -- oracles ------------------------------------------------------------------
@@ -90,7 +93,7 @@ def apply_deep(e, word):
 
 
 ALL_GROUPS = [
-    trivial_group(3),
+    closure_enumerate([], 3),
     switch_group(),
     rotation_group(),
     four_orbit_group(),
@@ -149,14 +152,6 @@ def test_inverse_reverses_boundary_action():
         word = random_word(rng, group.d, 16)
         forward = a.apply_to_prefix(word)
         assert a.inverse().apply_to_prefix(forward)[: len(word)] == word
-
-
-def test_mul_is_compose():
-    rng = random.Random(25)
-    group = switch_group()
-    a = random_element(group, rng, 3)
-    b = random_element(group, rng, 3)
-    assert a * b == compose(a, b)
 
 
 # -- reduction ---------------------------------------------------------------------
@@ -271,14 +266,14 @@ def test_sign_of_identity_and_multiplicativity():
     rng = random.Random(27)
     group = four_orbit_group()
     subset = (1, 2, 3, 4)
-    assert sign(identity_element(group).reduce(), subset).value == 1
+    assert sign(identity_element(group).reduce(), subset) == 1
     for _ in range(30):
         a = random_element(group, rng, 4)
         b = random_element(group, rng, 4)
-        sa = sign(a, subset).value
-        sb = sign(b, subset).value
-        assert sign(compose(a, b), subset).value == sa * sb
-        assert sign(a.inverse(), subset).value == sa
+        sa = sign(a, subset)
+        sb = sign(b, subset)
+        assert sign(compose(a, b), subset) == sa * sb
+        assert sign(a.inverse(), subset) == sa
 
 
 def quadratic_sign(e, subset):
@@ -310,8 +305,8 @@ def test_sign_matches_the_inversion_count_on_random_pairs():
             for e in (a, b, compose(a, b)):
                 for subset in subsets:
                     value = quadratic_sign(e, subset)
-                    assert sign(e, subset, mode="honest").value == value
-                    assert sign(e, subset, mode="class").value == quadratic_sign(
+                    assert sign(e, subset, mode="honest") == value
+                    assert sign(e, subset, mode="class") == quadratic_sign(
                         e.reduce(), subset
                     )
                     odd += value == -1
@@ -325,12 +320,12 @@ def test_honest_sign_stable_under_expansion_for_even_subsets():
         assert is_sign_well_defined(group, subset, target="vf")
         for _ in range(10):
             e = random_element(group, rng, 4)
-            value = sign(e, subset, mode="honest").value
+            value = sign(e, subset, mode="honest")
             blown = e
             for _ in range(5):
                 leaf = blown.domain.leaves[rng.randrange(len(blown.domain))]
                 blown = blown.expand_at(leaf)
-                assert sign(blown, subset, mode="honest").value == value
+                assert sign(blown, subset, mode="honest") == value
 
 
 def test_odd_subsets_have_explicit_violations():
@@ -339,8 +334,8 @@ def test_odd_subsets_have_explicit_violations():
     assert not is_sign_well_defined(group, subset)
     element, expanded = find_sign_violation(group, subset)
     assert expanded.reduce() == element.reduce()  # same element of the group
-    s1 = sign(element, subset, mode="honest").value
-    s2 = sign(expanded, subset, mode="honest").value
+    s1 = sign(element, subset, mode="honest")
+    s2 = sign(expanded, subset, mode="honest")
     assert s1 != s2
     with pytest.raises(NotWellDefined):
         sign(element, subset, mode="class")
@@ -353,8 +348,8 @@ def test_class_sign_rejects_bad_subsets():
         sign(e, (1, 3))  # not invariant
     with pytest.raises(NotWellDefined):
         sign(e, (5, 6), target="nf")  # stabilizer parity fails
-    assert sign(e, (5, 6), target="vf").value == 1
-    assert sign(e, (), mode="honest").value == 1  # empty subset, trivially +1
+    assert sign(e, (5, 6), target="vf") == 1
+    assert sign(e, (), mode="honest") == 1  # empty subset, trivially +1
     with pytest.raises(NotInvariant):
         is_sign_well_defined(group, (1, 3))  # no sign to ask about
 
@@ -451,7 +446,7 @@ def test_letterwise_twist_ball_signs():
                     if w[-1] in subset
                 }
             )
-            value = sign(e, subset, mode="honest").value
+            value = sign(e, subset, mode="honest")
             assert value == oracle
             got.append(value)
         assert got == expected
@@ -527,7 +522,7 @@ def test_purely_infinite_witness_small_case():
 
 def test_purely_infinite_witness_random_clopens():
     rng = random.Random(31)
-    for group in (trivial_group(3), rotation_group(), group_from(["(0 1 2 3 4)"], 5)):
+    for group in (closure_enumerate([], 3), rotation_group(), group_from(["(0 1 2 3 4)"], 5)):
         d = group.d
         for _ in range(10):
             tree = random_complete_tree(d, rng, rng.randrange(0, 5))
@@ -573,7 +568,7 @@ def test_purely_infinite_witness_names_an_overlap_in_address_order(cylinders, pa
 def test_purely_infinite_witness_of_many_cylinders_is_fast():
     # every vertex of the sphere of radius 12 at d = 2 but the last: 6 143
     # cylinders, where a check of every pair would be quadratic
-    group = trivial_group(3)
+    group = closure_enumerate([], 3)
     cylinders = sphere(2, 12)[:-1]
     start = time.perf_counter()
     g, h = purely_infinite_witness(group, cylinders)
@@ -669,7 +664,7 @@ def test_loaded_element_frees_its_colour_group():
     # the cached plane order of a group must not keep that group alive
     data = element_to_dict(random_element(four_orbit_group(), random.Random(40), 6))
     e = element_from_dict(data)
-    assert e.inverse() * e == identity_element(e.group)
+    assert compose(e.inverse(), e) == identity_element(e.group)
     group = weakref.ref(e.group)
     del e
     gc.collect()
@@ -728,6 +723,30 @@ def test_random_element_is_deterministic():
     a = random_element(group, random.Random(77), 6)
     b = random_element(group, random.Random(77), 6)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "group",
+    [small_trivial(2), rotation_group(), four_orbit_group(), sym_group(4)],
+    ids=["trivial_d2", "rotation", "four_orbit", "sym4"],
+)
+@pytest.mark.parametrize("expansions", [0, 1, 6, 40])
+def test_random_element_draws_as_the_whole_range_scan_did(group, expansions):
+    for seed in range(50):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        e = random_element(group, rng, expansions)
+        oracle = seed_random_element(group, oracle_rng, expansions)
+        assert (e.domain.leaves, e.range.leaves) == (oracle.domain.leaves, oracle.range.leaves)
+        assert list(e._map.items()) == list(oracle._map.items())
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_random_element_of_many_expansions_is_fast():
+    # a step costs no scan of the whole range: quadratic steps took 6 s here
+    start = time.perf_counter()
+    e = random_element(four_orbit_group(), random.Random(79), 4000)
+    assert time.perf_counter() - start < 2
+    assert_complete(e)
 
 
 def test_random_element_changes_depth():

@@ -22,7 +22,7 @@ from coloured_neretin import (
 )
 from coloured_neretin import cli, covolume
 from coloured_neretin.cli import main
-from coloured_neretin.covolume import covolume_table_rows, window_primes
+from coloured_neretin.covolume import covolume_table_rows, window_ends
 
 from conftest import (
     four_orbit_group,
@@ -152,7 +152,7 @@ def test_reduce_normalizes(tmp_path, capsys):
     data["domain"] = [list(v) for v in unreduced.domain.leaves]
     data["range"] = [list(w) for w in unreduced.range.leaves]
     data["kappa"] = [
-        unreduced.range.leaf_index(unreduced.leaf_image(v)) for v in unreduced.domain.leaves
+        unreduced.range.leaves.index(unreduced.leaf_image(v)) for v in unreduced.domain.leaves
     ]
     path = tmp_path / "a.json"
     path.write_text(json.dumps(data))
@@ -498,7 +498,7 @@ def test_primes_window(capsys):
 def test_primes_window_line_matches_the_listed_window(capsys, m):
     # the command reads the window's count and ends from the sieve; the
     # line must be the one the full list of window primes gives
-    primes = window_primes(m)
+    primes = window_ends(m, m)[1]
     if len(primes) <= 25:
         listing = "{%s}" % ", ".join(map(str, primes))
     else:

@@ -84,8 +84,8 @@ def test_compose_with_inverse_is_identity(name):
     identity = identity_element(GROUPS[name])
     for _, (a,) in factors(name, 1):
         assert_complete(a.inverse())
-        assert (a * a.inverse()).is_identity()
-        assert a * a.inverse() == identity == a.inverse() * a
+        assert compose(a, a.inverse()).is_identity()
+        assert compose(a, a.inverse()) == identity == compose(a.inverse(), a)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))

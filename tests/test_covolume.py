@@ -19,17 +19,15 @@ from coloured_neretin import (
     dominant_coefficient_compare,
     integer_partitions,
     interval_width,
-    kernel_factor,
     log_ratio,
     single_switch_covolume,
     smallest_log_sign,
     verify_prime_windows,
     verify_smallest_inequality,
     verify_xi_claims,
-    window_primes,
 )
 from coloured_neretin import covolume
-from coloured_neretin.covolume import _xi_capital, _xi_step, exact_div
+from coloured_neretin.covolume import _xi_capital, _xi_step, exact_div, window_ends
 from coloured_neretin.intervals import MAX_BITS, default_precision
 
 
@@ -155,10 +153,11 @@ def test_exact_div():
 
 
 def test_kernel_factor_values():
-    assert kernel_factor((3,)) == 8  # 6^3 / 27
-    assert kernel_factor((2, 2)) == 16  # (2*2)^4 / (4*4)
-    assert kernel_factor((1, 3)) == 48  # 6^4 / 27
-    assert kernel_factor((1, 1, 1)) == 1
+    # the kernel factor of one interior level: the kernel order of the radius-2 ball
+    assert ball_counts((3,), 2).kernel_orders[0] == 8  # 6^3 / 27
+    assert ball_counts((2, 2), 2).kernel_orders[0] == 16  # (2*2)^4 / (4*4)
+    assert ball_counts((1, 3), 2).kernel_orders[0] == 48  # 6^4 / 27
+    assert ball_counts((1, 1, 1), 2).kernel_orders[0] == 1
 
 
 # -- ball counts against the backtracking oracle -------------------------------------
@@ -553,12 +552,12 @@ def test_smallest_log_sign_matches_the_literal_expression(decisions, start_bits)
 
 def test_window_primes_match_sympy():
     for m in (17, 18, 25, 100, 541, 1000, 4096):
-        assert window_primes(m) == list(primerange(m // 2 + 1, m + 1))
+        assert window_ends(m, m)[1] == list(primerange(m // 2 + 1, m + 1))
 
 
 def test_window_primes_smallest_case():
-    assert window_primes(17) == [11, 13, 17]
-    assert window_primes(16) == [11, 13]  # m = 16 only has two
+    assert window_ends(17, 17)[1] == [11, 13, 17]
+    assert window_ends(16, 16)[1] == [11, 13]  # m = 16 only has two
 
 
 def test_prime_window_report():

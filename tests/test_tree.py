@@ -15,16 +15,15 @@ from coloured_neretin import (
     admissible_child_colours,
     Omega,
     check_address,
+    closure_enumerate,
     element_from_dict,
     element_from_local_data,
-    is_complete_leafset,
     is_prefix,
     is_valid_address,
     make_element,
     plane_for,
     sft_graph_for_group,
     sphere,
-    trivial_group,
 )
 from conftest import (
     closure_oracle,
@@ -87,10 +86,25 @@ def test_address_letters_must_be_ints(address):
 def test_leaf_letters_must_be_ints(leaves, bad):
     # the walk compares letters by equality, so a bool or a float that
     # equals the right colour must still be refused, as the address it is
-    assert not is_complete_leafset(leaves, 2)
     with pytest.raises(IncompleteTree) as info:
         CompleteSubtree(2, leaves)
     assert str(info.value) == "invalid address %r for d=2" % (bad,)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_letter_of_another_type_is_an_invalid_address(d):
+    # every letter of a ball of radius 3 and of a mixed-depth tree, in turn
+    # an equal float, an equal bool or a str: a float inside a word reaches
+    # the walk's colour lookup, and a str does not sort among ints
+    trees = [sphere(d, 3), random_complete_tree(d, random.Random(d), 8).leaves]
+    for leaves in trees:
+        for i, w in enumerate(leaves):
+            for j, c in enumerate(w):
+                for bad in [float(c), str(c)] + [bool(c)] * (c < 2):
+                    word = w[:j] + (bad,) + w[j + 1 :]
+                    with pytest.raises(IncompleteTree) as info:
+                        CompleteSubtree(d, [*leaves[:i], word, *leaves[i + 1 :]])
+                    assert str(info.value) == "invalid address %r for d=%d" % (word, d)
 
 
 def test_admissible_child_colours():
@@ -211,7 +225,7 @@ def test_transport_composition():
 def test_plane_of_a_large_trivial_group_builds_fast():
     # representatives take F's shared identity without a chain descent, and
     # the plane holds one map and one inverse per colour
-    group = trivial_group(50001)
+    group = closure_enumerate([], 50001)
     start = time.perf_counter()
     plane = PlaneOrder(group)
     assert time.perf_counter() - start < 5.0
@@ -314,7 +328,7 @@ def test_leaf_containing_and_index():
     assert tree.leaf_containing((2, 0)) == (2, 0)
     assert tree.leaf_containing((1,)) is None  # proper ancestor of leaves
     leaf = tree.leaves[5]
-    assert tree.leaves[tree.leaf_index(leaf)] == leaf
+    assert leaf in tree and tree.leaves.index(leaf) == 5
 
 
 def test_incomplete_leafsets_rejected():
@@ -322,8 +336,7 @@ def test_incomplete_leafsets_rejected():
         CompleteSubtree(2, [(0,), (1,)])
     with pytest.raises(IncompleteTree):
         CompleteSubtree(2, [(0,), (1,), (2,), (1, 0)])
-    assert not is_complete_leafset([(0,), (1,)], 2)
-    assert is_complete_leafset([(0,), (1,), (2,)], 2)
+    assert CompleteSubtree(2, [(2,), (0,), (1,)]).leaves == ((0,), (1,), (2,))
 
 
 @pytest.mark.parametrize(
@@ -384,7 +397,7 @@ def test_incomplete_leafset_messages(leaves, message):
     data = {"d": 2, "domain": leaves, "range": leaves, "kappa": list(range(len(leaves)))}
     for build in (
         lambda: CompleteSubtree(2, leaves),
-        lambda: make_element(leaves, leaves, data["kappa"], trivial_group(3)),
+        lambda: make_element(leaves, leaves, data["kappa"], closure_enumerate([], 3)),
         lambda: element_from_dict(data),
     ):
         with pytest.raises(IncompleteTree) as info:
@@ -507,7 +520,7 @@ def test_a_long_refused_leaf_is_diagnosed_in_linear_time():
 def test_random_complete_tree_invariants(d, expansions, seed):
     tree = random_complete_tree(d, random.Random(seed), expansions)
     leaves = tree.leaves
-    assert is_complete_leafset(leaves, d)
+    assert CompleteSubtree(d, leaves).leaves == leaves
     assert len(leaves) == (d + 1) + expansions * (d - 1)
     # leaves form an antichain covering the boundary with total mass 1
     for i, u in enumerate(leaves):
