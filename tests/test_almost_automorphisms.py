@@ -645,7 +645,9 @@ def test_element_dict_round_trip():
             e = random_element(group, rng, 5)
             data = element_to_dict(e)
             json.dumps(data)  # must be JSON-ready
-            assert element_from_dict(data) == e
+            loaded = element_from_dict(data)
+            assert loaded == e and hash(loaded) == hash(e)
+            assert repr(e) == "TreePairElement(%d leaves, d=%d)" % (len(e.domain), group.d)
             assert element_from_dict(data, group=group) == e
 
 

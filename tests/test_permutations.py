@@ -100,6 +100,9 @@ def test_parse_cycles_rejects_garbage():
 
 def test_from_cycles_and_fixed_points():
     p = from_cycles([(1, 2), (3, 4)], 6)
+    same = from_cycles([(3, 4), (2, 1)], 6)
+    assert p == same and hash(p) == hash(same)
+    assert repr(p) == "Permutation((0, 2, 1, 4, 3, 5))"
     assert [x for x in range(6) if p(x) == x] == [0, 5]
     assert p.parity() == 1
     assert from_cycles([(0, 1, 2)], 4).parity() == 1
@@ -196,6 +199,7 @@ def test_groups_compare_by_their_elements():
     rotation = group_from(["(1 2 3)"], 4)
     same = group_from(["(1 3 2)"], 4)
     assert rotation == same and hash(rotation) == hash(same)
+    assert repr(rotation) == "ColourGroup(<(1 2 3)>, order 3, orbits [(0,), (1, 2, 3)])"
     assert rotation != switch_group()
     assert closure_enumerate([], 3) != closure_enumerate([], 4)
     assert rotation != closure_oracle(rotation.generators, 4)

@@ -305,6 +305,9 @@ def test_equal_groups_share_a_plane():
 def test_ball_leaves():
     tree = CompleteSubtree.ball(3, 2)
     assert len(tree) == 12
+    same = CompleteSubtree(3, reversed(tree.leaves))
+    assert same == tree and hash(same) == hash(tree)
+    assert repr(tree) == "CompleteSubtree(d=3, 12 leaves)"
     assert sorted(tree.leaves) == sorted(brute_sphere(3, 2))
 
 
