@@ -92,8 +92,8 @@ class TreePairElement:
     def kappa(self):
         """``kappa[i]`` is the index in ``range.leaves`` of the image of
         ``domain.leaves[i]``."""
-        images = map(self._map.__getitem__, self.domain.leaves)
-        return tuple(map(self.range._index.__getitem__, images))
+        position = {w: i for i, w in enumerate(self.range.leaves)}
+        return tuple(position[self._map[v]] for v in self.domain.leaves)
 
     def leaf_image(self, leaf):
         return self._map[tuple(leaf)]
@@ -122,7 +122,7 @@ class TreePairElement:
         """Equivalent element with the domain expanded at ``leaf`` (and the
         range at its image); new children matched positionally in plane order."""
         leaf = tuple(leaf)
-        if leaf not in self.domain:
+        if leaf not in self._map:
             raise ValueError("leaf %r not in the domain tree" % (leaf,))
         pairs = dict(self._map)
         image = pairs.pop(leaf)
@@ -137,15 +137,17 @@ class TreePairElement:
         plane-ordered children of a single vertex u' of the range;
         contracting it makes u a leaf mapped to u'.  Distinct cherries never
         share a leaf, so contractions commute and the result does not depend
-        on their order.  Only the parent of a contracted vertex can become a
-        new cherry, so candidates are kept on a worklist and the leaf map is
-        contracted in place; both trees are built once, at the end.  Returns
-        self when there is nothing to contract; the result is marked reduced.
+        on their order.  The candidates are the nonroot vertices with d leaf
+        children, counted per parent; a contraction adds one to its parent's
+        count.  The leaf map is contracted in place and both trees are built
+        once, at the end.  Returns self when there is nothing to contract;
+        the result is marked reduced.
         """
         if self._reduced:
             return self
-        pairs = dict(self._map)
-        work = {v[:-1] for v in pairs if len(v) >= 2}
+        pairs, d = dict(self._map), self.group.d
+        counts = Counter(map(itemgetter(slice(None, -1)), pairs))
+        work = [u for u, n in counts.items() if n == d and u]
         while work:
             u = work.pop()
             children = self.plane.children(u)
@@ -155,8 +157,9 @@ class TreePairElement:
             for child in children:
                 del pairs[child]
             pairs[u] = images[0][:-1]
-            if len(u) >= 2:
-                work.add(u[:-1])
+            counts[u[:-1]] += 1
+            if counts[u[:-1]] == d and len(u) >= 2:
+                work.append(u[:-1])
         reduced = _from_pairs(self.group, pairs) if len(pairs) < len(self._map) else self
         reduced._reduced = True
         return reduced
@@ -185,8 +188,7 @@ class TreePairElement:
                 needed,
             )
         image = self._map[leaf]
-        tail = word[len(leaf):]
-        return image + self.plane.transport_tail(leaf[-1], image[-1], tail)
+        return image + self.plane.transport_tail(leaf[-1], image[-1], word[len(leaf):])
 
 
 def _addresses(leaves, field):
@@ -247,7 +249,7 @@ def make_element(domain_leaves, range_leaves, bijection, group):
         pairs = dict(zip(domain_leaves, [range_leaves[k] for k in kappa]))
     if len(domain) != len(range_):
         raise SizeMismatch("domain has %d leaves, range has %d" % (len(domain), len(range_)))
-    if pairs.keys() != domain._index.keys() or set(pairs.values()) != range_._index.keys():
+    if pairs.keys() != set(domain.leaves) or set(pairs.values()) != set(range_.leaves):
         raise ValueError("the leaf map is not a bijection of the leaf sets")
     orbit, last = group.orbit_of.__getitem__, itemgetter(-1)
     # the orbits in one pass at C speed; the loop below only names a violation

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 MAX_BITS = 1 << 14
 LOG_TABLE_SIZE = 4096
@@ -73,17 +73,17 @@ def fixed_log(n, prec):
 
 def _log(n, prec):
     """The pair of ``fixed_log``: ln n = k·ln 2 + 2·atanh((n − 2^k)/(n + 2^k))
-    for 2^k ≤ n < 2^(k+1), and ln 2 = 2·atanh(1/3), summed at prec + guard
-    bits.  The guard doubles until the sum and the sum plus its error bound
-    lie between the same two multiples of 2^-prec; as ln n is irrational,
-    some guard does it."""
+    for 2^k ≤ n < 2^(k+1), and ln 2 = 2·atanh(1/3) (``_half_ln2``, once per
+    precision), summed at prec + guard bits.  The guard doubles until the
+    sum and the sum plus its error bound lie between the same two multiples
+    of 2^-prec; as ln n is irrational, some guard does it."""
     if n == 1:
         return 0, 0
     k = n.bit_length() - 1
     guard = k.bit_length() + prec.bit_length() + 12
     while True:
         bits = prec + guard
-        (l2, e2), (s, e) = _atanh(1, 3, bits), _atanh(n - (1 << k), n + (1 << k), bits)
+        (l2, e2), (s, e) = _half_ln2(bits), _atanh(n - (1 << k), n + (1 << k), bits)
         low = 2 * (k * l2 + s)
         lo = low >> guard
         if (low + 2 * (k * e2 + e)) >> guard == lo:
@@ -109,6 +109,9 @@ def _atanh(a, b, bits):
         s += power // (2 * j + 1)
         j += 1
     return s, 2 * j
+
+
+_half_ln2 = lru_cache(maxsize=64)(partial(_atanh, 1, 3))
 
 
 def interval_width(value):

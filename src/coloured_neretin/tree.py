@@ -15,9 +15,10 @@ canonical form in the library hangs off.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_right
 from contextlib import suppress
 from itertools import chain, islice, takewhile
-from operator import getitem
+from operator import getitem, ne
 
 
 class IncompleteTree(ValueError):
@@ -27,12 +28,7 @@ class IncompleteTree(ValueError):
 def is_valid_address(word, d):
     """No-repeat colour word over {0..d}, each letter an int (not a bool)."""
     word = tuple(word)
-    for i, c in enumerate(word):
-        if type(c) is not int or not 0 <= c <= d:
-            return False
-        if i > 0 and word[i - 1] == c:
-            return False
-    return True
+    return all(type(c) is int and 0 <= c <= d for c in word) and all(map(ne, word, word[1:]))
 
 
 def check_address(word, d):
@@ -44,9 +40,7 @@ def check_address(word, d):
 
 def admissible_child_colours(v, d):
     """Colours available on edges below v: everything except col(v)."""
-    if not v:
-        return list(range(d + 1))
-    return [c for c in range(d + 1) if c != v[-1]]
+    return [c for c in range(d + 1) if not v or c != v[-1]]
 
 
 def is_prefix(u, v):
@@ -55,11 +49,9 @@ def is_prefix(u, v):
 
 def sphere(d, n):
     """All 'No-repeat' words of length n, in plain tuple order ((d+1)d^(n-1) of them)."""
-    if n == 0:
-        return [()]
-    words = [(c,) for c in range(d + 1)]
-    for _ in range(n - 1):
-        words = [w + (c,) for w in words for c in range(d + 1) if c != w[-1]]
+    words = [()]
+    for _ in range(n):
+        words = [w + (c,) for w in words for c in range(d + 1) if not w or c != w[-1]]
     return words
 
 
@@ -154,21 +146,22 @@ class CompleteSubtree:
 
     Leaves are stored sorted in plain tuple order (deterministic and
     independent of any colour group); use PlaneOrder.lex_sorted for the
-    planar order when it matters.  The constructor validates the leaf set;
-    ``_trusted`` builds, unchecked, the trees derived from validated ones.
+    planar order when it matters; a lookup is one bisection of them.  The
+    constructor validates the leaf set (and ``d``); ``_trusted`` builds,
+    unchecked, the trees derived from validated ones.
     """
 
-    __slots__ = ("d", "leaves", "_index")
+    __slots__ = ("d", "leaves")
 
     def __init__(self, d, leaves):
+        if type(d) is not int or d < 0:
+            raise IncompleteTree("d must be an int >= 0, not %r" % (d,))
         self.d, self.leaves = d, tuple(_check_complete([tuple(w) for w in leaves], d))
-        self._index = {w: i for i, w in enumerate(self.leaves)}
 
     @classmethod
     def _trusted(cls, d, leaves):
         tree = cls.__new__(cls)
         tree.d, tree.leaves = d, tuple(sorted(leaves))
-        tree._index = {w: i for i, w in enumerate(tree.leaves)}
         return tree
 
     @classmethod
@@ -192,23 +185,28 @@ class CompleteSubtree:
         return hash((self.d, self.leaves))
 
     def __contains__(self, leaf):
-        return tuple(leaf) in self._index
+        return self.leaf_containing(leaf) == tuple(leaf)
 
     def leaf_containing(self, word):
         """The unique leaf that is a prefix of ``word`` (which must be at
-        least that deep), or None if ``word`` is a strict prefix of leaves."""
+        least that deep), or None if ``word`` is a strict prefix of leaves.
+
+        The leaves are sorted and prefix-free, so a leaf that is a prefix of
+        ``word`` is the largest leaf up to ``word`` (when no leaf is, index
+        -1 picks the last, which lies above ``word``).  A letter that does
+        not compare with an int stops the bisection only below an internal
+        vertex, where no leaf is a prefix of ``word``."""
         word = tuple(word)
-        for k in range(len(word) + 1):
-            if word[:k] in self._index:
-                return word[:k]
+        with suppress(TypeError):
+            leaf = self.leaves[bisect_right(self.leaves, word) - 1]
+            return leaf if word[: len(leaf)] == leaf else None
         return None
 
     def expand(self, leaf):
         """Simple expansion: replace ``leaf`` by its d children."""
         leaf = tuple(leaf)
-        if leaf not in self._index:
+        if leaf not in self:
             raise ValueError("leaf %r not in tree" % (leaf,))
-        assert leaf, "the root is never a leaf of a complete subtree"
         new = [w for w in self.leaves if w != leaf]
         new.extend(leaf + (c,) for c in admissible_child_colours(leaf, self.d))
         return CompleteSubtree._trusted(self.d, new)
@@ -217,12 +215,11 @@ class CompleteSubtree:
         """Inverse of expand: all children of ``parent`` must be leaves."""
         parent = tuple(parent)
         children = [parent + (c,) for c in admissible_child_colours(parent, self.d)]
-        if not all(c in self._index for c in children):
+        if not all(c in self for c in children):
             raise ValueError("not all children of %r are leaves" % (parent,))
         if not parent:
             raise IncompleteTree("the bare root is not a complete subtree")
-        new = [w for w in self.leaves if w not in set(children)]
-        new.append(parent)
+        new = [w for w in self.leaves if w[:-1] != parent] + [parent]
         return CompleteSubtree._trusted(self.d, new)
 
     def __repr__(self):
@@ -344,9 +341,7 @@ _PLANE_CACHE = weakref.WeakKeyDictionary()
 
 def plane_for(group):
     """The PlaneOrder of a colour group, cached per group object."""
-    try:
-        return _PLANE_CACHE[group]
-    except KeyError:
-        plane = PlaneOrder(group)
-        _PLANE_CACHE[group] = plane
-        return plane
+    plane = _PLANE_CACHE.get(group)
+    if plane is None:
+        plane = _PLANE_CACHE[group] = PlaneOrder(group)
+    return plane

@@ -332,6 +332,42 @@ def test_leaf_containing_and_index():
     assert tree.leaf_containing((1,)) is None  # proper ancestor of leaves
     leaf = tree.leaves[5]
     assert leaf in tree and tree.leaves.index(leaf) == 5
+    # against a scan of every prefix, on random complete trees
+    rng = random.Random(37)
+    for d in (1, 2, 3, 6):
+        for _ in range(40):
+            tree = random_complete_tree(d, rng, rng.randrange(12))
+            leaves = set(tree.leaves)
+            words = set(tree.leaves)
+            for v in tree.leaves:
+                words.update(v[:k] for k in range(len(v)))  # strict prefixes
+                deeper = v
+                for _ in range(rng.randrange(1, 4)):
+                    deeper += (rng.choice(admissible_child_colours(deeper, d)),)
+                words.add(deeper)
+                words.add(v + (v[-1],))  # deeper, through a repeated letter
+                words.add(v[:-1] + (d + 1,))  # colours outside the tree
+                words.add(v[:-1] + (-1, 0))
+                words.add(v[:-1] + ("x",))
+                words.add(v + (d + 1, "x"))
+            for word in words:
+                want = next((word[:k] for k in range(len(word) + 1) if word[:k] in leaves), None)
+                assert tree.leaf_containing(word) == want, (tree.leaves, word)
+                assert tree.leaf_containing(list(word)) == want
+                assert (word in tree) == (word in leaves), (tree.leaves, word)
+
+
+@pytest.mark.parametrize("d", [2.0, "2", True, False, -1, None])
+def test_d_must_be_a_count(d):
+    with pytest.raises(IncompleteTree, match=re.escape("d must be an int >= 0, not %r" % (d,))):
+        CompleteSubtree(d, [(0,), (1,)])  # B_1 at d = 1, once accepted at d = True
+
+
+def test_d_zero_keeps_its_one_leaf_tree():
+    # at d = 0 the root has the one child (0,), which has none
+    assert CompleteSubtree(0, [(0,)]).leaves == ((0,),)
+    with pytest.raises(IncompleteTree, match="invalid address"):
+        CompleteSubtree(0, [(0,), (1,)])
 
 
 def test_incomplete_leafsets_rejected():
