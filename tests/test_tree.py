@@ -360,14 +360,7 @@ def test_leaf_containing_and_index():
 @pytest.mark.parametrize("d", [2.0, "2", True, False, -1, None])
 def test_d_must_be_a_count(d):
     with pytest.raises(IncompleteTree, match=re.escape("d must be an int >= 0, not %r" % (d,))):
-        CompleteSubtree(d, [(0,), (1,)])  # B_1 at d = 1, once accepted at d = True
-
-
-def test_d_zero_keeps_its_one_leaf_tree():
-    # at d = 0 the root has the one child (0,), which has none
-    assert CompleteSubtree(0, [(0,)]).leaves == ((0,),)
-    with pytest.raises(IncompleteTree, match="invalid address"):
-        CompleteSubtree(0, [(0,), (1,)])
+        CompleteSubtree(d, [(0,), (1,)])  # B_1 at d = 1, and True == 1 is still refused
 
 
 def test_incomplete_leafsets_rejected():
