@@ -249,7 +249,9 @@ def make_element(domain_leaves, range_leaves, bijection, group):
         pairs = dict(zip(domain_leaves, [range_leaves[k] for k in kappa]))
     if len(domain) != len(range_):
         raise SizeMismatch("domain has %d leaves, range has %d" % (len(domain), len(range_)))
-    if pairs.keys() != set(domain.leaves) or set(pairs.values()) != set(range_.leaves):
+    if isinstance(bijection, dict) and (  # a kappa permuting range(n) is one already
+        pairs.keys() != set(domain.leaves) or set(pairs.values()) != set(range_.leaves)
+    ):
         raise ValueError("the leaf map is not a bijection of the leaf sets")
     orbit, last = group.orbit_of.__getitem__, itemgetter(-1)
     # the orbits in one pass at C speed; the loop below only names a violation
@@ -617,7 +619,10 @@ def _check_element_shape(data):
 
 def element_from_dict(data, group=None):
     """Inverse of element_to_dict; a pre-built group overrides the generator
-    field (callers must then ensure it matches)."""
+    field (callers must then ensure it matches).  The element's leaves are
+    the shared ``addresses`` of the group's plane, looked up (added when new)
+    once ``make_element`` has found every letter an int, so that 1.0 or True
+    is refused, not taken for 1; the elements derived from it add nothing."""
     _check_element_shape(data)
     d = data["d"]
     if len(data["domain"]) <= d:
@@ -633,4 +638,9 @@ def element_from_dict(data, group=None):
             except ValueError as exc:
                 raise ValueError("F_generators[%d]: %s" % (i, exc)) from None
         group = closure_enumerate(generators, d + 1)
-    return make_element(data["domain"], data["range"], data["kappa"], group)
+    e = make_element(data["domain"], data["range"], data["kappa"], group)
+    share, keys, images = e.plane.addresses.setdefault, e._map, e._map.values()
+    e._map = dict(zip(map(share, keys, keys), map(share, images, images)))
+    for tree in (e.domain, e.range):  # built for e alone
+        tree.leaves = tuple(map(share, tree.leaves, tree.leaves))
+    return e

@@ -68,11 +68,15 @@ class PlaneOrder:
     The plane stores ``canonical_maps`` (colour -> f_chi) and two lists
     indexed by colour: ``_images[chi]``, the image tuple of f_chi, and
     ``_inverse_images[chi]``, that of f_chi^{-1}.  Child orders, label words
-    and transports read only the two lists.
+    and transports read only the two lists.  ``addresses`` is the table of
+    leaf addresses that the elements decoded over F share (only
+    ``element_from_dict`` adds to it); ``plane_for`` caches one plane per
+    group, so the table lives as long as the group and equal groups share it.
     """
 
     def __init__(self, group):
         self.d = group.d
+        self.addresses = {}
         ident = group.identity()
         self.canonical_maps = {
             chi: ident if chi == orbit[0] else group.least_element_mapping(chi, orbit[0])
@@ -340,7 +344,7 @@ _PLANE_CACHE = weakref.WeakKeyDictionary()
 
 
 def plane_for(group):
-    """The PlaneOrder of a colour group, cached per group object."""
+    """The PlaneOrder of a colour group, cached per group; equal groups share it."""
     plane = _PLANE_CACHE.get(group)
     if plane is None:
         plane = _PLANE_CACHE[group] = PlaneOrder(group)
