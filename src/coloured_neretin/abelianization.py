@@ -37,7 +37,7 @@ elimination; the tests and ``selftest`` check the closed form against them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class IntMatrix:
@@ -121,18 +121,17 @@ def bareiss_determinant(matrix):
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(namedtuple("AbelianInvariants", "invariant_factors free_rank")):
     """Invariant factors (positive, each dividing the next) and the free
     rank of the cokernel (rows minus rank)."""
 
-    invariant_factors: tuple
-    free_rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+    def __new__(cls, invariant_factors, free_rank):
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             assert a > 0 and b % a == 0
-        assert self.free_rank >= 0
+        assert free_rank >= 0
+        return super().__new__(cls, invariant_factors, free_rank)
 
 
 def smith_normal_form(matrix):
@@ -249,7 +248,7 @@ def check_orbit_sizes(orbit_sizes):
     """(sizes, d) for orbit sizes that are positive ints (not bools) naming
     at least d + 1 = 3 colours; raises ValueError otherwise."""
     sizes = tuple(orbit_sizes)
-    if not sizes or not all(type(x) is int and x > 0 for x in sizes):
+    if not sizes or not set(map(type, sizes)) <= {int} or min(sizes) < 1:
         raise ValueError("orbit sizes must be positive integers")
     d = sum(sizes) - 1
     if d < 2:
@@ -257,12 +256,10 @@ def check_orbit_sizes(orbit_sizes):
     return sizes, d
 
 
-@dataclass(frozen=True)
-class Abelianization:
-    orbit_sizes: tuple
-    invariant_factors: tuple
-    two_torsion_rank: int
-    determinant: int
+class Abelianization(
+    namedtuple("Abelianization", "orbit_sizes invariant_factors two_torsion_rank determinant")
+):
+    __slots__ = ()
 
     def describe(self):
         if self.two_torsion_rank == 0:

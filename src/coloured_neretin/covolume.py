@@ -14,10 +14,10 @@ stated closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, islice
-from math import factorial
+from math import factorial, prod
 
 from .abelianization import check_orbit_sizes
 from .intervals import decide_sign, default_precision, fixed_log, interval_width
@@ -73,21 +73,13 @@ def is_single_switch_sizes(orbit_sizes):
 
 
 def _kernel_factor(sizes, d):
-    value = 1
-    for x in sizes:
-        value *= exact_div(factorial(x) ** (d + 1), x ** x)
-    return value
+    return prod(exact_div(factorial(x) ** (d + 1), x ** x) for x in sizes)
 
 
-@dataclass(frozen=True)
-class BallCounts:
-    orbit_sizes: tuple
-    n: int
-    sphere: int
-    orbit_spheres: tuple
-    sym_product_order: int
-    aut_ball_order: int
-    kernel_orders: tuple
+BallCounts = namedtuple(
+    "BallCounts",
+    "orbit_sizes n sphere orbit_spheres sym_product_order aut_ball_order kernel_orders",
+)
 
 
 def ball_counts(orbit_sizes, n):
@@ -103,24 +95,12 @@ def ball_counts(orbit_sizes, n):
         raise ValueError("ball radius must be at least 1")
     sphere = (d + 1) * d ** (n - 1)
     orbit_spheres = tuple(x * d ** (n - 1) for x in sizes)
-    sym_product_order = 1
-    for m in orbit_spheres:
-        sym_product_order *= factorial(m)
-
-    root_order = 1
-    for x in sizes:
-        root_order *= factorial(x)
+    sym_product_order = prod(map(factorial, orbit_spheres))
+    root_order = prod(map(factorial, sizes))
     K = _kernel_factor(sizes, d)
-
-    aut = root_order
-    kernel_orders = []
-    for m in range(2, n + 1):
-        ker = K ** (d ** (m - 2))
-        kernel_orders.append(ker)
-        aut *= ker
-
+    kernel_orders = tuple(K ** (d ** (m - 2)) for m in range(2, n + 1))
     closed = root_order * K ** exact_div(d ** (n - 1) - 1, d - 1)
-    assert aut == closed
+    assert root_order * prod(kernel_orders) == closed
     return BallCounts(
         orbit_sizes=sizes,
         n=n,
@@ -128,17 +108,11 @@ def ball_counts(orbit_sizes, n):
         orbit_spheres=orbit_spheres,
         sym_product_order=sym_product_order,
         aut_ball_order=closed,
-        kernel_orders=tuple(kernel_orders),
+        kernel_orders=kernel_orders,
     )
 
 
-@dataclass(frozen=True)
-class CovolumeChain:
-    orbit_sizes: tuple
-    n: int
-    gamma_order: int
-    counts: BallCounts
-    index_bound: Fraction
+CovolumeChain = namedtuple("CovolumeChain", "orbit_sizes n gamma_order counts index_bound")
 
 
 def covolume_chain(orbit_sizes, n, gamma_order):
@@ -182,11 +156,8 @@ def single_switch_covolume(d, n, gamma_order):
     return Fraction(numerator, 2 ** m * gamma_order)
 
 
-@dataclass(frozen=True)
-class SmallestVerdict:
-    orbit_sizes: tuple
-    lhs: int
-    rhs: int
+class SmallestVerdict(namedtuple("SmallestVerdict", "orbit_sizes lhs rhs")):
+    __slots__ = ()
 
     @property
     def holds(self):
@@ -260,15 +231,10 @@ def smallest_log_sign(orbit_sizes, start_bits=None):
     return decide_sign(expression, start_bits=start_bits)
 
 
-@dataclass(frozen=True)
-class DominantCompare:
-    orbit_sizes: tuple
-    lhs_coefficient: float
-    rhs_coefficient: float
-    strict_less: bool
-    equality: bool
-    single_switch: bool
-    boundary_case: bool
+DominantCompare = namedtuple(
+    "DominantCompare",
+    "orbit_sizes lhs_coefficient rhs_coefficient strict_less equality single_switch boundary_case",
+)
 
 
 def _log_kernel_factor(orbit_sizes, d):
@@ -370,16 +336,14 @@ def _xi_tail(x, prec):
     return lo, hi
 
 
-@dataclass
-class XiClaimsReport:
-    max_x: int
-    append_checked: int
-    merge_checked: int
-    tail_checked: int
-    failures: list
-    undecided: list
-    max_bits: int
-    boundary_note: str = ""
+class XiClaimsReport(
+    namedtuple(
+        "XiClaimsReport",
+        "max_x append_checked merge_checked tail_checked failures undecided max_bits boundary_note",
+        defaults=("",),
+    )
+):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -498,12 +462,8 @@ def window_ends(m, k):
     return _SIEVE.count(1, m // 2 + 1, m + 1), least, greatest
 
 
-@dataclass(frozen=True)
-class PrimeWindowReport:
-    min_m: int
-    max_m: int
-    least_count: int
-    least_at: int
+class PrimeWindowReport(namedtuple("PrimeWindowReport", "min_m max_m least_count least_at")):
+    __slots__ = ()
 
     @property
     def always_at_least_three(self):
@@ -533,18 +493,11 @@ def verify_prime_windows(max_m, min_m=17):
     )
 
 
-@dataclass(frozen=True)
-class AppendixCounts:
-    d: int
-    k: int
-    n: int
-    sphere: int
-    aut_ball_order: int
-    overcount_value: int
-    overcount_matches: bool
-    bound: int
-    bound_ok: bool
-    overcount_bound_ok: bool
+AppendixCounts = namedtuple(
+    "AppendixCounts",
+    "d k n sphere aut_ball_order overcount_value overcount_matches bound bound_ok"
+    " overcount_bound_ok",
+)
 
 
 def appendix_counts(d, k, n):

@@ -26,8 +26,7 @@ tree-pair elements.  This module realises that dictionary concretely:
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
@@ -52,13 +51,10 @@ class InvalidBisection(ValueError):
 # -- the orbit graph -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SftGraph:
+class SftGraph(namedtuple("SftGraph", "orbit_sizes orbit_colours")):
     """Vertices: ("D", i) for each orbit, then ("delta", i, j) grouped by orbit
-    i, j = 1..size-1.  One sorted colour block per orbit; ``edges()`` builds the edges."""
-
-    orbit_sizes: tuple
-    orbit_colours: tuple
+    i, j = 1..size-1.  One sorted colour block per orbit; ``edges()`` builds the edges.
+    No ``__slots__``: the cached views below live in the instance's ``__dict__``."""
 
     @property
     def d(self):
@@ -287,8 +283,7 @@ class Omega:
         return True
 
 
-@dataclass(frozen=True)
-class Bisection:
+class Bisection(namedtuple("Bisection", "pairs")):
     """Shift-side normal form: (source path, target path) pairs.
 
     Both paths of a pair are label-word tuples of ints (not bools: True
@@ -301,26 +296,24 @@ class Bisection:
     bisections the package makes from int label words.
     """
 
-    pairs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, pairs):
         try:
-            pairs = [(tuple(s), tuple(t)) for s, t in self.pairs]
+            checked = [(tuple(s), tuple(t)) for s, t in pairs]
         except (TypeError, ValueError):
-            raise InvalidBisection(_shape_problems(self.pairs)) from None
-        labels = chain.from_iterable(chain.from_iterable(pairs))
+            raise InvalidBisection(_shape_problems(pairs)) from None
+        labels = chain.from_iterable(chain.from_iterable(checked))
         if not set(map(type, labels)) <= {int}:
             raise InvalidBisection([
                 "pair %r: label %r is not an int" % (pair, c)
-                for pair in pairs for c in chain(*pair) if type(c) is not int
+                for pair in checked for c in chain(*pair) if type(c) is not int
             ])
-        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
+        return cls._trusted(checked)
 
     @classmethod
     def _trusted(cls, pairs):
-        bisection = cls.__new__(cls)
-        object.__setattr__(bisection, "pairs", tuple(sorted(pairs)))
-        return bisection
+        return tuple.__new__(cls, (tuple(sorted(pairs)),))
 
     def sources(self):
         return [s for s, _ in self.pairs]

@@ -70,8 +70,9 @@ class PlaneOrder:
     ``_inverse_images[chi]``, that of f_chi^{-1}.  Child orders, label words
     and transports read only the two lists.  ``addresses`` is the table of
     leaf addresses that the elements decoded over F share (only
-    ``element_from_dict`` adds to it); ``plane_for`` caches one plane per
-    group, so the table lives as long as the group and equal groups share it.
+    ``element_from_dict`` adds to it); each group keeps the plane
+    ``plane_for`` hands it, so the table lives as long as a group holding it,
+    and equal groups share it.
     """
 
     def __init__(self, group):
@@ -344,8 +345,14 @@ _PLANE_CACHE = weakref.WeakKeyDictionary()
 
 
 def plane_for(group):
-    """The PlaneOrder of a colour group, cached per group; equal groups share it."""
-    plane = _PLANE_CACHE.get(group)
+    """The PlaneOrder of a colour group.  A group keeps the first plane it is
+    handed, as ``_plane``.  That is the plane of the equal group the weak
+    cache is keyed by, while that group lives, so equal groups share one; a
+    group that first asks after its death starts a new one."""
+    plane = group.__dict__.get("_plane")
     if plane is None:
-        plane = _PLANE_CACHE[group] = PlaneOrder(group)
+        plane = _PLANE_CACHE.get(group)
+        if plane is None:
+            plane = _PLANE_CACHE[group] = PlaneOrder(group)
+        group._plane = plane
     return plane

@@ -18,9 +18,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "compose_golden.json")
 ELEMENT_MODULES = {"cli", "almost_automorphisms", "permutations", "tree"}
 
-# modules outside the package that the tests watch: mpmath, which no module
-# imports, and the standard modules that only the numeric commands need; a
-# bare interpreter that imports json, argparse and random loads none of them
+# modules outside the package that the tests watch: mpmath and dataclasses,
+# which no module imports, inspect, which dataclasses loads, and the standard
+# modules that only the numeric commands need; a bare interpreter that
+# imports json, argparse and random loads none of them
 WATCHED = {"mpmath", "dataclasses", "inspect", "csv", "decimal"}
 
 # imports the package and, given an argument list, runs the CLI on it; then
@@ -84,20 +85,46 @@ def test_element_commands_load_only_the_element_modules(element_files):
         assert loaded_after(argv) == (0, ELEMENT_MODULES), argv
 
 
-def test_no_command_loads_mpmath():
+def package_sources():
+    """(file name, text) of each module of the package."""
+    folder = os.path.join(ROOT, "src", "coloured_neretin")
+    for path in sorted(os.listdir(folder)):
+        if path.endswith(".py"):
+            with open(os.path.join(folder, path)) as handle:
+                yield path, handle.read()
+
+
+@pytest.fixture(scope="module")
+def other_commands():
+    """(argv, the package modules it should load beyond the element
+    modules, (exit status, loaded modules)) for the commands that run more
+    than the element modules."""
     numeric = {"abelianization", "covolume", "intervals"}
-    for argv, modules in (
-        (["covolume-table", "--orbits", "1,2", "--max-n", "3"], numeric),
-        (["verify-smallest", "--max-d", "3"], numeric),
-        (["selftest"], numeric | {"shift_model"}),
-    ):
-        status, loaded = loaded_after(argv)
+    return [
+        (argv, modules, loaded_after(argv))
+        for argv, modules in (
+            (["covolume-table", "--orbits", "1,2", "--max-n", "3"], numeric),
+            (["verify-smallest", "--max-d", "3"], numeric),
+            (["selftest"], numeric | {"shift_model"}),
+            (["graph", "--orbits", "1,2"], {"abelianization", "shift_model"}),
+        )
+    ]
+
+
+def test_no_command_loads_mpmath(other_commands):
+    for argv, modules, (status, loaded) in other_commands:
         assert (status, loaded - WATCHED) == (0, ELEMENT_MODULES | modules), argv
         assert "mpmath" not in loaded, argv
-    for path in sorted(os.listdir(os.path.join(ROOT, "src", "coloured_neretin"))):
-        if path.endswith(".py"):
-            with open(os.path.join(ROOT, "src", "coloured_neretin", path)) as handle:
-                assert "mpmath" not in handle.read(), path
+    for path, text in package_sources():
+        assert "mpmath" not in text, path
+
+
+def test_no_command_loads_dataclasses_or_inspect(other_commands):
+    # the package's records are named tuples
+    for argv, _, (_, loaded) in other_commands:
+        assert not loaded & {"dataclasses", "inspect"}, argv
+    for path, text in package_sources():
+        assert "dataclasses" not in text, path
 
 
 def test_each_public_name_is_the_object_of_its_home_module():

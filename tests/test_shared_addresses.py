@@ -134,6 +134,27 @@ def test_equal_groups_share_one_table():
     assert all(u is v for u, v in zip(first.domain.leaves, second.domain.leaves))
 
 
+def test_a_twin_keeps_the_plane_when_the_first_group_dies():
+    group, twin = fresh_group(), fresh_group()
+    plane = plane_for(group)  # the cache is keyed by group, which asked first
+    data = element_to_dict(random_element(group, random.Random(40), 12))
+    before = element_from_dict(data, twin)
+    assert plane_for(twin) is plane and plane.addresses
+    first = weakref.ref(group)
+    del group
+    gc.collect()
+    assert first() is None
+    after = element_from_dict(data, twin)
+    assert plane_for(twin) is plane and after.plane is plane
+    assert all(u is v for u, v in zip(before.domain.leaves, after.domain.leaves))
+    assert all(u is v for u, v in zip(before.range.leaves, after.range.leaves))
+    # the plane still dies with the last group holding it and its elements
+    plane = weakref.ref(plane)
+    del before, after, twin
+    gc.collect()
+    assert plane() is None
+
+
 def test_kappa_files_need_no_leaf_set_comparison():
     # make_element compares the leaf sets only for a dict: a kappa that
     # permutes range(n) meets the same checks as the dict it stands for
