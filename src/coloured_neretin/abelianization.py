@@ -248,7 +248,7 @@ def check_orbit_sizes(orbit_sizes):
     """(sizes, d) for orbit sizes that are positive ints (not bools) naming
     at least d + 1 = 3 colours; raises ValueError otherwise."""
     sizes = tuple(orbit_sizes)
-    if not sizes or not set(map(type, sizes)) <= {int} or min(sizes) < 1:
+    if not sizes or not all(type(x) is int and x > 0 for x in sizes):
         raise ValueError("orbit sizes must be positive integers")
     d = sum(sizes) - 1
     if d < 2:

@@ -153,7 +153,3 @@ def test_invariants_that_break_the_divisibility_chain_are_refused(factors, free_
     with pytest.raises(AssertionError):
         AbelianInvariants(factors, free_rank)
     assert AbelianInvariants((2, 6), 1).invariant_factors == (2, 6)
-
-
-def test_a_trusted_bisection_equals_a_checked_one():
-    assert Bisection._trusted(map(tuple, BISECTION_PAIRS)) == Bisection(BISECTION_PAIRS)
