@@ -7,10 +7,10 @@ the test suite: every CLI subcommand on small inputs, the four demos, and
 two ops of each benchmark workload (``bench/workloads.py``).  Then prints
 each function or method defined in ``src/coloured_neretin`` (nested
 functions included; class bodies, comprehensions and lambdas left out) that none of
-them called, as ``module.qualname (line N)``.  Methods a ``dataclass``
-generates have no source and are not listed.  Last come the line count of
-each module of the package and their total, so that the net ``src/`` line
-delta of a change is the difference of two runs.  Files the commands write go
+them called, as ``module.qualname (line N)``.  Methods that
+``collections.namedtuple`` generates have no source and are not listed.
+Last come the line count of each module of the package and their total, so
+that the net ``src/`` line delta of a change is the difference of two runs.  Files the commands write go
 to a temporary directory that is removed afterwards.
 """
 
