@@ -279,8 +279,8 @@ def vf_abelianization(orbit_sizes):
         g = 2 if all(x % 2 == 0 for x in sizes) else 1
         factors = (g,) + (2,) * (l - 1) + (2 * (d - 1) // g,)
     return Abelianization(
-        orbit_sizes=sizes,
-        invariant_factors=tuple(eps for eps in factors if eps != 1),
-        two_torsion_rank=sum(1 for eps in factors if eps % 2 == 0),
-        determinant=2 ** l * (1 - d),
+        sizes,
+        tuple(eps for eps in factors if eps != 1),
+        sum(1 for eps in factors if eps % 2 == 0),
+        2 ** l * (1 - d),
     )

@@ -253,9 +253,9 @@ def cmd_graph(args):
 
 
 def cmd_covolume_table(args):
-    from .covolume import covolume_chain, covolume_table_rows
+    from .covolume import covolume_table_rows
 
-    rows = covolume_table_rows(args.orbits, args.max_n)
+    rows = covolume_table_rows(args.orbits, args.max_n, args.gamma_order)
     header = (
         "d",
         "orbit_sizes",
@@ -275,17 +275,16 @@ def cmd_covolume_table(args):
             )
         )
     if args.gamma_order is not None:
-        for n in range(1, args.max_n + 1):
-            chain = covolume_chain(args.orbits, n, args.gamma_order)
+        for row in rows:
             print(
                 "index lower bound at n=%d (|Gamma_n| = %d): %s"
-                % (n, args.gamma_order, _show_fraction(chain.index_bound))
+                % (row["n"], args.gamma_order, _show_fraction(row["index_bound"]))
             )
     if args.csv:
         import csv
 
         with open(args.csv, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=header)
+            writer = csv.DictWriter(handle, fieldnames=header, extrasaction="ignore")
             writer.writeheader()
             writer.writerows(
                 {key: _digits(v) if isinstance(v, int) else v for key, v in row.items()}

@@ -86,29 +86,23 @@ def ball_counts(orbit_sizes, n):
     """Counts around the ball of radius n, computed two independent ways.
 
     The automorphism order is evaluated by the level recursion (root
-    symmetries, then one kernel factor per interior level) and checked
-    against the closed form with exponent (d^(n-1)-1)/(d-1).
+    symmetries, then one kernel factor K^(d^k) per interior level k < n-1)
+    and checked against the closed form with exponent (d^(n-1)-1)/(d-1).
     """
     sizes, d = check_orbit_sizes(orbit_sizes)
     _check_ints(n=n)
     if n < 1:
         raise ValueError("ball radius must be at least 1")
-    sphere = (d + 1) * d ** (n - 1)
-    orbit_spheres = tuple(x * d ** (n - 1) for x in sizes)
-    sym_product_order = prod(map(factorial, orbit_spheres))
+    m = d ** (n - 1)
+    orbit_spheres = tuple(map(m.__mul__, sizes))
     root_order = prod(map(factorial, sizes))
     K = _kernel_factor(sizes, d)
-    kernel_orders = tuple(K ** (d ** (m - 2)) for m in range(2, n + 1))
-    closed = root_order * K ** exact_div(d ** (n - 1) - 1, d - 1)
+    kernel_orders = tuple(K ** d ** k for k in range(n - 1))
+    closed = root_order * K ** exact_div(m - 1, d - 1)
     assert root_order * prod(kernel_orders) == closed
     return BallCounts(
-        orbit_sizes=sizes,
-        n=n,
-        sphere=sphere,
-        orbit_spheres=orbit_spheres,
-        sym_product_order=sym_product_order,
-        aut_ball_order=closed,
-        kernel_orders=kernel_orders,
+        sizes, n, (d + 1) * m, orbit_spheres, prod(map(factorial, orbit_spheres)),
+        closed, kernel_orders,
     )
 
 
@@ -126,6 +120,12 @@ def covolume_chain(orbit_sizes, n, gamma_order):
     """
     _check_ints(gamma_order=gamma_order)
     counts = ball_counts(orbit_sizes, n)
+    index_bound = _index_bound(counts, gamma_order)
+    return CovolumeChain(counts.orbit_sizes, n, gamma_order, counts, index_bound)
+
+
+def _index_bound(counts, gamma_order):
+    """The index_bound of ``covolume_chain`` from the ball counts."""
     if gamma_order < 1:
         raise ValueError("gamma_order must be a positive integer")
     if counts.sym_product_order % gamma_order != 0:
@@ -134,16 +134,7 @@ def covolume_chain(orbit_sizes, n, gamma_order):
             "no finite group of that order acts this way"
             % (gamma_order, counts.sym_product_order)
         )
-    index_bound = Fraction(
-        counts.sym_product_order, gamma_order * counts.aut_ball_order
-    )
-    return CovolumeChain(
-        orbit_sizes=counts.orbit_sizes,
-        n=n,
-        gamma_order=gamma_order,
-        counts=counts,
-        index_bound=index_bound,
-    )
+    return Fraction(counts.sym_product_order, gamma_order * counts.aut_ball_order)
 
 
 def single_switch_covolume(d, n, gamma_order):
@@ -202,7 +193,7 @@ def verify_smallest_inequality(orbit_sizes):
         power_product *= x ** (d * x)
     lhs = (d + 1) ** (d * d - 1) * fact_product ** (d + 1)
     rhs = d ** (d * d - 1) * power_product
-    return SmallestVerdict(orbit_sizes=sizes, lhs=lhs, rhs=rhs)
+    return SmallestVerdict(sizes, lhs, rhs)
 
 
 def smallest_log_sign(orbit_sizes, start_bits=None):
@@ -287,29 +278,30 @@ def log_ratio(orbit_sizes, n):
 
 def _xi_capital():
     """The comparison functional as ``xi(parts, prec)``, a fixed-point int
-    pair at prec bits (see ``intervals``).  While ``xi`` lives it keeps the
-    running sums of p log p and of log p! by (prefix, prec), and
-    (x-1) log(x/(x+1)) by (x, prec).  A new prefix extends its longest known
-    one; int sums are exact, so the pair does not depend on which prefixes
-    were known, and tuples need not be sorted."""
-    sums = {}
-    tails = {}
+    pair at prec bits (see ``intervals``).  While ``xi`` lives it keeps one
+    pair of tables per precision: the running sums of p log p and of log p!
+    by prefix, seeded with the empty one, and (x-1) log(x/(x+1)) by x.  A
+    new prefix extends its longest known one; int sums are exact, so the
+    pair does not depend on which prefixes were known, and tuples need not
+    be sorted."""
+    tables = {}
 
     def xi(parts, prec):
+        sums, tails = tables.get(prec) or tables.setdefault(prec, ({(): (0, 0, 0, 0)}, {}))
         known = len(parts)
-        while known and (parts[:known], prec) not in sums:
+        while parts[:known] not in sums:
             known -= 1
-        w_lo, w_hi, f_lo, f_hi = sums.get((parts[:known], prec), (0, 0, 0, 0))
+        w_lo, w_hi, f_lo, f_hi = sums[parts[:known]]
         for k in range(known, len(parts)):
             p = parts[k]
             (a, b), (c, e) = fixed_log(p, prec), fixed_log(factorial(p), prec)
             w_lo, w_hi, f_lo, f_hi = w_lo + p * a, w_hi + p * b, f_lo + c, f_hi + e
-            sums[parts[: k + 1], prec] = w_lo, w_hi, f_lo, f_hi
+            sums[parts[: k + 1]] = w_lo, w_hi, f_lo, f_hi
         x = sum(parts) - 1
-        tail = tails.get((x, prec))
+        tail = tails.get(x)
         if tail is None:
             (a, b), (c, e) = fixed_log(x, prec), fixed_log(x + 1, prec)
-            tail = tails[x, prec] = (x - 1) * (a - e), (x - 1) * (b - c)
+            tail = tails[x] = (x - 1) * (a - e), (x - 1) * (b - c)
         return w_lo * x // (x + 1) - f_hi + tail[0], -(-w_hi * x // (x + 1)) - f_lo + tail[1]
 
     return xi
@@ -360,15 +352,16 @@ def verify_xi_claims(max_x, start_bits=None):
     Merge step: absorbing a singleton part into the smallest other part
     strictly increases the functional, checked whenever some other part
     exists.  Tail: the explicit one-variable lower bound function is
-    strictly positive for 2 <= x <= max_x.
+    strictly positive for 2 <= x <= max_x.  The claims are decided in that
+    order: each partition's append and merge claims, then the tails.
 
     Within one call each value of the functional is evaluated once per
     precision: a partition met again at the same precision, say as the
     larger side of one step and the smaller side of another, reuses its
-    fixed-point interval (see ``intervals``).  The functional's running
-    sums are shared by prefix and its tail term by total (see
-    ``_xi_capital``); these tables live for the call, the logarithms in
-    ``fixed_log``'s table for the process.
+    fixed-point interval (see ``intervals``) from that precision's table.
+    The functional's running sums are shared by prefix and its tail term by
+    total, in tables per precision (see ``_xi_capital``); these tables live
+    for the call, the logarithms in ``fixed_log``'s table for the process.
     """
     if max_x < 3:
         raise ValueError("max_x must be at least 3")
@@ -380,57 +373,40 @@ def verify_xi_claims(max_x, start_bits=None):
     def xi(parts, prec):
         # keyed on the tuple as given: a merged tuple need not be sorted,
         # and its order is the order of the sums
-        key = (parts, prec)
-        value = values.get(key)
+        table = values.get(prec) or values.setdefault(prec, {})
+        value = table.get(parts)
         if value is None:
-            value = values[key] = capital(parts, prec)
+            value = table[parts] = capital(parts, prec)
         return value
 
-    failures = []
-    undecided = []
-    append_checked = 0
-    merge_checked = 0
-    tail_checked = 0
-    max_bits = 0
+    def claims():
+        for total in range(3, max_x + 1):
+            for parts in integer_partitions(total):
+                if len(parts) <= total - 2:
+                    yield "append", parts, _xi_step(xi, parts + (1,), parts)
+                if len(parts) >= 2 and parts[-1] == 1 and len(parts) <= total - 1:
+                    yield "merge", parts, _xi_step(xi, parts[:-2] + (parts[-2] + 1,), parts)
+        for x in range(2, max_x + 1):
+            yield "tail", x, lambda prec, x=x: _xi_tail(x, prec)
 
-    def record(tag, sign, bits, value):
-        nonlocal max_bits
+    checked = {"append": 0, "merge": 0, "tail": 0}
+    failures, undecided, max_bits = [], [], 0
+    for kind, subject, expression in claims():
+        sign, value, bits = decide_sign(expression, start_bits=start_bits)
+        checked[kind] += 1
         max_bits = max(max_bits, bits)
         if sign is None:
-            undecided.append((tag, interval_width(value)))
+            undecided.append(((kind, subject), interval_width(value)))
         elif sign < 0:
-            failures.append(tag)
-
-    for total in range(3, max_x + 1):
-        for parts in integer_partitions(total):
-            if len(parts) <= total - 2:
-                bigger = parts + (1,)
-                sign, value, bits = decide_sign(_xi_step(xi, bigger, parts), start_bits=start_bits)
-                append_checked += 1
-                record(("append", parts), sign, bits, value)
-            if len(parts) >= 2 and parts[-1] == 1 and len(parts) <= total - 1:
-                merged = parts[:-2] + (parts[-2] + 1,)
-                sign, value, bits = decide_sign(_xi_step(xi, merged, parts), start_bits=start_bits)
-                merge_checked += 1
-                record(("merge", parts), sign, bits, value)
-    for x in range(2, max_x + 1):
-        sign, value, bits = decide_sign(
-            lambda prec, x=x: _xi_tail(x, prec), start_bits=start_bits
-        )
-        tail_checked += 1
-        record(("tail", x), sign, bits, value)
+            failures.append((kind, subject))
     return XiClaimsReport(
-        max_x=max_x,
-        append_checked=append_checked,
-        merge_checked=merge_checked,
-        tail_checked=tail_checked,
-        failures=failures,
-        undecided=undecided,
-        max_bits=max_bits,
-        boundary_note=(
-            "append step not asserted for partitions with total-1 parts; "
-            "the underlying convexity bound needs at most total-2 parts"
-        ),
+        max_x,
+        *checked.values(),  # append, merge, tail
+        failures,
+        undecided,
+        max_bits,
+        "append step not asserted for partitions with total-1 parts; "
+        "the underlying convexity bound needs at most total-2 parts",
     )
 
 
@@ -542,24 +518,30 @@ def appendix_counts(d, k, n):
     )
 
 
-def covolume_table_rows(orbit_sizes, max_n):
-    """Rows for the covolume table: one per radius 1..max_n."""
+def covolume_table_rows(orbit_sizes, max_n, gamma_order=None):
+    """Rows for the covolume table: one per radius 1..max_n.  Given a
+    gamma_order, each row also holds the ``index_bound`` of
+    ``covolume_chain`` at its radius, from the same ball counts, so an
+    order refused at any radius is refused before a row is returned."""
     sizes, d = check_orbit_sizes(orbit_sizes)
     _check_ints(max_n=max_n)
+    if gamma_order is not None:
+        _check_ints(gamma_order=gamma_order)
     verdict = verify_smallest_inequality(sizes).verdict
     rows = []
     for n in range(1, max_n + 1):
         counts = ball_counts(sizes, n)
-        rows.append(
-            {
-                "d": d,
-                "orbit_sizes": " ".join(str(x) for x in sizes),
-                "n": n,
-                "sphere": counts.sphere,
-                "sym_product_order": counts.sym_product_order,
-                "aut_ball_order": counts.aut_ball_order,
-                "bound_ratio": "%.6f" % log_ratio(sizes, n),
-                "inequality_verdict": verdict,
-            }
-        )
+        row = {
+            "d": d,
+            "orbit_sizes": " ".join(str(x) for x in sizes),
+            "n": n,
+            "sphere": counts.sphere,
+            "sym_product_order": counts.sym_product_order,
+            "aut_ball_order": counts.aut_ball_order,
+            "bound_ratio": "%.6f" % log_ratio(sizes, n),
+            "inequality_verdict": verdict,
+        }
+        if gamma_order is not None:
+            row["index_bound"] = _index_bound(counts, gamma_order)
+        rows.append(row)
     return rows

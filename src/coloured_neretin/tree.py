@@ -341,18 +341,34 @@ def _missing_colours(v, d, count, present):
     return first(range(d + 1), 3) + ["<%d more>" % (count - 5)] + first(range(d, -1, -1), 2)[::-1]
 
 
-_PLANE_CACHE = weakref.WeakKeyDictionary()
+# hash of a group -> weak references to the groups of that hash holding a plane
+_PLANE_HOLDERS = {}
 
 
 def plane_for(group):
     """The PlaneOrder of a colour group.  A group keeps the first plane it is
-    handed, as ``_plane``.  That is the plane of the equal group the weak
-    cache is keyed by, while that group lives, so equal groups share one; a
-    group that first asks after its death starts a new one."""
+    handed, as ``_plane``: that of any live equal group holding one, so
+    equal groups alive together share one plane, else a new one.  The
+    holders are found through weak references, which keep no group, and so
+    no plane, alive."""
     plane = group.__dict__.get("_plane")
     if plane is None:
-        plane = _PLANE_CACHE.get(group)
-        if plane is None:
-            plane = _PLANE_CACHE[group] = PlaneOrder(group)
+        key = hash(group)
+        for ref in _PLANE_HOLDERS.get(key, ()):
+            twin = ref()
+            if twin is not None and twin == group:
+                plane = twin._plane
+                break
+        else:
+            plane = PlaneOrder(group)
         group._plane = plane
+        holder = weakref.ref(group, lambda ref: _forget_holder(key, ref))
+        _PLANE_HOLDERS.setdefault(key, []).append(holder)
     return plane
+
+
+def _forget_holder(key, ref):
+    holders = _PLANE_HOLDERS[key]
+    holders.remove(ref)
+    if not holders:
+        del _PLANE_HOLDERS[key]

@@ -441,7 +441,14 @@ def test_covolume_table_past_the_int_str_digit_limit(tmp_path, capsys):
     assert len(cells[5][4]) == 27720
 
 
-def test_covolume_table_gamma_bound(capsys):
+def test_covolume_table_gamma_bound(capsys, monkeypatch):
+    radii, ball_counts = [], covolume.ball_counts
+
+    def counting(orbit_sizes, n):
+        radii.append(n)
+        return ball_counts(orbit_sizes, n)
+
+    monkeypatch.setattr(covolume, "ball_counts", counting)
     code = main(
         ["covolume-table", "--orbits", "1,2", "--max-n", "2",
          "--gamma-order", "2"]
@@ -450,6 +457,8 @@ def test_covolume_table_gamma_bound(capsys):
     out = capsys.readouterr().out
     assert "index lower bound at n=1 (|Gamma_n| = 2):" in out
     assert "index lower bound at n=2 (|Gamma_n| = 2):" in out
+    # the table and the bounds read one set of ball counts per radius
+    assert radii == [1, 2]
 
 
 def test_covolume_table_gamma_must_act(capsys):
@@ -458,7 +467,12 @@ def test_covolume_table_gamma_must_act(capsys):
          "--gamma-order", "7"]
     )
     assert code == 1
-    assert "no finite group of that order" in capsys.readouterr().err
+    # refused before any row is printed
+    assert capsys.readouterr() == (
+        "",
+        "error: gamma_order 7 does not divide the sphere symmetry order 2: "
+        "no finite group of that order acts this way\n",
+    )
 
 
 def test_verify_smallest(capsys):

@@ -175,8 +175,18 @@ def test_aut_ball_order_matches_backtracking():
         assert ball_counts(sizes, n).aut_ball_order == brute_aut_ball(sizes, n)
 
 
+# every orbit partition of the benchmark's certificate bundle (d <= 8), in
+# descending and in ascending order
+CERTIFY_SIZES = [
+    sizes
+    for total in range(3, 10)
+    for parts in integer_partitions(total)
+    for sizes in dict.fromkeys((parts, parts[::-1]))
+]
+
+
 def test_sphere_and_symmetric_orders():
-    for sizes in ((3,), (1, 2), (2, 2), (1, 3, 2)):
+    for sizes in CERTIFY_SIZES + [(1, 3, 2)]:
         d = sum(sizes) - 1
         for n in (1, 2, 3):
             counts = ball_counts(sizes, n)
@@ -190,11 +200,23 @@ def test_sphere_and_symmetric_orders():
 
 
 def test_kernel_orders_multiply_to_aut_order():
-    counts = ball_counts((1, 3), 4)
-    product = math.factorial(1) * math.factorial(3)
-    for ker in counts.kernel_orders:
-        product *= ker
-    assert product == counts.aut_ball_order
+    # an interior vertex at depth j >= 1 whose edge from its parent has
+    # colour c in an orbit of size x fixes c and permutes the other colours
+    # within their orbits: prod x! / x choices; d^(j-1) vertices at depth j
+    # end in each colour
+    for sizes, radii in [((1, 3), (4,))] + [(sizes, (1, 2, 3)) for sizes in CERTIFY_SIZES]:
+        d = sum(sizes) - 1
+        root = math.prod(math.factorial(x) for x in sizes)
+        for n in radii:
+            counts = ball_counts(sizes, n)
+            assert counts.kernel_orders == tuple(
+                math.prod((root // x) ** (x * d ** (j - 1)) for x in sizes)
+                for j in range(1, n)
+            ), (sizes, n)
+            product = root
+            for ker in counts.kernel_orders:
+                product *= ker
+            assert product == counts.aut_ball_order
 
 
 def test_ball_counts_rejects_bad_input():

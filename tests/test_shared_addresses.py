@@ -148,9 +148,14 @@ def test_a_twin_keeps_the_plane_when_the_first_group_dies():
     assert plane_for(twin) is plane and after.plane is plane
     assert all(u is v for u, v in zip(before.domain.leaves, after.domain.leaves))
     assert all(u is v for u, v in zip(before.range.leaves, after.range.leaves))
+    # an equal group that first asks now finds the plane through the twin
+    third = fresh_group()
+    last = element_from_dict(data, third)
+    assert plane_for(third) is plane and last.plane is plane
+    assert all(u is v for u, v in zip(before.domain.leaves, last.domain.leaves))
     # the plane still dies with the last group holding it and its elements
     plane = weakref.ref(plane)
-    del before, after, twin
+    del before, after, last, twin, third
     gc.collect()
     assert plane() is None
 
