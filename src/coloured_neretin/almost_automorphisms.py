@@ -135,31 +135,15 @@ class TreePairElement:
         A cherry is an internal nonroot vertex u of the domain all of whose
         children are leaves mapped, in plane order, exactly onto the
         plane-ordered children of a single vertex u' of the range;
-        contracting it makes u a leaf mapped to u'.  Distinct cherries never
-        share a leaf, so contractions commute and the result does not depend
-        on their order.  The candidates are the nonroot vertices with d leaf
-        children, counted per parent; a contraction adds one to its parent's
-        count.  The leaf map is contracted in place and both trees are built
-        once, at the end.  Returns self when there is nothing to contract;
-        the result is marked reduced.
+        contracting it makes u a leaf mapped to u'.  ``_contract`` contracts
+        a copy of the leaf map, and both trees are built once, from the
+        result.  Returns self when there is nothing to contract; the result
+        is marked reduced.
         """
         if self._reduced:
             return self
-        pairs, d = dict(self._map), self.group.d
-        counts = Counter(map(itemgetter(slice(None, -1)), pairs))
-        work = [u for u, n in counts.items() if n == d and u]
-        while work:
-            u = work.pop()
-            children = self.plane.children(u)
-            images = [pairs.get(c) for c in children]
-            if None in images or images != self.plane.children(images[0][:-1]):
-                continue
-            for child in children:
-                del pairs[child]
-            pairs[u] = images[0][:-1]
-            counts[u[:-1]] += 1
-            if counts[u[:-1]] == d and len(u) >= 2:
-                work.append(u[:-1])
+        pairs = dict(self._map)
+        _contract(pairs, self.plane, self.group.d)
         reduced = _from_pairs(self.group, pairs) if len(pairs) < len(self._map) else self
         reduced._reduced = True
         return reduced
@@ -269,6 +253,28 @@ def identity_element(group):
     return _from_pairs(group, {(c,): (c,) for c in range(group.d + 1)})
 
 
+def _contract(pairs, plane, d):
+    """Contract every cherry of the leaf map ``pairs`` in place (see
+    ``TreePairElement.reduce``).  Distinct cherries never share a leaf, so
+    contractions commute and the result does not depend on their order.
+    The candidates are the nonroot vertices with d leaf children, counted
+    per parent; a contraction adds one to its parent's count."""
+    counts = Counter(map(itemgetter(slice(None, -1)), pairs))
+    work = [u for u, n in counts.items() if n == d and u]
+    while work:
+        u = work.pop()
+        children = plane.children(u)
+        images = [pairs.get(c) for c in children]
+        if None in images or images != plane.children(images[0][:-1]):
+            continue
+        for child in children:
+            del pairs[child]
+        pairs[u] = images[0][:-1]
+        counts[u[:-1]] += 1
+        if counts[u[:-1]] == d and len(u) >= 2:
+            work.append(u[:-1])
+
+
 def _from_pairs(group, pairs):
     """The element sending each key of ``pairs`` (domain leaf) to its value
     (range leaf), trusting both leaf sets to be complete and the map to
@@ -279,12 +285,16 @@ def _from_pairs(group, pairs):
 
 
 def compose(a, b):
-    """The element acting as a after b on the boundary, reduced: both
-    composite trees are built once from the leaf map on the common
-    refinement, then reduced."""
+    """The element acting as a after b on the boundary, reduced: the leaf
+    map on the common refinement is contracted first, so that both
+    composite trees are built once, from the reduced map."""
     if a.group != b.group:
         raise ValueError("parameter mismatch: elements live over different colour groups")
-    return _from_pairs(a.group, _composite_pairs(a, b)).reduce()
+    pairs = _composite_pairs(a, b)
+    _contract(pairs, a.plane, a.group.d)
+    composite = _from_pairs(a.group, pairs)
+    composite._reduced = True
+    return composite
 
 
 def _composite_pairs(a, b):
@@ -296,9 +306,9 @@ def _composite_pairs(a, b):
     and one merge finds the refinement: the longer of t and s is the next
     middle leaf m, stepped past in its own list, and the shorter is
     stepped past once the next leaf of the other list no longer extends
-    it.  m comes from b^{-1}(t) followed by the tail of m below t,
-    transported, and goes to a(s) followed by the tail of m below s,
-    transported.
+    it (equal leaves are both stepped past).  m comes from u = b^{-1}(t)
+    and goes to a(s), the one of them below the shorter leaf followed by
+    the tail of m below it, transported.
     """
     b_inverse = {w: v for v, w in b._map.items()}
     transport_tail = a.plane.transport_tail
@@ -307,19 +317,21 @@ def _composite_pairs(a, b):
     i = j = 0
     while i < len(ts):  # the lists end together
         t, s = ts[i], ss[j]
-        if len(t) >= len(s):
-            m = t
+        u, image = b_inverse[t], a._map[s]
+        if len(t) > len(s):
             i += 1
             if i == len(ts) or ts[i][: len(s)] != s:
                 j += 1
-        else:
-            m = s
+            image += transport_tail(s[-1], image[-1], t[len(s):])
+        elif len(t) < len(s):
             j += 1
             if j == len(ss) or ss[j][: len(t)] != t:
                 i += 1
-        u, image = b_inverse[t], a._map[s]
-        source = u + transport_tail(t[-1], u[-1], m[len(t):])
-        pairs[source] = image + transport_tail(s[-1], image[-1], m[len(s):])
+            u += transport_tail(t[-1], u[-1], s[len(t):])
+        else:
+            i += 1
+            j += 1
+        pairs[u] = image
     return pairs
 
 

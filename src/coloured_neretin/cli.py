@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -153,20 +154,30 @@ def _digits(value):
     return str(decimal.Decimal(value))
 
 
-def _show_int(value, limit=48):
-    text = _digits(value)
-    if len(text) <= limit:
-        return text
-    return "%s...%s (%d digits)" % (text[:12], text[-6:], len(text))
+def _show_int(value):
+    """``_digits(value)`` when it has at most 48 characters, else its
+    first 12 and last 6 characters and its length.  The digit count comes
+    from the bit length, raised while 10^count does not exceed the value,
+    and the leading digits from one floor division, so a long value is
+    never converted to decimal whole."""
+    sign = "-" if value < 0 else ""
+    magnitude = abs(value)
+    # one or two below the digit count (that of 2^(bits - 1), less one);
+    # float rounding moves it by at most one, never above the count
+    count = max(1, int((magnitude.bit_length() - 1) * math.log10(2)))
+    power = 10 ** (count - 1)
+    while magnitude >= 10 * power:
+        count, power = count + 1, 10 * power
+    if len(sign) + count <= 48:
+        return _digits(value)
+    head = magnitude // (power // 10 ** (11 - len(sign)))
+    return "%s%d...%06d (%d digits)" % (sign, head, magnitude % 10**6, len(sign) + count)
 
 
-def _show_fraction(value, limit=48):
+def _show_fraction(value):
     if value.denominator == 1:
-        return _show_int(value.numerator, limit)
-    return "%s / %s" % (
-        _show_int(value.numerator, limit),
-        _show_int(value.denominator, limit),
-    )
+        return _show_int(value.numerator)
+    return "%s / %s" % (_show_int(value.numerator), _show_int(value.denominator))
 
 
 # -- element commands -----------------------------------------------------------

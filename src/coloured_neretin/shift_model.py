@@ -424,9 +424,9 @@ def bisection_to_element(bisection, omega):
 
 def element_to_bisection(element, omega):
     """The bisection of the reduced element, its label words not checked as paths."""
-    element = element.reduce()
-    labels = omega.plane.label_word
-    return Bisection._trusted((labels(v), labels(w)) for v, w in element._map.items())
+    leaf_map = element.reduce()._map
+    labels = omega.plane.label_words
+    return Bisection._trusted(zip(labels(leaf_map), labels(leaf_map.values())))
 
 
 def compose_bisections(first, second, graph):

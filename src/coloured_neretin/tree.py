@@ -125,6 +125,24 @@ class PlaneOrder:
             return ()
         return (v[0],) + tuple(map(getitem, map(self._images.__getitem__, v), v[1:]))
 
+    def label_words(self, words):
+        """``[self.label_word(v) for v in words]``, built from the parents:
+        a word of two or more letters labels as its parent v[:-1] does,
+        followed by f_{v[-2]}(v[-1]).  The parents' label words are kept in
+        a dict that lives for this call only, so that siblings share one."""
+        images, parents = self._images, {}
+        out = []
+        for v in words:
+            if len(v) < 2:
+                out.append(tuple(v))
+                continue
+            parent = v[:-1]
+            labels = parents.get(parent)
+            if labels is None:
+                labels = parents[parent] = self.label_word(parent)
+            out.append(labels + (images[v[-2]][v[-1]],))
+        return out
+
     def address_of(self, labels):
         """Inverse of ``label_word``."""
         if not labels:
@@ -306,7 +324,9 @@ def _walks_complete(words, d, avoid):
     children v + (c,), c != avoid[v[-1]], by one preorder walk: each word
     descends from the walk's next vertex by first children only, and the
     later children wait on a stack that never outgrows the words left.
-    False for d < 1, which the caller's own checks decide."""
+    A word equal to the vertex just popped is that leaf and needs no
+    slicing (most words of a leaf set are).  False for d < 1, which the
+    caller's own checks decide."""
     n = len(words)
     if not 0 < d < n:
         return False
@@ -315,6 +335,8 @@ def _walks_complete(words, d, avoid):
         if not pending:
             return False
         v = pending.pop()
+        if w == v:
+            continue
         if w[: len(v)] != v:
             return False
         for c in w[len(v) :]:

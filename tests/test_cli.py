@@ -418,6 +418,30 @@ def test_covolume_table_csv(tmp_path, capsys):
     assert "wrote %s" % target in capsys.readouterr().out
 
 
+def shown_from_the_digits(value):
+    """What ``_show_int`` shows, read off the whole decimal text."""
+    text = cli._digits(value)
+    if len(text) <= 48:
+        return text
+    return "%s...%s (%d digits)" % (text[:12], text[-6:], len(text))
+
+
+SHOWN_INTS = [0, 1, 9, 10, -1, -10]
+SHOWN_INTS += [10 ** 47, 10 ** 48 - 1, 10 ** 48, 10 ** 48 + 1, 2 * 10 ** 48 - 1]
+SHOWN_INTS += [-(10 ** 46), -(10 ** 47) + 1, -(10 ** 47), -(10 ** 48)]
+SHOWN_INTS += [v for k in (49, 60, 4299, 4300, 6000) for v in (10 ** k - 1, 10 ** k, 10 ** k + 1)]
+SHOWN_INTS += [2 ** b + e for b in (159, 160, 162, 163, 14286) for e in (-1, 0, 1)]
+SHOWN_INTS += [3 ** 5000, 7 * 10 ** 99 + 123456, -(5 ** 9000)]
+
+
+@pytest.mark.parametrize("value", SHOWN_INTS, ids=range(len(SHOWN_INTS)))
+def test_show_int_is_the_text_of_the_digits(value):
+    # the digit count and the head come from the bit length and one
+    # division, not from the whole decimal text; they must agree with it
+    # at 48 and 49 characters, around powers of ten and of two, and signed
+    assert cli._show_int(value) == shown_from_the_digits(value)
+
+
 def test_covolume_table_past_the_int_str_digit_limit(tmp_path, capsys):
     # sym_product_order has 27 720 digits at n = 5, past str(int)'s limit
     target = tmp_path / "table.csv"

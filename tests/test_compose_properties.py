@@ -142,3 +142,4 @@ def test_compose_merge_matches_the_prefix_probe_oracle(name):
         expected = _from_pairs(group, oracle).reduce()
         c = compose(a, b)
         assert (c.domain, c.range, c._map) == (expected.domain, expected.range, expected._map)
+        assert c._reduced and c.reduce() is c

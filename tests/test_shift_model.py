@@ -245,6 +245,8 @@ def test_bisection_round_trip_random_elements():
         for _ in range(15):
             e = random_element(omega.group, rng, 5)
             bis = element_to_bisection(e, omega)
+            label = omega.plane.label_word
+            assert bis.pairs == tuple(sorted((label(v), label(w)) for v, w in e._map.items()))
             problems = validate_bisection(bis, omega.graph)
             assert not problems, problems
             assert bisection_to_element(bis, omega) == e

@@ -22,6 +22,7 @@ from coloured_neretin import (
     is_valid_address,
     make_element,
     plane_for,
+    random_element,
     sft_graph_for_group,
     sphere,
 )
@@ -203,6 +204,22 @@ def test_label_word_is_its_definition_and_address_of_inverts_it():
             want = v[:1] + tuple(maps[v[i - 1]](v[i]) for i in range(1, len(v)))
             assert plane.label_word(v) == want
             assert plane.address_of(want) == v
+
+
+def test_label_words_are_the_label_word_of_each_word():
+    # label_words builds each word's labels from its parent's; every leaf of
+    # random elements, in the leaf map's order and sorted, and the leaves of
+    # B_1 and B_2 must get the labels label_word gives them one by one
+    groups = (small_trivial(2), switch_group(), rotation_group(), four_orbit_group(), sym_group(4))
+    rng = random.Random(42)
+    for group in groups:
+        plane = PlaneOrder(group)
+        lists = [sphere(group.d, 1), sphere(group.d, 2)]
+        for _ in range(8):
+            e = random_element(group, rng, rng.randrange(1, 13))
+            lists += [list(e._map), list(e._map.values()), e.domain.leaves, e.range.leaves]
+        for words in lists:
+            assert plane.label_words(words) == [plane.label_word(v) for v in words]
 
 
 def test_transport_composition():
