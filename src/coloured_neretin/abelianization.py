@@ -30,12 +30,15 @@ number of even factors is dim G/2G, the corank of K mod 2 = s 1^t mod 2:
 l + 1 when g = 2, else l.  The product of the factors is |det K| =
 2^l (d - 1).  Together: (g, 2, ..., 2, 2(d - 1)/g), with l - 1 twos.
 
-``smith_normal_form`` and ``bareiss_determinant`` compute the same numbers by
-elimination; the tests and ``selftest`` check the closed form against them.
+``smith_normal_form`` computes the same factors by unimodular 2x2 row and
+column steps (Kannan-Bachem), and ``bareiss_determinant`` the determinant by
+fraction-free elimination; the tests and ``selftest`` check the closed form
+against them.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import namedtuple
 
@@ -50,7 +53,10 @@ class IntMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = tuple(tuple(row) for row in entries)
+        try:
+            entries = tuple(map(tuple, entries))
+        except TypeError:
+            raise ValueError("entries must be a sequence of rows, not %r" % (entries,)) from None
         if not entries or not entries[0]:
             raise ValueError("empty matrix")
         if any(len(row) != len(entries[0]) for row in entries):
@@ -134,97 +140,71 @@ class AbelianInvariants(namedtuple("AbelianInvariants", "invariant_factors free_
         return super().__new__(cls, invariant_factors, free_rank)
 
 
+def _bezout(a, b):
+    """(x, y, g) with x*a + y*b = g = gcd(a, b), for a != 0; (1, 0, a) when
+    a divides b."""
+    if b % a == 0:
+        return 1, 0, a
+    g = math.gcd(a, b)
+    x = pow(a // g, -1, abs(b) // g)
+    return x, (g - x * a) // b, g
+
+
 def smith_normal_form(matrix):
     """(S, invariants, T) with S*matrix*T diagonal, S and T unimodular.
 
-    Pivoting picks the first nonzero entry of least absolute value in
-    row-major order; the scan stops at a unit, and a unit pivot skips the
-    search for an entry it does not divide.  Invariant factors are
-    normalized nonnegative.  The factorization is re-multiplied and
-    checked before returning.
+    Each step combines two rows (of the matrix and S) or two columns (of the
+    matrix and T) by a unimodular 2x2 matrix: a swap, or [[x, y], [-b/g, a/g]]
+    with g = x*a + y*b = gcd(a, b), which takes entries (a, b) to (g, 0)
+    (Kannan and Bachem, SIAM J. Comput. 1979).  On the least nonzero entry
+    of the remaining block as pivot, row and column k are cleared and a row
+    with an entry the pivot does not divide is added to row k, until none
+    is left.  Invariant factors are normalized nonnegative; the
+    factorization is re-multiplied and checked before returning.
     """
     m, n = matrix.rows, matrix.cols
     a = [list(row) for row in matrix.entries]
     s = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def row_swap(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
-        s[i1], s[i2] = s[i2], s[i1]
+    # rows i1, i2 of a and s (columns j1, j2 of a and t) become x*r1 + y*r2, p*r1 + q*r2
+    def rows(i1, i2, x, y, p, q):
+        for w in (a, s):
+            r1, r2 = w[i1], w[i2]
+            w[i1] = [x * e + y * f for e, f in zip(r1, r2)]
+            w[i2] = [p * e + q * f for e, f in zip(r1, r2)]
 
-    def col_swap(j1, j2):
-        for row in a:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in t:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def row_addmul(i1, i2, c):
-        a[i1] = [x + c * y for x, y in zip(a[i1], a[i2])]
-        s[i1] = [x + c * y for x, y in zip(s[i1], s[i2])]
-
-    def col_addmul(j1, j2, c):
-        for row in a:
-            row[j1] += c * row[j2]
-        for row in t:
-            row[j1] += c * row[j2]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        s[i] = [-x for x in s[i]]
-
-    def find_pivot(k):
-        pivot, least = None, 0
-        for i in range(k, m):
-            row = a[i]
-            for j in range(k, n):
-                x = row[j]
-                if x and (pivot is None or abs(x) < least):
-                    pivot, least = (i, j), abs(x)
-                    if least == 1:
-                        return pivot
-        return pivot
+    def cols(j1, j2, x, y, p, q):
+        for w in (a, t):
+            for row in w:
+                e, f = row[j1], row[j2]
+                row[j1], row[j2] = x * e + y * f, p * e + q * f
 
     for k in range(min(m, n)):
-        pivot = find_pivot(k)
-        if pivot is None:
+        nonzero = [(abs(x), i, j) for i in range(k, m) for j, x in enumerate(a[i][k:], k) if x]
+        if not nonzero:
             break
-        row_swap(k, pivot[0])
-        col_swap(k, pivot[1])
+        _, i, j = min(nonzero)
+        rows(k, i, 0, 1, 1, 0)  # a swap, and the identity when i == k
+        cols(k, j, 0, 1, 1, 0)
         while True:
-            if a[k][k] < 0:
-                row_negate(k)
-            # clear row and column k; a smaller remainder becomes the new pivot
-            dirty = True
-            while dirty:
-                dirty = False
-                if a[k][k] < 0:
-                    row_negate(k)
-                for i in range(k + 1, m):
-                    if a[i][k]:
-                        row_addmul(i, k, -(a[i][k] // a[k][k]))
-                        if a[i][k]:
-                            row_swap(k, i)
-                            dirty = True
-                for j in range(k + 1, n):
-                    if a[k][j]:
-                        col_addmul(j, k, -(a[k][j] // a[k][k]))
-                        if a[k][j]:
-                            col_swap(k, j)
-                            dirty = True
-            # enforce that the pivot divides everything that remains
-            if a[k][k] == 1:
-                break
-            offender = None
             for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if a[i][j] % a[k][k]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+                if a[i][k]:
+                    x, y, g = _bezout(a[k][k], a[i][k])
+                    rows(k, i, x, y, -a[i][k] // g, a[k][k] // g)
+            for j in range(k + 1, n):
+                if a[k][j]:
+                    x, y, g = _bezout(a[k][k], a[k][j])
+                    cols(k, j, x, y, -a[k][j] // g, a[k][k] // g)
+            if any(a[i][k] for i in range(k + 1, m)):
+                continue  # a column step that lowered the pivot refilled column k
+            pivot = a[k][k]
+            offender = next((i for i in range(k + 1, m) if any(x % pivot for x in a[i][k:])), None)
             if offender is None:
                 break
-            row_addmul(k, offender, 1)
+            rows(k, offender, 1, 1, 0, 1)
+        if pivot < 0:
+            a[k][k], s[k] = -pivot, [-x for x in s[k]]
 
     diagonal = [a[i][i] for i in range(min(m, n))]
     assert all(x >= 0 for x in diagonal)
@@ -247,7 +227,10 @@ def smith_normal_form(matrix):
 def check_orbit_sizes(orbit_sizes):
     """(sizes, d) for orbit sizes that are positive ints (not bools) naming
     at least d + 1 = 3 colours; raises ValueError otherwise."""
-    sizes = tuple(orbit_sizes)
+    try:
+        sizes = tuple(orbit_sizes)
+    except TypeError:  # not iterable: refused below as no sizes at all
+        sizes = ()
     if not sizes or not all(type(x) is int and x > 0 for x in sizes):
         raise ValueError("orbit sizes must be positive integers")
     d = sum(sizes) - 1

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 import time
@@ -154,32 +153,6 @@ def _digits(value):
     return str(decimal.Decimal(value))
 
 
-def _show_int(value):
-    """``_digits(value)`` when it has at most 48 characters, else its
-    first 12 and last 6 characters and its length.  The digit count comes
-    from the bit length, raised while 10^count does not exceed the value,
-    and the leading digits from one floor division, so a long value is
-    never converted to decimal whole."""
-    sign = "-" if value < 0 else ""
-    magnitude = abs(value)
-    # one or two below the digit count (that of 2^(bits - 1), less one);
-    # float rounding moves it by at most one, never above the count
-    count = max(1, int((magnitude.bit_length() - 1) * math.log10(2)))
-    power = 10 ** (count - 1)
-    while magnitude >= 10 * power:
-        count, power = count + 1, 10 * power
-    if len(sign) + count <= 48:
-        return _digits(value)
-    head = magnitude // (power // 10 ** (11 - len(sign)))
-    return "%s%d...%06d (%d digits)" % (sign, head, magnitude % 10**6, len(sign) + count)
-
-
-def _show_fraction(value):
-    if value.denominator == 1:
-        return _show_int(value.numerator)
-    return "%s / %s" % (_show_int(value.numerator), _show_int(value.denominator))
-
-
 # -- element commands -----------------------------------------------------------
 
 
@@ -264,7 +237,7 @@ def cmd_graph(args):
 
 
 def cmd_covolume_table(args):
-    from .covolume import covolume_table_rows
+    from .covolume import _show_int, covolume_table_rows
 
     rows = covolume_table_rows(args.orbits, args.max_n, args.gamma_order)
     header = (
@@ -287,9 +260,13 @@ def cmd_covolume_table(args):
         )
     if args.gamma_order is not None:
         for row in rows:
+            bound = row["index_bound"]
+            shown = _show_int(bound.numerator)
+            if bound.denominator != 1:
+                shown += " / " + _show_int(bound.denominator)
             print(
                 "index lower bound at n=%d (|Gamma_n| = %d): %s"
-                % (row["n"], args.gamma_order, _show_fraction(row["index_bound"]))
+                % (row["n"], args.gamma_order, shown)
             )
     if args.csv:
         import csv
@@ -372,7 +349,7 @@ def cmd_primes_window(args):
 
 
 def cmd_appendix_counts(args):
-    from .covolume import appendix_counts
+    from .covolume import _show_int, appendix_counts
 
     counts = appendix_counts(args.d, args.k, args.n)
     print(

@@ -29,6 +29,27 @@ def exact_div(a, b):
     return q
 
 
+def _show_int(value):
+    """The decimal text of an int when it has at most 48 characters, else
+    its first 12 and last 6 characters and its length.  The digit count
+    comes from the bit length, raised while 10^count does not exceed the
+    value, and the leading digits from one floor division, so a long value
+    is never converted to decimal whole (nor refused by the interpreter's
+    4 300-digit limit on ``str(int)``)."""
+    sign = "-" if value < 0 else ""
+    magnitude = abs(value)
+    # one or two below the digit count (that of 2^(bits - 1), less one);
+    # float rounding moves it by at most one, never above the count
+    count = max(1, int((magnitude.bit_length() - 1) * math.log10(2)))
+    power = 10 ** (count - 1)
+    while magnitude >= 10 * power:
+        count, power = count + 1, 10 * power
+    if len(sign) + count <= 48:
+        return str(value)
+    head = magnitude // (power // 10 ** (11 - len(sign)))
+    return "%s%d...%06d (%d digits)" % (sign, head, magnitude % 10**6, len(sign) + count)
+
+
 def integer_partitions(total, max_part=None):
     """Partitions of ``total`` into parts of at most ``max_part`` (default
     ``total``) as descending tuples, in reverse lexicographic order.  A walk
@@ -67,6 +88,12 @@ def _check_ints(**values):
             raise ValueError("%s must be an int, not %r" % (name, value))
 
 
+def _check_radius(n):
+    _check_ints(n=n)
+    if n < 1:
+        raise ValueError("ball radius must be at least 1")
+
+
 def is_single_switch_sizes(orbit_sizes):
     sizes = sorted(orbit_sizes)
     return sizes[-1] == 2 and all(x == 1 for x in sizes[:-1])
@@ -90,9 +117,7 @@ def ball_counts(orbit_sizes, n):
     and checked against the closed form with exponent (d^(n-1)-1)/(d-1).
     """
     sizes, d = check_orbit_sizes(orbit_sizes)
-    _check_ints(n=n)
-    if n < 1:
-        raise ValueError("ball radius must be at least 1")
+    _check_radius(n)
     m = d ** (n - 1)
     orbit_spheres = tuple(map(m.__mul__, sizes))
     root_order = prod(map(factorial, sizes))
@@ -125,16 +150,19 @@ def covolume_chain(orbit_sizes, n, gamma_order):
 
 
 def _index_bound(counts, gamma_order):
-    """The index_bound of ``covolume_chain`` from the ball counts."""
+    """The index_bound of ``covolume_chain`` from the ball counts.  Aut(B_n)
+    acts faithfully on the n-sphere and keeps each sphere orbit, so it is a
+    subgroup of prod Sym(D_n^(i)) and, by Lagrange, its order divides
+    sym_product_order: one exact division leaves gamma_order to reduce."""
     if gamma_order < 1:
         raise ValueError("gamma_order must be a positive integer")
     if counts.sym_product_order % gamma_order != 0:
         raise ValueError(
-            "gamma_order %d does not divide the sphere symmetry order %d: "
+            "gamma_order %s does not divide the sphere symmetry order %s: "
             "no finite group of that order acts this way"
-            % (gamma_order, counts.sym_product_order)
+            % (_show_int(gamma_order), _show_int(counts.sym_product_order))
         )
-    return Fraction(counts.sym_product_order, gamma_order * counts.aut_ball_order)
+    return Fraction(exact_div(counts.sym_product_order, counts.aut_ball_order), gamma_order)
 
 
 def single_switch_covolume(d, n, gamma_order):
@@ -267,6 +295,7 @@ def log_ratio(orbit_sizes, n):
     """ln of |Aut(B_n)| * [Sym(S_n) : prod Sym(D_n^(i))] / d^|S_n|, the
     sphere index via lgamma."""
     sizes, d = check_orbit_sizes(orbit_sizes)
+    _check_radius(n)
     m = d ** (n - 1)
     aut_ball = sum(math.lgamma(x + 1) for x in sizes)
     aut_ball += (m - 1) / (d - 1) * _log_kernel_factor(sizes, d)
@@ -451,6 +480,9 @@ def verify_prime_windows(max_m, min_m=17):
 
     One count is updated from the sieve as m steps up: a prime p enters
     the window at m = p and leaves it at m = 2p."""
+    _check_ints(max_m=max_m, min_m=min_m)
+    if min_m < 1:
+        raise ValueError("min_m must be at least 1")
     if max_m < min_m:
         raise ValueError("max_m must be at least %d" % min_m)
     _ensure_sieve(max_m)

@@ -1,11 +1,14 @@
 """Oracles for the elimination code of ``coloured_neretin.abelianization``.
 
 ``seed_smith_normal_form`` and ``seed_bareiss_determinant`` are the module's
-``smith_normal_form`` and ``bareiss_determinant`` as they were before the
-pivot scan stopped at the first unit, a unit pivot skipped the
-divisibility sweep and Bareiss skipped the rows a step leaves unchanged.
-The faster versions must return the same S, invariants, T and
-determinants.
+``smith_normal_form`` and ``bareiss_determinant`` as they were at first:
+an elimination by remainders and swaps, and a Bareiss elimination that
+steps every row.  The module's versions must return the same invariants
+and determinants.  S and T are not unique, so the module's need not equal
+these; the tests check that they factor the matrix instead.  The seed
+elimination lets its entries grow without bound (a dense 7x7 matrix with
+entries in [-9, 9] can take seconds), which is why the matrices it is run
+on stay small.
 """
 
 from coloured_neretin.abelianization import AbelianInvariants, IntMatrix

@@ -44,6 +44,20 @@ def sympy_invariants(matrix):
     return [x for x in diagonal if x != 0]
 
 
+def assert_smith_factorization(m, s, invariants, t):
+    """S*m*T is the diagonal of the invariant factors, zeros after them,
+    and |det S| = |det T| = 1 by the seed's Bareiss elimination."""
+    factors = invariants.invariant_factors
+    assert invariants.free_rank == m.rows - len(factors)
+    product = naive_product(naive_product(s.entries, m.entries), t.entries)
+    diagonal = [
+        [factors[i] if i == j and i < len(factors) else 0 for j in range(m.cols)]
+        for i in range(m.rows)
+    ]
+    assert product == diagonal, m.entries
+    assert abs(seed_bareiss_determinant(s)) == abs(seed_bareiss_determinant(t)) == 1
+
+
 def naive_product(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
     out = [[0] * cols for _ in range(rows)]
@@ -89,7 +103,9 @@ def test_int_matrix_rejects_non_integer_entries(bad):
             IntMatrix(entries)
         assert str(info.value) == "%s is not an integer: %r" % (where, bad)
     for entries, message in (([], "empty matrix"), ([[]], "empty matrix"),
-                             ([[1], [1, 2]], "ragged rows")):
+                             ([[1], [1, 2]], "ragged rows"),
+                             (5, "entries must be a sequence of rows, not 5"),
+                             ([1, 2], "entries must be a sequence of rows, not [1, 2]")):
         with pytest.raises(ValueError) as info:
             IntMatrix(entries)
         assert str(info.value) == message
@@ -116,8 +132,9 @@ def test_smith_normal_form_matches_sympy():
 def oracle_matrices(rng):
     """Random matrices of every kind the elimination meets: square and not,
     singular, entries up to 10**30, and none with a unit entry.  Shapes
-    and entries stay small enough for the elimination, whose entries grow
-    quickly (a dense 7x7 matrix with entries in [-9, 9] can take seconds)."""
+    and entries stay small enough for the seed elimination of
+    ``smith_oracle``, whose entries grow quickly (a dense 7x7 matrix with
+    entries in [-9, 9] can take it seconds)."""
     for k in range(320):
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
         if k % 4 == 0:
@@ -172,13 +189,28 @@ def test_smith_normal_form_matches_the_seed_elimination():
     matrices += orbit_systems()
     assert len(matrices) > 800
     for m in matrices:
+        # S and T are not unique, so they need only factor m, not equal the seed's
         s, invariants, t = snf(m)
-        seed_s, seed_invariants, seed_t = seed_smith_normal_form(m)
-        assert (s.entries, invariants, t.entries) == (
-            seed_s.entries, seed_invariants, seed_t.entries
-        ), m.entries
+        assert invariants == seed_smith_normal_form(m)[1], m.entries
+        assert_smith_factorization(m, s, invariants, t)
         if m.rows == m.cols:
             assert bareiss_determinant(m) == seed_bareiss_determinant(m), m.entries
+
+
+def test_smith_normal_form_finishes_where_entries_used_to_explode():
+    # each of these sets took the pivot-and-remainder elimination past 2 s
+    rng = random.Random(48)
+    matrices = [
+        IntMatrix([[rng.randrange(-bound, bound + 1) for _ in range(cols)] for _ in range(rows)])
+        for count, rows, cols, bound in ((20, 7, 7, 9), (20, 4, 4, 10 ** 6), (10, 2, 3, 10 ** 30))
+        for _ in range(count)
+    ]
+    start = time.perf_counter()
+    results = [snf(m) for m in matrices]
+    assert time.perf_counter() - start < 1
+    for m, (s, invariants, t) in zip(matrices, results):
+        assert list(invariants.invariant_factors) == sympy_invariants(m), m.entries
+        assert_smith_factorization(m, s, invariants, t)
 
 
 def test_smith_normal_form_divisibility_chain():
@@ -326,7 +358,7 @@ def test_build_sft_graph_validates():
         build_sft_graph((0, 3))
 
 
-@pytest.mark.parametrize("sizes", [(1.9, 2), (2.5, 1), (2, 2.0), (True, 2), ("2", 2)])
+@pytest.mark.parametrize("sizes", [(1.9, 2), (2.5, 1), (2, 2.0), (True, 2), ("2", 2), 5, None])
 @pytest.mark.parametrize(
     "build",
     [lambda sizes: ball_counts(sizes, 2), vf_abelianization, build_sft_graph],

@@ -439,7 +439,7 @@ def test_show_int_is_the_text_of_the_digits(value):
     # the digit count and the head come from the bit length and one
     # division, not from the whole decimal text; they must agree with it
     # at 48 and 49 characters, around powers of ten and of two, and signed
-    assert cli._show_int(value) == shown_from_the_digits(value)
+    assert covolume._show_int(value) == shown_from_the_digits(value)
 
 
 def test_covolume_table_past_the_int_str_digit_limit(tmp_path, capsys):

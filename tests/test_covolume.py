@@ -1,3 +1,4 @@
+import decimal
 import functools
 import itertools
 import math
@@ -224,6 +225,12 @@ def test_ball_counts_rejects_bad_input():
         ball_counts((3,), 0)
     with pytest.raises(ValueError):
         ball_counts((1, 1), 2)  # d + 1 = 2 too small
+    # log_ratio refuses the radii that ball_counts refuses, with its message
+    for radius in (0, -3):
+        for call in (ball_counts, log_ratio):
+            with pytest.raises(ValueError) as info:
+                call((2, 1), radius)
+            assert str(info.value) == "ball radius must be at least 1"
 
 
 # -- covolume chains -----------------------------------------------------------------
@@ -236,6 +243,20 @@ def test_covolume_chain_exact_value():
         math.factorial(2) * math.factorial(4), 4
     )
     assert chain.counts.aut_ball_order == 4
+    # the index bound is sym / (gamma * aut), reduced, for every partition
+    # with d <= 7 and n <= 3 and each gamma_order that acts
+    for d in range(2, 8):
+        for sizes in integer_partitions(d + 1):
+            for n in (1, 2, 3):
+                counts = ball_counts(sizes, n)
+                for gamma in (1, 2, 3, 8, 11):
+                    if counts.sym_product_order % gamma:
+                        continue
+                    chain = covolume_chain(sizes, n, gamma)
+                    assert chain.index_bound == Fraction(
+                        counts.sym_product_order, gamma * counts.aut_ball_order
+                    ), (sizes, n, gamma)
+                    assert chain.counts == counts
 
 
 def test_single_switch_closed_form_matches_chain():
@@ -260,6 +281,19 @@ def test_lagrange_rejection():
         covolume_chain((1, 2), 2, bad)
     with pytest.raises(ValueError):
         covolume_chain((1, 2), 2, 0)
+    # a long order is shown as the table shows it, not refused by str(int)'s
+    # limit: the sphere symmetry order has 27 720 digits here, and 1000003
+    # is a prime larger than every sphere orbit
+    counts = ball_counts((2, 2, 3), 5)
+    text = str(decimal.Decimal(counts.sym_product_order))
+    assert len(text) == 27720
+    with pytest.raises(ValueError) as info:
+        covolume_chain((2, 2, 3), 5, 1000003)
+    assert str(info.value) == (
+        "gamma_order 1000003 does not divide the sphere symmetry order "
+        "%s...%s (%d digits): no finite group of that order acts this way"
+        % (text[:12], text[-6:], len(text))
+    )
 
 
 # -- the dominant-coefficient inequality ----------------------------------------------
@@ -589,6 +623,11 @@ def test_prime_window_report():
     assert report.least_at == 17
     with pytest.raises(ValueError):
         verify_prime_windows(10)
+    for min_m in (0, -5):  # once indexed the sieve from its end
+        with pytest.raises(ValueError) as info:
+            verify_prime_windows(17, min_m)
+        assert str(info.value) == "min_m must be at least 1"
+    assert verify_prime_windows(2, 1) == (1, 2, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -657,11 +696,15 @@ def test_appendix_counts_validation():
         ("d", lambda v: single_switch_covolume(v, 2, 1)),
         ("n", lambda v: single_switch_covolume(2, v, 1)),
         ("gamma_order", lambda v: single_switch_covolume(2, 2, v)),
+        ("n", lambda v: log_ratio((2, 1), v)),
+        ("max_m", lambda v: verify_prime_windows(v)),
+        ("min_m", lambda v: verify_prime_windows(100, v)),
     ],
     ids=[
         "chain-gamma_order", "chain-n", "ball_counts-n", "appendix-d",
         "appendix-k", "appendix-n", "table-max_n", "single_switch-d",
-        "single_switch-n", "single_switch-gamma_order",
+        "single_switch-n", "single_switch-gamma_order", "log_ratio-n",
+        "prime_windows-max_m", "prime_windows-min_m",
     ],
 )
 def test_integer_arguments_must_be_ints(name, call):
