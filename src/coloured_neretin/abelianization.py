@@ -93,10 +93,18 @@ class IntMatrix:
         )
 
     def __str__(self):
-        width = max(len(str(x)) for row in self.entries for x in row)
-        return "\n".join(
-            " ".join(str(x).rjust(width) for x in row) for row in self.entries
-        )
+        texts = [list(map(_digits, row)) for row in self.entries]
+        width = max(len(text) for row in texts for text in row)
+        return "\n".join(" ".join(text.rjust(width) for text in row) for row in texts)
+
+
+def _digits(value):
+    """Exact decimal digits, past the limit on ``str(int)`` (640 digits or more)."""
+    if value.bit_length() <= 2000:
+        return str(value)
+    import decimal
+
+    return str(decimal.Decimal(value))
 
 
 def bareiss_determinant(matrix):

@@ -7,8 +7,8 @@ Below the leaves it acts as the unique order-preserving extension
 determined by the plane order.  Elements form a group under composition of
 the boundary actions; each equivalence class has a unique reduced
 representative (no contractible cherry), which is the canonical form used
-throughout.  Element files index the leaf map as ``kappa``; that list is
-validated once, in :func:`make_element`, and read back from the map.
+throughout.  Elements keep their leaf map as ``kappa``, the index array that
+element files write; outside data is validated once, in :func:`make_element`.
 
 The module also houses the sign homomorphisms: the parity of the leaf
 permutation restricted to the leaves coloured in an invariant subset D',
@@ -20,7 +20,8 @@ dynamics witnesses on clopen subsets of the boundary.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from itertools import chain
 from operator import itemgetter
@@ -69,21 +70,21 @@ class PrefixTooShort(ValueError):
 class TreePairElement:
     """(domain tree, range tree, leaf map), not necessarily reduced.
 
-    ``pairs`` maps each leaf of ``domain`` to its image, a leaf of
-    ``range_``; the element keeps it as its leaf map.  The constructor
-    trusts its arguments: a bijection of the two leaf sets that respects
-    the orbits, as the maps the element algebra derives are.  Outside data
-    enters through :func:`make_element`, which checks it and reduces.
+    ``kappa``, an ``array('I')``, is the leaf map (see ``kappa``).  The
+    constructor trusts its arguments: a bijection of the two leaf sets that
+    respects the orbits, as the maps the element algebra derives are.
+    Outside data enters through :func:`make_element`, which checks it and
+    reduces.
     """
 
-    __slots__ = ("group", "plane", "domain", "range", "_map", "_reduced")
+    __slots__ = ("group", "plane", "domain", "range", "_kappa", "_reduced")
 
-    def __init__(self, group, domain, range_, pairs):
+    def __init__(self, group, domain, range_, kappa):
         self.group = group
         self.plane = plane_for(group)
         self.domain = domain
         self.range = range_
-        self._map = pairs
+        self._kappa = kappa
         self._reduced = False
 
     # -- basic protocol ----------------------------------------------------
@@ -92,17 +93,24 @@ class TreePairElement:
     def kappa(self):
         """``kappa[i]`` is the index in ``range.leaves`` of the image of
         ``domain.leaves[i]``."""
-        position = {w: i for i, w in enumerate(self.range.leaves)}
-        return tuple(position[self._map[v]] for v in self.domain.leaves)
+        return tuple(self._kappa)
+
+    def _images(self):
+        """The images of ``domain.leaves``, in their order."""
+        return map(self.range.leaves.__getitem__, self._kappa)
 
     def leaf_image(self, leaf):
-        return self._map[tuple(leaf)]
+        leaf, leaves = tuple(leaf), self.domain.leaves
+        i = bisect_left(leaves, leaf)
+        if leaves[i : i + 1] != (leaf,):
+            raise KeyError(leaf)
+        return self.range.leaves[self._kappa[i]]
 
     def __eq__(self, other):
         return (
             isinstance(other, TreePairElement)
             and self.group == other.group
-            and self._map == other._map
+            and (self.domain, self.range, self._kappa) == (other.domain, other.range, other._kappa)
         )
 
     def __hash__(self):
@@ -114,7 +122,7 @@ class TreePairElement:
     def is_identity(self):
         """Whether every leaf maps to itself: a leaf's cylinder is fixed
         exactly when the leaf is, and then so is each word below it."""
-        return all(v == w for v, w in self._map.items())
+        return self.domain == self.range and self._kappa == array("I", range(len(self._kappa)))
 
     # -- expansion and reduction -------------------------------------------
 
@@ -122,9 +130,9 @@ class TreePairElement:
         """Equivalent element with the domain expanded at ``leaf`` (and the
         range at its image); new children matched positionally in plane order."""
         leaf = tuple(leaf)
-        if leaf not in self._map:
+        pairs = dict(zip(self.domain.leaves, self._images()))
+        if leaf not in pairs:
             raise ValueError("leaf %r not in the domain tree" % (leaf,))
-        pairs = dict(self._map)
         image = pairs.pop(leaf)
         pairs.update(zip(self.plane.children(leaf), self.plane.children(image)))
         return _from_pairs(self.group, pairs)
@@ -135,24 +143,21 @@ class TreePairElement:
         A cherry is an internal nonroot vertex u of the domain all of whose
         children are leaves mapped, in plane order, exactly onto the
         plane-ordered children of a single vertex u' of the range;
-        contracting it makes u a leaf mapped to u'.  ``_contract`` contracts
-        a copy of the leaf map, and both trees are built once, from the
+        contracting it makes u a leaf mapped to u'.  ``_reduced`` contracts
+        a dict of the leaf map, and both trees are built once, from the
         result.  Returns self when there is nothing to contract; the result
         is marked reduced.
         """
         if self._reduced:
             return self
-        pairs = dict(self._map)
-        _contract(pairs, self.plane, self.group.d)
-        reduced = _from_pairs(self.group, pairs) if len(pairs) < len(self._map) else self
-        reduced._reduced = True
-        return reduced
+        return _reduced(self.group, dict(zip(self.domain.leaves, self._images())), self)
 
     # -- group operations ----------------------------------------------------
 
     def inverse(self):
-        inverse_map = {w: v for v, w in self._map.items()}
-        inverse = TreePairElement(self.group, self.range, self.domain, inverse_map)
+        # the k-th entry of the inverse permutation is the i with kappa[i] = k
+        kappa = array("I", sorted(range(len(self._kappa)), key=self._kappa.__getitem__))
+        inverse = TreePairElement(self.group, self.range, self.domain, kappa)
         # a cherry of the inverse is a cherry of self read backwards
         inverse._reduced = self._reduced
         return inverse.reduce()
@@ -171,7 +176,7 @@ class TreePairElement:
                 % (word, needed),
                 needed,
             )
-        image = self._map[leaf]
+        image = self.leaf_image(leaf)
         return image + self.plane.transport_tail(leaf[-1], image[-1], word[len(leaf):])
 
 
@@ -246,19 +251,27 @@ def make_element(domain_leaves, range_leaves, bijection, group):
                     "leaf %r (colour %d) maps to %r (colour %d) across orbits"
                     % (leaf, leaf[-1], image, image[-1])
                 )
-    return TreePairElement(group, domain, range_, pairs).reduce()
+    if isinstance(bijection, dict) or (domain.leaves, range_.leaves) != (
+        tuple(domain_leaves), tuple(range_leaves)
+    ):
+        unchanged = _from_pairs(group, pairs, domain, range_)
+    else:  # a kappa over the trees' own leaf order, as element files write it
+        unchanged = TreePairElement(group, domain, range_, array("I", kappa))
+    return _reduced(group, pairs, unchanged)
 
 
 def identity_element(group):
     return _from_pairs(group, {(c,): (c,) for c in range(group.d + 1)})
 
 
-def _contract(pairs, plane, d):
-    """Contract every cherry of the leaf map ``pairs`` in place (see
-    ``TreePairElement.reduce``).  Distinct cherries never share a leaf, so
-    contractions commute and the result does not depend on their order.
-    The candidates are the nonroot vertices with d leaf children, counted
-    per parent; a contraction adds one to its parent's count."""
+def _reduced(group, pairs, unchanged=None):
+    """The reduced element of the leaf map ``pairs``, whose cherries (see
+    ``TreePairElement.reduce``) are contracted in place before its trees are
+    built, once; ``unchanged`` if it is given and nothing contracts.
+    Contractions commute (distinct cherries share no leaf).  The candidates
+    are the nonroot vertices with d leaf children, counted per parent; a
+    contraction adds one to its parent's count."""
+    d, plane, before = group.d, plane_for(group), len(pairs)
     counts = Counter(map(itemgetter(slice(None, -1)), pairs))
     work = [u for u, n in counts.items() if n == d and u]
     while work:
@@ -273,28 +286,30 @@ def _contract(pairs, plane, d):
         counts[u[:-1]] += 1
         if counts[u[:-1]] == d and len(u) >= 2:
             work.append(u[:-1])
+    if unchanged is None or len(pairs) < before:
+        unchanged = _from_pairs(group, pairs)
+    unchanged._reduced = True
+    return unchanged
 
 
-def _from_pairs(group, pairs):
+def _from_pairs(group, pairs, domain=None, range_=None):
     """The element sending each key of ``pairs`` (domain leaf) to its value
     (range leaf), trusting both leaf sets to be complete and the map to
-    respect the orbits, as maps derived from validated ones do."""
-    domain = CompleteSubtree._trusted(group.d, pairs)
-    range_ = CompleteSubtree._trusted(group.d, pairs.values())
-    return TreePairElement(group, domain, range_, pairs)
+    respect the orbits, as maps derived from validated ones do; the trees
+    of the two leaf sets are built unless given."""
+    if domain is None:
+        domain = CompleteSubtree._trusted(group.d, pairs)
+        range_ = CompleteSubtree._trusted(group.d, pairs.values())
+    position = dict(zip(range_.leaves, range(len(range_))))
+    kappa = array("I", map(position.__getitem__, map(pairs.__getitem__, domain.leaves)))
+    return TreePairElement(group, domain, range_, kappa)
 
 
 def compose(a, b):
-    """The element acting as a after b on the boundary, reduced: the leaf
-    map on the common refinement is contracted first, so that both
-    composite trees are built once, from the reduced map."""
+    """The element acting as a after b on the boundary, reduced."""
     if a.group != b.group:
         raise ValueError("parameter mismatch: elements live over different colour groups")
-    pairs = _composite_pairs(a, b)
-    _contract(pairs, a.plane, a.group.d)
-    composite = _from_pairs(a.group, pairs)
-    composite._reduced = True
-    return composite
+    return _reduced(a.group, _composite_pairs(a, b))
 
 
 def _composite_pairs(a, b):
@@ -310,14 +325,15 @@ def _composite_pairs(a, b):
     and goes to a(s), the one of them below the shorter leaf followed by
     the tail of m below it, transported.
     """
-    b_inverse = {w: v for v, w in b._map.items()}
     transport_tail = a.plane.transport_tail
     ts, ss = b.range.leaves, a.domain.leaves
+    sources = [v for _, v in sorted(zip(b._kappa, b.domain.leaves))]  # b^{-1} of ts
+    images = list(a._images())  # a of ss
     pairs = {}
     i = j = 0
     while i < len(ts):  # the lists end together
         t, s = ts[i], ss[j]
-        u, image = b_inverse[t], a._map[s]
+        u, image = sources[i], images[j]
         if len(t) > len(s):
             i += 1
             if i == len(ts) or ts[i][: len(s)] != s:
@@ -384,12 +400,11 @@ def sign(e, subset, mode="class", target="vf"):
                 % (list(subset),)
             )
         e = e.reduce()
-    plane = e.plane
-    dom = plane.lex_sorted(v for v in e.domain.leaves if v[-1] in subset)
-    ran = plane.lex_sorted(w for w in e.range.leaves if w[-1] in subset)
-    assert len(dom) == len(ran)
-    position = {w: k for k, w in enumerate(ran)}
-    return Permutation([position[e.leaf_image(v)] for v in dom]).parity()
+    key, pairs = e.plane.lex_key, zip(e.domain.leaves, e._images())
+    # the plane keys of the images of the subset-coloured domain leaves, in
+    # plane order; their argsort is the inverse permutation, of equal parity
+    images = [w for _, w in sorted((key(v), key(w)) for v, w in pairs if v[-1] in subset)]
+    return Permutation(sorted(range(len(images)), key=images.__getitem__)).parity()
 
 
 def find_sign_violation(group, subset):
@@ -581,7 +596,7 @@ def random_element(group, rng, expansions=6):
         rng.shuffle(targets)
         sources = [v for v in domain if orbit_of[v[-1]] == orbit]
         pairs.update(zip(sources, targets))
-    return _from_pairs(group, pairs).reduce()
+    return _reduced(group, pairs)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -595,7 +610,7 @@ def element_to_dict(e):
         "F_generators": [cycle_string(g) for g in e.group.generators],
         "domain": [list(v) for v in e.domain.leaves],
         "range": [list(w) for w in e.range.leaves],
-        "kappa": list(e.kappa),
+        "kappa": e._kappa.tolist(),
     }
 
 
@@ -651,8 +666,7 @@ def element_from_dict(data, group=None):
                 raise ValueError("F_generators[%d]: %s" % (i, exc)) from None
         group = closure_enumerate(generators, d + 1)
     e = make_element(data["domain"], data["range"], data["kappa"], group)
-    share, keys, images = e.plane.addresses.setdefault, e._map, e._map.values()
-    e._map = dict(zip(map(share, keys, keys), map(share, images, images)))
+    share = e.plane.addresses.setdefault
     for tree in (e.domain, e.range):  # built for e alone
         tree.leaves = tuple(map(share, tree.leaves, tree.leaves))
     return e

@@ -145,14 +145,6 @@ def _element_json(element):
     return "{\n  %s\n}" % ",\n  ".join(fields)
 
 
-def _digits(value):
-    """The decimal digits of an int, exact and free of the interpreter's
-    4 300-digit limit on ``str(int)``."""
-    import decimal
-
-    return str(decimal.Decimal(value))
-
-
 # -- element commands -----------------------------------------------------------
 
 
@@ -192,7 +184,7 @@ def cmd_sign(args):
 
 
 def cmd_abelianization(args):
-    from .abelianization import vf_abelianization
+    from .abelianization import _digits, vf_abelianization
 
     result = vf_abelianization(args.orbits)
     d = sum(args.orbits) - 1
@@ -237,6 +229,7 @@ def cmd_graph(args):
 
 
 def cmd_covolume_table(args):
+    from .abelianization import _digits
     from .covolume import _show_int, covolume_table_rows
 
     rows = covolume_table_rows(args.orbits, args.max_n, args.gamma_order)

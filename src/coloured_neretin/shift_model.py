@@ -424,9 +424,9 @@ def bisection_to_element(bisection, omega):
 
 def element_to_bisection(element, omega):
     """The bisection of the reduced element, its label words not checked as paths."""
-    leaf_map = element.reduce()._map
+    element = element.reduce()
     labels = omega.plane.label_words
-    return Bisection._trusted(zip(labels(leaf_map), labels(leaf_map.values())))
+    return Bisection._trusted(zip(labels(element.domain.leaves), labels(element._images())))
 
 
 def compose_bisections(first, second, graph):

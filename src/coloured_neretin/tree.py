@@ -160,15 +160,12 @@ class PlaneOrder:
         sentinel d+1, so that strict descendants come first."""
         return self.label_word(tuple(v)) + (self.d + 1,)
 
-    def lex_sorted(self, addresses):
-        return sorted((tuple(v) for v in addresses), key=self.lex_key)
-
 
 class CompleteSubtree:
     """A finite complete subtree, encoded by its leaf set.
 
     Leaves are stored sorted in plain tuple order (deterministic and
-    independent of any colour group); use PlaneOrder.lex_sorted for the
+    independent of any colour group); use PlaneOrder.lex_key for the
     planar order when it matters; a lookup is one bisection of them.  The
     constructor validates the leaf set (and ``d``); ``_trusted`` builds,
     unchecked, the trees derived from validated ones.

@@ -6,6 +6,8 @@ found by looking up the prefixes of one leaf in the other tree's index.
 The merge must give the same unreduced leaf map.
 """
 
+from conftest import leaf_map
+
 
 def seed_composite_pairs(a, b):
     """The leaf map of a after b on the common refinement of b's range and
@@ -22,11 +24,12 @@ def seed_composite_pairs(a, b):
         t = b.range.leaf_containing(s)
         if t is not None:
             middle[s] = t
-    b_inverse = {w: v for v, w in b._map.items()}
+    b_inverse = {w: v for v, w in leaf_map(b).items()}
+    a_map = leaf_map(a)
     pairs = {}
     for m, t in middle.items():
         u, s = b_inverse[t], a.domain.leaf_containing(m)
-        image = a._map[s]
+        image = a_map[s]
         source = u + a.plane.transport_tail(t[-1], u[-1], m[len(t):])
         pairs[source] = image + a.plane.transport_tail(s[-1], image[-1], m[len(s):])
     return pairs

@@ -76,15 +76,23 @@ def random_word(rng, d, length):
     return tuple(word)
 
 
+def leaf_map(e):
+    """The leaf map of e as a dict, domain leaf -> range leaf, read from
+    the public leaves and ``kappa`` alone."""
+    return {v: e.range.leaves[k] for v, k in zip(e.domain.leaves, e.kappa)}
+
+
 def assert_complete(*elements):
-    """The domain and range of each element are complete leaf sets, and its
-    leaf map takes the domain leaves onto the range leaves within the orbits
-    of F (the element algebra builds its trees and maps without checking
-    them)."""
+    """The domain and range of each element are complete leaf sets, its
+    ``kappa`` permutes their indices, and its leaf map takes the domain
+    leaves onto the range leaves within the orbits of F (the element
+    algebra builds its trees and maps without checking them)."""
     for e in elements:
         CompleteSubtree(e.group.d, e.domain.leaves)
         CompleteSubtree(e.group.d, e.range.leaves)
-        assert sorted(e._map) == list(e.domain.leaves)
-        assert sorted(e._map.values()) == list(e.range.leaves)
+        assert sorted(e.kappa) == list(range(len(e.domain)))
+        pairs = leaf_map(e)
+        assert sorted(pairs) == list(e.domain.leaves)
+        assert sorted(pairs.values()) == list(e.range.leaves)
         orbit_of = e.group.orbit_of
-        assert all(orbit_of[v[-1]] == orbit_of[w[-1]] for v, w in e._map.items())
+        assert all(orbit_of[v[-1]] == orbit_of[w[-1]] for v, w in pairs.items())

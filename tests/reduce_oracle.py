@@ -6,11 +6,13 @@ leaf starts on a worklist, and the parent of each contracted vertex joins
 it.  Both must reach the same reduced leaf map.
 """
 
+from conftest import leaf_map
+
 
 def seed_reduce_pairs(e):
     """The leaf map of the reduced form of ``e``, by exhaustive cherry
     contraction from a worklist of every parent of a leaf."""
-    pairs = dict(e._map)
+    pairs = leaf_map(e)
     work = {v[:-1] for v in pairs if len(v) >= 2}
     while work:
         u = work.pop()

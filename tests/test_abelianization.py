@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from collections import Counter
 
@@ -109,6 +110,23 @@ def test_int_matrix_rejects_non_integer_entries(bad):
         with pytest.raises(ValueError) as info:
             IntMatrix(entries)
         assert str(info.value) == message
+
+
+def test_int_matrix_prints_entries_past_the_int_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert str(IntMatrix([[10 ** 5000]])) == "1" + "0" * 5000
+    wide = str(IntMatrix([[-(10 ** 5000), 7], [0, 10 ** 4299]]))
+    assert wide.splitlines() == [
+        "-1" + "0" * 5000 + " " + "7".rjust(5002),
+        "0".rjust(5002) + " " + ("1" + "0" * 4299).rjust(5002),
+    ]
+    assert str(IntMatrix([[1, -22], [333, 4]])) == "  1 -22\n333   4"
+    # an entry of 700 digits, under the least limit an interpreter allows
+    sys.set_int_max_str_digits(640)
+    try:
+        assert str(IntMatrix([[3, 10 ** 699]])).split() == ["3", "1" + "0" * 699]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_bareiss_determinant_matches_sympy():

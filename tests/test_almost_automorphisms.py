@@ -1,6 +1,7 @@
 import enum
 import gc
 import json
+import os
 import random
 import time
 import weakref
@@ -14,7 +15,6 @@ from coloured_neretin import (
     OrbitViolation,
     PrefixTooShort,
     SizeMismatch,
-    TreePairElement,
     admissible_child_colours,
     closure_enumerate,
     compose,
@@ -36,11 +36,13 @@ from coloured_neretin import (
     stabilizer_restriction_in_alt,
     translation_element,
 )
+from coloured_neretin.almost_automorphisms import _from_pairs
 from coloured_neretin.cli import main
 from conftest import (
     assert_complete,
     four_orbit_group,
     group_from,
+    leaf_map,
     random_complete_tree,
     random_word,
     rotation_group,
@@ -176,7 +178,7 @@ def test_reduce_confluence_under_random_expansion():
 def test_identity_reduces_to_first_ball():
     group = rotation_group()
     ball = CompleteSubtree.ball(group.d, 2)
-    e = TreePairElement(group, ball, ball, {w: w for w in ball.leaves}).reduce()
+    e = _from_pairs(group, {w: w for w in ball.leaves}).reduce()
     assert len(e.domain) == group.d + 1
     assert e.is_identity()
 
@@ -281,8 +283,8 @@ def quadratic_sign(e, subset):
     order, filtered to the subset's colours, and the inversions of the
     matched positions counted pair by pair."""
     plane = e.plane
-    dom = [v for v in plane.lex_sorted(e.domain.leaves) if v[-1] in subset]
-    ran = [w for w in plane.lex_sorted(e.range.leaves) if w[-1] in subset]
+    dom = [v for v in sorted(e.domain.leaves, key=plane.lex_key) if v[-1] in subset]
+    ran = [w for w in sorted(e.range.leaves, key=plane.lex_key) if w[-1] in subset]
     position = {w: k for k, w in enumerate(ran)}
     seq = [position[e.leaf_image(v)] for v in dom]
     inversions = sum(
@@ -425,7 +427,7 @@ def letterwise_twist_element(group, p, depth):
     """The ball restriction of the letterwise colour relabelling by p."""
     ball = CompleteSubtree.ball(group.d, depth)
     mapping = {w: tuple(p(c) for c in w) for w in ball.leaves}
-    return TreePairElement(group, ball, ball, mapping)
+    return _from_pairs(group, mapping)
 
 
 def test_letterwise_twist_ball_signs():
@@ -739,7 +741,7 @@ def test_random_element_draws_as_the_whole_range_scan_did(group, expansions):
         e = random_element(group, rng, expansions)
         oracle = seed_random_element(group, oracle_rng, expansions)
         assert (e.domain.leaves, e.range.leaves) == (oracle.domain.leaves, oracle.range.leaves)
-        assert list(e._map.items()) == list(oracle._map.items())
+        assert list(leaf_map(e).items()) == list(leaf_map(oracle).items())
         assert rng.getstate() == oracle_rng.getstate()
 
 
@@ -760,3 +762,39 @@ def test_random_element_changes_depth():
     assert moved >= 45
     samples = [random_element(four_orbit_group(), rng, 3) for _ in range(50)]
     assert any(tree_depth(e.domain) != tree_depth(e.range) for e in samples)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "compose_golden.json")
+
+
+def test_kappa_survives_decoding_and_inverts():
+    # a canonical file's kappa is the element's, read and written unchanged
+    with open(GOLDEN) as handle:
+        cases = json.load(handle)
+    for case in cases.values():
+        for data in (case["compose"], case["inverse"]):
+            e = element_from_dict(data)
+            assert e.kappa == tuple(data["kappa"])
+            assert element_to_dict(e)["kappa"] == data["kappa"]
+    # the inverse's kappa is the inverse permutation, and leaf_image and
+    # apply_to_prefix read what the leaf map built from kappa says
+    groups = (small_trivial(2), switch_group(), rotation_group(), four_orbit_group(), sym_group(4))
+    for group in groups:
+        rng = random.Random("kappa:%d:%d" % (group.d, len(group.orbits)))
+        for _ in range(20):
+            e = random_element(group, rng, rng.randrange(13))
+            pairs = leaf_map(e)
+            inverse = e.inverse()
+            assert inverse.domain == e.range and inverse.range == e.domain
+            assert all(inverse.kappa[k] == i for i, k in enumerate(e.kappa))
+            assert leaf_map(inverse) == {w: v for v, w in pairs.items()}
+            for v, w in pairs.items():
+                assert e.leaf_image(list(v)) == w
+                word = list(v)
+                for _ in range(rng.randrange(4)):
+                    word.append(rng.choice([c for c in range(group.d + 1) if c != word[-1]]))
+                tail = e.plane.transport_tail(v[-1], w[-1], word[len(v):])
+                assert e.apply_to_prefix(word) == w + tail
+                if len(v) > 1:
+                    with pytest.raises(KeyError):
+                        e.leaf_image(v[:-1])

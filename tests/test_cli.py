@@ -5,6 +5,7 @@ exit codes and output the shell would.
 """
 
 import csv
+import decimal
 import json
 import os
 import random
@@ -420,7 +421,7 @@ def test_covolume_table_csv(tmp_path, capsys):
 
 def shown_from_the_digits(value):
     """What ``_show_int`` shows, read off the whole decimal text."""
-    text = cli._digits(value)
+    text = str(decimal.Decimal(value))
     if len(text) <= 48:
         return text
     return "%s...%s (%d digits)" % (text[:12], text[-6:], len(text))

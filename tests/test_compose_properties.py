@@ -20,6 +20,7 @@ from coloured_neretin.almost_automorphisms import _composite_pairs, _from_pairs
 from conftest import (
     assert_complete,
     four_orbit_group,
+    leaf_map,
     random_word,
     rotation_group,
     small_trivial,
@@ -131,7 +132,7 @@ def test_compose_merge_matches_the_prefix_probe_oracle(name):
         pairs += [(expanded, b), (b, expanded)]
         # the inverse of a reduced element needs no contraction; that of
         # an unreduced one still does
-        unmarked = _from_pairs(group, {w: v for v, w in a._map.items()})
+        unmarked = _from_pairs(group, {w: v for v, w in leaf_map(a).items()})
         assert len(unmarked.reduce().domain) == len(a.domain)
         assert expanded.inverse().domain == a.range
     assert sum(a.domain == b.range for a, b in pairs) >= 100
@@ -141,5 +142,7 @@ def test_compose_merge_matches_the_prefix_probe_oracle(name):
         assert _composite_pairs(a, b) == oracle
         expected = _from_pairs(group, oracle).reduce()
         c = compose(a, b)
-        assert (c.domain, c.range, c._map) == (expected.domain, expected.range, expected._map)
+        assert (c.domain, c.range, leaf_map(c)) == (
+            expected.domain, expected.range, leaf_map(expected)
+        )
         assert c._reduced and c.reduce() is c

@@ -11,6 +11,7 @@ from coloured_neretin.almost_automorphisms import _composite_pairs, _from_pairs
 from conftest import (
     assert_complete,
     four_orbit_group,
+    leaf_map,
     rotation_group,
     small_trivial,
     switch_group,
@@ -54,7 +55,7 @@ def cascades(e, reduced_pairs):
     """Whether some vertex was contracted only after one of its children
     was: an unreduced leaf lies two or more levels below a reduced one."""
     reduced = set(reduced_pairs)
-    return any(v[:k] in reduced for v in e._map for k in range(1, len(v) - 1))
+    return any(v[:k] in reduced for v in leaf_map(e) for k in range(1, len(v) - 1))
 
 
 @pytest.mark.parametrize("build", [expanded, composite])
@@ -66,10 +67,10 @@ def test_reduce_matches_the_worklist_reduction(name, build):
     for _ in range(2 * ELEMENTS):
         e = build(group, rng)
         want = seed_reduce_pairs(e)
-        if len(want) == len(e._map):
+        if len(want) == len(e.domain):
             continue  # already reduced
         reduced = e.reduce()
-        assert reduced._map == want
+        assert leaf_map(reduced) == want
         assert reduced.domain.leaves == tuple(sorted(want))
         assert reduced.range.leaves == tuple(sorted(want.values()))
         assert reduced.reduce() is reduced

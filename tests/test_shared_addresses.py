@@ -30,7 +30,7 @@ from coloured_neretin import (
     sft_graph_for_group,
     sphere,
 )
-from conftest import group_from, rotation_group
+from conftest import group_from, leaf_map, rotation_group
 
 # orbits {0}, {1, 2, 3}: (0) and (3, 0) go to (0) and (1, 0), the rest
 # within the orbit of 1
@@ -51,8 +51,9 @@ def fresh_group():
 
 
 def occurrences(e):
-    """Every leaf reference an element holds."""
-    return itertools.chain(e.domain.leaves, e.range.leaves, e._map, e._map.values())
+    """Every leaf reference an element holds, and those its leaf map reads."""
+    pairs = leaf_map(e)
+    return itertools.chain(e.domain.leaves, e.range.leaves, pairs, pairs.values())
 
 
 def test_decoded_elements_hold_the_tables_addresses():
@@ -73,7 +74,8 @@ def test_decoded_elements_hold_the_tables_addresses():
     first, second = decoded[0], decoded[1]
     assert all(u is v for u, v in zip(first.domain.leaves, second.range.leaves))
     assert all(u is v for u, v in zip(first.range.leaves, second.domain.leaves))
-    assert all(second._map[w] is v for v, w in first._map.items())
+    second_map = leaf_map(second)
+    assert all(second_map[w] is v for v, w in leaf_map(first).items())
     assert [element_to_dict(e) for e in decoded] == files
 
 
@@ -114,7 +116,7 @@ def test_only_decoding_adds_to_the_table():
         a.expand_at(leaf),
         a.expand_at(leaf).reduce(),
         bridge,
-        make_element(bridge.domain.leaves, bridge.range.leaves, bridge._map, group),
+        make_element(bridge.domain.leaves, bridge.range.leaves, leaf_map(bridge), group),
     ]
     assert bridge == composite
     # the derived elements hold addresses that no decoded file has

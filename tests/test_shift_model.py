@@ -32,6 +32,7 @@ from bisection_oracle import seed_validate_bisection
 from conftest import (
     four_orbit_group,
     group_from,
+    leaf_map,
     rotation_group,
     small_trivial,
     switch_group,
@@ -246,7 +247,7 @@ def test_bisection_round_trip_random_elements():
             e = random_element(omega.group, rng, 5)
             bis = element_to_bisection(e, omega)
             label = omega.plane.label_word
-            assert bis.pairs == tuple(sorted((label(v), label(w)) for v, w in e._map.items()))
+            assert bis.pairs == tuple(sorted((label(v), label(w)) for v, w in leaf_map(e).items()))
             problems = validate_bisection(bis, omega.graph)
             assert not problems, problems
             assert bisection_to_element(bis, omega) == e

@@ -29,6 +29,7 @@ from coloured_neretin import (
 from conftest import (
     closure_oracle,
     four_orbit_group,
+    leaf_map,
     random_complete_tree,
     rotation_group,
     small_trivial,
@@ -217,7 +218,8 @@ def test_label_words_are_the_label_word_of_each_word():
         lists = [sphere(group.d, 1), sphere(group.d, 2)]
         for _ in range(8):
             e = random_element(group, rng, rng.randrange(1, 13))
-            lists += [list(e._map), list(e._map.values()), e.domain.leaves, e.range.leaves]
+            pairs = leaf_map(e)
+            lists += [list(pairs), list(pairs.values()), e.domain.leaves, e.range.leaves]
         for words in lists:
             assert plane.label_words(words) == [plane.label_word(v) for v in words]
 
@@ -278,7 +280,7 @@ def test_lex_order_is_total_and_descendant_first():
     group = switch_group()
     plane = plane_for(group)
     words = [w for n in (1, 2, 3) for w in brute_sphere(3, n)]
-    ordered = plane.lex_sorted(words)
+    ordered = sorted(words, key=plane.lex_key)
     # total order: distinct addresses get strictly increasing keys
     keys = [plane.lex_key(w) for w in ordered]
     assert all(keys[i] < keys[i + 1] for i in range(len(keys) - 1))
