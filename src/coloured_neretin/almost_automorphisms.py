@@ -251,13 +251,7 @@ def make_element(domain_leaves, range_leaves, bijection, group):
                     "leaf %r (colour %d) maps to %r (colour %d) across orbits"
                     % (leaf, leaf[-1], image, image[-1])
                 )
-    if isinstance(bijection, dict) or (domain.leaves, range_.leaves) != (
-        tuple(domain_leaves), tuple(range_leaves)
-    ):
-        unchanged = _from_pairs(group, pairs, domain, range_)
-    else:  # a kappa over the trees' own leaf order, as element files write it
-        unchanged = TreePairElement(group, domain, range_, array("I", kappa))
-    return _reduced(group, pairs, unchanged)
+    return _reduced(group, pairs, _from_pairs(group, pairs, domain, range_))
 
 
 def identity_element(group):
@@ -401,9 +395,9 @@ def sign(e, subset, mode="class", target="vf"):
             )
         e = e.reduce()
     key, pairs = e.plane.lex_key, zip(e.domain.leaves, e._images())
-    # the plane keys of the images of the subset-coloured domain leaves, in
-    # plane order; their argsort is the inverse permutation, of equal parity
-    images = [w for _, w in sorted((key(v), key(w)) for v, w in pairs if v[-1] in subset)]
+    pairs = sorted((key(v), w) for v, w in pairs if v[-1] in subset)  # in plane order
+    assert all(w[-1] in subset for _, w in pairs), "a subset-coloured leaf maps outside the subset"
+    images = [key(w) for _, w in pairs]  # argsorted: the inverse permutation, same parity
     return Permutation(sorted(range(len(images)), key=images.__getitem__)).parity()
 
 
