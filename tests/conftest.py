@@ -1,10 +1,28 @@
 """Shared constructors for the test suite."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 from coloured_neretin import (
     CompleteSubtree,
     closure_enumerate,
     parse_cycles,
 )
+
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name):
+    """``tools/<name>.py`` as a fresh module, with ``tools/`` on ``sys.path``
+    for the tools it imports."""
+    if str(TOOLS) not in sys.path:
+        sys.path.insert(0, str(TOOLS))
+    spec = importlib.util.spec_from_file_location(name, TOOLS / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def group_from(cycle_texts, degree):

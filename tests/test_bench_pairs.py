@@ -1,19 +1,16 @@
 """The summary of tools/bench_pairs.py on synthetic paired runs, and its
 record of runs that end without a result."""
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+from conftest import load_tool
+
+bench_pairs = load_tool("bench_pairs")
 
 SPEC = {
     "op_p50_ref": {"better": "lower", "bound": 0.15},
@@ -159,3 +156,17 @@ def test_runs_without_a_result_are_counted_and_fail_the_tool(tmp_path, capsys):
     assert bench_pairs.main(args) == 0
     assert ("deep     failed ops: parent 0/4, 0 runs without a result; "
             "change 0/4, 0 runs without a result") in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option", [["--pairs", "0"], ["--pairs", "x"], ["--seeds", "23,x"]])
+def test_bad_pairs_or_seeds_stop_the_tool_before_any_run(tmp_path, monkeypatch, option):
+    def started(argv, **kwargs):
+        raise AssertionError("a process was started: %r" % (argv,))
+
+    monkeypatch.setattr(subprocess, "run", started)
+    args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workloads", "deep",
+            "--seeds", "23", "--pairs", "2", "--out", str(tmp_path), *option]
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(args)
+    assert stop.value.code == 2
+    assert list(tmp_path.iterdir()) == []

@@ -1,25 +1,19 @@
 """tools/cli_time.py on stand-in processes: the order of its runs, their
 environment and its record."""
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+from conftest import load_tool
 
 
 @pytest.fixture
-def cli_time(monkeypatch):
-    monkeypatch.syspath_prepend(str(TOOLS))
-    spec = importlib.util.spec_from_file_location("cli_time", TOOLS / "cli_time.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def cli_time():
+    return load_tool("cli_time")
 
 
 def test_runs_alternate_and_each_side_compiles_into_its_own_prefix(cli_time, tmp_path,
@@ -46,7 +40,7 @@ def test_runs_alternate_and_each_side_compiles_into_its_own_prefix(cli_time, tmp
         seen.append((argv[3], side, prefix))
         return subprocess.CompletedProcess(argv, 0, "", "")
 
-    monkeypatch.setattr(cli_time.subprocess, "run", fake_run)
+    monkeypatch.setattr(subprocess, "run", fake_run)
     record = tmp_path / "BENCH_1.json"
     record.write_text(json.dumps({"runs": ["kept"]}))
     args = ["--parent", str(parent), "--change", str(change), "--pairs", "2",
@@ -79,7 +73,21 @@ def test_a_failing_process_stops_the_tool(cli_time, tmp_path, monkeypatch):
     def failing_run(argv, **kwargs):
         return subprocess.CompletedProcess(argv, 1, "", "error: boom")
 
-    monkeypatch.setattr(cli_time.subprocess, "run", failing_run)
+    monkeypatch.setattr(subprocess, "run", failing_run)
     args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--pairs", "1"]
     with pytest.raises(SystemExit, match="compose .* exited with 1: error: boom"):
         cli_time.main(args)
+
+
+def test_pairs_below_one_stop_the_tool_before_any_process(cli_time, tmp_path, monkeypatch):
+    def started(argv, **kwargs):
+        raise AssertionError("a process was started: %r" % (argv,))
+
+    monkeypatch.setattr(subprocess, "run", started)
+    record = tmp_path / "BENCH_1.json"
+    args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--pairs", "0",
+            "--record", str(record)]
+    with pytest.raises(SystemExit) as stop:
+        cli_time.main(args)
+    assert stop.value.code == 2
+    assert not record.exists()

@@ -1,20 +1,18 @@
 """tools/decisions.py: its probe on this checkout, and its comparison and
 report on stand-in decisions."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
+
+from conftest import load_tool
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
 def decisions():
-    spec = importlib.util.spec_from_file_location("decisions", ROOT / "tools" / "decisions.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("decisions")
 
 
 def test_the_probe_records_every_decision(decisions):

@@ -1,22 +1,20 @@
 """tools/element_memory.py: its probe on this checkout, and its run order
 and report on stand-in records."""
 
-import importlib.util
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
+
+from conftest import load_tool
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
 def element_memory():
-    spec = importlib.util.spec_from_file_location(
-        "element_memory", ROOT / "tools" / "element_memory.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("element_memory")
 
 
 def test_the_probe_reads_a_set_up_on_this_checkout(element_memory):
@@ -33,7 +31,7 @@ def test_runs_alternate_and_medians_are_printed(element_memory, monkeypatch, cap
 
     def stand_in(checkout, seed, pairs):
         calls.append((Path(checkout).name, seed, pairs))
-        size = 3 if checkout.endswith("parent") else 2
+        size = 3 if checkout == "/x/parent" else 2
         return {"setup": size << 20, "elements": (size - 1) << 20}
 
     monkeypatch.setattr(element_memory, "record", stand_in)
@@ -44,3 +42,21 @@ def test_runs_alternate_and_medians_are_printed(element_memory, monkeypatch, cap
     assert lines[0] == "this: set-up holds 2.000 MiB, the decoded elements 1.000 MiB"
     assert lines[-1] == "against -> this: set-up -1.000 MiB, elements -1.000 MiB"
     assert len(lines) == 7
+
+
+def test_each_run_compiles_into_its_own_empty_cache_prefix(element_memory, monkeypatch,
+                                                            capsys):
+    prefixes = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        assert os.path.isdir(prefix) and not os.listdir(prefix)
+        (Path(prefix) / "compiled.pyc").write_text("")
+        prefixes.append(prefix)
+        return subprocess.CompletedProcess(argv, 0, '{"setup": 2097152, "elements": 0}\n', "")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert element_memory.main(["--runs", "2", "--pairs", "1", "--against", str(ROOT)]) == 0
+    assert len(set(prefixes)) == 4
+    assert not any(os.path.exists(prefix) for prefix in prefixes)
+    assert "set-up holds 2.000 MiB" in capsys.readouterr().out

@@ -1,16 +1,16 @@
 """tools/tier1_time.py on stand-in runs: the order of ``--against`` runs,
 each side's summary and the exit status.  No suite is started."""
 
-import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "tier1_time.py"
-spec = importlib.util.spec_from_file_location("tier1_time", TOOL)
-tier1_time = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tier1_time)
+from conftest import load_tool
+
+tier1_time = load_tool("tier1_time")
 
 
 def stand_in(monkeypatch, results):
@@ -71,3 +71,23 @@ def test_one_checkout_keeps_its_report(monkeypatch, capsys):
 def test_against_needs_a_checkout(tmp_path):
     with pytest.raises(SystemExit):
         tier1_time.main(["--against", str(tmp_path)])
+
+
+def test_each_run_compiles_into_its_own_empty_cache_prefix(monkeypatch, capsys, tmp_path):
+    # as in tools/bench_pairs.py: no side may load bytecode that an earlier
+    # run, or the checkout's own __pycache__, holds
+    (tmp_path / "tests").mkdir()
+    prefixes = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        assert os.path.isdir(prefix) and not os.listdir(prefix)
+        (Path(prefix) / "compiled.pyc").write_text("")
+        prefixes.append(prefix)
+        return subprocess.CompletedProcess(argv, 0, "0.50s call tests/t.py::a\n3 passed\n", "")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert tier1_time.main(["--runs", "2", "--against", str(tmp_path)]) == 0
+    assert len(set(prefixes)) == 4
+    assert not any(os.path.exists(prefix) for prefix in prefixes)
+    assert json.loads(capsys.readouterr().out)["against"]["passed"] == 3

@@ -27,11 +27,16 @@ Metrics without a bound (the per-layer ones of ``--trace 1``) get
 The closing lines give, per workload and side, the failed ops and the runs
 that ended without a result (a non-zero exit or a last line that is not a
 JSON object).  The tool exits 1 when there is any such run.
+
+The other tools that compare two checkouts take their run order
+(``alternate``), their processes (``start``) and their record's header
+(``header``) from here.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import json
 import os
@@ -41,6 +46,64 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
+
+
+def at_least_one(text):
+    """The argparse type of ``--pairs`` and ``--runs``: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def integers(text):
+    """The argparse type of a comma-separated list of ints."""
+    return [int(item) for item in text.split(",")]
+
+
+def alternate(pairs, sides):
+    """(pair, side) of each run in the order made: pair 0 runs ``sides`` in
+    order, pair 1 in reverse, and so on, so that a drift in the machine's
+    load falls on every side."""
+    sides = list(sides)
+    return [(pair, side) for pair in range(pairs)
+            for side in (sides if pair % 2 == 0 else sides[::-1])]
+
+
+def start(checkout, argv, what=None, cwd=None, cache=None):
+    """(the finished process, its wall seconds) of ``argv`` run as a fresh
+    process of ``checkout``, in ``cwd`` (default: the checkout), with the
+    checkout's ``src`` as its ``PYTHONPATH`` and its output captured as text.
+
+    The process compiles into ``cache`` as its ``PYTHONPYCACHEPREFIX`` or,
+    without one, into an empty prefix of its own, removed afterwards, so
+    that no side loads bytecode from its checkout's ``__pycache__``; the
+    bytecode is written there even when ``PYTHONDONTWRITEBYTECODE`` is set.
+    With ``what``, a non-zero exit stops the tool with ``"<checkout>:
+    <what> exited with N: <stderr tail>"``."""
+    with (contextlib.nullcontext(cache) if cache
+          else tempfile.TemporaryDirectory(prefix="pycache-")) as prefix:
+        env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+                   PYTHONPYCACHEPREFIX=prefix)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        begin = time.perf_counter()
+        proc = subprocess.run(argv, cwd=cwd or checkout, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - begin
+    if what and proc.returncode != 0:
+        raise SystemExit("%s: %s exited with %d: %s" % (
+            checkout, what, proc.returncode, proc.stderr.strip()[-500:]))
+    return proc, seconds
+
+
+def header(change, parent, command, protocol):
+    """A record without runs: the change, the revision of the ``parent``
+    checkout, the command, the machine and the protocol."""
+    machine = "%s, %d cores, Python %s" % (
+        platform.platform(), os.cpu_count() or 0, platform.python_version())
+    return {"change": change, "parent": revision(parent), "command": command,
+            "machine": machine, "protocol": "one process at a time; consecutive pairs "
+            "alternate which side runs first; " + protocol, "runs": []}
 
 
 def quartiles(values):
@@ -111,19 +174,14 @@ def format_row(row):
 
 
 def run_once(checkout, command, workload, seed, seconds, trace):
-    """The JSON result of one benchmark run in ``checkout``.
-
-    Each run gets its own empty ``PYTHONPYCACHEPREFIX``, so every run of
-    either checkout compiles its modules alike, whatever ``__pycache__``
-    the checkout holds.  A run that exits non-zero (a crash, or a kill on a
+    """The JSON result of one benchmark run, a fresh process of ``start``
+    in ``checkout``.  A run that exits non-zero (a crash, or a kill on a
     timeout) or whose last line of output is not a JSON object ends without
     a result: it is recorded with no ops and an ``error`` that says why."""
     argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     if trace:
         argv += ["--trace", "1"]
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
-        proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env)
+    proc, _ = start(checkout, argv)
     last = (proc.stdout.strip().splitlines() or [""])[-1]
     try:
         result = json.loads(last)
@@ -168,8 +226,9 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--workloads", required=True, help="comma-separated workload names")
-    parser.add_argument("--seeds", required=True, help="comma-separated integer seeds")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seeds", required=True, type=integers,
+                        help="comma-separated integer seeds")
+    parser.add_argument("--pairs", type=at_least_one, default=10)
     parser.add_argument("--seconds", type=float, default=None,
                         help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--trace", action="store_true", help="per-layer runs (--trace 1)")
@@ -183,41 +242,32 @@ def main(argv=None):
     spec = {m["name"]: m for m in benchmark["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     seconds_text = "%g" % seconds
-    record = {
-        "change": args.note,
-        "parent": revision(args.parent),
-        "command": " ".join(benchmark["command"])
-        + " --workload <workload> --seconds %s --seed <seed>%s"
+    record = header(
+        args.note, args.parent,
+        " ".join(benchmark["command"]) + " --workload <workload> --seconds %s --seed <seed>%s"
         % (seconds_text, " --trace 1" if args.trace else ""),
-        "machine": "%s, %d cores, Python %s"
-        % (platform.platform(), os.cpu_count() or 0, platform.python_version()),
-        "protocol": "consecutive pairs alternate which side runs first; "
-        "the order field gives the sequence in which runs were made",
-        "runs": [],
-    }
+        "each run compiles into an empty bytecode prefix of its own; "
+        "the order field gives the sequence in which runs were made")
     path = next_bench_path(args.out or args.change)
-    order = 0
     for workload in args.workloads.split(","):
-        for seed in (int(s) for s in args.seeds.split(",")):
-            for pair in range(args.pairs):
-                first = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for side in first:
-                    order += 1
-                    result = run_once(sides[side], benchmark["command"], workload, seed,
-                                      seconds_text, args.trace)
-                    run = {"order": order, "workload": workload, "seed": seed,
-                           "side": side, "pair": pair, "result": result}
-                    if args.trace:
-                        run["trace"] = 1
-                    record["runs"].append(run)
-                    print("run %d: %s seed %d %s pair %d: %s"
-                          % (order, workload, seed, side, pair,
-                             result.get("error") or "%d/%d failed"
-                             % (result["failed"], result["attempted"])),
-                          file=sys.stderr)
-                    with open(path, "w") as handle:
-                        json.dump(record, handle, indent=1)
-                        handle.write("\n")
+        for seed in args.seeds:
+            for pair, side in alternate(args.pairs, sides):
+                order = len(record["runs"]) + 1
+                result = run_once(sides[side], benchmark["command"], workload, seed,
+                                  seconds_text, args.trace)
+                run = {"order": order, "workload": workload, "seed": seed,
+                       "side": side, "pair": pair, "result": result}
+                if args.trace:
+                    run["trace"] = 1
+                record["runs"].append(run)
+                print("run %d: %s seed %d %s pair %d: %s"
+                      % (order, workload, seed, side, pair,
+                         result.get("error") or "%d/%d failed"
+                         % (result["failed"], result["attempted"])),
+                      file=sys.stderr)
+                with open(path, "w") as handle:
+                    json.dump(record, handle, indent=1)
+                    handle.write("\n")
     print("wrote %s" % path)
     for row in summarise(record["runs"], spec):
         print(format_row(row))

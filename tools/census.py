@@ -16,6 +16,7 @@ to a temporary directory that is removed afterwards.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import inspect
 import io
@@ -120,7 +121,8 @@ def run_users(workdir):
                 work.op(i)
 
 
-def main():
+def main(argv=None):
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     defined = defined_functions()
     reached = set()
 

@@ -6,19 +6,18 @@ checkout.
 
 For each of ``compose``, ``invert``, ``reduce``, ``graph``,
 ``covolume-table`` and ``verify-smallest``, starts ``python -m coloured_neretin.cli <command> ...``
-as a fresh process in each checkout (``PYTHONPATH`` its ``src``),
-``--pairs`` times, one process at a time, alternating which side runs
-first (pair 0 parent first, pair 1 change first, ...), and times each
-process from start to exit.  Each side compiles into its own
-``PYTHONPYCACHEPREFIX``, empty when the tool starts, so both sides compile
-their modules alike whatever ``__pycache__`` they hold; one untimed run of
-each command per side fills it, so that the timed processes load bytecode,
-as an installed command does; it is written there even when
-``PYTHONDONTWRITEBYTECODE`` is set.  (An empty prefix per process would
-compile the standard library in every process too, which no user pays on
-every run.)  A command's arguments are its first entry in ``tools/census.py``,
-and the element files are the first ``deep`` input pair of
-``bench/inputs.py`` for the census seed, as in ``tools/outputs.py``.
+as a fresh process in each checkout (``tools/bench_pairs.py``'s ``start``),
+``--pairs`` times, one process at a time, in ``bench_pairs``' alternating
+order, and times each process from start to exit.  Unlike the other
+tools, each side compiles into its own bytecode prefix, empty when the
+tool starts, so both sides compile their modules alike whatever
+``__pycache__`` they hold; one untimed run of each command per side fills
+it, so that the timed processes load bytecode, as an installed command
+does.  (An empty prefix per process would compile the standard library in
+every process too, which no user pays on every run.)  A command's
+arguments are its first entry in ``tools/census.py``, and the element
+files are the first ``deep`` input pair of ``bench/inputs.py`` for the
+census seed, as in ``tools/outputs.py``.
 
 Each timed process is kept as a run of ``tools/bench_pairs.py``'s schema,
 its command as the workload and its seconds as the metric ``wall_s``, and
@@ -37,38 +36,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
-import subprocess
 import sys
 import tempfile
-import time
 
-from bench_pairs import format_row, revision, summarise
+from bench_pairs import alternate, at_least_one, format_row, header, revision, start, summarise
 from census import SEED, cli_commands, inputs
 
 COMMANDS = ("compose", "invert", "reduce", "graph", "covolume-table", "verify-smallest")
-
-
-def time_once(checkout, argv, workdir, cache):
-    """Seconds from start to exit of one CLI process in ``checkout`` that
-    keeps its bytecode under ``cache``."""
-    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, PYTHONPATH=os.path.join(checkout, "src"))
-    env.pop("PYTHONDONTWRITEBYTECODE", None)  # the bytecode goes to the tool's own prefix
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "coloured_neretin.cli", *argv],
-                          cwd=workdir, env=env, capture_output=True, text=True)
-    seconds = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise SystemExit("%s: %s exited with %d: %s" % (
-            checkout, " ".join(argv), proc.returncode, proc.stderr.strip()[-500:]))
-    return seconds
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=at_least_one, default=10)
     parser.add_argument("--record", help="JSON file to store the runs in, under cli_time")
     args = parser.parse_args(argv)
 
@@ -83,15 +64,15 @@ def main(argv=None):
         for command in cli_commands(workdir, first, second):
             known.setdefault(command[0], command)
         for name in COMMANDS:
+            what = " ".join(known[name])
+            argv = [sys.executable, "-m", "coloured_neretin.cli", *known[name]]
             for side in sides:  # untimed: fills the side's bytecode cache
-                time_once(sides[side], known[name], workdir, caches[side])
-            for pair in range(args.pairs):
-                first_side = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for side in first_side:
-                    seconds = time_once(sides[side], known[name], workdir, caches[side])
-                    runs.append({"order": len(runs) + 1, "workload": name, "seed": SEED,
-                                 "side": side, "pair": pair,
-                                 "result": {"metrics": {"wall_s": {"value": seconds}}}})
+                start(sides[side], argv, what, workdir, caches[side])
+            for pair, side in alternate(args.pairs, sides):
+                seconds = start(sides[side], argv, what, workdir, caches[side])[1]
+                runs.append({"order": len(runs) + 1, "workload": name, "seed": SEED,
+                             "side": side, "pair": pair,
+                             "result": {"metrics": {"wall_s": {"value": seconds}}}})
     rows = summarise(runs, {"wall_s": {"better": "lower", "bound": None}})
     for row in rows:
         print(format_row(row))
@@ -100,18 +81,12 @@ def main(argv=None):
         if os.path.exists(args.record):
             with open(args.record) as handle:
                 record = json.load(handle)
-        record["cli_time"] = {
-            "parent": revision(sides["parent"]),
-            "change": revision(sides["change"]),
-            "command": "python -m coloured_neretin.cli <command> <arguments of tools/census.py>",
-            "machine": "%s, %d cores, Python %s"
-            % (platform.platform(), os.cpu_count() or 0, platform.python_version()),
-            "protocol": "one process at a time; consecutive pairs alternate which side "
-            "runs first; each side keeps its bytecode in its own PYTHONPYCACHEPREFIX, "
-            "empty at the start and filled by one untimed run per command",
-            "runs": runs,
-            "summary": rows,
-        }
+        record["cli_time"] = header(
+            None, sides["parent"],
+            "python -m coloured_neretin.cli <command> <arguments of tools/census.py>",
+            "each side keeps its bytecode in its own prefix, empty at the start and "
+            "filled by one untimed run per command")
+        record["cli_time"].update(change=revision(sides["change"]), runs=runs, summary=rows)
         with open(args.record, "w") as handle:
             json.dump(record, handle, indent=1)
             handle.write("\n")

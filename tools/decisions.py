@@ -4,10 +4,10 @@ change checkout, decision by decision.
     python3 tools/decisions.py --parent DIR --change DIR
 
 For each start precision of ``STARTS`` (128, 3, 4 and 5 bits) and each
-checkout (``PYTHONPATH`` its ``src``), one fresh process makes every
-decision of ``verify_xi_claims(20)`` and of ``smallest_log_sign`` on each
-partition of d + 1 for 2 ≤ d ≤ 12, in that order, and records the sign
-and the settling precision of each.  The two sides' decisions are paired
+checkout, one fresh process (``start`` of ``tools/bench_pairs.py``) makes
+every decision of ``verify_xi_claims(20)`` and of ``smallest_log_sign`` on
+each partition of d + 1 for 2 ≤ d ≤ 12, in that order, and records the
+sign and the settling precision of each.  The two sides' decisions are paired
 in order.  Per start the tool prints the number of decisions, the number
 undecided on each side, the sign changes (pairs whose signs differ, an
 undecided one included) and how many of the change's settling precisions
@@ -20,8 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
+
+from bench_pairs import start
 
 STARTS = (128, 3, 4, 5)
 MAX_X = 20
@@ -48,16 +49,10 @@ print(json.dumps(seen))
 """
 
 
-def record(checkout, start, max_x=MAX_X, max_d=MAX_D):
-    """The (sign, bits) of each decision made in ``checkout`` at ``start``."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(start), str(max_x), str(max_d)],
-        env=env, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise SystemExit("%s: the probe exited with %d: %s" % (
-            checkout, proc.returncode, proc.stderr.strip()[-500:]))
+def record(checkout, start_bits, max_x=MAX_X, max_d=MAX_D):
+    """The (sign, bits) of each decision made in ``checkout`` at ``start_bits``."""
+    argv = [sys.executable, "-c", PROBE, str(start_bits), str(max_x), str(max_d)]
+    proc, _ = start(checkout, argv, "the probe")
     return [tuple(decision) for decision in json.loads(proc.stdout)]
 
 

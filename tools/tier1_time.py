@@ -17,15 +17,16 @@ no:cacheprovider``, and prints one JSON object:
   median.
 
 With ``--against DIR`` (another checkout, such as the parent commit's), it
-makes ``--runs`` single runs of each checkout, alternating which one runs
-first (this, DIR, DIR, this, this, DIR, ...), so that a drift in the
-machine's load falls on both.  The JSON object then holds ``order``, the
-sequence of the runs, and one such summary for each side, ``this`` and
-``against``, each with its ``checkout`` directory.
+makes ``--runs`` single runs of each checkout in ``tools/bench_pairs.py``'s
+alternating order (this, DIR, DIR, this, this, DIR, ...), so that a drift
+in the machine's load falls on both.  The JSON object then holds
+``order``, the sequence of the runs, and one such summary for each side,
+``this`` and ``against``, each with its ``checkout`` directory.
 
-Every run starts in a temporary directory, removed afterwards, with
-PYTHONDONTWRITEBYTECODE=1, so that neither Hypothesis's example database
-nor byte code is written into the checkout.  Exits 1 when a run fails a
+Every run is a fresh process of ``bench_pairs``' ``start``, with an empty
+bytecode prefix of its own, in a temporary directory, both removed
+afterwards, so that neither Hypothesis's example database nor byte code is
+written into the checkout.  Exits 1 when a run fails a
 test or the passed counts of one checkout's runs differ; the JSON object is
 printed anyway.
 """
@@ -37,10 +38,10 @@ import json
 import os
 import re
 import statistics
-import subprocess
 import sys
 import tempfile
-import time
+
+from bench_pairs import alternate, at_least_one, start
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SLOWEST = 10
@@ -51,18 +52,12 @@ PASSED = re.compile(r"\b(\d+) passed\b")
 def run_once(root, workdir):
     """(wall seconds, passed count, pytest exit code, {test id: seconds}) of
     one run of the checkout ``root``'s suite."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")])
-    )
     command = [
         sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
         "--durations=%d" % SLOWEST, "-p", "no:cacheprovider",
         "--rootdir", root, os.path.join(root, "tests"), os.path.join(root, "bench"),
     ]
-    start = time.perf_counter()
-    result = subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - start
+    result, wall = start(root, command, cwd=workdir)
     durations = {}
     for line in result.stdout.splitlines():
         match = DURATION.match(line)
@@ -97,23 +92,21 @@ def summary(runs):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=3, help="Tier-1 runs per checkout (default 3)")
+    parser.add_argument("--runs", type=at_least_one, default=3,
+                        help="Tier-1 runs per checkout (default 3)")
     parser.add_argument("--against", metavar="DIR",
                         help="a second checkout, whose single runs alternate with this one's")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     sides = {"this": ROOT}
     if args.against is not None:
         sides["against"] = os.path.abspath(args.against)
         if not os.path.isdir(os.path.join(sides["against"], "tests")):
             parser.error("--against %s has no tests directory" % args.against)
     results, order = {side: [] for side in sides}, []
-    for k in range(args.runs):
-        for side in list(sides)[:: 1 if k % 2 == 0 else -1]:
-            with tempfile.TemporaryDirectory() as workdir:
-                results[side].append(run_once(sides[side], workdir))
-            order.append(side)
+    for _, side in alternate(args.runs, sides):
+        with tempfile.TemporaryDirectory() as workdir:
+            results[side].append(run_once(sides[side], workdir))
+        order.append(side)
     summaries = {side: summary(runs) for side, runs in results.items()}
     if args.against is None:
         report = summaries["this"][0]
