@@ -124,6 +124,7 @@ def test_each_run_compiles_into_its_own_empty_cache_prefix(tmp_path, monkeypatch
     def fake_run(argv, cwd, env, **kwargs):
         prefix = env["PYTHONPYCACHEPREFIX"]
         assert os.path.isdir(prefix) and not os.listdir(prefix)
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
         assert env["PATH"] == os.environ["PATH"]
         prefixes.append(prefix)
         return subprocess.CompletedProcess(argv, 0, '{"attempted": 1, "failed": 0}\n', "")

@@ -82,6 +82,7 @@ def test_each_run_compiles_into_its_own_empty_cache_prefix(monkeypatch, capsys, 
     def fake_run(argv, cwd, env, **kwargs):
         prefix = env["PYTHONPYCACHEPREFIX"]
         assert os.path.isdir(prefix) and not os.listdir(prefix)
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
         (Path(prefix) / "compiled.pyc").write_text("")
         prefixes.append(prefix)
         return subprocess.CompletedProcess(argv, 0, "0.50s call tests/t.py::a\n3 passed\n", "")

@@ -29,8 +29,8 @@ that ended without a result (a non-zero exit or a last line that is not a
 JSON object).  The tool exits 1 when there is any such run.
 
 The other tools that compare two checkouts take their run order
-(``alternate``), their processes (``start``) and their record's header
-(``header``) from here.
+(``alternate``), their processes (``start``) and their record's command,
+machine and protocol (``header``) from here.
 """
 
 from __future__ import annotations
@@ -76,17 +76,20 @@ def start(checkout, argv, what=None, cwd=None, cache=None):
     process of ``checkout``, in ``cwd`` (default: the checkout), with the
     checkout's ``src`` as its ``PYTHONPATH`` and its output captured as text.
 
-    The process compiles into ``cache`` as its ``PYTHONPYCACHEPREFIX`` or,
-    without one, into an empty prefix of its own, removed afterwards, so
-    that no side loads bytecode from its checkout's ``__pycache__``; the
-    bytecode is written there even when ``PYTHONDONTWRITEBYTECODE`` is set.
+    Without ``cache``, the process gets an empty ``PYTHONPYCACHEPREFIX`` of
+    its own, removed afterwards, and ``PYTHONDONTWRITEBYTECODE=1``: it
+    loads no bytecode, from its checkout's ``__pycache__`` or the standard
+    library's, and writes none, so every module it imports compiles from
+    source, again after ``sys.modules`` forgets it.  With ``cache``, the
+    process keeps its bytecode there, written and loaded.
     With ``what``, a non-zero exit stops the tool with ``"<checkout>:
     <what> exited with N: <stderr tail>"``."""
     with (contextlib.nullcontext(cache) if cache
           else tempfile.TemporaryDirectory(prefix="pycache-")) as prefix:
         env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
-                   PYTHONPYCACHEPREFIX=prefix)
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
+                   PYTHONPYCACHEPREFIX=prefix, PYTHONDONTWRITEBYTECODE="1")
+        if cache:
+            del env["PYTHONDONTWRITEBYTECODE"]
         begin = time.perf_counter()
         proc = subprocess.run(argv, cwd=cwd or checkout, env=env, capture_output=True, text=True)
         seconds = time.perf_counter() - begin
@@ -96,14 +99,12 @@ def start(checkout, argv, what=None, cwd=None, cache=None):
     return proc, seconds
 
 
-def header(change, parent, command, protocol):
-    """A record without runs: the change, the revision of the ``parent``
-    checkout, the command, the machine and the protocol."""
-    machine = "%s, %d cores, Python %s" % (
-        platform.platform(), os.cpu_count() or 0, platform.python_version())
-    return {"change": change, "parent": revision(parent), "command": command,
-            "machine": machine, "protocol": "one process at a time; consecutive pairs "
-            "alternate which side runs first; " + protocol, "runs": []}
+def header(command, protocol):
+    """The command, machine and protocol of a record of alternating runs."""
+    return {"command": command, "machine": "%s, %d cores, Python %s" % (
+        platform.platform(), os.cpu_count() or 0, platform.python_version()),
+        "protocol": "one process at a time; consecutive pairs alternate which side "
+        "runs first; " + protocol}
 
 
 def quartiles(values):
@@ -242,12 +243,11 @@ def main(argv=None):
     spec = {m["name"]: m for m in benchmark["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     seconds_text = "%g" % seconds
-    record = header(
-        args.note, args.parent,
+    record = {"change": args.note, "parent": revision(args.parent), **header(
         " ".join(benchmark["command"]) + " --workload <workload> --seconds %s --seed <seed>%s"
         % (seconds_text, " --trace 1" if args.trace else ""),
-        "each run compiles into an empty bytecode prefix of its own; "
-        "the order field gives the sequence in which runs were made")
+        "each run has an empty bytecode prefix of its own and writes no bytecode; "
+        "the order field gives the sequence in which runs were made"), "runs": []}
     path = next_bench_path(args.out or args.change)
     for workload in args.workloads.split(","):
         for seed in args.seeds:

@@ -81,12 +81,11 @@ def main(argv=None):
         if os.path.exists(args.record):
             with open(args.record) as handle:
                 record = json.load(handle)
-        record["cli_time"] = header(
-            None, sides["parent"],
-            "python -m coloured_neretin.cli <command> <arguments of tools/census.py>",
-            "each side keeps its bytecode in its own prefix, empty at the start and "
-            "filled by one untimed run per command")
-        record["cli_time"].update(change=revision(sides["change"]), runs=runs, summary=rows)
+        record["cli_time"] = {
+            "parent": revision(sides["parent"]), "change": revision(sides["change"]), **header(
+                "python -m coloured_neretin.cli <command> <arguments of tools/census.py>",
+                "each side keeps its bytecode in its own prefix, empty at the start and "
+                "filled by one untimed run per command"), "runs": runs, "summary": rows}
         with open(args.record, "w") as handle:
             json.dump(record, handle, indent=1)
             handle.write("\n")
