@@ -3,8 +3,9 @@
     python3 tools/census.py
 
 Runs, under ``sys.setprofile``, everything that uses the package outside
-the test suite: every CLI subcommand on small inputs, the four demos, and
-two ops of each benchmark workload (``bench/workloads.py``).  Then prints
+the test suite: every CLI subcommand on small inputs, ``reduce`` on each
+element file of ``element_error_cases`` (each must exit 1), the four
+demos, and two ops of each benchmark workload (``bench/workloads.py``).  Then prints
 each function or method defined in ``src/coloured_neretin`` (nested
 functions included; class bodies, comprehensions and lambdas left out) that none of
 them called, as ``module.qualname (line N)``.  Methods that
@@ -20,6 +21,7 @@ import argparse
 import contextlib
 import inspect
 import io
+import json
 import os
 import runpy
 import sys
@@ -100,6 +102,45 @@ def cli_commands(workdir, first, second):
     ]
 
 
+def element_error_cases(workdir):
+    """``reduce`` calls on element files the CLI refuses, one file per
+    defect, written to ``workdir``.  Each file but the first two varies
+    ``good``, an element over F = <(1 2 3)> (orbits {0}, {1, 2, 3})."""
+    good = {"d": 3, "F_generators": ["(1 2 3)"],
+            "domain": [[0], [1], [2], [3, 0], [3, 1], [3, 2]],
+            "range": [[0], [1, 0], [1, 2], [1, 3], [2], [3]], "kappa": [0, 2, 4, 1, 3, 5]}
+    domain, range_ = good["domain"], good["range"]
+    defects = [
+        ("not-an-object", [good]),
+        ("missing-field", {k: v for k, v in good.items() if k != "kappa"}),
+        ("bad-d", dict(good, d=1)),
+        ("bad-generators", dict(good, F_generators=["(1 9)"])),
+        ("domain-not-a-list", dict(good, domain="0 1 2 30 31 32")),
+        ("non-int-letter", dict(good, domain=domain[:4] + [[3, 1.0], [3, 2]])),
+        ("incomplete-domain", dict(good, domain=domain[:-1])),
+        ("leaf-with-descendants", dict(good, domain=domain[:3] + [[3]] + domain[4:])),
+        ("repeated-leaf", dict(good, domain=domain[:-1] + [[3, 1]])),
+        ("incomplete-range", dict(good, range=range_[:-1])),
+        ("kappa-not-a-list", dict(good, kappa="0 2 4 1 3 5")),
+        ("non-int-kappa", dict(good, kappa=[0, 2, 4, 1, 3, 5.0])),
+        ("kappa-out-of-range", dict(good, kappa=[0, 2, 4, 1, 3, 6])),
+        ("duplicate-kappa", dict(good, kappa=[0, 2, 4, 1, 3, 3])),
+        ("short-kappa", dict(good, kappa=[0, 2, 4, 1, 3])),
+        ("size-mismatch", dict(good, range=[[0], [1], [2], [3]])),  # kappa fits the domain
+        ("orbit-violation", dict(good, kappa=[2, 0, 4, 1, 3, 5])),  # (0) -> (1, 2)
+        ("huge-d", {"d": 10**6, "F_generators": [], "domain": [[0], [1], [2]],
+                    "range": [[0], [1], [2]], "kappa": [0, 1, 2]}),
+        ("bad-generators-and-range", dict(good, F_generators=["(1 9)"], range=range_[:-1])),
+    ]
+    commands = []
+    for name, data in defects:
+        path = os.path.join(workdir, "bad-%s.json" % name)
+        with open(path, "w") as handle:
+            json.dump(data, handle)
+        commands.append(["reduce", path])
+    return commands
+
+
 def run_users(workdir):
     """Everything the census counts, with stdout discarded."""
     made = {}
@@ -113,6 +154,11 @@ def run_users(workdir):
             status = cli.main(argv)
             if status != 0:
                 raise SystemExit("census: %r exited with %d" % (argv, status))
+        with contextlib.redirect_stderr(io.StringIO()):
+            for argv in element_error_cases(workdir):
+                status = cli.main(argv)
+                if status != 1:
+                    raise SystemExit("census: %r exited with %d, not 1" % (argv, status))
         for demo in DEMOS:
             runpy.run_path(demo, run_name="__main__")
         for work in made.values():
