@@ -23,7 +23,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from itertools import chain
 from operator import itemgetter
 
 from .permutations import (
@@ -40,6 +39,7 @@ from .tree import (
     check_address,
     is_prefix,
     plane_for,
+    sphere,
 )
 
 
@@ -180,68 +180,58 @@ class TreePairElement:
         return image + self.plane.transport_tail(leaf[-1], image[-1], word[len(leaf):])
 
 
-def _addresses(leaves, field):
-    """The leaves as tuples, each letter checked to be an int (not a bool)."""
-    words = [tuple(w) for w in leaves]
-    # the types in one pass at C speed; the loop below only names a failure
-    if not set(map(type, chain.from_iterable(words))) <= {int}:
-        for i, word in enumerate(words):
-            for j, c in enumerate(word):
-                if type(c) is not int:
-                    raise ValueError("%s[%d][%d] is not an integer: %r" % (field, i, j, c))
-    return words
+def make_element(domain_leaves, range_leaves, kappa, group):
+    """Validated, reduced element from leaf lists and ``kappa``, a list of
+    integers sending the i-th given domain leaf to the kappa[i]-th given
+    range leaf.  Every letter of a leaf and every entry of ``kappa`` must
+    be an int (not a bool).  This is the one check of a leaf map: a
+    bijection of complete leaf sets within F's orbits."""
+    return _checked_element(group, *_checked_trees(group.d, domain_leaves, range_leaves), kappa)
 
 
-def make_element(domain_leaves, range_leaves, bijection, group):
-    """Validated, reduced element from leaf lists and a bijection.
-
-    ``bijection`` is either a dict mapping domain addresses to range
-    addresses, or a list of integers (``kappa``) sending the i-th given
-    domain leaf to the bijection[i]-th given range leaf.  Every letter of a
-    leaf, a key or a value must be an int (not a bool).  This is the one
-    check of a leaf map: a bijection of complete leaf sets within F's orbits.
-    """
+def _checked_trees(d, domain_leaves, range_leaves):
+    """(domain leaves as tuples in the given order, domain tree, the same
+    for the range).  A letter that is not an int is named, the domain's
+    first, before the trees' refusal (an invalid address, or the TypeError
+    of sorting mixed letters)."""
     domain_leaves = [tuple(w) for w in domain_leaves]
     try:
-        domain = CompleteSubtree(group.d, domain_leaves)
+        domain = CompleteSubtree(d, domain_leaves)
         range_leaves = [tuple(w) for w in range_leaves]
-        range_ = CompleteSubtree(group.d, range_leaves)
+        range_ = CompleteSubtree(d, range_leaves)
     except (IncompleteTree, TypeError):
-        # name a letter that is not an int, the domain's first, before the
-        # trees' refusal (an invalid address, or the TypeError of sorting
-        # mixed letters)
-        _addresses(domain_leaves, "domain")
-        _addresses(range_leaves, "range")
+        for field, leaves in (("domain", domain_leaves), ("range", range_leaves)):
+            for i, word in enumerate(leaves):
+                for j, c in enumerate(word):
+                    if type(c) is not int:
+                        raise ValueError("%s[%d][%d] is not an integer: %r" % (field, i, j, c))
         raise
-    if isinstance(bijection, dict):
-        pairs = dict(zip(
-            _addresses(bijection, "bijection keys"),
-            _addresses(bijection.values(), "bijection values"),
-        ))
-    else:
-        kappa = list(bijection)
-        # the types in one pass at C speed; the loop below only names a failure
-        if not set(map(type, kappa)) <= {int}:
-            for i, k in enumerate(kappa):
-                if type(k) is not int:
-                    raise ValueError("kappa[%d] is not an integer: %r" % (i, k))
-        n = len(range_leaves)
-        if sorted(kappa) != list(range(n)):
-            if len(kappa) != n:
-                raise ValueError("kappa has %d entries, expected %d" % (len(kappa), n))
-            for i, k in enumerate(kappa):
-                if not 0 <= k < n:
-                    raise ValueError("kappa[%d] = %d is out of range" % (i, k))
-            counts = Counter(kappa)
-            duplicate = next(k for k in kappa if counts[k] > 1)
-            raise ValueError("kappa is not a bijection: duplicate index %d" % duplicate)
-        pairs = dict(zip(domain_leaves, [range_leaves[k] for k in kappa]))
+    return domain_leaves, domain, range_leaves, range_
+
+
+def _checked_element(group, domain_leaves, domain, range_leaves, range_, kappa):
+    """The reduced element of ``_checked_trees``' result and ``kappa``,
+    once the sizes agree, kappa permutes range(n) and the map respects the
+    orbits."""
     if len(domain) != len(range_):
         raise SizeMismatch("domain has %d leaves, range has %d" % (len(domain), len(range_)))
-    if isinstance(bijection, dict) and (  # a kappa permuting range(n) is one already
-        pairs.keys() != set(domain.leaves) or set(pairs.values()) != set(range_.leaves)
-    ):
-        raise ValueError("the leaf map is not a bijection of the leaf sets")
+    kappa = list(kappa)
+    # the types in one pass at C speed; the loop below only names a failure
+    if not set(map(type, kappa)) <= {int}:
+        for i, k in enumerate(kappa):
+            if type(k) is not int:
+                raise ValueError("kappa[%d] is not an integer: %r" % (i, k))
+    n = len(range_leaves)
+    if sorted(kappa) != list(range(n)):
+        if len(kappa) != n:
+            raise ValueError("kappa has %d entries, expected %d" % (len(kappa), n))
+        for i, k in enumerate(kappa):
+            if not 0 <= k < n:
+                raise ValueError("kappa[%d] = %d is out of range" % (i, k))
+        counts = Counter(kappa)
+        duplicate = next(k for k in kappa if counts[k] > 1)
+        raise ValueError("kappa is not a bijection: duplicate index %d" % duplicate)
+    pairs = dict(zip(domain_leaves, [range_leaves[k] for k in kappa]))
     orbit, last = group.orbit_of.__getitem__, itemgetter(-1)
     # the orbits in one pass at C speed; the loop below only names a violation
     if list(map(orbit, map(last, pairs))) != list(map(orbit, map(last, pairs.values()))):
@@ -435,6 +425,11 @@ def element_from_local_data(group, local):
     ``local`` maps vertex addresses to permutations in the colour group.
     Data at a nonroot vertex v must be consistent: it has to send col(v) to
     the colour of v's image, which is determined by the data above v.
+
+    The checked data build the element unchecked: each vertex above the
+    sphere of B_n (n one below the deepest data) sends its children's
+    colours onto its image's by an element of F, so the leaf map permutes
+    that sphere, a complete leaf set, within the orbits of F.
     """
     plane = plane_for(group)
     d = group.d
@@ -471,9 +466,7 @@ def element_from_local_data(group, local):
                 )
 
     depth = max((len(v) for v in normalized), default=0) + 1
-    domain = CompleteSubtree.ball(d, depth)
-    pairs = {leaf: image_of(leaf) for leaf in domain.leaves}
-    return make_element(domain.leaves, sorted(pairs.values()), pairs, group)
+    return _reduced(group, {leaf: image_of(leaf) for leaf in sphere(d, depth)})
 
 
 def _free_reduce(left, right):
@@ -495,6 +488,11 @@ def translation_element(group, word):
     colour); left multiplication by a fixed reduced word, with free
     reduction, is a homeomorphism of the boundary that preserves every tail
     letterwise, hence defines an element over any colour group.
+
+    The checked word builds the element unchecked: the domain leaves hang
+    off the ray of the reversed word and map onto those hanging off the
+    word's own ray, so both leaf sets are complete, and each leaf keeps its
+    last letter, so the map respects the orbits of any F.
     """
     word = check_address(word, group.d)
     if not word:
@@ -509,8 +507,7 @@ def translation_element(group, word):
     leaves.extend(
         cancel_ray + (c,) for c in admissible_child_colours(cancel_ray, group.d)
     )
-    pairs = {u: _free_reduce(word, u) for u in leaves}
-    return make_element(leaves, sorted(pairs.values()), pairs, group)
+    return _reduced(group, {u: _free_reduce(word, u) for u in leaves})
 
 
 def purely_infinite_witness(group, cylinders):
@@ -610,7 +607,7 @@ def element_to_dict(e):
 
 def _check_element_shape(data):
     """Raise a ValueError naming the first field of an element file whose
-    JSON shape is wrong; the letters and values are checked by make_element."""
+    JSON shape is wrong; the letters and values are checked afterwards."""
     if not isinstance(data, dict):
         raise ValueError("element file must hold a JSON object")
     for field in ("d", "domain", "range", "kappa"):
@@ -640,17 +637,16 @@ def _check_element_shape(data):
 
 def element_from_dict(data, group=None):
     """Inverse of element_to_dict; a pre-built group overrides the generator
-    field (callers must then ensure it matches).  The element's leaves are
-    the shared ``addresses`` of the group's plane, looked up (added when new)
-    once ``make_element`` has found every letter an int, so that 1.0 or True
-    is refused, not taken for 1; the elements derived from it add nothing."""
+    field (callers must then ensure it matches).  Both trees are checked
+    before ``F_generators`` is parsed and F is closed: a complete domain
+    has at least d + 1 leaves, so a huge ``d`` costs no more than the file
+    until its trees pass.  The element's leaves are the shared
+    ``addresses`` of the group's plane, looked up (added when new) once
+    every letter is found an int, so that 1.0 or True is refused, not taken
+    for 1; the elements derived from it add nothing."""
     _check_element_shape(data)
-    d = data["d"]
-    if len(data["domain"]) <= d:
-        # a complete leaf set other than the bare root has at least d + 1
-        # leaves, so this domain's own check fails, naming its defect at a
-        # cost bounded by the file, before F costs O(d)
-        CompleteSubtree(d, _addresses(data["domain"], "domain"))
+    d = data["d"] if group is None else group.d
+    trees = _checked_trees(d, data["domain"], data["range"])
     if group is None:
         generators = []
         for i, text in enumerate(data.get("F_generators", [])):
@@ -659,7 +655,7 @@ def element_from_dict(data, group=None):
             except ValueError as exc:
                 raise ValueError("F_generators[%d]: %s" % (i, exc)) from None
         group = closure_enumerate(generators, d + 1)
-    e = make_element(data["domain"], data["range"], data["kappa"], group)
+    e = _checked_element(group, *trees, data["kappa"])
     share = e.plane.addresses.setdefault
     for tree in (e.domain, e.range):  # built for e alone
         tree.leaves = tuple(map(share, tree.leaves, tree.leaves))

@@ -530,9 +530,10 @@ def orbit_swap(group, orbit):
     parents = [c for c in range(group.d + 1) if c not in (low, high)]
     first, second = (parents[0], low), (parents[low == high], high)
     leaves = CompleteSubtree.ball(group.d, 2).leaves
-    pairs = {v: v for v in leaves}
-    pairs[first], pairs[second] = second, first
-    return make_element(leaves, leaves, pairs, group)
+    i, j = leaves.index(first), leaves.index(second)
+    kappa = list(range(len(leaves)))
+    kappa[i], kappa[j] = j, i
+    return make_element(leaves, leaves, kappa, group)
 
 
 def sign_bits(e, unions):

@@ -13,6 +13,7 @@ from coloured_neretin import (
     NotInvariant,
     NotWellDefined,
     OrbitViolation,
+    Permutation,
     PrefixTooShort,
     SizeMismatch,
     admissible_child_colours,
@@ -40,6 +41,7 @@ from coloured_neretin.almost_automorphisms import _from_pairs
 from coloured_neretin.cli import main
 from conftest import (
     assert_complete,
+    closure_oracle,
     four_orbit_group,
     group_from,
     leaf_map,
@@ -192,20 +194,32 @@ def test_expand_at_requires_domain_leaf():
 # -- validation --------------------------------------------------------------------
 
 
-def test_make_element_size_mismatch():
+def test_make_element_size_mismatch(tmp_path, capsys):
     group = switch_group()
     ball1 = sphere(3, 1)
     ball2 = sphere(3, 2)
     with pytest.raises(SizeMismatch):
-        make_element(ball1, ball2, {}, group)
+        make_element(ball1, ball2, range(4), group)
+    # kappa has one entry per domain leaf, so the sizes are named first
+    data = {
+        "d": 3,
+        "F_generators": ["(1 2 3)"],
+        "domain": [[0], [1], [2], [3, 0], [3, 1], [3, 2]],
+        "range": [[0], [1], [2], [3]],
+        "kappa": [0, 2, 4, 1, 3, 5],
+    }
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps(data))
+    assert main(["reduce", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: %s: domain has 6 leaves, range has 4\n" % path
 
 
 def test_make_element_orbit_violation():
     group = switch_group()  # orbits {0}, {1,2}, {3}
     leaves = sphere(3, 1)
-    mapping = {(0,): (3,), (1,): (1,), (2,): (2,), (3,): (0,)}
     with pytest.raises(OrbitViolation):
-        make_element(leaves, leaves, mapping, group)
+        make_element(leaves, leaves, [3, 1, 2, 0], group)  # (0,) <-> (3,)
 
 
 def test_make_element_rejects_non_bijections(tmp_path, capsys):
@@ -213,8 +227,6 @@ def test_make_element_rejects_non_bijections(tmp_path, capsys):
     leaves = sphere(3, 1)
     with pytest.raises(ValueError, match="duplicate index 0"):
         make_element(leaves, leaves, [0, 0, 1, 2], group)
-    with pytest.raises(ValueError, match="not a bijection"):
-        make_element(leaves, leaves, {(0,): (0,), (1,): (1,), (2,): (2,), (3,): (2,)}, group)
     # element files over trivial F at d = 2 whose kappa is no permutation of 0..2
     for kappa, message in (
         ([0, 1, 5], "kappa[2] = 5 is out of range"),
@@ -467,6 +479,7 @@ def test_translation_acts_by_left_multiplication():
         for _ in range(40):
             word = random_word(rng, d, rng.randrange(0, 5))
             e = translation_element(group, word)
+            assert_complete(e)
             u = random_word(rng, d, 12)
             image, u = apply_deep(e, u)
             assert image == free_reduce(word, u)
@@ -478,9 +491,10 @@ def test_translation_is_a_homomorphism():
     for _ in range(25):
         w1 = random_word(rng, group.d, rng.randrange(0, 5))
         w2 = random_word(rng, group.d, rng.randrange(0, 5))
-        lhs = compose(translation_element(group, w1), translation_element(group, w2))
+        t1, t2 = translation_element(group, w1), translation_element(group, w2)
         rhs = translation_element(group, free_reduce(w1, w2))
-        assert lhs == rhs
+        assert_complete(t1, t2, rhs)
+        assert compose(t1, t2) == rhs
 
 
 def test_translation_identity():
@@ -597,6 +611,7 @@ def test_element_from_local_data_letterwise_values():
     group = switch_group()
     p = parse_cycles("(1 2)", 4)
     e = element_from_local_data(group, {(): p})
+    assert_complete(e)
     # below the root the element transports canonically, so the subtree at
     # (1,) is carried to (2,) by f_2^{-1} f_1 = (1 2) letterwise, while the
     # fixed subtrees at (0,) and (3,) are untouched
@@ -609,6 +624,7 @@ def test_element_from_local_data_letterwise_values():
 def test_element_from_local_data_identity():
     group = rotation_group()
     e = element_from_local_data(group, {})
+    assert_complete(e)
     assert e.is_identity()
 
 
@@ -621,7 +637,42 @@ def test_element_from_local_data_consistency():
         element_from_local_data(group, {(): p, (1,): group.identity()})
     # and p itself is consistent
     e = element_from_local_data(group, {(): p, (1,): p})
+    assert_complete(e)
     assert e.apply_to_prefix((1, 0)) == (2, 0)
+
+
+def test_element_from_local_data_at_several_nonroot_vertices():
+    # consistent data at vertices of depths 1 to 3, added by depth: each
+    # vertex gets a random element of F sending its colour to the colour of
+    # its image under the data above it
+    rng = random.Random(47)
+    for group in (four_orbit_group(), sym_group(4)):
+        d = group.d
+        elements = [Permutation(images) for images in closure_oracle(group.generators, d + 1)]
+        for _ in range(10):
+            local = {(): rng.choice(elements)}
+            for depth in (1, 2, 2, 3, 3, 3):
+                v = random_word(rng, d, depth)
+                if v in local:
+                    continue
+                above = element_from_local_data(group, local)
+                colour = deep_image(above, v)[-1]
+                local[v] = rng.choice([p for p in elements if p(v[-1]) == colour])
+            e = element_from_local_data(group, local)
+            assert_complete(e)
+            for v, p in local.items():
+                for c in admissible_child_colours(v, d):
+                    assert deep_image(e, v + (c,))[len(v)] == p(c)
+
+
+def deep_image(e, v):
+    """The image of the vertex v under e, read from a word below it that
+    reaches past the domain leaves (e acts on vertices as a tree
+    automorphism, so the image of v is a prefix of that word's image)."""
+    word = v
+    while e.domain.leaf_containing(word) is None:
+        word += (min(set(range(e.group.d + 1)) - set(word[-1:])),)
+    return e.apply_to_prefix(word)[: len(v)]
 
 
 def test_element_from_local_data_rejects_foreign_permutations():
@@ -702,24 +753,6 @@ def test_make_element_names_bad_letters(letter):
     with pytest.raises(ValueError) as info:
         make_element(words, bad, [0, 1, 2, 3], rotation_group())
     assert str(info.value) == "range[3][0] is not an integer: %r" % (letter,)
-
-
-@pytest.mark.parametrize("letter, at", [(3.0, 3), ("a", 3), (True, 1)])
-def test_make_element_names_bad_bijection_letters(letter, at):
-    # the bad letter replaces the leaf it compares equal to, if any, so the
-    # dict keeps four entries
-    words = [[0], [1], [2], [3]]
-    good = {(0,): (0,), (1,): (2,), (2,): (3,), (3,): (1,)}
-    assert make_element(words, words, good, rotation_group()).leaf_image((1,)) == (2,)
-    bad_key = {((letter,) if v == (at,) else v): w for v, w in good.items()}
-    with pytest.raises(ValueError) as info:
-        make_element(words, words, bad_key, rotation_group())
-    assert str(info.value) == "bijection keys[%d][0] is not an integer: %r" % (at, letter)
-    bad_value = {v: ((letter,) if w == (at,) else w) for v, w in good.items()}
-    with pytest.raises(ValueError) as info:
-        make_element(words, words, bad_value, rotation_group())
-    index = list(good.values()).index((at,))
-    assert str(info.value) == "bijection values[%d][0] is not an integer: %r" % (index, letter)
 
 
 def test_random_element_is_deterministic():

@@ -14,7 +14,6 @@ import weakref
 import pytest
 
 from coloured_neretin import (
-    IncompleteTree,
     Omega,
     OrbitViolation,
     SizeMismatch,
@@ -116,7 +115,7 @@ def test_only_decoding_adds_to_the_table():
         a.expand_at(leaf),
         a.expand_at(leaf).reduce(),
         bridge,
-        make_element(bridge.domain.leaves, bridge.range.leaves, leaf_map(bridge), group),
+        make_element(bridge.domain.leaves, bridge.range.leaves, bridge.kappa, group),
     ]
     assert bridge == composite
     # the derived elements hold addresses that no decoded file has
@@ -163,9 +162,11 @@ def test_a_twin_keeps_the_plane_when_the_first_group_dies():
 
 
 def test_kappa_files_need_no_leaf_set_comparison():
-    # make_element compares the leaf sets only for a dict: a kappa that
-    # permutes range(n) meets the same checks as the dict it stands for
+    # a kappa that permutes range(n) pairs the two leaf sets one to one, so
+    # make_element compares no leaf sets: each outcome is the one that the
+    # leaf map kappa stands for gives
     group = rotation_group()
+    orbit = group.orbit_of
     seen = set()
     trees = [sphere(3, 1), SMALL["domain"], SMALL["range"], sphere(3, 2)]
     for domain, range_ in itertools.product(trees, repeat=2):
@@ -173,12 +174,17 @@ def test_kappa_files_need_no_leaf_set_comparison():
         range_ = [tuple(w) for w in range_]
         for kappa in itertools.islice(itertools.permutations(range(len(range_))), 40):
             pairs = dict(zip(domain, [range_[k] for k in kappa]))
-            outcomes = []
-            for bijection in (list(kappa), pairs):
-                try:
-                    outcomes.append(make_element(domain, range_, bijection, group))
-                except (SizeMismatch, IncompleteTree, ValueError) as exc:
-                    outcomes.append((type(exc), str(exc)))
-            assert outcomes[0] == outcomes[1]
-            seen.add(outcomes[0][0] if isinstance(outcomes[0], tuple) else "element")
-    assert {"element", SizeMismatch, OrbitViolation} <= seen
+            try:
+                e = make_element(domain, range_, list(kappa), group)
+            except SizeMismatch:
+                assert len(domain) != len(range_)
+                seen.add(SizeMismatch)
+            except OrbitViolation:
+                assert len(domain) == len(range_)
+                assert any(orbit[v[-1]] != orbit[w[-1]] for v, w in pairs.items())
+                seen.add(OrbitViolation)
+            else:
+                assert all(orbit[v[-1]] == orbit[w[-1]] for v, w in pairs.items())
+                assert all(e.apply_to_prefix(v) == w for v, w in pairs.items())
+                seen.add("element")
+    assert seen == {"element", SizeMismatch, OrbitViolation}
