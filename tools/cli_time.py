@@ -8,9 +8,9 @@ For each of ``compose``, ``invert``, ``reduce``, ``graph``,
 ``covolume-table`` and ``verify-smallest``, starts ``python -m coloured_neretin.cli <command> ...``
 as a fresh process in each checkout (``tools/bench_pairs.py``'s ``start``),
 ``--pairs`` times, one process at a time, in ``bench_pairs``' alternating
-order, and times each process from start to exit.  Unlike the other
-tools, each side compiles into its own bytecode prefix, empty when the
-tool starts, so both sides compile their modules alike whatever
+order, and times each process from start to exit.  As in
+``tools/tier1_time.py``, each side compiles into its own bytecode prefix,
+empty when the tool starts, so both sides compile their modules alike whatever
 ``__pycache__`` they hold; one untimed run of each command per side fills
 it, so that the timed processes load bytecode, as an installed command
 does.  (An empty prefix per process would compile the standard library in

@@ -23,12 +23,17 @@ in the machine's load falls on both.  The JSON object then holds
 ``order``, the sequence of the runs, and one such summary for each side,
 ``this`` and ``against``, each with its ``checkout`` directory.
 
-Every run is a fresh process of ``bench_pairs``' ``start``, with an empty
-bytecode prefix of its own, in a temporary directory, both removed
-afterwards, so that neither Hypothesis's example database nor byte code is
-written into the checkout.  Exits 1 when a run fails a
-test or the passed counts of one checkout's runs differ; the JSON object is
-printed anyway.
+Every run is a fresh process of ``bench_pairs``' ``start``, in a
+temporary directory of its own.  As in ``tools/cli_time.py``, each side
+keeps its bytecode in one prefix of its own, empty when the tool starts,
+so that neither side loads its checkout's ``__pycache__``; one untimed
+run of the suite per side fills it, so that the timed runs, and every
+process they start, load the bytecode of the standard library, pytest,
+hypothesis, mpmath and the package, as a developer's ``pytest`` run does.
+The directories and the prefixes are removed afterwards, so that neither
+Hypothesis's example database nor byte code is written into the checkout.
+Exits 1 when a timed run fails a test or the passed counts of one
+checkout's timed runs differ; the JSON object is printed anyway.
 """
 
 from __future__ import annotations
@@ -49,15 +54,15 @@ DURATION = re.compile(r"^(\d+\.\d+)s (?:setup|call|teardown) +(\S.*)$")
 PASSED = re.compile(r"\b(\d+) passed\b")
 
 
-def run_once(root, workdir):
+def run_once(root, workdir, cache):
     """(wall seconds, passed count, pytest exit code, {test id: seconds}) of
-    one run of the checkout ``root``'s suite."""
+    one run of the checkout ``root``'s suite, with its bytecode in ``cache``."""
     command = [
         sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
         "--durations=%d" % SLOWEST, "-p", "no:cacheprovider",
         "--rootdir", root, os.path.join(root, "tests"), os.path.join(root, "bench"),
     ]
-    result, wall = start(root, command, cwd=workdir)
+    result, wall = start(root, command, cwd=workdir, cache=cache)
     durations = {}
     for line in result.stdout.splitlines():
         match = DURATION.match(line)
@@ -103,10 +108,16 @@ def main(argv=None):
         if not os.path.isdir(os.path.join(sides["against"], "tests")):
             parser.error("--against %s has no tests directory" % args.against)
     results, order = {side: [] for side in sides}, []
-    for _, side in alternate(args.runs, sides):
-        with tempfile.TemporaryDirectory() as workdir:
-            results[side].append(run_once(sides[side], workdir))
-        order.append(side)
+    with tempfile.TemporaryDirectory(prefix="pycache-") as caches:
+        caches = {side: os.path.join(caches, side) for side in sides}
+        for side in sides:  # untimed: fills the side's bytecode prefix
+            os.mkdir(caches[side])
+            with tempfile.TemporaryDirectory() as workdir:
+                run_once(sides[side], workdir, caches[side])
+        for _, side in alternate(args.runs, sides):
+            with tempfile.TemporaryDirectory() as workdir:
+                results[side].append(run_once(sides[side], workdir, caches[side]))
+            order.append(side)
     summaries = {side: summary(runs) for side, runs in results.items()}
     if args.against is None:
         report = summaries["this"][0]
