@@ -5,8 +5,8 @@
 Runs, under ``sys.setprofile``, everything that uses the package outside
 the test suite: every CLI subcommand on small inputs, ``reduce`` on each
 element file of ``element_error_cases`` (each must exit 1), the four
-demos, and two ops of each benchmark workload (``bench/workloads.py``).  Then prints
-each function or method defined in ``src/coloured_neretin`` (nested
+demos, and two ops of each benchmark workload (``bench/workloads.py``).
+Then prints each function or method defined in ``src/coloured_neretin`` (nested
 functions included; class bodies, comprehensions and lambdas left out) that none of
 them called, as ``module.qualname (line N)``.  Methods that
 ``collections.namedtuple`` generates have no source and are not listed.
@@ -104,7 +104,7 @@ def cli_commands(workdir, first, second):
 
 def element_error_cases(workdir):
     """``reduce`` calls on element files the CLI refuses, one file per
-    defect, written to ``workdir``.  Each file but the first two varies
+    defect, written to ``workdir``.  All but ``huge-d`` are made from
     ``good``, an element over F = <(1 2 3)> (orbits {0}, {1, 2, 3})."""
     good = {"d": 3, "F_generators": ["(1 2 3)"],
             "domain": [[0], [1], [2], [3, 0], [3, 1], [3, 2]],
