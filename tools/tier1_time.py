@@ -108,8 +108,8 @@ def main(argv=None):
         if not os.path.isdir(os.path.join(sides["against"], "tests")):
             parser.error("--against %s has no tests directory" % args.against)
     results, order = {side: [] for side in sides}, []
-    with tempfile.TemporaryDirectory(prefix="pycache-") as caches:
-        caches = {side: os.path.join(caches, side) for side in sides}
+    with tempfile.TemporaryDirectory(prefix="pycache-") as prefixes:
+        caches = {side: os.path.join(prefixes, side) for side in sides}
         for side in sides:  # untimed: fills the side's bytecode prefix
             os.mkdir(caches[side])
             with tempfile.TemporaryDirectory() as workdir:
