@@ -69,6 +69,24 @@ def test_summary_ties_and_higher_is_better():
     assert row["change_vs_parent"] == 1.0
 
 
+def test_paired_makes_each_run_in_alternating_order_as_its_record_is_taken():
+    made = []
+
+    def measure(side):
+        made.append(side)
+        return bench_pairs.result({"x": len(made)}, exit=0)
+
+    runs = bench_pairs.paired({"parent": "p", "change": "c"}, 3, "w", 7, measure, order=4)
+    first = next(runs)
+    assert made == ["parent"]
+    assert first == {"order": 5, "workload": "w", "seed": 7, "side": "parent", "pair": 0,
+                     "result": {"exit": 0, "metrics": {"x": {"value": 1}}}}
+    rest = list(runs)
+    assert made == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [(run["order"], run["pair"]) for run in rest] == [(6, 0), (7, 1), (8, 1), (9, 2),
+                                                             (10, 2)]
+
+
 def test_revision_of_a_tree_without_git_metadata_is_null(tmp_path, capsys):
     assert bench_pairs.revision(tmp_path) is None
     assert "is not a git checkout" in capsys.readouterr().err
@@ -138,9 +156,10 @@ def test_each_run_compiles_into_its_own_empty_cache_prefix(tmp_path, monkeypatch
     assert os.environ.get("PYTHONPYCACHEPREFIX") == outer  # only the runs' env is set
 
 
-def test_runs_without_a_result_are_counted_and_fail_the_tool(tmp_path, capsys):
+def test_runs_without_a_result_are_counted_and_fail_the_tool(tmp_path, monkeypatch, capsys):
     # the command of BENCHMARK.json runs in each side's checkout; here it
-    # crashes in the one named "parent"
+    # crashes in the one named "parent"; the tool's own checkout, the change,
+    # stands in as "change"
     code = ("import os, sys; os.path.basename(os.getcwd()) == 'parent' and sys.exit(1); "
             "print('{\"attempted\": 2, \"failed\": 0, \"metrics\": {}}')")
     parent, change = tmp_path / "parent", tmp_path / "change"
@@ -148,8 +167,8 @@ def test_runs_without_a_result_are_counted_and_fail_the_tool(tmp_path, capsys):
         side.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps({
         "command": python_command(code), "run_seconds": 1, "end_to_end": []}))
-    args = ["--parent", str(parent), "--change", str(change), "--workloads", "deep",
-            "--seeds", "23", "--pairs", "2", "--out", str(tmp_path)]
+    monkeypatch.setattr(bench_pairs, "ROOT", str(change))
+    args = ["--against", str(parent), "--workloads", "deep", "--seeds", "23", "--pairs", "2"]
     assert bench_pairs.main(args) == 1
     assert ("deep     failed ops: parent 0/0, 2 runs without a result; "
             "change 0/4, 0 runs without a result") in capsys.readouterr().out
@@ -165,8 +184,9 @@ def test_bad_pairs_or_seeds_stop_the_tool_before_any_run(tmp_path, monkeypatch, 
         raise AssertionError("a process was started: %r" % (argv,))
 
     monkeypatch.setattr(subprocess, "run", started)
-    args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workloads", "deep",
-            "--seeds", "23", "--pairs", "2", "--out", str(tmp_path), *option]
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))  # where BENCH_<n>.json would go
+    args = ["--against", str(tmp_path), "--workloads", "deep", "--seeds", "23", "--pairs", "2",
+            *option]
     with pytest.raises(SystemExit) as stop:
         bench_pairs.main(args)
     assert stop.value.code == 2

@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
-from conftest import load_tool
+from conftest import TOOLS, load_tool
+
+ROOT = str(TOOLS.parent)
 
 
 @pytest.fixture
@@ -18,9 +20,8 @@ def cli_time():
 
 def test_runs_alternate_and_each_side_compiles_into_its_own_prefix(cli_time, tmp_path,
                                                                    monkeypatch, capsys):
-    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent = tmp_path / "parent"
     parent.mkdir()
-    change.mkdir()
     seen = []
     real_run = subprocess.run
 
@@ -43,10 +44,10 @@ def test_runs_alternate_and_each_side_compiles_into_its_own_prefix(cli_time, tmp
     monkeypatch.setattr(subprocess, "run", fake_run)
     record = tmp_path / "BENCH_1.json"
     record.write_text(json.dumps({"runs": ["kept"]}))
-    args = ["--parent", str(parent), "--change", str(change), "--pairs", "2",
-            "--record", str(record)]
+    args = ["--against", str(parent), "--pairs", "2", "--record", str(record)]
     assert cli_time.main(args) == 0
-    p, c = str(parent / "src"), str(change / "src")
+    # the tool's own checkout is the change
+    p, c = str(parent / "src"), os.path.join(ROOT, "src")
     commands = ["compose", "invert", "reduce", "graph", "covolume-table", "verify-smallest"]
     # per command: one untimed run per side, then the pairs
     assert [path for _, path, _ in seen] == [p, c, p, c, c, p] * len(commands)
@@ -66,7 +67,9 @@ def test_runs_alternate_and_each_side_compiles_into_its_own_prefix(cli_time, tmp
         (name, "wall_s", 2) for name in commands)
     assert {row["verdict"] for row in summary} <= {"gain", "same"}
     assert data["cli_time"]["parent"] is None
-    assert "wins" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(commands) + 1 and out[-1] == "wrote %s" % record
+    assert all(" wall_s " in line and "wins" in line for line in out[:-1])
 
 
 def test_a_failing_process_stops_the_tool(cli_time, tmp_path, monkeypatch):
@@ -74,7 +77,7 @@ def test_a_failing_process_stops_the_tool(cli_time, tmp_path, monkeypatch):
         return subprocess.CompletedProcess(argv, 1, "", "error: boom")
 
     monkeypatch.setattr(subprocess, "run", failing_run)
-    args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--pairs", "1"]
+    args = ["--against", str(tmp_path), "--pairs", "1"]
     with pytest.raises(SystemExit, match="compose .* exited with 1: error: boom"):
         cli_time.main(args)
 
@@ -85,8 +88,7 @@ def test_pairs_below_one_stop_the_tool_before_any_process(cli_time, tmp_path, mo
 
     monkeypatch.setattr(subprocess, "run", started)
     record = tmp_path / "BENCH_1.json"
-    args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--pairs", "0",
-            "--record", str(record)]
+    args = ["--against", str(tmp_path), "--pairs", "0", "--record", str(record)]
     with pytest.raises(SystemExit) as stop:
         cli_time.main(args)
     assert stop.value.code == 2

@@ -47,8 +47,9 @@ def test_one_line_per_start(decisions, monkeypatch, capsys):
         return [(1, start), (1, 2 * start if checkout.endswith("parent") else start)]
 
     monkeypatch.setattr(decisions, "record", stand_in)
-    assert decisions.main(["--parent", "/x/parent", "--change", "/x/change"]) == 0
-    assert calls == [(side, start) for start in (128, 3, 4, 5) for side in ("parent", "change")]
+    # the tool's own checkout is the change
+    assert decisions.main(["--against", "/x/parent"]) == 0
+    assert calls == [(side, start) for start in (128, 3, 4, 5) for side in ("parent", ROOT.name)]
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
         "start %d: 2 decisions, undecided 0 -> 0, 0 sign changes; "

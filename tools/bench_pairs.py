@@ -1,17 +1,17 @@
-"""Paired benchmark runs of a parent and a change checkout.
+"""Paired benchmark runs of a parent checkout and this one, the change.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR \\
+    python3 tools/bench_pairs.py --against DIR \\
         --workloads deep,neretin --seeds 23,4099 --pairs 10 [--seconds 25]
 
-For each workload and seed, runs the command of ``BENCHMARK.json`` in both
-checkouts ``--pairs`` times, one run at a time, alternating which side
-runs first (pair 0 parent first, pair 1 change first, ...).  Every run
-goes to ``BENCH_<n>.json`` in ``--out`` (default: the change checkout),
-``n`` one above the highest number already there, in the schema of the
-earlier ``BENCH_*.json`` files.  Then, for each workload, seed and metric,
-prints each side's median and quartiles, how many pairs the change won
-(ties count for neither) and a verdict against the metric's bound in
-``BENCHMARK.json``:
+For each workload and seed, runs the command of ``BENCHMARK.json`` in the
+parent checkout ``--against`` and in this checkout ``--pairs`` times each,
+one run at a time, alternating which side runs first (pair 0 parent first,
+pair 1 change first, ...).  Every run goes to ``BENCH_<n>.json`` in this
+checkout, ``n`` one above the highest number already there, in the schema
+of the earlier ``BENCH_*.json`` files.  Then,
+for each workload, seed and metric, prints each side's median and
+quartiles, how many pairs the change won (ties count for neither) and a
+verdict against the metric's bound in ``BENCHMARK.json``:
 
 * ``worse``: the change's median is worse than the parent's by more than
   the bound;
@@ -28,9 +28,16 @@ The closing lines give, per workload and side, the failed ops and the runs
 that ended without a result (a non-zero exit or a last line that is not a
 JSON object).  The tool exits 1 when there is any such run.
 
-The other tools that compare two checkouts take their run order
-(``alternate``), their processes (``start``) and their record's command,
-machine and protocol (``header``) from here.
+The other tools that compare two checkouts (``cli_time``, ``tier1_time``,
+``element_memory``, ``chain_panel`` and ``decisions``) are command
+specifications over this one.  Each takes the parent's checkout as
+``--against DIR`` and its own as the change (``command_line``, ``sides``).
+Each but ``decisions`` makes ``--pairs`` pairs of runs per workload in
+alternating order, each run a fresh process of ``start`` kept as a run
+record of ``BENCH_<n>.json``'s schema (``paired``, ``result``); prints
+``summarise``'s rows, with their verdicts, by ``format_row``; and, with
+``--record FILE``, stores the runs and the rows under its own name as the
+key of that JSON file (``conclude``).
 """
 
 from __future__ import annotations
@@ -48,9 +55,11 @@ import sys
 import tempfile
 import time
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def at_least_one(text):
-    """The argparse type of ``--pairs`` and ``--runs``: an int of at least 1."""
+    """The argparse type of ``--pairs``: an int of at least 1."""
     value = int(text)
     if value < 1:
         raise ValueError(text)
@@ -62,13 +71,48 @@ def integers(text):
     return [int(item) for item in text.split(",")]
 
 
-def alternate(pairs, sides):
-    """(pair, side) of each run in the order made: pair 0 runs ``sides`` in
+def command_line(doc, pairs=None, record=None):
+    """The parser of a tool that compares the checkout ``--against DIR``,
+    the parent, with its own checkout, the change: with ``pairs``,
+    ``--pairs``, the number of pairs of runs (default ``pairs``); with
+    ``record``, ``--record FILE`` (see ``conclude``), whose key is
+    ``record``.  Its description is the first paragraph of ``doc``."""
+    parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    parser.add_argument("--against", required=True, metavar="DIR",
+                        help="checkout of the parent commit; this checkout is the change")
+    if pairs:
+        parser.add_argument("--pairs", type=at_least_one, default=pairs,
+                            help="pairs of runs (default %d)" % pairs)
+    if record:
+        parser.add_argument("--record", metavar="FILE",
+                            help="JSON file to store the runs and summary in, under %s" % record)
+    return parser
+
+
+def sides(args):
+    """{side: checkout} of a tool's parsed command line, in ``paired``'s
+    order: the parent ``--against``, then this checkout, the change."""
+    return {"parent": os.path.abspath(args.against), "change": ROOT}
+
+
+def paired(sides, pairs, workload, seed, measure, order=0):
+    """The run records, in the schema of ``BENCH_<n>.json``, of ``pairs``
+    pairs of runs of ``workload`` and ``seed``, each run made when its
+    record is taken: ``measure(side)`` makes one run of that side and gives
+    its result; ``order`` runs came before.  Pair 0 runs ``sides`` in
     order, pair 1 in reverse, and so on, so that a drift in the machine's
     load falls on every side."""
-    sides = list(sides)
-    return [(pair, side) for pair in range(pairs)
-            for side in (sides if pair % 2 == 0 else sides[::-1])]
+    for pair in range(pairs):
+        for side in list(sides)[::1 if pair % 2 == 0 else -1]:
+            order += 1
+            yield {"order": order, "workload": workload, "seed": seed, "side": side,
+                   "pair": pair, "result": measure(side)}
+
+
+def result(values, **fields):
+    """A run's result: ``fields``, and ``values`` (metric name -> value) as
+    its metrics."""
+    return {**fields, "metrics": {name: {"value": value} for name, value in values.items()}}
 
 
 def start(checkout, argv, what=None, cwd=None, cache=None):
@@ -174,6 +218,27 @@ def format_row(row):
     )
 
 
+def conclude(args, key, runs, rows, command, protocol):
+    """Prints ``rows`` (of ``summarise``) by ``format_row``.  With
+    ``--record``, stores them and ``runs`` under ``key`` of that JSON file
+    (made if missing), for instance the ``BENCH_<n>.json`` of the same
+    change's runs of this tool, beside each side's ``revision`` and the
+    ``header`` of ``command`` and ``protocol``."""
+    for row in rows:
+        print(format_row(row))
+    if args.record:
+        data = {}
+        if os.path.exists(args.record):
+            with open(args.record) as handle:
+                data = json.load(handle)
+        data[key] = {**{side: revision(path) for side, path in sides(args).items()},
+                     **header(command, protocol), "runs": runs, "summary": rows}
+        with open(args.record, "w") as handle:
+            json.dump(data, handle, indent=1)
+            handle.write("\n")
+        print("wrote %s" % args.record)
+
+
 def run_once(checkout, command, workload, seed, seconds, trace):
     """The JSON result of one benchmark run, a fresh process of ``start``
     in ``checkout``.  A run that exits non-zero (a crash, or a kill on a
@@ -223,45 +288,39 @@ def revision(checkout):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser = command_line(__doc__, pairs=10)
     parser.add_argument("--workloads", required=True, help="comma-separated workload names")
     parser.add_argument("--seeds", required=True, type=integers,
                         help="comma-separated integer seeds")
-    parser.add_argument("--pairs", type=at_least_one, default=10)
     parser.add_argument("--seconds", type=float, default=None,
                         help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--trace", action="store_true", help="per-layer runs (--trace 1)")
     parser.add_argument("--note", default="", help="what the change does, for the record")
-    parser.add_argument("--out", help="directory of the BENCH_<n>.json file (default: --change)")
     args = parser.parse_args(argv)
 
-    with open(os.path.join(args.change, "BENCHMARK.json")) as handle:
+    checkouts = sides(args)
+    with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as handle:
         benchmark = json.load(handle)
     seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
     spec = {m["name"]: m for m in benchmark["end_to_end"]}
-    sides = {"parent": args.parent, "change": args.change}
     seconds_text = "%g" % seconds
-    record = {"change": args.note, "parent": revision(args.parent), **header(
+    record = {"change": args.note, "parent": revision(checkouts["parent"]), **header(
         " ".join(benchmark["command"]) + " --workload <workload> --seconds %s --seed <seed>%s"
         % (seconds_text, " --trace 1" if args.trace else ""),
         "each run has an empty bytecode prefix of its own and writes no bytecode; "
         "the order field gives the sequence in which runs were made"), "runs": []}
-    path = next_bench_path(args.out or args.change)
+    path = next_bench_path(checkouts["change"])
     for workload in args.workloads.split(","):
         for seed in args.seeds:
-            for pair, side in alternate(args.pairs, sides):
-                order = len(record["runs"]) + 1
-                result = run_once(sides[side], benchmark["command"], workload, seed,
-                                  seconds_text, args.trace)
-                run = {"order": order, "workload": workload, "seed": seed,
-                       "side": side, "pair": pair, "result": result}
+            for run in paired(checkouts, args.pairs, workload, seed, lambda side: run_once(
+                    checkouts[side], benchmark["command"], workload, seed, seconds_text,
+                    args.trace), len(record["runs"])):
                 if args.trace:
                     run["trace"] = 1
                 record["runs"].append(run)
+                result = run["result"]
                 print("run %d: %s seed %d %s pair %d: %s"
-                      % (order, workload, seed, side, pair,
+                      % (run["order"], workload, seed, run["side"], run["pair"],
                          result.get("error") or "%d/%d failed"
                          % (result["failed"], result["attempted"])),
                       file=sys.stderr)
@@ -274,7 +333,7 @@ def main(argv=None):
     lost = 0
     for workload in args.workloads.split(","):
         texts = []
-        for side in sides:
+        for side in checkouts:
             results = [r["result"] for r in record["runs"]
                        if r["workload"] == workload and r["side"] == side]
             missing = sum(1 for result in results if "error" in result)

@@ -1,15 +1,21 @@
-"""Build times of the stabilizer chain on a fixed panel of colour groups.
+"""Build times of the stabilizer chain on a fixed panel of colour groups,
+in a parent checkout and this one.
 
-    python3 tools/chain_panel.py [--src DIR] [--groups NAME,...]
+    python3 tools/chain_panel.py --against DIR [--pairs 5] [--groups NAME,...] \\
+        [--record BENCH_<n>.json]
 
-Prints one JSON line per panel group: its name, the median wall time in
-milliseconds of five closures of its generators (``closure_enumerate``),
-and the order of the group built, with whether it equals the group's
-closed form (the tool exits 1 when one does not).  ``--src`` imports ``coloured_neretin`` from
-another checkout's ``src`` directory, so two checkouts can be timed by the
-same panel:
-
-    python3 tools/chain_panel.py --src ../other-checkout/src
+For each panel group, makes ``--pairs`` pairs of runs in the parent
+checkout ``--against`` and in this one, in ``tools/bench_pairs.py``'s
+alternating order.  Each run is a fresh process of ``bench_pairs``'
+``start``, with an empty bytecode prefix of its own, that closes the
+group's generators once (``closure_enumerate``) and gives the wall time of
+that closure in milliseconds as the metric ``closure_ms`` of its run
+record.  A group whose order is not its closed form ends the process with
+a non-zero exit, which stops the tool with exit status 1.  The tool prints
+``bench_pairs``' summary, one row per group; wall times carry per-process
+levels, so the rows have no bound, and the verdicts are ``gain`` or
+``same``.  ``--record`` stores the runs and the summary under the key
+``chain_panel``.
 
 ``--groups`` times only the named groups, for a checkout on which some
 of them take minutes.
@@ -22,27 +28,29 @@ group of the line over F_61, and a cyclic group of degree 2001).
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import statistics
 import sys
-import time
 from math import factorial
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from bench_pairs import command_line, conclude, paired, result, sides, start, summarise
+
+# prints the milliseconds of one closure; an order other than the closed form exits 1
+PROBE = """
+import json, sys, time
+from coloured_neretin import closure_enumerate, from_cycles
+cycles, degree, expected = json.loads(sys.argv[1])
+generators = [from_cycles(cyc, degree) for cyc in cycles]
+begin = time.perf_counter()
+group = closure_enumerate(generators, degree)
+seconds = time.perf_counter() - begin
+if group.order != expected:
+    sys.exit("order %d, closed form %d" % (group.order, expected))
+print(json.dumps(1000 * seconds))
+"""
 
 
 def cycle(*points):
     return [tuple(points)]
-
-
-def images_of(cycles, degree):
-    images = list(range(degree))
-    for cyc in cycles:
-        for i, point in enumerate(cyc):
-            images[point] = cyc[(i + 1) % len(cyc)]
-    return images
 
 
 def symmetric(n):
@@ -88,32 +96,29 @@ PANEL = {
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="the src directory to import coloured_neretin from")
+    parser = command_line(__doc__, pairs=5, record="chain_panel")
     parser.add_argument("--groups", default=",".join(PANEL),
                         help="comma-separated panel names (default: all)")
     args = parser.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
-    from coloured_neretin import Permutation, closure_enumerate
-
-    status = 0
-    for name in args.groups.split(","):
+    names = args.groups.split(",")
+    unknown = sorted(set(names) - set(PANEL))
+    if unknown:
+        parser.error("--groups: not in the panel: %s" % ", ".join(unknown))
+    checkouts = sides(args)
+    runs = []
+    for name in names:
         cycles, degree, expected = PANEL[name]
-        generators = [Permutation(images_of(cyc, degree)) for cyc in cycles]
-        times = []
-        for _ in range(5):
-            start = time.perf_counter()
-            group = closure_enumerate(generators, degree)
-            times.append(time.perf_counter() - start)
-        status |= group.order != expected
-        print(json.dumps({
-            "group": name,
-            "median_ms": round(1000 * statistics.median(times), 3),
-            "order": group.order,
-            "closed_form": group.order == expected,
-        }), flush=True)
-    return status
+        command = [sys.executable, "-c", PROBE, json.dumps([cycles, degree, expected])]
+
+        def measure(side):
+            proc, _ = start(checkouts[side], command, "the probe of %s" % name)
+            return result({"closure_ms": json.loads(proc.stdout)})
+
+        runs += paired(checkouts, args.pairs, name, "-", measure, len(runs))
+    conclude(args, "chain_panel", runs, summarise(runs, {}),
+             "python -c <PROBE of tools/chain_panel.py> <generators, degree, order>",
+             "each run has an empty bytecode prefix of its own and writes no bytecode")
+    return 0
 
 
 if __name__ == "__main__":

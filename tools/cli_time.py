@@ -1,8 +1,7 @@
-"""Paired wall times of one-command CLI processes in a parent and a change
-checkout.
+"""Paired wall times of one-command CLI processes in a parent checkout and
+this one.
 
-    python3 tools/cli_time.py --parent DIR --change DIR [--pairs 10] \\
-        [--record BENCH_<n>.json]
+    python3 tools/cli_time.py --against DIR [--pairs 10] [--record BENCH_<n>.json]
 
 For each of ``compose``, ``invert``, ``reduce``, ``graph``,
 ``covolume-table`` and ``verify-smallest``, starts ``python -m coloured_neretin.cli <command> ...``
@@ -19,77 +18,49 @@ arguments are its first entry in ``tools/census.py``, and the element
 files are the first ``deep`` input pair of ``bench/inputs.py`` for the
 census seed, as in ``tools/outputs.py``.
 
-Each timed process is kept as a run of ``tools/bench_pairs.py``'s schema,
-its command as the workload and its seconds as the metric ``wall_s``, and
-is summarised by that tool: per command, each side's median and quartiles
-in seconds, the change of the median, the pairs in which the change's
-process was faster and a verdict, ``gain`` (at least nine tenths of the
-pairs won and the medians apart by more than the parent's quartile spread)
-or ``same``.  With ``--record``, the runs and that summary are stored under
-the key ``cli_time`` of the given JSON file (made if missing), for instance
-the ``BENCH_<n>.json`` of the same change's ``tools/bench_pairs.py`` runs.
-A process that exits non-zero stops the tool with exit status 1.
+Each timed process is a run record, its command as the workload and its
+seconds as the metric ``wall_s``.  Wall times carry per-process levels, so
+``wall_s`` has no bound and the verdicts are ``gain`` or ``same``.  A
+process that exits non-zero stops the tool with exit status 1.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import tempfile
 
-from bench_pairs import alternate, at_least_one, format_row, header, revision, start, summarise
+from bench_pairs import command_line, conclude, paired, result, sides, start, summarise
 from census import SEED, cli_commands, inputs
 
 COMMANDS = ("compose", "invert", "reduce", "graph", "covolume-table", "verify-smallest")
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--pairs", type=at_least_one, default=10)
-    parser.add_argument("--record", help="JSON file to store the runs in, under cli_time")
-    args = parser.parse_args(argv)
-
-    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    args = command_line(__doc__, pairs=10, record="cli_time").parse_args(argv)
+    checkouts = sides(args)
     runs = []
     with tempfile.TemporaryDirectory() as workdir:
-        caches = {side: os.path.join(workdir, "pycache-" + side) for side in sides}
+        caches = {side: os.path.join(workdir, "pycache-" + side) for side in checkouts}
         for cache in caches.values():
             os.mkdir(cache)
         first, second = inputs.write_pairs(inputs.deep_inputs(SEED, 1), workdir)[0]
-        known = {}
-        for command in cli_commands(workdir, first, second):
-            known.setdefault(command[0], command)
+        known = {command[0]: command for command in cli_commands(workdir, first, second)[::-1]}
         for name in COMMANDS:
             what = " ".join(known[name])
             argv = [sys.executable, "-m", "coloured_neretin.cli", *known[name]]
-            for side in sides:  # untimed: fills the side's bytecode cache
-                start(sides[side], argv, what, workdir, caches[side])
-            for pair, side in alternate(args.pairs, sides):
-                seconds = start(sides[side], argv, what, workdir, caches[side])[1]
-                runs.append({"order": len(runs) + 1, "workload": name, "seed": SEED,
-                             "side": side, "pair": pair,
-                             "result": {"metrics": {"wall_s": {"value": seconds}}}})
-    rows = summarise(runs, {"wall_s": {"better": "lower", "bound": None}})
-    for row in rows:
-        print(format_row(row))
-    if args.record:
-        record = {}
-        if os.path.exists(args.record):
-            with open(args.record) as handle:
-                record = json.load(handle)
-        record["cli_time"] = {
-            "parent": revision(sides["parent"]), "change": revision(sides["change"]), **header(
-                "python -m coloured_neretin.cli <command> <arguments of tools/census.py>",
-                "each side keeps its bytecode in its own prefix, empty at the start and "
-                "filled by one untimed run per command"), "runs": runs, "summary": rows}
-        with open(args.record, "w") as handle:
-            json.dump(record, handle, indent=1)
-            handle.write("\n")
-        print("wrote %s" % args.record)
+
+            def measure(side):
+                return result({"wall_s": start(checkouts[side], argv, what, workdir,
+                                               caches[side])[1]})
+
+            for side in checkouts:  # untimed: fills the side's bytecode cache
+                measure(side)
+            runs += paired(checkouts, args.pairs, name, SEED, measure, len(runs))
+    conclude(args, "cli_time", runs, summarise(runs, {}),
+             "python -m coloured_neretin.cli <command> <arguments of tools/census.py>",
+             "each side keeps its bytecode in its own prefix, empty at the start and "
+             "filled by one untimed run per command")
     return 0
 
 

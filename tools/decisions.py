@@ -1,28 +1,27 @@
-"""The interval sign decisions of the covolume claims in a parent and a
-change checkout, decision by decision.
+"""The interval sign decisions of the covolume claims in a parent checkout
+and this one, decision by decision.
 
-    python3 tools/decisions.py --parent DIR --change DIR
+    python3 tools/decisions.py --against DIR
 
 For each start precision of ``STARTS`` (128, 3, 4 and 5 bits) and each
-checkout, one fresh process (``start`` of ``tools/bench_pairs.py``) makes
-every decision of ``verify_xi_claims(20)`` and of ``smallest_log_sign`` on
-each partition of d + 1 for 2 ≤ d ≤ 12, in that order, and records the
-sign and the settling precision of each.  The two sides' decisions are paired
-in order.  Per start the tool prints the number of decisions, the number
-undecided on each side, the sign changes (pairs whose signs differ, an
-undecided one included) and how many of the change's settling precisions
-are the same as the parent's, earlier or later.  Two sides that make a
-different number of decisions stop the tool with exit status 1.
+checkout, the parent's ``--against`` and this one, one fresh process
+(``start`` of ``tools/bench_pairs.py``) makes every decision of
+``verify_xi_claims(20)`` and of ``smallest_log_sign`` on each partition of
+d + 1 for 2 ≤ d ≤ 12, in that order, and records the sign and the settling
+precision of each.  The two sides' decisions are paired in order.  Per
+start the tool prints the number of decisions, the number undecided on
+each side, the sign changes (pairs whose signs differ, an undecided one
+included) and how many of the change's settling precisions are the same
+as the parent's, earlier or later.  Two sides that make a different
+number of decisions stop the tool with exit status 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
 import sys
 
-from bench_pairs import start
+from bench_pairs import command_line, sides, start
 
 STARTS = (128, 3, 4, 5)
 MAX_X = 20
@@ -73,13 +72,9 @@ def compare(parent, change):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", required=True, help="checkout of the change")
-    args = parser.parse_args(argv)
+    checkouts = sides(command_line(__doc__).parse_args(argv))
     for start in STARTS:
-        counts = compare(record(os.path.abspath(args.parent), start),
-                         record(os.path.abspath(args.change), start))
+        counts = compare(*(record(checkout, start) for checkout in checkouts.values()))
         print("start %d: %d decisions, undecided %d -> %d, %d sign changes; "
               "settling precision same %d, earlier %d, later %d"
               % (start, counts["decisions"], *counts["undecided"], counts["sign_changes"],
