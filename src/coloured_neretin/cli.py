@@ -205,6 +205,14 @@ def cmd_abelianization(args):
 def cmd_graph(args):
     from .shift_model import build_sft_graph, dot_export
 
+    # the adjacency matrix is printed whole, so a graph whose (d+1)^2 entries
+    # pass a million is refused before anything is built or printed
+    entries = sum(args.orbits) ** 2
+    if entries > 10**6:
+        raise CliError(
+            "--orbits %s: the adjacency matrix has %d entries, more than the "
+            "10^6 this command prints" % (",".join(map(str, args.orbits)), entries)
+        )
     graph = build_sft_graph(args.orbits)
     print(
         "orbit graph for sizes %s: %d vertices, %d edges"
@@ -342,8 +350,27 @@ def cmd_primes_window(args):
 
 
 def cmd_appendix_counts(args):
+    from math import lgamma, log, log10
+
     from .covolume import _show_int, appendix_counts
 
+    # log10 of the digit count of the extra-level value, the largest of the
+    # three: log10 k! + k (d^n - 1)/(d - 1) log10 d!, summed as logs.  So
+    # that the floats stay finite, an argument above 10^300 is taken as 10^300.
+    d, k, n = (min(value, 10**300) for value in (args.d, args.k, args.n))
+    factor = log10(lgamma(k + 1) / log(10))
+    power = (
+        log10(k * (1 - float(d) ** -n) / (d - 1))
+        + n * log10(d)
+        + log10(lgamma(d + 1) / log(10))
+    )
+    low, high = sorted((factor, power))
+    digits = high + log10(1 + 10 ** (low - high))
+    if digits > 6:
+        raise CliError(
+            "--d %d --k %d --n %d: the values have about 10^%.3g digits, more "
+            "than the 10^6 this command computes" % (args.d, args.k, args.n, digits)
+        )
     counts = appendix_counts(args.d, args.k, args.n)
     print(
         "k-regular root with d-regular levels: d=%d, k=%d, n=%d"

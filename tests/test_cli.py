@@ -399,6 +399,30 @@ def test_graph_dot_export(tmp_path, capsys):
     assert text.count("->") == 18
 
 
+def test_graph_refuses_a_matrix_past_a_million_entries(tmp_path, monkeypatch, capsys):
+    # the refusal comes before the graph is built: building its matrix fails here
+    from coloured_neretin import shift_model
+
+    def built(self):
+        raise AssertionError("the matrix was built")
+
+    monkeypatch.setattr(shift_model.SftGraph, "matrix", property(built))
+    dot = tmp_path / "graph.dot"
+    for orbits, entries in (("1,2,99997", 10**10), ("1,1000", 1001**2)):
+        assert main(["graph", "--orbits", orbits, "--dot", str(dot)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: --orbits %s: the adjacency matrix has %d entries, more than the "
+            "10^6 this command prints\n" % (orbits, entries))
+    assert not dot.exists()
+    monkeypatch.undo()
+    # 1000 vertices: the million entries are printed, one line per row
+    assert main(["graph", "--orbits", "1,999"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 1000 + 1 + 1000
+
+
 def test_covolume_table_csv(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code = main(
@@ -559,6 +583,34 @@ def test_appendix_counts(capsys):
     assert "bound k! * d^(k d^(n-1)) = 32" in out
     assert "recursion value within bound: True" in out
     assert "extra-level value within bound: False" in out
+
+
+def test_appendix_counts_refuses_values_past_a_million_digits(monkeypatch, capsys):
+    # the refusal comes before any value is computed
+    def computed(*args):
+        raise AssertionError("the counts were computed")
+
+    monkeypatch.setattr(covolume, "appendix_counts", computed)
+    # the extra-level values of (2, 2, 21) and (3, 3, 13) have 1 262 612 and
+    # 1 860 937 digits
+    for args, log_digits in (
+        (("50", "50", "50"), "86.8"),
+        (("2", "2", "21"), "6.1"),
+        (("3", "3", "13"), "6.27"),
+        (("2", "2", str(10**100)), "3.01e+99"),
+        ((str(10**400), "2", "2"), "603"),  # d taken as 10^300
+    ):
+        d, k, n = args
+        assert main(["appendix-counts", "--d", d, "--k", k, "--n", n]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: --d %s --k %s --n %s: the values have about 10^%s digits, more than "
+            "the 10^6 this command computes\n" % (d, k, n, log_digits))
+    monkeypatch.undo()
+    # 631 306 digits: computed, each value shown by its ends and length
+    assert main(["appendix-counts", "--d", "2", "--k", "2", "--n", "20"]) == 0
+    assert "(631306 digits)" in capsys.readouterr().out
 
 
 # -- argument handling ------------------------------------------------------

@@ -4,8 +4,9 @@
 
 Runs, under ``sys.setprofile``, everything that uses the package outside
 the test suite: every CLI subcommand on small inputs, ``reduce`` on each
-element file of ``element_error_cases`` (each must exit 1), the four
-demos, and two ops of each benchmark workload (``bench/workloads.py``).
+element file of ``element_error_cases`` and the commands of ``REFUSED``
+(each must exit 1), the four demos, and two ops of each benchmark
+workload (``bench/workloads.py``).
 Then prints each function or method defined in ``src/coloured_neretin`` (nested
 functions included; class bodies, comprehensions and lambdas left out) that none of
 them called, as ``module.qualname (line N)``.  Methods that
@@ -41,6 +42,9 @@ DEMOS = sorted(
     for name in os.listdir(os.path.join(ROOT, "demos"))
     if name.endswith(".py")
 )
+# commands the CLI refuses up front, for the size of what they would build
+REFUSED = [["graph", "--orbits", "1,2,99997"],
+           ["appendix-counts", "--d", "50", "--k", "50", "--n", "50"]]
 
 
 def _name(code):
@@ -155,7 +159,7 @@ def run_users(workdir):
             if status != 0:
                 raise SystemExit("census: %r exited with %d" % (argv, status))
         with contextlib.redirect_stderr(io.StringIO()):
-            for argv in element_error_cases(workdir):
+            for argv in element_error_cases(workdir) + REFUSED:
                 status = cli.main(argv)
                 if status != 1:
                     raise SystemExit("census: %r exited with %d, not 1" % (argv, status))

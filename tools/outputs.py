@@ -3,13 +3,13 @@
     python3 tools/outputs.py > transcript.txt
 
 Runs, each in its own interpreter, every CLI command of
-``tools/census.py``, the four demos, the ``sign`` error cases and the
-element files of ``census.element_error_cases``, and
-prints for each its stdout, stderr and exit status.  The element files are
-the first ``deep`` input pair of ``bench/inputs.py`` for seed 23.  The
-temporary directory is printed as ``<tmp>`` and ``selftest`` timings as
-``(?s)``, so two checkouts show their users the same output exactly when
-their transcripts are equal:
+``tools/census.py``, the four demos, the ``sign`` error cases, the
+element files of ``census.element_error_cases`` and the commands of
+``census.REFUSED``, and prints for each its stdout, stderr and exit
+status.  The element files are the first ``deep`` input pair of
+``bench/inputs.py`` for seed 23.  The temporary directory is printed as
+``<tmp>`` and ``selftest`` timings as ``(?s)``, so two checkouts show
+their users the same output exactly when their transcripts are equal:
 
     diff <(python3 tools/outputs.py) <(python3 ../other-checkout/tools/outputs.py)
 """
@@ -22,7 +22,7 @@ import subprocess
 import sys
 import tempfile
 
-from census import DEMOS, ROOT, SEED, cli_commands, element_error_cases, inputs
+from census import DEMOS, REFUSED, ROOT, SEED, cli_commands, element_error_cases, inputs
 
 TIMING = re.compile(r"\(\d+\.\d+s\)")
 
@@ -57,7 +57,7 @@ def main():
         lines = [cli + argv for argv in cli_commands(workdir, first, second)]
         lines += [[sys.executable, demo] for demo in DEMOS]
         lines += [cli + argv for argv in sign_error_cases(first)]
-        lines += [cli + argv for argv in element_error_cases(workdir)]
+        lines += [cli + argv for argv in element_error_cases(workdir) + REFUSED]
         for argv in lines:
             sys.stdout.write(run(argv, workdir))
 
