@@ -209,9 +209,12 @@ def cmd_graph(args):
     # pass a million is refused before anything is built or printed
     entries = sum(args.orbits) ** 2
     if entries > 10**6:
+        from .covolume import _show_int  # only here: graph loads no numeric module
+
         raise CliError(
-            "--orbits %s: the adjacency matrix has %d entries, more than the "
-            "10^6 this command prints" % (",".join(map(str, args.orbits)), entries)
+            "--orbits %s: the adjacency matrix has %s entries, more than the "
+            "10^6 this command prints"
+            % (",".join(map(str, args.orbits)), _show_int(entries))
         )
     graph = build_sft_graph(args.orbits)
     print(

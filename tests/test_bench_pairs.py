@@ -69,6 +69,18 @@ def test_summary_ties_and_higher_is_better():
     assert row["change_vs_parent"] == 1.0
 
 
+def test_a_gain_needs_two_pairs_and_a_difference_past_the_resolution():
+    spec = {"held": {"better": "lower", "bound": 0.1, "resolution": 0.001}}
+    # one pair: its parent spread is 0 by construction
+    (row,) = bench_pairs.summarise(runs({"held": ([3.0], [2.0])}), spec)
+    assert row["wins"] == 1 and row["verdict"] == "same"
+    # readings that agree to the last digit, lower by less than the resolution
+    (row,) = bench_pairs.summarise(runs({"held": ([3.0] * 3, [2.9995] * 3)}), spec)
+    assert row["wins"] == 3 and row["verdict"] == "same"
+    (row,) = bench_pairs.summarise(runs({"held": ([3.0] * 3, [2.998] * 3)}), spec)
+    assert row["verdict"] == "gain"
+
+
 def test_paired_makes_each_run_in_alternating_order_as_its_record_is_taken():
     made = []
 
@@ -108,6 +120,25 @@ def test_revision_of_a_git_checkout_is_its_short_commit(tmp_path, capsys):
     # a directory inside a work tree is not a checkout of its own
     assert bench_pairs.revision(tmp_path / "sub") is None
     assert "is not a git checkout" in capsys.readouterr().err
+    # an untracked file leaves the commit as the revision
+    (tmp_path / "BENCH_1.json").write_text("{}\n")
+    assert bench_pairs.revision(tmp_path) == git("rev-parse", "--short", "HEAD")
+
+
+def test_revision_of_a_checkout_with_uncommitted_changes_is_null(tmp_path, capsys):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, capture_output=True, check=True)
+
+    git("init", "-q")
+    (tmp_path / "f").write_text("x\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    (tmp_path / "f").write_text("y\n")
+    assert bench_pairs.revision(tmp_path) is None
+    assert "has uncommitted changes" in capsys.readouterr().err
+    git("add", "-A")  # staged but not committed
+    assert bench_pairs.revision(tmp_path) is None
 
 
 def python_command(code):

@@ -408,12 +408,16 @@ def test_graph_refuses_a_matrix_past_a_million_entries(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(shift_model.SftGraph, "matrix", property(built))
     dot = tmp_path / "graph.dot"
-    for orbits, entries in (("1,2,99997", 10**10), ("1,1000", 1001**2)):
+    # an orbit of 2 200 digits: the entry count has 4 401, past the
+    # interpreter's 4 300-digit limit on str(int), and is shown shortened
+    huge = "1," + "9" * 2200
+    for orbits, entries in (("1,2,99997", "10000000000"), ("1,1000", "1002001"),
+                            (huge, "100000000000...000000 (4401 digits)")):
         assert main(["graph", "--orbits", orbits, "--dot", str(dot)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "error: --orbits %s: the adjacency matrix has %d entries, more than the "
+            "error: --orbits %s: the adjacency matrix has %s entries, more than the "
             "10^6 this command prints\n" % (orbits, entries))
     assert not dot.exists()
     monkeypatch.undo()

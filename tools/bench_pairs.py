@@ -17,8 +17,9 @@ verdict against the metric's bound in ``BENCHMARK.json``:
   the bound;
 * ``unresolved``: not worse, but the parent's quartile spread is wider
   than the bound and not every change run beats every parent run;
-* ``gain``: the change wins at least nine tenths of the pairs and the
-  medians differ by more than the parent's quartile spread;
+* ``gain``: of at least two pairs, the change wins at least nine tenths,
+  and the medians differ by more than the parent's quartile spread and
+  than the metric's ``resolution``, where it has one;
 * ``same``: none of these.
 
 Metrics without a bound (the per-layer ones of ``--trace 1``) get
@@ -32,19 +33,19 @@ The other tools that compare two checkouts (``cli_time``, ``tier1_time``,
 ``element_memory``, ``chain_panel`` and ``decisions``) are command
 specifications over this one.  Each takes the parent's checkout as
 ``--against DIR`` and its own as the change (``command_line``, ``sides``).
-Each but ``decisions`` makes ``--pairs`` pairs of runs per workload in
-alternating order, each run a fresh process of ``start`` kept as a run
-record of ``BENCH_<n>.json``'s schema (``paired``, ``result``); prints
-``summarise``'s rows, with their verdicts, by ``format_row``; and, with
-``--record FILE``, stores the runs and the rows under its own name as the
-key of that JSON file (``conclude``).
+Each but ``decisions`` makes pairs of runs per workload in alternating
+order (``--pairs`` of them, or ``chain_panel``'s fixed five), each run a
+fresh process of ``start`` kept as a run record of ``BENCH_<n>.json``'s
+schema (``paired``, ``result``); prints ``summarise``'s rows, with their
+verdicts, by ``format_row``; and, with ``--record FILE``, stores the runs
+and the rows under its own name as the key of that JSON file
+(``conclude``).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import glob
 import json
 import os
 import platform
@@ -125,7 +126,7 @@ def start(checkout, argv, what=None, cwd=None, cache=None):
     loads no bytecode, from its checkout's ``__pycache__`` or the standard
     library's, and writes none, so every module it imports compiles from
     source, again after ``sys.modules`` forgets it.  With ``cache``, the
-    process keeps its bytecode there, written and loaded.
+    process keeps its bytecode there (made if missing), written and loaded.
     With ``what``, a non-zero exit stops the tool with ``"<checkout>:
     <what> exited with N: <stderr tail>"``."""
     with (contextlib.nullcontext(cache) if cache
@@ -134,6 +135,7 @@ def start(checkout, argv, what=None, cwd=None, cache=None):
                    PYTHONPYCACHEPREFIX=prefix, PYTHONDONTWRITEBYTECODE="1")
         if cache:
             del env["PYTHONDONTWRITEBYTECODE"]
+            os.makedirs(cache, exist_ok=True)
         begin = time.perf_counter()
         proc = subprocess.run(argv, cwd=cwd or checkout, env=env, capture_output=True, text=True)
         seconds = time.perf_counter() - begin
@@ -164,7 +166,8 @@ def summarise(runs, spec):
 
     ``runs`` are run records as written to ``BENCH_<n>.json``; ``spec``
     maps a metric name to ``{"better": "lower" | "higher", "bound": float
-    or None}``; a metric missing from it is taken as lower-is-better
+    or None}`` and an optional ``"resolution"`` (see ``gain`` above, in the
+    metric's unit); a metric missing from it is taken as lower-is-better
     without a bound.
     """
     groups = {}
@@ -175,9 +178,9 @@ def summarise(runs, spec):
             groups.setdefault(key, {}).setdefault(run["pair"], {})[run["side"]] = entry["value"]
     rows = []
     for (workload, seed, name), pairs in sorted(groups.items()):
-        better = spec.get(name, {}).get("better", "lower")
-        bound = spec.get(name, {}).get("bound")
-        sign = 1.0 if better == "lower" else -1.0
+        metric = spec.get(name, {})
+        bound, resolution = metric.get("bound"), metric.get("resolution", 0.0)
+        sign = 1.0 if metric.get("better", "lower") == "lower" else -1.0
         both = [p for p in pairs.values() if "parent" in p and "change" in p]
         parent = sorted(p["parent"] for p in both)
         change = sorted(p["change"] for p in both)
@@ -187,12 +190,12 @@ def summarise(runs, spec):
         pq, cq = quartiles(parent), quartiles(change)
         spread = pq[2] - pq[0]
         relative = (cq[1] - pq[1]) / abs(pq[1]) if pq[1] else 0.0
-        worse_by = sign * relative
         # every change run better than every parent run
         separated = max(change) < min(parent) if sign > 0 else min(change) > max(parent)
-        if bound is not None and worse_by > bound:
+        if bound is not None and sign * relative > bound:
             verdict = "worse"
-        elif wins >= 0.9 * len(both) and sign * (pq[1] - cq[1]) > spread:
+        elif (len(both) > 1 and wins >= 0.9 * len(both)
+              and sign * (pq[1] - cq[1]) > max(spread, resolution)):
             verdict = "gain"
         elif bound is not None and pq[1] and spread / abs(pq[1]) > bound and not separated:
             verdict = "unresolved"
@@ -263,27 +266,29 @@ def run_once(checkout, command, workload, seed, seconds, trace):
 
 
 def next_bench_path(directory):
-    numbers = [
-        int(m.group(1))
-        for path in glob.glob(os.path.join(directory, "BENCH_*.json"))
-        if (m := re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path)))
-    ]
+    numbers = [int(m.group(1)) for name in os.listdir(directory)
+               if (m := re.fullmatch(r"BENCH_(\d+)\.json", name))]
     return os.path.join(directory, "BENCH_%d.json" % (max(numbers, default=0) + 1))
 
 
 def revision(checkout):
     """The short commit of ``checkout``, or None (said on stderr) when the
     directory is not the top of a git work tree, as with a ``git archive``
-    tree."""
+    tree, or when a tracked file differs from that commit (untracked files,
+    such as the record being written, do not count)."""
     proc = subprocess.run(
         ["git", "rev-parse", "--show-toplevel", "--short", "HEAD"],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.split("\n")
-    if proc.returncode == 0 and os.path.samefile(lines[0], checkout):
+    if proc.returncode != 0 or not os.path.samefile(lines[0], checkout):
+        why = "is not a git checkout"
+    elif subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=checkout,
+                        capture_output=True).returncode:
+        why = "has uncommitted changes"
+    else:
         return lines[1]
-    print("%s is not a git checkout: its revision is recorded as null" % checkout,
-          file=sys.stderr)
+    print("%s %s: its revision is recorded as null" % (checkout, why), file=sys.stderr)
     return None
 
 
@@ -301,19 +306,18 @@ def main(argv=None):
     checkouts = sides(args)
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as handle:
         benchmark = json.load(handle)
-    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+    seconds = "%g" % (args.seconds if args.seconds is not None else benchmark["run_seconds"])
     spec = {m["name"]: m for m in benchmark["end_to_end"]}
-    seconds_text = "%g" % seconds
     record = {"change": args.note, "parent": revision(checkouts["parent"]), **header(
         " ".join(benchmark["command"]) + " --workload <workload> --seconds %s --seed <seed>%s"
-        % (seconds_text, " --trace 1" if args.trace else ""),
+        % (seconds, " --trace 1" if args.trace else ""),
         "each run has an empty bytecode prefix of its own and writes no bytecode; "
         "the order field gives the sequence in which runs were made"), "runs": []}
     path = next_bench_path(checkouts["change"])
     for workload in args.workloads.split(","):
         for seed in args.seeds:
             for run in paired(checkouts, args.pairs, workload, seed, lambda side: run_once(
-                    checkouts[side], benchmark["command"], workload, seed, seconds_text,
+                    checkouts[side], benchmark["command"], workload, seed, seconds,
                     args.trace), len(record["runs"])):
                 if args.trace:
                     run["trace"] = 1
@@ -330,20 +334,18 @@ def main(argv=None):
     print("wrote %s" % path)
     for row in summarise(record["runs"], spec):
         print(format_row(row))
-    lost = 0
     for workload in args.workloads.split(","):
         texts = []
         for side in checkouts:
             results = [r["result"] for r in record["runs"]
                        if r["workload"] == workload and r["side"] == side]
             missing = sum(1 for result in results if "error" in result)
-            lost += missing
             texts.append("%s %d/%d, %d run%s without a result" % (
                 side, sum(result["failed"] for result in results),
                 sum(result["attempted"] for result in results),
                 missing, "" if missing == 1 else "s"))
         print("%-8s failed ops: %s" % (workload, "; ".join(texts)))
-    return 1 if lost else 0
+    return 1 if any("error" in run["result"] for run in record["runs"]) else 0
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Build times of the stabilizer chain on a fixed panel of colour groups,
 in a parent checkout and this one.
 
-    python3 tools/chain_panel.py --against DIR [--pairs 5] [--groups NAME,...] \\
+    python3 tools/chain_panel.py --against DIR [--groups NAME,...] \\
         [--record BENCH_<n>.json]
 
-For each panel group, makes ``--pairs`` pairs of runs in the parent
+For each panel group, makes ``PAIRS`` (5) pairs of runs in the parent
 checkout ``--against`` and in this one, in ``tools/bench_pairs.py``'s
 alternating order.  Each run is a fresh process of ``bench_pairs``'
 ``start``, with an empty bytecode prefix of its own, that closes the
@@ -33,6 +33,8 @@ import sys
 from math import factorial
 
 from bench_pairs import command_line, conclude, paired, result, sides, start, summarise
+
+PAIRS = 5
 
 # prints the milliseconds of one closure; an order other than the closed form exits 1
 PROBE = """
@@ -96,7 +98,7 @@ PANEL = {
 
 
 def main(argv=None):
-    parser = command_line(__doc__, pairs=5, record="chain_panel")
+    parser = command_line(__doc__, record="chain_panel")
     parser.add_argument("--groups", default=",".join(PANEL),
                         help="comma-separated panel names (default: all)")
     args = parser.parse_args(argv)
@@ -114,7 +116,7 @@ def main(argv=None):
             proc, _ = start(checkouts[side], command, "the probe of %s" % name)
             return result({"closure_ms": json.loads(proc.stdout)})
 
-        runs += paired(checkouts, args.pairs, name, "-", measure, len(runs))
+        runs += paired(checkouts, PAIRS, name, "-", measure, len(runs))
     conclude(args, "chain_panel", runs, summarise(runs, {}),
              "python -c <PROBE of tools/chain_panel.py> <generators, degree, order>",
              "each run has an empty bytecode prefix of its own and writes no bytecode")

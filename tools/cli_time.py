@@ -42,8 +42,6 @@ def main(argv=None):
     runs = []
     with tempfile.TemporaryDirectory() as workdir:
         caches = {side: os.path.join(workdir, "pycache-" + side) for side in checkouts}
-        for cache in caches.values():
-            os.mkdir(cache)
         first, second = inputs.write_pairs(inputs.deep_inputs(SEED, 1), workdir)[0]
         known = {command[0]: command for command in cli_commands(workdir, first, second)[::-1]}
         for name in COMMANDS:

@@ -18,8 +18,9 @@ in ``bench_pairs``' order, ``--pairs`` pairs of them.  Each run is a run
 record of ``bench_pairs`` with the metrics ``setup_mib`` and
 ``elements_mib``, and the tool prints ``bench_pairs``' summary of them,
 with a verdict against a bound of 0.1, as that of ``peak_rss_mb`` in
-``BENCHMARK.json``.  ``--record`` stores the runs and the summary under the
-key ``element_memory``.
+``BENCHMARK.json``; a ``gain`` needs a median lower by more than 1 KiB.
+``--record`` stores the runs and the summary under the key
+``element_memory``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from bench_pairs import command_line, conclude, paired, result, sides, start, su
 
 MIB = 1 << 20
 INPUTS = 125
-BOUNDS = {name: {"better": "lower", "bound": 0.1} for name in ("setup_mib", "elements_mib")}
+# runs of one checkout differ by up to a few hundred bytes, so a gain must
+# pass 1 KiB
+BOUNDS = {name: {"better": "lower", "bound": 0.1, "resolution": 1 / 1024}
+          for name in ("setup_mib", "elements_mib")}
 
 # prints the bytes the set-up holds and those its decoded elements hold
 PROBE = """

@@ -67,8 +67,7 @@ def run_once(root, workdir, cache):
         if match:
             test = match.group(2).strip()
             values[test] = values.get(test, 0.0) + float(match.group(1))
-    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    passed = PASSED.search(summary)
+    passed = PASSED.search((proc.stdout.strip().splitlines() or [""])[-1])
     values["passed"] = int(passed.group(1)) if passed else 0
     return result(values, exit=proc.returncode)
 
@@ -87,7 +86,6 @@ def main(argv=None):
                 return run_once(checkouts[side], workdir, caches[side])
 
         for side in checkouts:  # untimed: fills the side's bytecode prefix
-            os.mkdir(caches[side])
             measure(side)
         runs = list(paired(checkouts, args.pairs, "tier1", "-", measure))
     rows = summarise(runs, TOTALS)
